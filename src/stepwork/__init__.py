@@ -15,8 +15,6 @@ from .free_energy import (
     free_energy_profile,
     ground_state_closed_form_center,
     ground_state_closed_form_spring,
-    low_temp_estimate_center,
-    reference_free_energy,
     spring_low_temp_limit,
 )
 from .pathways import (
@@ -62,7 +60,6 @@ from .workdist import (
     run_work_recursion,
     step_work_map,
     work_moments,
-    work_recursion_step,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,24 +24,22 @@ import numpy as np
 
 from . import export
 from .errors import EnumerationCap, GridTooNarrow, MassLeak, NonPositiveAverage
-from .free_energy import (
-    delta_f_target_center,
-    free_energy_profile,
-    ground_state_closed_form_center,
-)
+from .free_energy import free_energy_profile, ground_state_closed_form_center
 from .pathways import decompose_free_energy, find_optimal_transitions, overlap_measure
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
-from .spectra import analytic_target_spring
 from .workdist import fluctuation_density
 
-_CENTER_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "s": 11, "a": 1.0,
-                    "n_max": 10, "x_points": None, "w_points": None,
+_CENTER_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "dlambda": None, "s": 11,
+                    "a": 1.0, "n_max": 10, "x_points": None, "w_points": None,
                     "out": ".", "jobs": 1}
 _SPRING_DEFAULTS = {"protocol": "spring", "omega_ratio": 1.3, "s": 11, "a": 0.1,
                     "n_max": 100, "x_points": None, "w_points": None,
                     "out": ".", "jobs": 1}
 _PATHWAY_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "s": 3, "a": 1.0,
                      "n_max": 3, "tol": 0.05, "eps": 1e-12, "out": ".", "jobs": 1}
+# config keys set by a command-line flag of another name; every other key's
+# flag carries the key's own name
+_FLAG_OF = {"n_max": "nmax", "sweep_param": "param", "sweep_values": "values"}
 
 
 class _ConfigError(Exception):
@@ -63,7 +62,7 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(args, defaults, flag_names):
+def _resolve(args, defaults):
     """defaults < config file < command-line flags."""
     cfg = dict(defaults)
     if args.config:
@@ -72,8 +71,12 @@ def _resolve(args, defaults, flag_names):
         if unknown:
             raise _ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for flag, key in flag_names.items():
-        value = getattr(args, flag)
+        # only sweep has a --protocol flag; every other command fixes its protocol
+        if not hasattr(args, "protocol") and cfg["protocol"] != defaults["protocol"]:
+            raise _ConfigError(f"{args.command} runs the {defaults['protocol']} protocol, "
+                               f"not {cfg['protocol']}")
+    for key in defaults:
+        value = getattr(args, _FLAG_OF.get(key, key), None)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -89,13 +92,16 @@ def _ensure_outdir(out):
     return out
 
 
-def _center_schedule_from(cfg):
+def _schedule_from(cfg):
+    """The pull schedule a resolved run, sweep-point or pathways config asks for."""
+    grids = {"x_points": cfg.get("x_points"), "w_points": cfg.get("w_points")}
+    if cfg["protocol"] == "spring":
+        return build_spring_schedule(cfg["omega_ratio"], cfg["s"], cfg["a"], cfg["n_max"],
+                                     **grids)
+    lambda_s = cfg["lambda_s"]
     if cfg.get("dlambda") is not None:
-        cfg = dict(cfg)
-        cfg["lambda_s"] = cfg.pop("dlambda") * (cfg["s"] - 1)
-    return build_center_schedule(cfg["lambda_s"], cfg["s"], cfg["a"], cfg["n_max"],
-                                 x_points=cfg.get("x_points"),
-                                 w_points=cfg.get("w_points"))
+        lambda_s = cfg["dlambda"] * (cfg["s"] - 1)
+    return build_center_schedule(lambda_s, cfg["s"], cfg["a"], cfg["n_max"], **grids)
 
 
 def _schedule_meta(cfg, schedule):
@@ -115,35 +121,19 @@ def _write_run_outputs(profile, out, meta):
         export.write_csv(os.path.join(out, f"workdist_step_{i}.csv"), header, rows, meta)
 
 
-def cmd_run_center(args):
-    cfg = _resolve(args, {**_CENTER_DEFAULTS, "dlambda": None},
-                   {"s": "s", "a": "a", "nmax": "n_max", "dlambda": "dlambda",
-                    "lambda_s": "lambda_s", "out": "out", "jobs": "jobs",
-                    "x_points": "x_points", "w_points": "w_points"})
+def cmd_run(args):
+    cfg = _resolve(args, args.defaults)
     out = _ensure_outdir(cfg["out"])
-    schedule = _center_schedule_from(cfg)
-    profile = free_energy_profile(schedule)
-    _write_run_outputs(profile, out, _schedule_meta(cfg, schedule))
-    print(f"run-center: s={schedule.s} a={schedule.a} n_max={schedule.n_max} "
-          f"dF={export.format_number(profile.endpoint)}")
-    return 0
-
-
-def cmd_run_spring(args):
-    cfg = _resolve(args, _SPRING_DEFAULTS,
-                   {"s": "s", "a": "a", "nmax": "n_max", "omega_ratio": "omega_ratio",
-                    "out": "out", "jobs": "jobs",
-                    "x_points": "x_points", "w_points": "w_points"})
-    out = _ensure_outdir(cfg["out"])
-    schedule = build_spring_schedule(cfg["omega_ratio"], cfg["s"], cfg["a"], cfg["n_max"],
-                                     x_points=cfg.get("x_points"),
-                                     w_points=cfg.get("w_points"))
+    schedule = _schedule_from(cfg)
     profile = free_energy_profile(schedule)
     meta = _schedule_meta(cfg, schedule)
-    meta["delta"] = schedule.increment
+    temperature = "a"
+    if args.command == "run-spring":  # keeps run-spring's outputs byte-identical
+        meta["delta"] = schedule.increment
+        temperature = "a0"
     _write_run_outputs(profile, out, meta)
-    print(f"run-spring: s={schedule.s} a0={schedule.a} n_max={schedule.n_max} "
-          f"dF={export.format_number(profile.endpoint)}")
+    print(f"{args.command}: s={schedule.s} {temperature}={schedule.a} "
+          f"n_max={schedule.n_max} dF={export.format_number(profile.endpoint)}")
     return 0
 
 
@@ -155,34 +145,33 @@ def _sweep_point(cfg, param, value):
     elif param == "nmax":
         point["n_max"] = int(value)
     elif param == "dlambda":
-        n_steps = 1.0 / value
-        if abs(n_steps - round(n_steps)) > 1e-9:
-            raise _ConfigError(f"dlambda {value} does not divide lambda_s = 1 evenly")
-        point["s"] = int(round(n_steps)) + 1
+        point["s"] = int(round(1.0 / value)) + 1
         point["lambda_s"] = float(value) * (point["s"] - 1)
-    if point["protocol"] == "center":
-        schedule = _center_schedule_from(point)
-        oracle = (ground_state_closed_form_center(schedule.a, schedule.increment, schedule.s)
-                  if schedule.n_max == 0 else delta_f_target_center(schedule.lambda_s))
+    schedule = _schedule_from(point)
+    if point["protocol"] == "center" and schedule.n_max == 0:
+        oracle = ground_state_closed_form_center(schedule.a, schedule.increment, schedule.s)
     else:
-        schedule = build_spring_schedule(point["omega_ratio"], point["s"], point["a"],
-                                         point["n_max"], x_points=point.get("x_points"),
-                                         w_points=point.get("w_points"))
-        oracle = analytic_target_spring(schedule.a, schedule.controls[-1])
+        oracle = schedule.spectrum(schedule.s).target(schedule.a)
     profile = free_energy_profile(schedule)
     mean_w = float(profile.mean_work[-1])
     std_w = float(profile.std_work[-1])
     return (float(value), profile.endpoint, mean_w, std_w, float(oracle))
 
 
+def _check_sweep_value(param, value):
+    if param == "nmax" and not value.is_integer():
+        raise _ConfigError(f"nmax sweep values must be integers, not {value}")
+    if param == "dlambda":
+        if not (math.isfinite(value) and value > 0.0):
+            raise _ConfigError(f"dlambda sweep values must be finite and positive, not {value}")
+        n_steps = 1.0 / value
+        if abs(n_steps - round(n_steps)) > 1e-9:
+            raise _ConfigError(f"dlambda {value} does not divide lambda_s = 1 evenly")
+
+
 def cmd_sweep(args):
-    defaults = {**_CENTER_DEFAULTS, "omega_ratio": 1.3,
-                "sweep_param": "a", "sweep_values": None, "dlambda": None}
-    cfg = _resolve(args, defaults,
-                   {"s": "s", "a": "a", "nmax": "n_max", "out": "out", "jobs": "jobs",
-                    "protocol": "protocol", "param": "sweep_param",
-                    "values": "sweep_values", "omega_ratio": "omega_ratio",
-                    "x_points": "x_points", "w_points": "w_points"})
+    cfg = _resolve(args, {**_CENTER_DEFAULTS, "omega_ratio": 1.3,
+                          "sweep_param": "a", "sweep_values": None})
     if cfg["protocol"] not in ("center", "spring"):
         raise _ConfigError(f"unknown protocol {cfg['protocol']}")
     param = cfg["sweep_param"]
@@ -195,9 +184,12 @@ def cmd_sweep(args):
             raise _ConfigError("sweep needs a non-empty --values list")
         cfg["sweep_values"] = default_temperature_sweep()
     values = [float(v) for v in cfg["sweep_values"]]
+    for value in values:
+        _check_sweep_value(param, value)
     out = _ensure_outdir(cfg["out"])
 
-    jobs = int(cfg["jobs"])
+    # a fork-based pool starts all its workers at the first submit
+    jobs = min(int(cfg["jobs"]), len(values))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, [cfg] * len(values),
@@ -224,11 +216,9 @@ def cmd_sweep(args):
 
 
 def cmd_pathways(args):
-    cfg = _resolve(args, _PATHWAY_DEFAULTS,
-                   {"s": "s", "a": "a", "nmax": "n_max", "tol": "tol", "eps": "eps",
-                    "lambda_s": "lambda_s", "out": "out", "jobs": "jobs"})
+    cfg = _resolve(args, _PATHWAY_DEFAULTS)
     out = _ensure_outdir(cfg["out"])
-    schedule = build_center_schedule(cfg["lambda_s"], cfg["s"], cfg["a"], cfg["n_max"])
+    schedule = _schedule_from(cfg)
     tol, eps = float(cfg["tol"]), float(cfg["eps"])
 
     records = []
@@ -288,13 +278,13 @@ def build_parser():
     _add_common(p)
     p.add_argument("--dlambda", type=float, help="pull increment (sets lambda_s = dlambda*(s-1))")
     p.add_argument("--lambda-s", type=float, dest="lambda_s", help="total pull distance")
-    p.set_defaults(func=cmd_run_center)
+    p.set_defaults(func=cmd_run, defaults=_CENTER_DEFAULTS)
 
     p = sub.add_parser("run-spring", help="spring-constant pulling run")
     _add_common(p)
     p.add_argument("--omega-ratio", type=float, dest="omega_ratio",
                    help="final over initial frequency")
-    p.set_defaults(func=cmd_run_spring)
+    p.set_defaults(func=cmd_run, defaults=_SPRING_DEFAULTS)
 
     p = sub.add_parser("sweep", help="endpoint free energy versus one parameter")
     _add_common(p)

@@ -14,19 +14,12 @@ import numpy as np
 
 from .errors import NonPositiveAverage
 from .protocol import PullSchedule
-from .spectra import (
-    ProtocolKind,
-    analytic_free_energy_center,
-    analytic_free_energy_spring,
-    analytic_target_spring,
-    delta_f_target_center,
-)
+from .spectra import ProtocolKind
 from .workdist import GriddedDensity, WorkLedger, run_work_recursion, work_moments
 
 __all__ = ["FreeEnergyProfile", "exponential_average", "free_energy_profile",
            "approx_free_energy", "ground_state_closed_form_center",
-           "low_temp_estimate_center", "ground_state_closed_form_spring",
-           "spring_low_temp_limit", "reference_free_energy"]
+           "ground_state_closed_form_spring", "spring_low_temp_limit"]
 
 # beta * W spans above this switch the quadrature into log space
 _LOG_SPACE_SPAN = 300.0
@@ -81,18 +74,6 @@ class FreeEnergyProfile:
         return float(self.delta_f[-1])
 
 
-def _step_free_energy(schedule, control):
-    if schedule.kind is ProtocolKind.CENTER:
-        return analytic_free_energy_center(control, schedule.a)
-    return analytic_free_energy_spring(control, schedule.a)
-
-
-def _step_target(schedule, control):
-    if schedule.kind is ProtocolKind.CENTER:
-        return delta_f_target_center(control)
-    return analytic_target_spring(schedule.a, control)
-
-
 def free_energy_profile(schedule: PullSchedule):
     """Run the full work recursion and evaluate dF(1, i) for every step."""
     ledger = run_work_recursion(schedule)
@@ -100,12 +81,13 @@ def free_energy_profile(schedule: PullSchedule):
     delta_f = np.zeros(s)
     mean_w = np.zeros(s)
     std_w = np.zeros(s)
-    targets = np.array([_step_target(schedule, c) for c in schedule.controls])
+    steps = [schedule.spectrum(i) for i in range(1, s + 1)]
+    targets = np.array([step.target(schedule.a) for step in steps])
     for i in range(2, s + 1):
         rho = ledger.rho(i)
         delta_f[i - 1] = exponential_average(rho, schedule.beta)
         mean_w[i - 1], std_w[i - 1] = work_moments(rho)
-    f_ref = np.array([_step_free_energy(schedule, c) for c in schedule.controls]) - delta_f
+    f_ref = np.array([step.free_energy(schedule.a) for step in steps]) - delta_f
     return FreeEnergyProfile(schedule, delta_f, targets, mean_w, std_w, f_ref, ledger)
 
 
@@ -132,17 +114,6 @@ def ground_state_closed_form_center(a, dlambda, s):
     return dlambda * dlambda * (s - 1) * (s - a) / 4.0
 
 
-def low_temp_estimate_center(a, dlambda, s):
-    """Low-temperature estimate k dlambda^2 (s-1)^2 [1 - (a-1)/(s-1)]/4.
-
-    Algebraically identical to ``ground_state_closed_form_center``; kept as a
-    separate entry point so the identity is test-assertable.
-    """
-    if s < 2:
-        raise ValueError("need at least two steps")
-    return dlambda * dlambda * (s - 1) ** 2 * (1.0 - (a - 1.0) / (s - 1)) / 4.0
-
-
 def ground_state_closed_form_spring(a0, delta, s):
     """Exact ground-state dF = (1/(2 a0)) sum_i ln(1 + a0 delta / (2 omega_i))."""
     if a0 <= 0.0:
@@ -159,8 +130,3 @@ def ground_state_closed_form_spring(a0, delta, s):
 def spring_low_temp_limit(omega_ratio):
     """Large-s, low-temperature limit (omega_s - omega_0)/2 in hbar*omega_0."""
     return 0.5 * (omega_ratio - 1.0)
-
-
-def reference_free_energy(delta_f, schedule: PullSchedule):
-    """F_ref = F(control_s) - dF; classically this collapses to F(control_1)."""
-    return _step_free_energy(schedule, schedule.controls[-1]) - delta_f

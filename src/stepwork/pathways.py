@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DensityFloor, EnumerationCap
 from .protocol import GridSpec, PullSchedule
-from .spectra import ProtocolKind
 from .workdist import (
     GriddedDensity,
     lattice_convolve,
@@ -110,13 +109,15 @@ class PathwayDecomposition:
     reconstruction_error: float
 
 
-def _density_floor(schedule, i, eps_rel):
+def _density_floor(spectrum, eps_rel):
     """eps_rel times the step's peak density (the ground state's maximum)."""
-    if schedule.kind is ProtocolKind.CENTER:
-        peak = math.pi ** -0.5
-    else:
-        peak = math.sqrt(schedule.controls[i - 1]) * math.pi ** -0.5
-    return eps_rel * peak
+    return eps_rel * (math.sqrt(spectrum.omega) * math.pi ** -0.5)
+
+
+def _check_tolerances(tol, eps_rel):
+    for name, value in (("tol", tol), ("eps_rel", eps_rel)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _checked_log(value, floor, what):
@@ -137,8 +138,8 @@ def residual_12a(i, x_prev, x_next, n_prev, n_next, schedule,
     sp_next = schedule.spectrum(i)
     d_next = sp_next.prob_density(n_next, x_next)
     d_prev = sp_prev.prob_density(n_prev, x_prev)
-    log_ratio = (_checked_log(d_next, _density_floor(schedule, i, eps_rel), "|psi(x_next)|^2")
-                 - _checked_log(d_prev, _density_floor(schedule, i - 1, eps_rel), "|psi(x_prev)|^2"))
+    log_ratio = (_checked_log(d_next, _density_floor(sp_next, eps_rel), "|psi(x_next)|^2")
+                 - _checked_log(d_prev, _density_floor(sp_prev, eps_rel), "|psi(x_prev)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
     dw = step_work_map(schedule, i - 1, x_prev)
     return log_ratio - schedule.beta * (de + dw)
@@ -147,7 +148,7 @@ def residual_12a(i, x_prev, x_next, n_prev, n_next, schedule,
 def residual_12b(i, x_prev, x_next, n_next, schedule, eps_rel=DEFAULT_EPS_REL):
     """Same-state density ratio between the two positions minus beta dW."""
     sp_next = schedule.spectrum(i)
-    floor = _density_floor(schedule, i, eps_rel)
+    floor = _density_floor(sp_next, eps_rel)
     log_ratio = (_checked_log(sp_next.prob_density(n_next, x_next), floor, "|psi(x_next)|^2")
                  - _checked_log(sp_next.prob_density(n_next, x_prev), floor, "|psi(x_prev)|^2"))
     return log_ratio - schedule.beta * step_work_map(schedule, i - 1, x_prev)
@@ -159,9 +160,9 @@ def residual_13(i, x_prev, x_next, n_prev, n_next, schedule,
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
     log_ratio = (_checked_log(sp_next.prob_density(n_next, x_prev),
-                              _density_floor(schedule, i, eps_rel), "|psi_next(x_prev)|^2")
+                              _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
                  - _checked_log(sp_prev.prob_density(n_prev, x_next),
-                                _density_floor(schedule, i - 1, eps_rel), "|psi_prev(x_next)|^2"))
+                                _density_floor(sp_prev, eps_rel), "|psi_prev(x_next)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
     return log_ratio - schedule.beta * de
 
@@ -176,9 +177,9 @@ def residual_quotient(i, x_prev, n_prev, n_next, schedule,
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
     log_ratio = (_checked_log(sp_next.prob_density(n_next, x_prev),
-                              _density_floor(schedule, i, eps_rel), "|psi_next(x_prev)|^2")
+                              _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
                  - _checked_log(sp_prev.prob_density(n_prev, x_prev),
-                                _density_floor(schedule, i - 1, eps_rel), "|psi_prev(x_prev)|^2"))
+                                _density_floor(sp_prev, eps_rel), "|psi_prev(x_prev)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
     return log_ratio - schedule.beta * de
 
@@ -204,8 +205,8 @@ def _transition_tables(schedule, i, x_prev, x_next, eps_rel):
     d_prev_at_next = sp_prev.all_densities(x_next)   # (S, Pn)
     d_next_at_prev = sp_next.all_densities(x_prev)
     d_next_at_next = sp_next.all_densities(x_next)
-    floor_prev = _density_floor(schedule, i - 1, eps_rel)
-    floor_next = _density_floor(schedule, i, eps_rel)
+    floor_prev = _density_floor(sp_prev, eps_rel)
+    floor_next = _density_floor(sp_next, eps_rel)
 
     e_prev = np.array([sp_prev.work_energy(n) for n in range(schedule.n_max + 1)])
     e_next = np.array([sp_next.work_energy(n) for n in range(schedule.n_max + 1)])
@@ -255,6 +256,7 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
         raise ValueError(f"transitions exist for 2 <= i <= {schedule.s}")
     if match not in ("optimal", "detailed-balance"):
         raise ValueError("match must be 'optimal' or 'detailed-balance'")
+    _check_tolerances(tol, eps_rel)
     x_prev = _subsample(schedule.x_grid, max_x_points)
     x_next = x_prev
     tab = _transition_tables(schedule, i, x_prev, x_next, eps_rel)
@@ -419,6 +421,7 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     pathways, so the total recombines as S + D - OP + B identically.
     """
     _check_enumeration_regime(schedule)
+    _check_tolerances(tol, eps_rel)
     n_slots = schedule.s - 1
     n_states = schedule.n_max + 1
     p = max_x_points

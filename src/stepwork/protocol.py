@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import OscillatorSpectrum, ProtocolKind, thermal_position_variance
+from .spectra import OscillatorSpectrum, ProtocolKind, spring_frequency
 
 __all__ = ["GridSpec", "PullSchedule", "build_center_schedule", "build_spring_schedule",
            "default_temperature_sweep"]
@@ -92,15 +92,14 @@ def _state_extent(n_max, omega):
     return math.sqrt((2 * n_max + 1) / omega) + _X_SIGMA_MARGIN / math.sqrt(2.0 * omega)
 
 
-def _half_width(kind, control, a, n_max):
+def _half_width(spectrum, a):
     """Half-width of the fluctuation density's support around its center.
 
     The truncated density is bounded both by the full thermal envelope and by
     the top retained state's turning point, so the tighter of the two wins.
     """
-    sigma_th = math.sqrt(thermal_position_variance(kind, control, a))
-    omega = control if kind is ProtocolKind.SPRING else 1.0
-    return min(_X_SIGMA_MARGIN * sigma_th, _state_extent(n_max, omega))
+    sigma_th = math.sqrt(spectrum.thermal_variance(a))
+    return min(_X_SIGMA_MARGIN * sigma_th, _state_extent(spectrum.n_max, spectrum.omega))
 
 
 def _target_spacing(n_max, omega_max):
@@ -111,10 +110,19 @@ def _target_spacing(n_max, omega_max):
     return min(sigma_gs / 8.0, 2.0 * math.pi / (16.0 * band))
 
 
-def _effective_sigma2(kind, control, a, n_max):
+def _effective_sigma2(spectrum, a):
     """Upper bound on the truncated density's position variance."""
-    omega = control if kind is ProtocolKind.SPRING else 1.0
-    return min(thermal_position_variance(kind, control, a), (n_max + 0.5) / omega)
+    return min(spectrum.thermal_variance(a), (spectrum.n_max + 0.5) / spectrum.omega)
+
+
+def _check_inputs(x_points, w_points, **values):
+    """Reject non-finite physical inputs and grids too small to integrate on."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, points in (("x_points", x_points), ("w_points", w_points)):
+        if points is not None and points < 2:
+            raise ValueError(f"{name} must be at least 2, got {points}")
 
 
 def _snap_grid(lo, hi, h):
@@ -132,6 +140,7 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
     convention.  Grids are auto-sized unless point counts are given; the
     x spacing is always an even integer fraction of dlambda.
     """
+    _check_inputs(x_points, w_points, lambda_s=lambda_s, a=a)
     if s <= 0:
         raise ValueError("number of pulling steps must be positive")
     if a <= 0.0:
@@ -148,10 +157,13 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
         controls = tuple(lambda_s * ((i - 1) / (s - 1)) for i in range(1, s + 1))
         dlam = lambda_s / (s - 1)
 
-    half = _half_width(ProtocolKind.CENTER, 0.0, a, n_max)
+    # every step's density has the first one's shape, translated
+    first = OscillatorSpectrum(ProtocolKind.CENTER, 1, controls[0], n_max)
+    sig2 = _effective_sigma2(first, a)
+    half = _half_width(first, a)
     # the exponential work average tilts each density by exp(+a dlam x),
     # shifting its effective center by a dlam sigma^2; cover that too
-    half += a * abs(dlam) * _effective_sigma2(ProtocolKind.CENTER, 0.0, a, n_max)
+    half += a * abs(dlam) * sig2
     centers = [0.5 * c for c in controls]
     x_lo = min(centers) - half
     x_hi = max(centers) + half
@@ -173,8 +185,7 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
         xg = _snap_grid(x_lo, x_hi, h_x)
         h_w = gamma * h_x
         mu = [0.5 * dlam * (lam + dlam) for lam in controls[:-1]]
-        var = [dlam * dlam * _effective_sigma2(ProtocolKind.CENTER, 0.0, a, n_max)
-               for _ in controls[:-1]]
+        var = [dlam * dlam * sig2 for _ in controls[:-1]]
         total_mu = sum(mu)
         sigma_tot = math.sqrt(sum(var))
         w_lo = total_mu - a * sum(var) - _W_SIGMA_MARGIN * sigma_tot - 2 * h_w
@@ -194,6 +205,7 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
 def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=None):
     """Schedule for stiffening the spring so omega runs from omega_0 to
     omega_ratio * omega_0 in s steps; delta = (ratio^2 - 1)/(s - 1)."""
+    _check_inputs(x_points, w_points, omega_ratio=omega_ratio, a0=a0)
     if s < 2:
         raise ValueError("spring protocol needs at least two steps")
     if omega_ratio <= 0.0:
@@ -206,9 +218,11 @@ def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=Non
         raise ValueError("n_max must be non-negative")
 
     delta = (omega_ratio * omega_ratio - 1.0) / (s - 1)
-    controls = tuple(math.sqrt(1.0 + (i - 1) * delta) for i in range(1, s + 1))
+    controls = tuple(spring_frequency(i, delta) for i in range(1, s + 1))
+    steps = [OscillatorSpectrum(ProtocolKind.SPRING, i, w, n_max)
+             for i, w in enumerate(controls, start=1)]
 
-    half = _half_width(ProtocolKind.SPRING, controls[0], a0, n_max)
+    half = _half_width(steps[0], a0)
     if x_points is not None:
         n_pts = x_points
     else:
@@ -223,7 +237,7 @@ def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=Non
         return PullSchedule(ProtocolKind.SPRING, s, controls, delta, a0, n_max, x_grid, w_grid)
 
     c = 0.5 * delta  # work increment is c * x^2 for every step
-    sig2 = [_effective_sigma2(ProtocolKind.SPRING, w, a0, n_max) for w in controls[:-1]]
+    sig2 = [_effective_sigma2(step, a0) for step in steps[:-1]]
     total_mu = c * sum(sig2)
     sigma_tot = math.sqrt(sum(3.0 * c * c * v * v for v in sig2))
     w_hi = total_mu + _W_SIGMA_MARGIN * sigma_tot + c * half * half

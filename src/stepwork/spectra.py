@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,14 +91,25 @@ def center_eigenvalue(n, lam):
     return n + 0.5 + 0.125 * lam * lam
 
 
-def center_prob_density(n, lam, x):
-    """|psi_n(x, lam)|^2 for the trap-center protocol; peaks around x = lam/2."""
+def _density_stack(n_max, omega, center, x):
+    """|psi_n(x)|^2 for n = 0..n_max of an oscillator of frequency omega
+    centered on ``center``: sqrt(omega) phi_n(sqrt(omega) (x - center))^2."""
+    root = math.sqrt(omega)
+    phi = _hermite_functions(n_max, root * (x - center))
+    return root * phi * phi
+
+
+def _prob_density(n, omega, center, x):
     if n < 0:
         raise ValueError("quantum number must be non-negative")
     x = np.asarray(x, dtype=float)
-    phi = _hermite_functions(n, x - 0.5 * lam)[n]
-    dens = phi * phi
+    dens = _density_stack(n, omega, center, x)[n]
     return dens if x.ndim else float(dens[0])
+
+
+def center_prob_density(n, lam, x):
+    """|psi_n(x, lam)|^2 for the trap-center protocol; peaks around x = lam/2."""
+    return _prob_density(n, 1.0, 0.5 * lam, x)
 
 
 def spring_frequency(i, delta, omega0=1.0):
@@ -120,15 +131,9 @@ def spring_eigenvalue(n, omega_i):
 
 def spring_prob_density(n, omega_i, x):
     """|psi_n(x, omega_i)|^2 with Gaussian width hbar/(2 m omega_i); normalized in x."""
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
     if omega_i <= 0.0:
         raise ValueError("frequency must be positive")
-    x = np.asarray(x, dtype=float)
-    root = math.sqrt(omega_i)
-    phi = _hermite_functions(n, root * x)[n]
-    dens = root * phi * phi
-    return dens if x.ndim else float(dens[0])
+    return _prob_density(n, omega_i, 0.0, x)
 
 
 def analytic_free_energy_center(lam, a):
@@ -166,9 +171,7 @@ def thermal_position_variance(kind, control, a):
     Center: coth(a)/2 (independent of the trap center).
     Spring: coth(a0 omega_i / 2) / (2 omega_i) with control = omega_i.
     """
-    if kind is ProtocolKind.CENTER:
-        return 0.5 / math.tanh(a)
-    return 1.0 / (2.0 * control * math.tanh(0.5 * a * control))
+    return OscillatorSpectrum(kind, 1, control, 0).thermal_variance(a)
 
 
 @dataclass(frozen=True)
@@ -176,60 +179,78 @@ class OscillatorSpectrum:
     """Eigenvalues and probability densities of one pulling step.
 
     ``control`` is lambda_i for the center protocol and omega_i (in omega_0
-    units) for the spring protocol.  Energies from ``work_energy`` are in the
-    same unit the work increments are reported in (hbar*omega/2 for center,
-    hbar*omega_0 for spring), so beta * work_energy uses the reduced
-    temperature directly as beta.
+    units) for the spring protocol.  It fixes the four numbers in which the
+    protocols differ: the frequency ``omega``, the ``center`` the densities
+    sit on, the ``offset`` added to (n + 1/2) omega, and ``unit``, the number
+    of work units in one quantum of the frequency unit (2 for center, whose
+    work is in hbar*omega/2; 1 for spring, whose work is in hbar*omega_0).
+    Energies from ``work_energy`` are in the work unit, so beta *
+    work_energy uses the reduced temperature directly as beta.
     """
 
     kind: ProtocolKind
     step_index: int
     control: float
     n_max: int
+    omega: float = field(init=False, repr=False)
+    center: float = field(init=False, repr=False)
+    offset: float = field(init=False, repr=False)
+    unit: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.step_index < 1:
             raise ValueError("step index starts at 1")
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
-        if self.kind is ProtocolKind.SPRING and self.control <= 0.0:
-            raise ValueError("spring frequency must be positive")
-
-    def eigenvalue(self, n):
-        """E_n in the protocol's reporting unit (hbar*omega or hbar*omega_0)."""
         if self.kind is ProtocolKind.CENTER:
-            return center_eigenvalue(n, self.control)
-        return spring_eigenvalue(n, self.control)
+            derived = (1.0, 0.5 * self.control, 0.125 * self.control * self.control, 2.0)
+        else:
+            if self.control <= 0.0:
+                raise ValueError("spring frequency must be positive")
+            derived = (self.control, 0.0, 0.0, 1.0)
+        for name, value in zip(("omega", "center", "offset", "unit"), derived):
+            object.__setattr__(self, name, value)
 
     def work_energy(self, n):
         """E_n in the unit work is measured in (hbar*omega/2 or hbar*omega_0)."""
-        if self.kind is ProtocolKind.CENTER:
-            return 2.0 * center_eigenvalue(n, self.control)
-        return spring_eigenvalue(n, self.control)
-
-    def density_center(self):
-        """Location the |psi_n|^2 are centered on."""
-        return 0.5 * self.control if self.kind is ProtocolKind.CENTER else 0.0
+        return self.unit * ((n + 0.5) * self.omega + self.offset)
 
     def prob_density(self, n, x):
-        if self.kind is ProtocolKind.CENTER:
-            return center_prob_density(n, self.control, x)
-        return spring_prob_density(n, self.control, x)
+        return _prob_density(n, self.omega, self.center, x)
 
     def all_densities(self, x):
         """Array of |psi_n(x)|^2 for n = 0..n_max, shape (n_max+1, len(x))."""
-        x = np.asarray(x, dtype=float)
-        if self.kind is ProtocolKind.CENTER:
-            phi = _hermite_functions(self.n_max, x - 0.5 * self.control)
-            return phi * phi
-        root = math.sqrt(self.control)
-        phi = _hermite_functions(self.n_max, root * x)
-        return root * phi * phi
+        return _density_stack(self.n_max, self.omega, self.center, np.asarray(x, dtype=float))
 
     def boltzmann_weights(self, a):
         """exp(-beta (E_n - E_0)) for n = 0..n_max at reduced temperature a."""
         n = np.arange(self.n_max + 1)
+        return np.exp(-a * self.unit * self.omega * n)
+
+    def thermal_variance(self, a):
+        """Exact untruncated thermal variance of the position at reduced temperature a."""
+        return 1.0 / (2.0 * self.omega * math.tanh(0.5 * self.unit * a * self.omega))
+
+    def work_increment(self, increment, x):
+        """Work picked up at position x when the control steps on by ``increment``.
+
+        Center: dlambda (lambda_i + dlambda/2 - x), affine in x, in hbar*omega/2
+        units.  Spring: (delta/2) x^2 in hbar*omega_0 units.  The two stay
+        separate expressions: the center one lands its images exactly on the
+        commensurate work lattice.
+        """
         if self.kind is ProtocolKind.CENTER:
-            # beta * E_n in work units: a * (2n + 1 + lam^2/4); offsets cancel
-            return np.exp(-2.0 * a * n)
-        return np.exp(-a * self.control * n)
+            return increment * (self.control + 0.5 * increment - x)
+        return 0.5 * increment * x * x
+
+    def free_energy(self, a):
+        """Exact free energy of the step's Hamiltonian in the work unit."""
+        if self.kind is ProtocolKind.CENTER:
+            return analytic_free_energy_center(self.control, a)
+        return analytic_free_energy_spring(self.control, a)
+
+    def target(self, a):
+        """Exact free-energy change from the first step's Hamiltonian to this one."""
+        if self.kind is ProtocolKind.CENTER:
+            return delta_f_target_center(self.control)
+        return analytic_target_spring(a, self.control)

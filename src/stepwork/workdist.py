@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import GridTooNarrow, MassLeak
 from .protocol import GridSpec, PullSchedule
-from .spectra import OscillatorSpectrum, ProtocolKind
+from .spectra import OscillatorSpectrum
 
 __all__ = ["GriddedDensity", "WorkLedger", "fluctuation_density", "step_work_map",
-           "pushforward_step_density", "lattice_convolve", "work_recursion_step",
-           "run_work_recursion", "work_moments"]
+           "pushforward_step_density", "lattice_convolve", "run_work_recursion",
+           "work_moments"]
 
 # |integral - 1| above this after a recursion step signals work-grid truncation
 MASS_TOLERANCE = 1e-4
@@ -52,8 +52,8 @@ class GriddedDensity:
             vals = np.asarray(self.values, dtype=float)
             if vals.shape != (self.grid.points,):
                 raise ValueError("values must match the grid point count")
-            if vals.min() < 0.0:
-                raise ValueError("density values must be nonnegative")
+            if not vals.min() >= 0.0:  # also catches NaN
+                raise ValueError("density values must be nonnegative numbers")
             object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -124,18 +124,12 @@ def fluctuation_density(spectrum: OscillatorSpectrum, a, x_grid: GridSpec):
 def step_work_map(schedule: PullSchedule, i, x):
     """Work increment deltaW_i(x) picked up when the control steps i -> i+1.
 
-    Center: (dlambda/2) (2 lambda_i + dlambda - 2x), affine in x, in
-    hbar*omega/2 units.  Spring: (delta/2) x^2 in hbar*omega_0 units,
-    identical for every step because Delta-k is constant.
+    See ``OscillatorSpectrum.work_increment``; the spring increment is the
+    same for every step because Delta-k is constant.
     """
     if not 1 <= i <= schedule.s - 1:
         raise ValueError(f"work steps run from 1 to {schedule.s - 1}")
-    x = np.asarray(x, dtype=float)
-    if schedule.kind is ProtocolKind.CENTER:
-        dlam = schedule.increment
-        out = dlam * (schedule.controls[i - 1] + 0.5 * dlam - x)
-    else:
-        out = 0.5 * schedule.increment * x * x
+    out = schedule.spectrum(i).work_increment(schedule.increment, np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -235,6 +229,9 @@ def _clip_to_window(dens: GriddedDensity, schedule: PullSchedule):
 
 
 def _recursion_step(rho_prev, f_prev, schedule, i):
+    """rho_i: rho_{i-1} convolved with the pushforward of f_{i-1} through step
+    i-1's work increment, renormalized; returned with its normalization Q_i.
+    The base case rho_1 is a point mass at W = 0."""
     if not 2 <= i <= schedule.s:
         raise ValueError(f"recursion steps run from 2 to {schedule.s}")
     g = pushforward_step_density(f_prev, schedule, i - 1)
@@ -249,19 +246,6 @@ def _recursion_step(rho_prev, f_prev, schedule, i):
             "the work grid is truncating real mass"
         )
     return GriddedDensity(rho.grid, rho.values / mass, normalized=True), 1.0 / mass
-
-
-def work_recursion_step(rho_prev: GriddedDensity, f_prev: GriddedDensity,
-                        schedule: PullSchedule, i):
-    """One recursion step: rho_i = convolution of rho_{i-1} with the
-    pushforward of f_{i-1} through step i-1's work increment, renormalized.
-
-    The base case is rho_1 = a point mass at W = 0, so
-    work_recursion_step(point_mass, f_1, schedule, 2) builds rho_2 directly
-    from f_1.
-    """
-    rho, _ = _recursion_step(rho_prev, f_prev, schedule, i)
-    return rho
 
 
 def run_work_recursion(schedule: PullSchedule):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from stepwork import cli
 from stepwork.cli import main
 
 
@@ -180,3 +181,70 @@ class TestPathwaysCommand:
         contrib = payload["contributions"]
         assert contrib["optimal"] == pytest.approx(contrib["total"], rel=1e-9)
         assert contrib["biased"] / contrib["total"] < 1e-8
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv", [
+        ["run-center", "--a", "inf"],
+        ["run-center", "--a", "nan"],
+        ["run-center", "--lambda-s", "inf"],
+        ["run-center", "--lambda-s", "nan"],
+        ["run-center", "--dlambda", "inf"],
+        ["run-center", "--x-points", "1"],
+        ["run-center", "--w-points", "1"],
+        ["run-spring", "--a", "inf"],
+        ["run-spring", "--omega-ratio", "nan"],
+        ["run-spring", "--omega-ratio", "inf"],
+        ["run-spring", "--x-points", "1"],
+        ["sweep", "--param", "a", "--values", "nan"],
+        ["sweep", "--param", "nmax", "--values", "2.5"],
+        ["sweep", "--param", "dlambda", "--values", "0"],
+        ["sweep", "--param", "dlambda", "--values", "-0.5"],
+        ["sweep", "--param", "dlambda", "--values", "inf"],
+        ["sweep", "--param", "dlambda", "--values", "nan"],
+        ["pathways", "--tol", "nan"],
+        ["pathways", "--tol", "-0.1"],
+        ["pathways", "--eps", "nan"],
+        ["pathways", "--eps", "inf"],
+    ])
+    def test_rejected_with_one_config_error(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_config_file_cannot_switch_protocol(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for command, other in (("run-center", "spring"), ("run-spring", "center"),
+                               ("pathways", "spring")):
+            cfg.write_text(json.dumps({"protocol": other}))
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: config:")
+            assert not out.exists()
+
+    def test_sweep_workers_capped_at_point_count(self, tmp_path, monkeypatch):
+        # a recorder stands in for the pool, so no worker process starts
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        argv = ["sweep", "--param", "a", "--s", "3", "--nmax", "1", "--jobs", "64"]
+        assert main(argv + ["--values", "0.5,1.0", "--out", str(tmp_path / "two")]) == 0
+        assert pools == [2]
+        assert main(argv + ["--values", "0.5", "--out", str(tmp_path / "one")]) == 0
+        assert pools == [2]

@@ -10,13 +10,16 @@ from stepwork.free_energy import (
     free_energy_profile,
     ground_state_closed_form_center,
     ground_state_closed_form_spring,
-    low_temp_estimate_center,
-    reference_free_energy,
     spring_low_temp_limit,
 )
 from stepwork.protocol import build_center_schedule, build_spring_schedule
 from stepwork.spectra import analytic_free_energy_center, analytic_target_spring
 from stepwork.workdist import GriddedDensity
+
+
+def _low_temp_estimate(a, dlam, s):
+    """The paper's low-temperature estimate k dlambda^2 (s-1)^2 [1 - (a-1)/(s-1)]/4."""
+    return dlam * dlam * (s - 1) ** 2 * (1.0 - (a - 1.0) / (s - 1)) / 4.0
 
 
 class TestExponentialAverage:
@@ -67,16 +70,18 @@ class TestClosedForms:
             a = rng.uniform(0.05, 20.0)
             dlam = rng.uniform(0.01, 1.0)
             s = int(rng.integers(2, 40))
-            lhs = low_temp_estimate_center(a, dlam, s)
+            lhs = _low_temp_estimate(a, dlam, s)
             rhs = ground_state_closed_form_center(a, dlam, s)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
     def test_low_temp_estimate_zero_crossing(self):
-        assert low_temp_estimate_center(7.0, 0.2, 7) == pytest.approx(0.0, abs=1e-15)
+        assert _low_temp_estimate(7.0, 0.2, 7) == pytest.approx(0.0, abs=1e-15)
+        assert ground_state_closed_form_center(7.0, 0.2, 7) == pytest.approx(0.0, abs=1e-15)
 
     def test_low_temp_estimate_at_unit_temperature(self):
         # a = 1 collapses to the exact target lambda_s^2 / 4
-        assert low_temp_estimate_center(1.0, 0.1, 11) == pytest.approx(0.25)
+        assert _low_temp_estimate(1.0, 0.1, 11) == pytest.approx(0.25)
+        assert ground_state_closed_form_center(1.0, 0.1, 11) == pytest.approx(0.25)
 
     def test_spring_sum_degenerate(self):
         assert ground_state_closed_form_spring(0.1, 0.0, 11) == 0.0
@@ -193,9 +198,11 @@ class TestSpringProfiles:
 
 class TestReferenceFreeEnergy:
     def test_trivial_case(self):
+        # F_ref = F(lambda_s) - dF at the endpoint
         sch = build_center_schedule(1.0, 11, 1.0, 0)
+        prof = free_energy_profile(sch)
         f_s = analytic_free_energy_center(1.0, 1.0)
-        assert reference_free_energy(f_s, sch) == pytest.approx(0.0, abs=1e-12)
+        assert prof.f_ref[-1] + prof.endpoint == pytest.approx(f_s, abs=1e-12)
 
     def test_approaches_initial_free_energy_for_small_increments(self):
         # F_ref - F(lambda_1) shrinks linearly with dlambda
@@ -204,6 +211,6 @@ class TestReferenceFreeEnergy:
             sch = build_center_schedule(1.0, s, 1.0, 10)
             prof = free_energy_profile(sch)
             f1 = analytic_free_energy_center(0.0, 1.0)
-            gaps.append(abs(reference_free_energy(prof.endpoint, sch) - f1))
+            gaps.append(abs(prof.f_ref[-1] - f1))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.05)

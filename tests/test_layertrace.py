@@ -1,0 +1,53 @@
+"""The benchmark's layer tracer still finds every layer it times.
+
+bench/layertrace.py wraps functions by module attribute; a renamed or
+rebound function would silently read 0 ms in the per-layer metrics.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "layertrace.py"
+
+_RUN = {"cli.main", "spectra.OscillatorSpectrum.all_densities",
+        "workdist.fluctuation_density", "workdist.pushforward_step_density",
+        "workdist.lattice_convolve", "workdist.run_work_recursion",
+        "free_energy.free_energy_profile", "free_energy.exponential_average",
+        "workdist.work_moments", "export.density_rows", "export.profile_rows",
+        "export.write_csv"}
+
+
+def _layer_of():
+    spec = importlib.util.spec_from_file_location("layertrace", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYER_OF
+
+
+@pytest.mark.parametrize("argv, reached", [
+    (["run-center", "--s", "3"], _RUN | {"protocol.build_center_schedule"}),
+    (["run-spring", "--s", "3", "--nmax", "5"], _RUN | {"protocol.build_spring_schedule"}),
+    (["pathways", "--s", "3", "--nmax", "2"],
+     {"cli.main", "protocol.build_center_schedule", "spectra.OscillatorSpectrum.all_densities",
+      "workdist.fluctuation_density", "export.write_csv", "export.write_json",
+      "pathways.find_optimal_transitions", "pathways.decompose_free_energy",
+      "pathways.overlap_measure"}),
+])
+def test_every_reached_layer_is_traced(argv, reached, tmp_path):
+    assert reached <= set(_layer_of())
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(TRACER), str(spans_path), *argv,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    assert reached <= {name for name, *_ in spans}

@@ -248,6 +248,14 @@ class TestPathwayEnumeration:
 
 
 class TestDecomposition:
+    def test_rejects_non_finite_or_negative_tolerances(self, center_s3):
+        for bad in (math.nan, math.inf, -0.1):
+            for kwargs in ({"tol": bad}, {"eps_rel": bad}):
+                with pytest.raises(ValueError):
+                    find_optimal_transitions(center_s3, 2, **kwargs)
+                with pytest.raises(ValueError):
+                    decompose_free_energy(center_s3, **kwargs)
+
     def test_reconstruction_is_exact(self, center_s3):
         d = decompose_free_energy(center_s3, tol=0.05)
         assert d.reconstruction_error < 1e-9

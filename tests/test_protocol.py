@@ -61,6 +61,14 @@ class TestCenterSchedule:
             build_center_schedule(1.0, 11, -1.0, 0)
         with pytest.raises(ValueError):
             build_center_schedule(1.0, 11, 1.0, -2)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="lambda_s"):
+                build_center_schedule(bad, 11, 1.0, 0)
+            with pytest.raises(ValueError, match="a must be finite"):
+                build_center_schedule(1.0, 11, bad, 0)
+        for grid in ({"x_points": 1}, {"w_points": 1}):
+            with pytest.raises(ValueError, match=next(iter(grid))):
+                build_center_schedule(1.0, 11, 1.0, 0, **grid)
 
     def test_w_points_request_refines_lattice(self):
         base = build_center_schedule(1.0, 11, 1.0, 0)
@@ -110,6 +118,14 @@ class TestSpringSchedule:
             build_spring_schedule(1.3, 1, 0.1, 10)
         with pytest.raises(ValueError):
             build_spring_schedule(1.3, 11, 0.0, 10)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="omega_ratio"):
+                build_spring_schedule(bad, 11, 0.1, 10)
+            with pytest.raises(ValueError, match="a0"):
+                build_spring_schedule(1.3, 11, bad, 10)
+        for grid in ({"x_points": 1}, {"w_points": 0}):
+            with pytest.raises(ValueError, match=next(iter(grid))):
+                build_spring_schedule(1.3, 11, 0.1, 10, **grid)
 
     def test_work_grid_starts_at_zero(self):
         sch = build_spring_schedule(1.3, 11, 0.1, 100)

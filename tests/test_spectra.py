@@ -152,20 +152,54 @@ class TestThermalVariance:
 
 class TestOscillatorSpectrum:
     def test_work_energy_units(self):
+        # the unit and offset factors are exact, so the energies agree bit for bit
         spec = spectra.OscillatorSpectrum(ProtocolKind.CENTER, 3, 0.4, 5)
-        assert spec.work_energy(2) == pytest.approx(2 * spectra.center_eigenvalue(2, 0.4))
+        assert spec.work_energy(2) == 2 * spectra.center_eigenvalue(2, 0.4)
         spec = spectra.OscillatorSpectrum(ProtocolKind.SPRING, 2, 1.1, 5)
-        assert spec.work_energy(2) == pytest.approx(spectra.spring_eigenvalue(2, 1.1))
+        assert spec.work_energy(2) == spectra.spring_eigenvalue(2, 1.1)
 
     def test_all_densities_match_scalar(self):
         x = np.linspace(-4, 4, 101)
-        spec = spectra.OscillatorSpectrum(ProtocolKind.CENTER, 1, 0.6, 4)
-        stack = spec.all_densities(x)
-        for n in range(5):
-            assert np.allclose(stack[n], spectra.center_prob_density(n, 0.6, x), rtol=1e-13)
+        for kind, control, scalar in ((ProtocolKind.CENTER, 0.6, spectra.center_prob_density),
+                                      (ProtocolKind.SPRING, 1.3, spectra.spring_prob_density)):
+            spec = spectra.OscillatorSpectrum(kind, 1, control, 4)
+            stack = spec.all_densities(x)
+            for n in range(5):
+                assert np.allclose(stack[n], scalar(n, control, x), rtol=1e-13)
+                assert spec.prob_density(n, 0.3) == scalar(n, control, 0.3)
 
     def test_boltzmann_weights_normalized_to_ground(self):
-        spec = spectra.OscillatorSpectrum(ProtocolKind.CENTER, 1, 0.0, 3)
-        w = spec.boltzmann_weights(1.0)
-        assert w[0] == 1.0
-        assert np.allclose(w, np.exp(-2.0 * np.arange(4)))
+        # exp(-beta (E_n - E_0)) in work units: 2 a n for center, a0 omega n for spring
+        for kind, control, a, gap in ((ProtocolKind.CENTER, 0.0, 1.0, 2.0),
+                                      (ProtocolKind.SPRING, 1.3, 0.7, 0.7 * 1.3)):
+            w = spectra.OscillatorSpectrum(kind, 1, control, 3).boltzmann_weights(a)
+            assert w[0] == 1.0
+            assert np.allclose(w, np.exp(-gap * np.arange(4)), rtol=1e-14)
+
+    def test_step_methods_match_pipeline_and_oracles(self):
+        from stepwork.protocol import build_center_schedule, build_spring_schedule
+        from stepwork.workdist import step_work_map
+
+        x = np.linspace(-2.0, 2.0, 9)
+        center = build_center_schedule(1.0, 5, 2.0, 3)
+        spring = build_spring_schedule(1.3, 5, 0.5, 3)
+        for i in range(1, 5):
+            spec = center.spectrum(i)
+            lam, dlam = center.controls[i - 1], center.increment
+            assert (spec.omega, spec.center, spec.offset, spec.unit) == (
+                1.0, lam / 2, lam * lam / 8, 2.0)
+            assert np.allclose(spec.work_increment(dlam, x), dlam * (lam + dlam / 2 - x),
+                               rtol=1e-14, atol=1e-15)
+            assert spec.free_energy(2.0) == spectra.analytic_free_energy_center(lam, 2.0)
+            assert spec.target(2.0) == spectra.delta_f_target_center(lam)
+
+            spec = spring.spectrum(i)
+            omega, delta = spring.controls[i - 1], spring.increment
+            assert (spec.omega, spec.center, spec.offset, spec.unit) == (omega, 0.0, 0.0, 1.0)
+            assert np.allclose(spec.work_increment(delta, x), delta * x * x / 2, rtol=1e-14)
+            assert spec.free_energy(0.5) == spectra.analytic_free_energy_spring(omega, 0.5)
+            assert spec.target(0.5) == spectra.analytic_target_spring(0.5, omega)
+        for sch in (center, spring):
+            for i in range(1, 5):
+                assert np.array_equal(step_work_map(sch, i, x),
+                                      sch.spectrum(i).work_increment(sch.increment, x))

@@ -14,7 +14,6 @@ from stepwork.workdist import (
     run_work_recursion,
     step_work_map,
     work_moments,
-    work_recursion_step,
 )
 
 LOW_TEMP = 50.0  # effectively ground-state only
@@ -123,8 +122,7 @@ class TestPushforward:
 class TestRecursion:
     def test_base_case_matches_pushforward(self):
         sch = build_center_schedule(0.1, 2, LOW_TEMP, 0)
-        f = fluctuation_density(sch.spectrum(1), sch.a, sch.x_grid)
-        rho2 = work_recursion_step(GriddedDensity.point_mass(0.0), f, sch, 2)
+        rho2 = run_work_recursion(sch).rho(2)
         mean, std = work_moments(rho2)
         assert mean == pytest.approx(0.005, abs=1e-12)
         assert std == pytest.approx(0.1 / math.sqrt(2.0), abs=1e-9)
@@ -243,8 +241,9 @@ class TestMoments:
 
 class TestGriddedDensity:
     def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            GriddedDensity(GridSpec(0.0, 1.0, 3), np.array([0.1, -0.2, 0.1]))
+        for bad in (-0.2, math.nan):
+            with pytest.raises(ValueError):
+                GriddedDensity(GridSpec(0.0, 1.0, 3), np.array([0.1, bad, 0.1]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
