@@ -27,16 +27,15 @@ from .errors import EnumerationCap, GridTooNarrow, MassLeak, NonPositiveAverage
 from .free_energy import free_energy_profile, ground_state_closed_form_center
 from .pathways import decompose_free_energy, find_optimal_transitions, overlap_measure
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
-from .workdist import fluctuation_density
+from .workdist import fluctuation_density, run_work_recursion
 
 _CENTER_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "dlambda": None, "s": 11,
-                    "a": 1.0, "n_max": 10, "x_points": None, "w_points": None,
-                    "out": ".", "jobs": 1}
+                    "a": 1.0, "n_max": 10, "x_points": None, "w_points": None, "out": "."}
 _SPRING_DEFAULTS = {"protocol": "spring", "omega_ratio": 1.3, "s": 11, "a": 0.1,
-                    "n_max": 100, "x_points": None, "w_points": None,
-                    "out": ".", "jobs": 1}
+                    "n_max": 100, "x_points": None, "w_points": None, "out": "."}
 _PATHWAY_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "s": 3, "a": 1.0,
-                     "n_max": 3, "tol": 0.05, "eps": 1e-12, "out": ".", "jobs": 1}
+                     "n_max": 3, "x_points": None, "w_points": None,
+                     "tol": 0.05, "eps": 1e-12, "out": "."}
 # config keys set by a command-line flag of another name; every other key's
 # flag carries the key's own name
 _FLAG_OF = {"n_max": "nmax", "sweep_param": "param", "sweep_values": "values"}
@@ -62,6 +61,19 @@ def _load_config(path):
     return cfg
 
 
+def _number_list(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _file_value_ok(value, flag_type):
+    """Whether a config-file value has the JSON type of what its flag parses to."""
+    if isinstance(value, bool):
+        return False
+    if flag_type is _number_list:
+        return isinstance(value, list) and all(_file_value_ok(v, float) for v in value)
+    return isinstance(value, {int: int, float: (int, float)}.get(flag_type, str))
+
+
 def _resolve(args, defaults):
     """defaults < config file < command-line flags."""
     cfg = dict(defaults)
@@ -70,6 +82,9 @@ def _resolve(args, defaults):
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise _ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            if not _file_value_ok(value, args.flag_types.get(_FLAG_OF.get(key, key))):
+                raise _ConfigError(f"config key {key!r} cannot take the value {json.dumps(value)}")
         cfg.update(file_cfg)
         # only sweep has a --protocol flag; every other command fixes its protocol
         if not hasattr(args, "protocol") and cfg["protocol"] != defaults["protocol"]:
@@ -94,7 +109,7 @@ def _ensure_outdir(out):
 
 def _schedule_from(cfg):
     """The pull schedule a resolved run, sweep-point or pathways config asks for."""
-    grids = {"x_points": cfg.get("x_points"), "w_points": cfg.get("w_points")}
+    grids = {"x_points": cfg["x_points"], "w_points": cfg["w_points"]}
     if cfg["protocol"] == "spring":
         return build_spring_schedule(cfg["omega_ratio"], cfg["s"], cfg["a"], cfg["n_max"],
                                      **grids)
@@ -104,34 +119,25 @@ def _schedule_from(cfg):
     return build_center_schedule(lambda_s, cfg["s"], cfg["a"], cfg["n_max"], **grids)
 
 
-def _schedule_meta(cfg, schedule):
-    meta = {k: v for k, v in cfg.items() if v is not None}
-    meta["increment"] = schedule.increment
-    meta["x_points_resolved"] = schedule.x_grid.points
-    meta["w_points_resolved"] = schedule.w_grid.points
-    return meta
-
-
-def _write_run_outputs(profile, out, meta):
-    schedule = profile.schedule
-    header, rows = export.profile_rows(profile)
-    export.write_csv(os.path.join(out, "profile.csv"), header, rows, meta)
-    for i in range(2, schedule.s + 1):
-        header, rows = export.density_rows(profile.ledger.rho(i))
-        export.write_csv(os.path.join(out, f"workdist_step_{i}.csv"), header, rows, meta)
-
-
 def cmd_run(args):
     cfg = _resolve(args, args.defaults)
     out = _ensure_outdir(cfg["out"])
     schedule = _schedule_from(cfg)
     profile = free_energy_profile(schedule)
-    meta = _schedule_meta(cfg, schedule)
+    # the recursion runs only for the distributions written out
+    ledger = run_work_recursion(schedule)
+    meta = {k: v for k, v in cfg.items() if v is not None}
+    meta.update(increment=schedule.increment, x_points_resolved=schedule.x_grid.points,
+                w_points_resolved=schedule.w_grid.points)
     temperature = "a"
     if args.command == "run-spring":  # keeps run-spring's outputs byte-identical
         meta["delta"] = schedule.increment
         temperature = "a0"
-    _write_run_outputs(profile, out, meta)
+    header, rows = export.profile_rows(profile)
+    export.write_csv(os.path.join(out, "profile.csv"), header, rows, meta)
+    for i, rho in enumerate(ledger.distributions, 2):
+        header, rows = export.density_rows(rho)
+        export.write_csv(os.path.join(out, f"workdist_step_{i}.csv"), header, rows, meta)
     print(f"{args.command}: s={schedule.s} {temperature}={schedule.a} "
           f"n_max={schedule.n_max} dF={export.format_number(profile.endpoint)}")
     return 0
@@ -170,7 +176,7 @@ def _check_sweep_value(param, value):
 
 
 def cmd_sweep(args):
-    cfg = _resolve(args, {**_CENTER_DEFAULTS, "omega_ratio": 1.3,
+    cfg = _resolve(args, {**_CENTER_DEFAULTS, "omega_ratio": 1.3, "jobs": 1,
                           "sweep_param": "a", "sweep_values": None})
     if cfg["protocol"] not in ("center", "spring"):
         raise _ConfigError(f"unknown protocol {cfg['protocol']}")
@@ -189,7 +195,7 @@ def cmd_sweep(args):
     out = _ensure_outdir(cfg["out"])
 
     # a fork-based pool starts all its workers at the first submit
-    jobs = min(int(cfg["jobs"]), len(values))
+    jobs = min(cfg["jobs"], len(values))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, [cfg] * len(values),
@@ -258,7 +264,6 @@ def cmd_pathways(args):
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--out", help="output directory (default: current)")
-    parser.add_argument("--jobs", type=int, help="worker processes for sweeps")
     parser.add_argument("--s", type=int, help="number of pulling steps")
     parser.add_argument("--a", type=float, help="reduced temperature")
     parser.add_argument("--nmax", type=int, help="eigenbasis truncation")
@@ -290,9 +295,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--protocol", choices=["center", "spring"])
     p.add_argument("--param", choices=["a", "nmax", "dlambda"])
-    p.add_argument("--values", type=lambda s: [float(v) for v in s.split(",")],
-                   help="comma-separated sweep values")
+    p.add_argument("--values", type=_number_list, help="comma-separated sweep values")
     p.add_argument("--omega-ratio", type=float, dest="omega_ratio")
+    p.add_argument("--jobs", type=int, help="worker processes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pathways", help="transition scan and pathway decomposition")
@@ -301,6 +306,11 @@ def build_parser():
     p.add_argument("--tol", type=float, help="residual tolerance (log-ratio units)")
     p.add_argument("--eps", type=float, help="relative density floor")
     p.set_defaults(func=cmd_pathways)
+
+    # a config key is checked against its flag on any command, since sweep
+    # takes lambda_s and dlambda from a file but has no flag for them
+    parser.set_defaults(flag_types={action.dest: action.type for p in sub.choices.values()
+                                    for action in p._actions})
     return parser
 
 

@@ -15,32 +15,25 @@ import numpy as np
 from .errors import NonPositiveAverage
 from .protocol import PullSchedule
 from .spectra import ProtocolKind
-from .workdist import GriddedDensity, WorkLedger, run_work_recursion, work_moments
+from .workdist import GriddedDensity, step_densities, work_moments
 
 __all__ = ["FreeEnergyProfile", "exponential_average", "free_energy_profile",
            "approx_free_energy", "ground_state_closed_form_center",
            "ground_state_closed_form_spring", "spring_low_temp_limit"]
 
-# beta * W spans above this switch the quadrature into log space
-_LOG_SPACE_SPAN = 300.0
-
 
 def exponential_average(rho: GriddedDensity, beta):
-    """Free-energy change -ln(<exp(-beta W)>)/beta of one work distribution."""
+    """Free-energy change -ln(<exp(-beta W)>)/beta of one work distribution.
+
+    The trapezoid sum runs as a log-sum-exp, so exp(-beta W) cannot underflow
+    or overflow at any temperature.
+    """
     if beta <= 0.0:
         raise ValueError("inverse temperature must be positive")
     if rho.is_point_mass:
         return rho.location
     w = rho.grid.nodes()
-    h = rho.grid.spacing
-    span = beta * (w[-1] - w[0])
-    if span <= _LOG_SPACE_SPAN:
-        avg = np.trapezoid(rho.values * np.exp(-beta * w), dx=h)
-        if avg <= 0.0:
-            raise NonPositiveAverage(f"quadrature returned {avg}")
-        return float(-math.log(avg) / beta)
-    # log-sum-exp over the trapezoid sum; exp(-beta w) underflows otherwise
-    weights = np.full(w.size, h)
+    weights = np.full(w.size, rho.grid.spacing)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     mask = rho.values > 0.0
@@ -67,7 +60,6 @@ class FreeEnergyProfile:
     mean_work: np.ndarray
     std_work: np.ndarray
     f_ref: np.ndarray
-    ledger: WorkLedger
 
     @property
     def endpoint(self):
@@ -75,20 +67,22 @@ class FreeEnergyProfile:
 
 
 def free_energy_profile(schedule: PullSchedule):
-    """Run the full work recursion and evaluate dF(1, i) for every step."""
-    ledger = run_work_recursion(schedule)
-    s = schedule.s
-    delta_f = np.zeros(s)
-    mean_w = np.zeros(s)
-    std_w = np.zeros(s)
-    steps = [schedule.spectrum(i) for i in range(1, s + 1)]
+    """dF(1, i), <W> and std W for every step, summed over independent steps.
+
+    rho_i is the convolution of the increment densities g_1 .. g_{i-1}, so
+    ln<exp(-beta W)>, the mean and the variance of W are sums of per-step
+    terms; no convolution is needed.
+    """
+    _, incr = step_densities(schedule)
+    step_df = [exponential_average(g, schedule.beta) for g in incr]
+    moments = np.array([work_moments(g) for g in incr]).reshape(-1, 2)
+    delta_f = np.concatenate(([0.0], np.cumsum(step_df)))
+    mean_w = np.concatenate(([0.0], np.cumsum(moments[:, 0])))
+    std_w = np.sqrt(np.concatenate(([0.0], np.cumsum(moments[:, 1] ** 2))))
+    steps = [schedule.spectrum(i) for i in range(1, schedule.s + 1)]
     targets = np.array([step.target(schedule.a) for step in steps])
-    for i in range(2, s + 1):
-        rho = ledger.rho(i)
-        delta_f[i - 1] = exponential_average(rho, schedule.beta)
-        mean_w[i - 1], std_w[i - 1] = work_moments(rho)
     f_ref = np.array([step.free_energy(schedule.a) for step in steps]) - delta_f
-    return FreeEnergyProfile(schedule, delta_f, targets, mean_w, std_w, f_ref, ledger)
+    return FreeEnergyProfile(schedule, delta_f, targets, mean_w, std_w, f_ref)
 
 
 def approx_free_energy(schedule: PullSchedule, x_means):

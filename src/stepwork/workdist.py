@@ -21,8 +21,8 @@ from .protocol import GridSpec, PullSchedule
 from .spectra import OscillatorSpectrum
 
 __all__ = ["GriddedDensity", "WorkLedger", "fluctuation_density", "step_work_map",
-           "pushforward_step_density", "lattice_convolve", "run_work_recursion",
-           "work_moments"]
+           "pushforward_step_density", "lattice_convolve", "step_densities",
+           "run_work_recursion", "work_moments"]
 
 # |integral - 1| above this after a recursion step signals work-grid truncation
 MASS_TOLERANCE = 1e-4
@@ -44,7 +44,6 @@ class GriddedDensity:
 
     grid: GridSpec | None
     values: np.ndarray | None
-    normalized: bool = False
     location: float = 0.0
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ class GriddedDensity:
 
     @classmethod
     def point_mass(cls, location=0.0):
-        return cls(grid=None, values=None, normalized=True, location=location)
+        return cls(grid=None, values=None, location=location)
 
     @property
     def is_point_mass(self):
@@ -75,7 +74,7 @@ class GriddedDensity:
         mass = self.integral()
         if mass <= 0.0:
             raise ValueError("cannot normalize a zero density")
-        return GriddedDensity(self.grid, self.values / mass, normalized=True)
+        return GriddedDensity(self.grid, self.values / mass)
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def fluctuation_density(spectrum: OscillatorSpectrum, a, x_grid: GridSpec):
             f"{BOUNDARY_TOLERANCE:.0e} of peak {peak:.3e}; widen the x grid"
         )
     mass = np.trapezoid(raw, dx=x_grid.spacing)
-    return GriddedDensity(x_grid, raw / mass, normalized=True)
+    return GriddedDensity(x_grid, raw / mass)
 
 
 def step_work_map(schedule: PullSchedule, i, x):
@@ -161,7 +160,7 @@ def _trapezoid_masses(density: GriddedDensity):
     return density.values * w
 
 
-def _lattice_density(n0, vals, h, normalized=False):
+def _lattice_density(n0, vals, h):
     """Wrap raw lattice values (index offset n0) with one zero pad per side."""
     keep = np.flatnonzero(vals > vals.max() * _CROP_RELATIVE)
     if keep.size == 0:
@@ -170,7 +169,7 @@ def _lattice_density(n0, vals, h, normalized=False):
     vals = np.concatenate(([0.0], vals[lo:hi + 1], [0.0]))
     start = n0 + lo - 1
     grid = GridSpec(start * h, (start + vals.size - 1) * h, vals.size)
-    return GriddedDensity(grid, vals, normalized=normalized)
+    return GriddedDensity(grid, vals)
 
 
 def _lattice_offset(density: GriddedDensity, h):
@@ -190,7 +189,7 @@ def pushforward_step_density(f: GriddedDensity, schedule: PullSchedule, i):
         return GriddedDensity.point_mass(0.0)
     u = step_work_map(schedule, i, f.grid.nodes())
     n0, vals = _deposit(u, _trapezoid_masses(f), schedule.w_grid.spacing)
-    return _lattice_density(n0, vals, schedule.w_grid.spacing, normalized=f.normalized)
+    return _lattice_density(n0, vals, schedule.w_grid.spacing)
 
 
 def lattice_convolve(d1: GriddedDensity, d2: GriddedDensity, h):
@@ -205,36 +204,26 @@ def lattice_convolve(d1: GriddedDensity, d2: GriddedDensity, h):
         d1, d2 = d2, d1
     if d2.is_point_mass:
         n0 = _lattice_offset(d1, h) + int(round(d2.location / h))
-        return _lattice_density(n0, d1.values, h, normalized=d1.normalized)
+        return _lattice_density(n0, d1.values, h)
     n0 = _lattice_offset(d1, h) + _lattice_offset(d2, h)
     vals = np.convolve(d1.values, d2.values) * h
     return _lattice_density(n0, vals, h)
 
 
-def _window_indices(schedule):
-    h = schedule.w_grid.spacing
-    return (int(round(schedule.w_grid.min / h)) - 1,
-            int(round(schedule.w_grid.max / h)) + 1)
-
-
 def _clip_to_window(dens: GriddedDensity, schedule: PullSchedule):
     h = schedule.w_grid.spacing
     n0 = _lattice_offset(dens, h)
-    win_lo, win_hi = _window_indices(schedule)
-    lo = max(0, win_lo - n0)
-    hi = min(dens.values.size - 1, win_hi - n0)
+    lo = max(0, int(round(schedule.w_grid.min / h)) - 1 - n0)
+    hi = min(dens.values.size - 1, int(round(schedule.w_grid.max / h)) + 1 - n0)
     if lo == 0 and hi == dens.values.size - 1:
         return dens
     return _lattice_density(n0 + lo, dens.values[lo:hi + 1], h)
 
 
-def _recursion_step(rho_prev, f_prev, schedule, i):
-    """rho_i: rho_{i-1} convolved with the pushforward of f_{i-1} through step
-    i-1's work increment, renormalized; returned with its normalization Q_i.
-    The base case rho_1 is a point mass at W = 0."""
-    if not 2 <= i <= schedule.s:
-        raise ValueError(f"recursion steps run from 2 to {schedule.s}")
-    g = pushforward_step_density(f_prev, schedule, i - 1)
+def _recursion_step(rho_prev, g, schedule, i):
+    """rho_i: rho_{i-1} convolved with g_{i-1}, the pushforward of f_{i-1}
+    through step i-1's work increment, renormalized; returned with its
+    normalization Q_i.  The base case rho_1 is a point mass at W = 0."""
     conv = lattice_convolve(rho_prev, g, schedule.w_grid.spacing)
     if conv.is_point_mass:
         return conv, 1.0
@@ -245,28 +234,31 @@ def _recursion_step(rho_prev, f_prev, schedule, i):
             f"work distribution at step {i} integrates to {mass:.8f}; "
             "the work grid is truncating real mass"
         )
-    return GriddedDensity(rho.grid, rho.values / mass, normalized=True), 1.0 / mass
+    return GriddedDensity(rho.grid, rho.values / mass), 1.0 / mass
+
+
+def step_densities(schedule: PullSchedule):
+    """Every f_j and its work-increment pushforward g_j, for j = 1 .. s-1."""
+    fluct = tuple(fluctuation_density(schedule.spectrum(j), schedule.a, schedule.x_grid)
+                  for j in range(1, schedule.s))
+    incr = tuple(pushforward_step_density(f, schedule, j) for j, f in enumerate(fluct, 1))
+    return fluct, incr
 
 
 def run_work_recursion(schedule: PullSchedule):
-    """Build every f_i and run the recursion through rho_s."""
-    if schedule.s == 1:
-        return WorkLedger(schedule)
-    fluct = []
-    x_means = []
+    """Build every f_j and g_j and run the recursion through rho_s."""
+    fluct, incr = step_densities(schedule)
     x = schedule.x_grid.nodes()
-    for i in range(1, schedule.s):
-        f = fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
-        fluct.append(f)
-        x_means.append(float(np.trapezoid(x * f.values, dx=schedule.x_grid.spacing)))
+    x_means = tuple(float(np.trapezoid(x * f.values, dx=schedule.x_grid.spacing))
+                    for f in fluct)
     rho = GriddedDensity.point_mass(0.0)
     dists = []
     norms = []
-    for i in range(2, schedule.s + 1):
-        rho, q = _recursion_step(rho, fluct[i - 2], schedule, i)
+    for i, g in enumerate(incr, 2):
+        rho, q = _recursion_step(rho, g, schedule, i)
         dists.append(rho)
         norms.append(q)
-    return WorkLedger(schedule, tuple(dists), tuple(norms), tuple(x_means), tuple(fluct))
+    return WorkLedger(schedule, tuple(dists), tuple(norms), x_means, fluct)
 
 
 def work_moments(rho: GriddedDensity):

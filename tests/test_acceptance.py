@@ -216,7 +216,7 @@ def test_criterion_9_foundational_properties(tmp_path):
                 build_center_schedule(1.0, 11, 16.0, 10),
                 build_spring_schedule(1.3, 11, 0.1, 100)):
         prof = free_energy_profile(sch)
-        for rho in prof.ledger.distributions:
+        for rho in run_work_recursion(sch).distributions:
             norm_ok &= abs(rho.integral() - 1.0) <= 1e-6
         jensen_ok &= bool(np.all(prof.delta_f <= prof.mean_work + 1e-9))
 

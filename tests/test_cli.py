@@ -169,6 +169,18 @@ class TestPathwaysCommand:
         mass = payload["overlaps"][0]["mass"]
         assert mass == pytest.approx(math.erfc(0.5 / 4.0), abs=1e-4)
 
+    def test_grid_flags_reach_the_schedule(self, tmp_path):
+        assert main(["pathways", "--out", str(tmp_path / "auto")]) == 0
+        assert main(["pathways", "--x-points", "1000", "--w-points", "2000",
+                     "--out", str(tmp_path / "fine")]) == 0
+        auto, fine = (json.loads((tmp_path / d / "decomposition.json").read_text())
+                      for d in ("auto", "fine"))
+        meta, _, _ = _read_csv(tmp_path / "fine" / "transitions.csv")
+        assert meta["x_points"] == 1000 and meta["w_points"] == 2000
+        assert fine["config"] == meta
+        assert "x_points" not in auto["config"]
+        assert fine["overlaps"] != auto["overlaps"]
+
     def test_enumeration_cap(self, tmp_path, capsys):
         assert main(["pathways", "--s", "5", "--out", str(tmp_path)]) == 2
         assert "error: enumeration-cap:" in capsys.readouterr().err
@@ -214,6 +226,38 @@ class TestInputContract:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, file_cfg", [
+        ("run-center", {"a": "1"}),
+        ("run-center", {"s": 2.5}),
+        ("run-center", {"s": True}),
+        ("run-center", {"n_max": 2.0}),
+        ("run-center", {"lambda_s": None}),
+        ("run-center", {"jobs": 2}),
+        ("pathways", {"jobs": 2}),
+        ("pathways", {"tol": "0.1"}),
+        ("sweep", {"sweep_values": [1.0, True]}),
+        ("sweep", {"sweep_values": "1,2"}),
+        ("sweep", {"jobs": 1.5}),
+        ("sweep", {"lambda_s": "2"}),
+    ])
+    def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_jobs_only_on_sweep(self, capsys):
+        for command in ("run-center", "run-spring", "pathways"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--jobs", "7"])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_config_file_cannot_switch_protocol(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

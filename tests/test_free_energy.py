@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from stepwork import cli, workdist
 from stepwork.errors import NonPositiveAverage
 from stepwork.free_energy import (
+    FreeEnergyProfile,
     approx_free_energy,
     exponential_average,
     free_energy_profile,
@@ -14,7 +17,7 @@ from stepwork.free_energy import (
 )
 from stepwork.protocol import build_center_schedule, build_spring_schedule
 from stepwork.spectra import analytic_free_energy_center, analytic_target_spring
-from stepwork.workdist import GriddedDensity
+from stepwork.workdist import GriddedDensity, run_work_recursion, work_moments
 
 
 def _low_temp_estimate(a, dlam, s):
@@ -33,29 +36,30 @@ class TestExponentialAverage:
         grid = GridSpec(mu - 12 * sigma, mu + 12 * sigma, 4001)
         w = grid.nodes()
         vals = np.exp(-0.5 * ((w - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        rho = GriddedDensity(grid, vals, normalized=True)
+        rho = GriddedDensity(grid, vals)
         expected = mu - beta * sigma ** 2 / 2
         assert exponential_average(rho, beta) == pytest.approx(expected, rel=1e-10)
 
     def test_log_space_path_consistent(self):
-        # same density, beta large enough to force the log-sum-exp branch
+        # a cold average: the weights exp(-beta W) span 347 decades
         from stepwork.protocol import GridSpec
         grid = GridSpec(-2.0, 2.0, 8001)
         w = grid.nodes()
         sigma = 0.05
         vals = np.exp(-0.5 * (w / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        rho = GriddedDensity(grid, vals, normalized=True)
-        beta = 200.0  # span = 800 > 300
+        rho = GriddedDensity(grid, vals)
+        beta = 200.0  # beta * W span of 800
         expected = -beta * sigma ** 2 / 2
         assert exponential_average(rho, beta) == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_zero_density(self):
         from stepwork.protocol import GridSpec
         rho = GriddedDensity(GridSpec(0.0, 1.0, 3), np.zeros(3))
+        # cold and warm: neither temperature can make a zero density average
         with pytest.raises(NonPositiveAverage):
-            exponential_average(rho, 500.0)  # log-sum-exp branch
+            exponential_average(rho, 500.0)
         with pytest.raises(NonPositiveAverage):
-            exponential_average(rho, 0.5)    # direct quadrature branch
+            exponential_average(rho, 0.5)
 
 
 class TestClosedForms:
@@ -141,16 +145,14 @@ class TestApproxFreeEnergy:
     def test_ground_state_closed_sum(self):
         # <x_i> = lambda_i/2 gives dlam sum lambda_i/2 = dlam^2 (s-1)(s-2)/4
         sch = build_center_schedule(1.0, 11, 50.0, 0)
-        prof = free_energy_profile(sch)
-        df_app = approx_free_energy(sch, prof.ledger.x_means)
+        df_app = approx_free_energy(sch, run_work_recursion(sch).x_means)
         assert df_app == pytest.approx(0.01 * 10 * 9 / 4, abs=1e-9)
 
     def test_converges_toward_target_with_more_steps(self):
         errs = []
         for s in (11, 21):
             sch = build_center_schedule(1.0, s, 1.0, 10)
-            prof = free_energy_profile(sch)
-            errs.append(abs(approx_free_energy(sch, prof.ledger.x_means) - 0.25))
+            errs.append(abs(approx_free_energy(sch, run_work_recursion(sch).x_means) - 0.25))
         assert errs[1] < errs[0]
 
     def test_thermodynamic_integral_error_halves(self):
@@ -159,14 +161,12 @@ class TestApproxFreeEnergy:
         errs = []
         for s in (11, 21):
             sch = build_center_schedule(1.0, s, 1.0, 5)
-            prof = free_energy_profile(sch)
-            errs.append(abs(approx_free_energy(sch, prof.ledger.x_means) - 0.25))
+            errs.append(abs(approx_free_energy(sch, run_work_recursion(sch).x_means) - 0.25))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
 
     def test_null_increment(self):
         sch = build_center_schedule(0.0, 5, 1.0, 0)
-        prof = free_energy_profile(sch)
-        assert approx_free_energy(sch, prof.ledger.x_means) == 0.0
+        assert approx_free_energy(sch, run_work_recursion(sch).x_means) == 0.0
 
     def test_spring_not_supported(self):
         sch = build_spring_schedule(1.3, 5, 0.1, 5)
@@ -214,3 +214,51 @@ class TestReferenceFreeEnergy:
             gaps.append(abs(prof.f_ref[-1] - f1))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.05)
+
+
+class TestPerStepProfile:
+    """The profile sums per-step terms; the paper's route averages each rho_i."""
+
+    @pytest.mark.parametrize("sch", [
+        build_center_schedule(1.0, 11, 0.0625, 10),
+        build_center_schedule(1.0, 11, 1.0, 10),
+        build_center_schedule(1.0, 11, 16.0, 10),
+        build_spring_schedule(1.3, 11, 0.1, 100),
+        build_spring_schedule(1.3, 11, 100.0, 100),
+        build_center_schedule(0.0, 5, 1.0, 3),
+    ], ids=["center-a1/16", "center-a1", "center-a16", "spring-a0.1", "spring-a100",
+            "null-pull"])
+    def test_matches_average_of_each_distribution(self, sch):
+        prof = free_energy_profile(sch)
+        ledger = run_work_recursion(sch)
+        for i in range(2, sch.s + 1):
+            rho = ledger.rho(i)
+            mean, std = work_moments(rho)
+            assert prof.delta_f[i - 1] == pytest.approx(
+                exponential_average(rho, sch.beta), abs=1e-12)
+            assert prof.mean_work[i - 1] == pytest.approx(mean, abs=1e-12)
+            assert prof.std_work[i - 1] == pytest.approx(std, abs=1e-12)
+
+    def test_single_step_matches_final(self):
+        sch = build_center_schedule(1.0, 1, 1.0, 10)
+        prof = free_energy_profile(sch)
+        final = run_work_recursion(sch).final
+        assert prof.delta_f.tolist() == [exponential_average(final, sch.beta)]
+        assert (prof.mean_work[0], prof.std_work[0]) == work_moments(final)
+
+    def test_needs_no_convolution(self, monkeypatch, tmp_path):
+        def no_convolution(*args):
+            raise AssertionError("the profile convolved")
+
+        monkeypatch.setattr(workdist, "lattice_convolve", no_convolution)
+        assert free_energy_profile(build_center_schedule(1.0, 11, 1.0, 10)).endpoint > 0.0
+        assert free_energy_profile(build_spring_schedule(1.3, 11, 0.1, 20)).endpoint > 0.0
+        for protocol in ("center", "spring"):
+            argv = ["sweep", "--protocol", protocol, "--param", "a", "--s", "5",
+                    "--nmax", "5", "--values", "0.5,2", "--out", str(tmp_path / protocol)]
+            assert cli.main(argv) == 0
+        with pytest.raises(AssertionError, match="convolved"):
+            run_work_recursion(build_center_schedule(1.0, 3, 1.0, 2))
+
+    def test_profile_holds_no_ledger(self):
+        assert "ledger" not in {f.name for f in dataclasses.fields(FreeEnergyProfile)}

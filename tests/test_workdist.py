@@ -51,7 +51,6 @@ class TestFluctuationDensity:
     def test_normalized(self):
         sch = build_center_schedule(1.0, 11, 1.0, 10)
         f = fluctuation_density(sch.spectrum(1), sch.a, sch.x_grid)
-        assert f.normalized
         assert f.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_too_narrow(self):
@@ -126,7 +125,7 @@ class TestRecursion:
         mean, std = work_moments(rho2)
         assert mean == pytest.approx(0.005, abs=1e-12)
         assert std == pytest.approx(0.1 / math.sqrt(2.0), abs=1e-9)
-        assert rho2.normalized
+        assert rho2.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_convolution_algebra(self):
         # means add, variances add
