@@ -3,6 +3,7 @@
 from .errors import (
     DensityFloor,
     EnumerationCap,
+    GridTooLarge,
     GridTooNarrow,
     MassLeak,
     NonPositiveAverage,
@@ -43,14 +44,9 @@ from .spectra import (
     analytic_free_energy_center,
     analytic_free_energy_spring,
     analytic_target_spring,
-    center_eigenvalue,
-    center_prob_density,
     delta_f_target_center,
     hermite_poly,
-    spring_eigenvalue,
     spring_frequency,
-    spring_prob_density,
-    thermal_position_variance,
 )
 from .workdist import (
     GriddedDensity,

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import export
-from .errors import EnumerationCap, GridTooNarrow, MassLeak, NonPositiveAverage
+from .errors import EnumerationCap, GridTooLarge, GridTooNarrow, MassLeak, NonPositiveAverage
 from .free_energy import free_energy_profile, ground_state_closed_form_center
 from .pathways import decompose_free_energy, find_optimal_transitions, overlap_measure
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
@@ -324,6 +324,8 @@ def main(argv=None):
         return _fail("output-unwritable", str(exc), 2)
     except EnumerationCap as exc:
         return _fail("enumeration-cap", str(exc), 2)
+    except GridTooLarge as exc:
+        return _fail("grid-too-large", str(exc), 2)
     except MassLeak as exc:
         return _fail("mass-leak", str(exc), 1)
     except NonPositiveAverage as exc:

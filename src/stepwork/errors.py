@@ -9,6 +9,10 @@ class GridTooNarrow(StepworkError):
     """A density carries non-negligible mass at the grid boundary."""
 
 
+class GridTooLarge(StepworkError):
+    """A schedule's grids would need more memory than the grid budget allows."""
+
+
 class MassLeak(StepworkError):
     """A work distribution lost probability mass to grid truncation."""
 

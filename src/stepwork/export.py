@@ -13,17 +13,7 @@ __all__ = ["format_number", "write_csv", "density_rows", "profile_rows", "write_
 
 
 def format_number(x):
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def write_csv(path, header, rows, meta=None):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NonPositiveAverage
 from .protocol import PullSchedule
 from .spectra import ProtocolKind
-from .workdist import GriddedDensity, step_densities, work_moments
+from .workdist import GriddedDensity, fluctuation_density, step_densities, work_moments
 
 __all__ = ["FreeEnergyProfile", "exponential_average", "free_energy_profile",
            "approx_free_energy", "ground_state_closed_form_center",
@@ -73,7 +73,7 @@ def free_energy_profile(schedule: PullSchedule):
     ln<exp(-beta W)>, the mean and the variance of W are sums of per-step
     terms; no convolution is needed.
     """
-    _, incr = step_densities(schedule)
+    incr = step_densities(schedule)[1]
     step_df = [exponential_average(g, schedule.beta) for g in incr]
     moments = np.array([work_moments(g) for g in incr]).reshape(-1, 2)
     delta_f = np.concatenate(([0.0], np.cumsum(step_df)))
@@ -85,20 +85,22 @@ def free_energy_profile(schedule: PullSchedule):
     return FreeEnergyProfile(schedule, delta_f, targets, mean_w, std_w, f_ref)
 
 
-def approx_free_energy(schedule: PullSchedule, x_means):
+def approx_free_energy(schedule: PullSchedule):
     """Gaussian-fluctuation estimate k dlambda sum_i (lambda_i - <x_i>).
 
-    Only defined for the center protocol, whose work increment is linear in
-    the trap displacement; for many steps it approaches the thermodynamic
-    integral and hence lambda_s^2/4.
+    <x_i> is the trapezoid mean of the fluctuation density f_i.  Only defined
+    for the center protocol, whose work increment is linear in the trap
+    displacement; for many steps it approaches the thermodynamic integral and
+    hence lambda_s^2/4.
     """
     if schedule.kind is not ProtocolKind.CENTER:
         raise ValueError("the Gaussian approximation applies to the center protocol")
-    x_means = np.asarray(x_means, dtype=float)
-    if x_means.shape != (schedule.s - 1,):
-        raise ValueError("need one <x_i> per work step")
+    fluct = (fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
+             for i in range(1, schedule.s))
+    x = schedule.x_grid.nodes()
+    means = [float(np.trapezoid(x * f.values, dx=schedule.x_grid.spacing)) for f in fluct]
     lam = np.asarray(schedule.controls[:-1])
-    return float(schedule.increment * np.sum(lam - x_means))
+    return float(schedule.increment * np.sum(lam - means))
 
 
 def ground_state_closed_form_center(a, dlambda, s):

@@ -192,53 +192,58 @@ def _subsample(x_grid, max_points):
     return nodes[idx]
 
 
-def _transition_tables(schedule, i, x_prev, x_next, eps_rel):
-    """Vectorized residuals over one transition's (n_prev, n_next, kp, kn) grid.
+def _transition_tables(schedule, i, x, eps_rel):
+    """Vectorized residuals over one transition's (n_prev, n_next, k_prev, k_next) grid.
 
-    Returns dict of arrays shaped (S, S, P_prev, P_next) plus validity masks;
-    invalid (below-floor) entries carry NaN residuals.
+    Both positions of a transition range over the same axis x.  Each residual
+    comes with its floor mask, which is True exactly where the scalar residual
+    raises no DensityFloor; below-floor entries carry -inf or NaN residuals.
     """
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
     beta = schedule.beta
-    d_prev_at_prev = sp_prev.all_densities(x_prev)   # (S, Pp)
-    d_prev_at_next = sp_prev.all_densities(x_next)   # (S, Pn)
-    d_next_at_prev = sp_next.all_densities(x_prev)
-    d_next_at_next = sp_next.all_densities(x_next)
-    floor_prev = _density_floor(sp_prev, eps_rel)
-    floor_next = _density_floor(sp_next, eps_rel)
+    d_prev = sp_prev.all_densities(x)   # (S, P)
+    d_next = sp_next.all_densities(x)
+    ok_prev = d_prev > _density_floor(sp_prev, eps_rel)
+    ok_next = d_next > _density_floor(sp_next, eps_rel)
 
     e_prev = np.array([sp_prev.work_energy(n) for n in range(schedule.n_max + 1)])
     e_next = np.array([sp_next.work_energy(n) for n in range(schedule.n_max + 1)])
     de = e_next[None, :] - e_prev[:, None]                      # (S, S)
-    dw = step_work_map(schedule, i - 1, x_prev)                 # (Pp,)
+    dw = step_work_map(schedule, i - 1, x)                      # (P,)
 
-    # axes: n_prev, n_next, k_prev, k_next; below-floor entries come out as
-    # -inf/nan and are screened by the ok_* masks
+    # axes: n_prev, n_next, k_prev, k_next
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp_pp = np.log(d_prev_at_prev)
-        lp_pn = np.log(d_prev_at_next)
-        ln_np = np.log(d_next_at_prev)
-        ln_nn = np.log(d_next_at_next)
-        r12a = (ln_nn[None, :, None, :] - lp_pp[:, None, :, None]
+        l_prev = np.log(d_prev)
+        l_next = np.log(d_next)
+        r12a = (l_next[None, :, None, :] - l_prev[:, None, :, None]
                 - beta * (de[:, :, None, None] + dw[None, None, :, None]))
-        r12b = (ln_nn[:, None, :] - ln_np[:, :, None] - beta * dw[None, :, None])
-        r12b = np.broadcast_to(r12b[None, :, :, :], r12a.shape)
-        r13 = (ln_np[None, :, :, None] - lp_pn[:, None, None, :]
+        r12b = (l_next[:, None, :] - l_next[:, :, None] - beta * dw[None, :, None])
+        r13 = (l_next[None, :, :, None] - l_prev[:, None, None, :]
                - beta * de[:, :, None, None])
+    full = r12a.shape
+    return {"a": (r12a, ok_next[None, :, None, :] & ok_prev[:, None, :, None]),
+            "b": (np.broadcast_to(r12b[None], full),
+                  np.broadcast_to((ok_next[:, None, :] & ok_next[:, :, None])[None], full)),
+            "db": (r13, ok_next[None, :, :, None] & ok_prev[:, None, None, :]),
+            "e_prev": e_prev, "e_next": e_next, "d_prev": d_prev, "d_next": d_next}
 
-    ok_a = ((d_next_at_next[None, :, None, :] > floor_next)
-            & (d_prev_at_prev[:, None, :, None] > floor_prev))
-    ok_b = ((d_next_at_next[:, None, :] > floor_next)
-            & (d_next_at_prev[:, :, None] > floor_next))
-    ok_b = np.broadcast_to(ok_b[None, :, :, :], ok_a.shape)
-    ok_db = ((d_next_at_prev[None, :, :, None] > floor_next)
-             & (d_prev_at_next[:, None, None, :] > floor_prev))
 
-    return {"r12a": r12a, "r12b": r12b, "r13": r13,
-            "ok_a": ok_a, "ok_b": ok_b, "ok_db": ok_db,
-            "e_prev": e_prev, "e_next": e_next,
-            "d_next_at_prev": d_next_at_prev, "d_prev_at_next": d_prev_at_next}
+def _passes(residual, ok, tol):
+    """Where a condition holds: its residual is defined and within tol."""
+    return ok & (np.abs(residual) <= tol)
+
+
+def _classes(pass_a, pass_b, pass_db):
+    """Class codes 0..3, in PathwayClass order, from the three conditions' pass masks."""
+    codes = np.full(np.shape(pass_a), 3, dtype=np.uint8)
+    codes[pass_db] = 2
+    codes[pass_a | pass_b] = 1
+    codes[pass_a & pass_b] = 0
+    return codes
+
+
+_BY_CODE = tuple(PathwayClass)
 
 
 def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
@@ -257,15 +262,13 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
     if match not in ("optimal", "detailed-balance"):
         raise ValueError("match must be 'optimal' or 'detailed-balance'")
     _check_tolerances(tol, eps_rel)
-    x_prev = _subsample(schedule.x_grid, max_x_points)
-    x_next = x_prev
-    tab = _transition_tables(schedule, i, x_prev, x_next, eps_rel)
+    x = _subsample(schedule.x_grid, max_x_points)
+    tab = _transition_tables(schedule, i, x, eps_rel)
 
     if match == "optimal":
-        matched = (tab["ok_a"] & tab["ok_b"]
-                   & (np.abs(tab["r12a"]) <= tol) & (np.abs(tab["r12b"]) <= tol))
+        matched = _passes(*tab["a"], tol) & _passes(*tab["b"], tol)
     else:
-        matched = tab["ok_db"] & (np.abs(tab["r13"]) <= tol)
+        matched = _passes(*tab["db"], tol)
 
     records = []
     pairs = []
@@ -277,29 +280,24 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
             if not hit.any():
                 continue
             kp, kn = np.nonzero(hit)
-            p_fwd = float(tab["d_next_at_prev"][n_next, kp].sum())
-            p_rev = float(tab["d_prev_at_next"][n_prev, kn].sum())
+            p_fwd = float(tab["d_next"][n_next, kp].sum())
+            p_rev = float(tab["d_prev"][n_prev, kn].sum())
             de = tab["e_next"][n_next] - tab["e_prev"][n_prev]
             proxy = (math.log(p_fwd / p_rev) - beta * de
                      if p_fwd > 0.0 and p_rev > 0.0 else math.nan)
             pairs.append(PairSummary(n_prev, n_next, kp.size, p_fwd, p_rev, proxy))
-            ra = tab["r12a"][n_prev, n_next][kp, kn]
-            rb = tab["r12b"][n_prev, n_next][kp, kn]
-            rd = tab["r13"][n_prev, n_next][kp, kn]
-            labels = np.where(
-                (np.abs(ra) <= tol) & (np.abs(rb) <= tol), 0,
-                np.where((np.abs(ra) <= tol) | (np.abs(rb) <= tol), 1,
-                         np.where(np.abs(rd) <= tol, 2, 3)))
-            by_code = (PathwayClass.OPTIMAL, PathwayClass.DETERMINISTIC,
-                       PathwayClass.STOCHASTIC, PathwayClass.BIASED)
+            # residuals and floor masks at the matched entries only
+            at = [(r[n_prev, n_next][kp, kn], ok[n_prev, n_next][kp, kn])
+                  for r, ok in (tab["a"], tab["b"], tab["db"])]
+            codes = _classes(*(_passes(r, ok, tol) for r, ok in at))
             e_p = float(tab["e_prev"][n_prev])
             e_n = float(tab["e_next"][n_next])
             records.extend(
                 TransitionRecord(i, n_prev, n_next, xp, xn, e_p, e_n,
-                                 a_, b_, d_, by_code[code])
+                                 a_, b_, d_, _BY_CODE[code])
                 for xp, xn, a_, b_, d_, code in zip(
-                    x_prev[kp].tolist(), x_next[kn].tolist(), ra.tolist(),
-                    rb.tolist(), rd.tolist(), labels.tolist()))
+                    x[kp].tolist(), x[kn].tolist(), *(r.tolist() for r, _ in at),
+                    codes.tolist()))
     return TransitionScan(i, tol, eps_rel, tuple(records), tuple(pairs))
 
 
@@ -456,27 +454,23 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     pass_b = np.ones(full_shape, dtype=bool)
     pass_db = np.ones(full_shape, dtype=bool)
     for j in range(n_slots - 1):
-        tab = _transition_tables(schedule, j + 2, x, x, eps_rel)
-        ta = tab["ok_a"] & (np.abs(tab["r12a"]) <= tol)
-        tb = tab["ok_b"] & (np.abs(tab["r12b"]) <= tol)
-        tdb = tab["ok_db"] & (np.abs(tab["r13"]) <= tol)
-        pass_a &= _path_axes(ta, j, n_slots)
-        pass_b &= _path_axes(tb, j, n_slots)
-        pass_db &= _path_axes(tdb, j, n_slots)
-
-    opt = pass_a & pass_b
-    det = (pass_a | pass_b) & ~opt
-    sto = ~(pass_a | pass_b) & pass_db
-    bia = ~(pass_a | pass_b) & ~pass_db
+        tab = _transition_tables(schedule, j + 2, x, eps_rel)
+        pass_a &= _path_axes(_passes(*tab["a"], tol), j, n_slots)
+        pass_b &= _path_axes(_passes(*tab["b"], tol), j, n_slots)
+        pass_db &= _path_axes(_passes(*tab["db"], tol), j, n_slots)
+    codes = _classes(pass_a, pass_b, pass_db)
 
     weight = np.broadcast_to(weight, full_shape)
     c_total = float(weight.sum())
-    c_op = float(weight[opt].sum())
-    c_det_only = float(weight[det].sum())
-    c_sto_only = float(weight[sto].sum())
-    c_bia = float(weight[bia].sum())
-    c_s = c_op + c_sto_only
-    c_d = c_op + c_det_only
+    sums, counts = {}, {}
+    for code, cls in enumerate(_BY_CODE):
+        mask = codes == code
+        sums[cls.value] = float(weight[mask].sum())
+        counts[cls.value] = int(mask.sum())
+    c_op = sums["optimal"]
+    c_s = c_op + sums["stochastic"]
+    c_d = c_op + sums["deterministic"]
+    c_bia = sums["biased"]
     reconstruction = (c_s + c_d - c_op + c_bia) - c_total
 
     def to_df(c):
@@ -490,7 +484,6 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
         df_biased=to_df(c_bia),
         contributions={"total": c_total, "stochastic": c_s, "deterministic": c_d,
                        "optimal": c_op, "biased": c_bia},
-        counts={"optimal": int(opt.sum()), "deterministic": int(det.sum()),
-                "stochastic": int(sto.sum()), "biased": int(bia.sum())},
+        counts=counts,
         reconstruction_error=abs(reconstruction) / c_total,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridTooLarge
 from .spectra import OscillatorSpectrum, ProtocolKind, spring_frequency
 
 __all__ = ["GridSpec", "PullSchedule", "build_center_schedule", "build_spring_schedule",
@@ -23,6 +24,9 @@ __all__ = ["GridSpec", "PullSchedule", "build_center_schedule", "build_spring_sc
 _W_SIGMA_MARGIN = 12.0
 # half-width of density grids, in per-step position std
 _X_SIGMA_MARGIN = 8.0
+# float64 values (8 bytes each, so 0.8 GB) a schedule's grids may ask for;
+# a schedule over it is refused before any array is allocated
+GRID_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,16 @@ class PullSchedule:
     x_grid: GridSpec
     w_grid: GridSpec
 
+    def __post_init__(self):
+        # the eigenstate stack on the x grid, plus f_j, its work image (about
+        # as long as f_j) and rho_{j+1} for every work step j
+        values = (self.x_grid.points * (self.n_max + 1)
+                  + (self.s - 1) * (2 * self.x_grid.points + self.w_grid.points))
+        if values > GRID_BUDGET:
+            raise GridTooLarge(
+                f"the grids need about {values:.3g} float64 values, over the budget of "
+                f"{GRID_BUDGET:.0e}; lower s, n_max, the pull or the point counts")
+
     @property
     def beta(self):
         """Inverse temperature in the unit work is reported in."""
@@ -79,7 +93,7 @@ class PullSchedule:
         """Spectrum of the coupled Hamiltonian during pulling step i (1-based)."""
         if not 1 <= i <= self.s:
             raise ValueError(f"step index {i} outside 1..{self.s}")
-        return OscillatorSpectrum(self.kind, i, self.controls[i - 1], self.n_max)
+        return OscillatorSpectrum(self.kind, self.controls[i - 1], self.n_max)
 
 
 def default_temperature_sweep():
@@ -158,7 +172,7 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
         dlam = lambda_s / (s - 1)
 
     # every step's density has the first one's shape, translated
-    first = OscillatorSpectrum(ProtocolKind.CENTER, 1, controls[0], n_max)
+    first = OscillatorSpectrum(ProtocolKind.CENTER, controls[0], n_max)
     sig2 = _effective_sigma2(first, a)
     half = _half_width(first, a)
     # the exponential work average tilts each density by exp(+a dlam x),
@@ -219,8 +233,7 @@ def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=Non
 
     delta = (omega_ratio * omega_ratio - 1.0) / (s - 1)
     controls = tuple(spring_frequency(i, delta) for i in range(1, s + 1))
-    steps = [OscillatorSpectrum(ProtocolKind.SPRING, i, w, n_max)
-             for i, w in enumerate(controls, start=1)]
+    steps = [OscillatorSpectrum(ProtocolKind.SPRING, w, n_max) for w in controls]
 
     half = _half_width(steps[0], a0)
     if x_points is not None:

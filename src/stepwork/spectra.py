@@ -4,10 +4,8 @@ Two pulling conventions are supported, each with its own natural units:
 
 * trap-center pulling ("center"): hbar = m = 1 and the coupled oscillator
   frequency omega = 1 (so the bare spring constant is k = 1/2).  Lengths are
-  measured in sqrt(hbar/(m*omega)).  Eigenvalues from ``center_eigenvalue``
-  are in hbar*omega; work and free energies elsewhere in the package are
-  reported in hbar*omega/2.  The reduced temperature is
-  a = hbar*omega / (2 kB T).
+  measured in sqrt(hbar/(m*omega)).  Work and free energies are reported in
+  hbar*omega/2.  The reduced temperature is a = hbar*omega / (2 kB T).
 * spring-constant pulling ("spring"): hbar = m = 1 and omega_0 = 1.  Lengths
   in sqrt(hbar/(m*omega_0)), energies in hbar*omega_0, reduced temperature
   a0 = hbar*omega_0 / (kB T).
@@ -25,16 +23,11 @@ __all__ = [
     "ProtocolKind",
     "OscillatorSpectrum",
     "hermite_poly",
-    "center_eigenvalue",
-    "center_prob_density",
     "spring_frequency",
-    "spring_eigenvalue",
-    "spring_prob_density",
     "analytic_free_energy_center",
     "analytic_free_energy_spring",
     "delta_f_target_center",
     "analytic_target_spring",
-    "thermal_position_variance",
 ]
 
 
@@ -49,8 +42,8 @@ def hermite_poly(n, y):
     """Physicists' Hermite polynomial H_n(y) by the three-term recurrence.
 
     Total function of n >= 0; raw values overflow near n ~ 150, use the
-    normalized eigenfunctions (``center_prob_density`` and friends) for
-    high orders.
+    normalized eigenfunctions (``OscillatorSpectrum.prob_density``) for high
+    orders.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -84,13 +77,6 @@ def _hermite_functions(n_max, y):
     return out
 
 
-def center_eigenvalue(n, lam):
-    """Eigenvalue (n + 1/2) + lam^2/8 of the trap-center oscillator, in hbar*omega."""
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
-    return n + 0.5 + 0.125 * lam * lam
-
-
 def _density_stack(n_max, omega, center, x):
     """|psi_n(x)|^2 for n = 0..n_max of an oscillator of frequency omega
     centered on ``center``: sqrt(omega) phi_n(sqrt(omega) (x - center))^2."""
@@ -99,41 +85,12 @@ def _density_stack(n_max, omega, center, x):
     return root * phi * phi
 
 
-def _prob_density(n, omega, center, x):
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
-    x = np.asarray(x, dtype=float)
-    dens = _density_stack(n, omega, center, x)[n]
-    return dens if x.ndim else float(dens[0])
-
-
-def center_prob_density(n, lam, x):
-    """|psi_n(x, lam)|^2 for the trap-center protocol; peaks around x = lam/2."""
-    return _prob_density(n, 1.0, 0.5 * lam, x)
-
-
 def spring_frequency(i, delta, omega0=1.0):
     """omega_i = omega_0 sqrt(1 + (i-1) delta) for pulling step i >= 1."""
     radicand = 1.0 + (i - 1) * delta
     if radicand <= 0.0:
         raise ValueError(f"inverted oscillator at step {i}: 1+(i-1)*delta = {radicand}")
     return omega0 * math.sqrt(radicand)
-
-
-def spring_eigenvalue(n, omega_i):
-    """Eigenvalue (n + 1/2) * omega_i of the stiffened oscillator, in hbar*omega_0."""
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
-    if omega_i <= 0.0:
-        raise ValueError("frequency must be positive")
-    return (n + 0.5) * omega_i
-
-
-def spring_prob_density(n, omega_i, x):
-    """|psi_n(x, omega_i)|^2 with Gaussian width hbar/(2 m omega_i); normalized in x."""
-    if omega_i <= 0.0:
-        raise ValueError("frequency must be positive")
-    return _prob_density(n, omega_i, 0.0, x)
 
 
 def analytic_free_energy_center(lam, a):
@@ -165,15 +122,6 @@ def analytic_target_spring(a0, omega_ratio):
     return analytic_free_energy_spring(omega_ratio, a0) - analytic_free_energy_spring(1.0, a0)
 
 
-def thermal_position_variance(kind, control, a):
-    """Exact untruncated thermal variance of the position for one pulling step.
-
-    Center: coth(a)/2 (independent of the trap center).
-    Spring: coth(a0 omega_i / 2) / (2 omega_i) with control = omega_i.
-    """
-    return OscillatorSpectrum(kind, 1, control, 0).thermal_variance(a)
-
-
 @dataclass(frozen=True)
 class OscillatorSpectrum:
     """Eigenvalues and probability densities of one pulling step.
@@ -189,7 +137,6 @@ class OscillatorSpectrum:
     """
 
     kind: ProtocolKind
-    step_index: int
     control: float
     n_max: int
     omega: float = field(init=False, repr=False)
@@ -198,8 +145,6 @@ class OscillatorSpectrum:
     unit: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.step_index < 1:
-            raise ValueError("step index starts at 1")
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
         if self.kind is ProtocolKind.CENTER:
@@ -216,7 +161,12 @@ class OscillatorSpectrum:
         return self.unit * ((n + 0.5) * self.omega + self.offset)
 
     def prob_density(self, n, x):
-        return _prob_density(n, self.omega, self.center, x)
+        """|psi_n(x)|^2, a float for scalar x and an array otherwise."""
+        if n < 0:
+            raise ValueError("quantum number must be non-negative")
+        x = np.asarray(x, dtype=float)
+        dens = _density_stack(n, self.omega, self.center, x)[n]
+        return dens if x.ndim else float(dens[0])
 
     def all_densities(self, x):
         """Array of |psi_n(x)|^2 for n = 0..n_max, shape (n_max+1, len(x))."""
@@ -228,7 +178,8 @@ class OscillatorSpectrum:
         return np.exp(-a * self.unit * self.omega * n)
 
     def thermal_variance(self, a):
-        """Exact untruncated thermal variance of the position at reduced temperature a."""
+        """Exact untruncated thermal variance of the position at reduced temperature a:
+        coth(a)/2 for center, coth(a0 omega_i/2)/(2 omega_i) for spring."""
         return 1.0 / (2.0 * self.omega * math.tanh(0.5 * self.unit * a * self.omega))
 
     def work_increment(self, increment, x):

@@ -12,7 +12,7 @@ the integrable 1/sqrt(u) spike at u = 0 into finite cell masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,8 +84,6 @@ class WorkLedger:
     schedule: PullSchedule
     distributions: tuple = ()      # rho_2 .. rho_s
     normalizations: tuple = ()     # Q_2 .. Q_s
-    x_means: tuple = ()            # <x_i> for i = 1 .. s-1
-    fluctuations: tuple = field(default=(), repr=False)  # f_1 .. f_{s-1}
 
     @property
     def final(self):
@@ -246,11 +244,8 @@ def step_densities(schedule: PullSchedule):
 
 
 def run_work_recursion(schedule: PullSchedule):
-    """Build every f_j and g_j and run the recursion through rho_s."""
-    fluct, incr = step_densities(schedule)
-    x = schedule.x_grid.nodes()
-    x_means = tuple(float(np.trapezoid(x * f.values, dx=schedule.x_grid.spacing))
-                    for f in fluct)
+    """Build every g_j and run the recursion through rho_s."""
+    incr = step_densities(schedule)[1]  # the f_j are released before convolving
     rho = GriddedDensity.point_mass(0.0)
     dists = []
     norms = []
@@ -258,7 +253,7 @@ def run_work_recursion(schedule: PullSchedule):
         rho, q = _recursion_step(rho, g, schedule, i)
         dists.append(rho)
         norms.append(q)
-    return WorkLedger(schedule, tuple(dists), tuple(norms), x_means, fluct)
+    return WorkLedger(schedule, tuple(dists), tuple(norms))
 
 
 def work_moments(rho: GriddedDensity):

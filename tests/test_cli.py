@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from stepwork import cli
+from stepwork import cli, export, protocol
 from stepwork.cli import main
 
 
@@ -269,6 +269,15 @@ class TestInputContract:
             assert capsys.readouterr().err.startswith("error: config:")
             assert not out.exists()
 
+    def test_grid_over_budget_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(protocol, "GRID_BUDGET", 1000)
+        out = tmp_path / "out"
+        assert main(["run-center", "--s", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-large:")
+        assert len(err.splitlines()) == 1
+        assert not list(out.iterdir())
+
     def test_sweep_workers_capped_at_point_count(self, tmp_path, monkeypatch):
         # a recorder stands in for the pool, so no worker process starts
         pools = []
@@ -292,3 +301,18 @@ class TestInputContract:
         assert pools == [2]
         assert main(argv + ["--values", "0.5", "--out", str(tmp_path / "one")]) == 0
         assert pools == [2]
+
+
+class TestExport:
+    def test_format_number_pins(self):
+        assert export.format_number(7) == "7"
+        assert export.format_number(-3) == "-3"
+        assert export.format_number(0.1 + 0.2) == "0.3"
+        assert export.format_number(1.0 / 3.0) == "0.333333333333"
+        assert export.format_number(np.float64(2.5e-7)) == "2.5e-07"
+        assert export.format_number(math.nan) == "nan"
+        assert export.format_number(math.inf) == "inf"
+        assert export.format_number(-math.inf) == "-inf"
+        assert export.format_number(-0.0) == "-0"
+        assert export.format_number(1e-300) == "1e-300"
+        assert export.format_number("optimal") == "optimal"

@@ -145,14 +145,14 @@ class TestApproxFreeEnergy:
     def test_ground_state_closed_sum(self):
         # <x_i> = lambda_i/2 gives dlam sum lambda_i/2 = dlam^2 (s-1)(s-2)/4
         sch = build_center_schedule(1.0, 11, 50.0, 0)
-        df_app = approx_free_energy(sch, run_work_recursion(sch).x_means)
+        df_app = approx_free_energy(sch)
         assert df_app == pytest.approx(0.01 * 10 * 9 / 4, abs=1e-9)
 
     def test_converges_toward_target_with_more_steps(self):
         errs = []
         for s in (11, 21):
             sch = build_center_schedule(1.0, s, 1.0, 10)
-            errs.append(abs(approx_free_energy(sch, run_work_recursion(sch).x_means) - 0.25))
+            errs.append(abs(approx_free_energy(sch) - 0.25))
         assert errs[1] < errs[0]
 
     def test_thermodynamic_integral_error_halves(self):
@@ -161,17 +161,17 @@ class TestApproxFreeEnergy:
         errs = []
         for s in (11, 21):
             sch = build_center_schedule(1.0, s, 1.0, 5)
-            errs.append(abs(approx_free_energy(sch, run_work_recursion(sch).x_means) - 0.25))
+            errs.append(abs(approx_free_energy(sch) - 0.25))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
 
     def test_null_increment(self):
         sch = build_center_schedule(0.0, 5, 1.0, 0)
-        assert approx_free_energy(sch, run_work_recursion(sch).x_means) == 0.0
+        assert approx_free_energy(sch) == 0.0
 
     def test_spring_not_supported(self):
         sch = build_spring_schedule(1.3, 5, 0.1, 5)
         with pytest.raises(ValueError):
-            approx_free_energy(sch, np.zeros(4))
+            approx_free_energy(sch)
 
 
 class TestSpringProfiles:

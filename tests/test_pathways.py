@@ -183,6 +183,32 @@ class TestTransitionScan:
             totals.append(tot)
         assert all(b < a for a, b in zip(totals, totals[1:]))
 
+    def test_detailed_balance_labels_match_scalar_residuals(self, center_s3):
+        # a condition holds where its scalar residual is within tol; a residual
+        # that raises DensityFloor does not hold
+        tol = 1.6
+
+        def holds(residual, *args):
+            try:
+                return abs(residual(*args)) <= tol
+            except DensityFloor:
+                return False
+
+        checked = 0
+        for i in (2, 3):
+            scan = find_optimal_transitions(center_s3, i, tol=tol, max_x_points=40,
+                                            match="detailed-balance")
+            for r in scan.records:
+                a = holds(residual_12a, i, r.x_prev, r.x_next, r.n_prev, r.n_next, center_s3)
+                b = holds(residual_12b, i, r.x_prev, r.x_next, r.n_next, center_s3)
+                db = holds(residual_13, i, r.x_prev, r.x_next, r.n_prev, r.n_next, center_s3)
+                expected = (PathwayClass.OPTIMAL if a and b
+                            else PathwayClass.DETERMINISTIC if a or b
+                            else PathwayClass.STOCHASTIC if db else PathwayClass.BIASED)
+                assert r.label is expected, r
+                checked += 1
+        assert checked > 1000
+
 
 class TestOverlap:
     def test_identical_densities(self, center_s3):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from stepwork.errors import GridTooLarge
 from stepwork.protocol import (
+    GRID_BUDGET,
     GridSpec,
     build_center_schedule,
     build_spring_schedule,
@@ -81,8 +83,9 @@ class TestCenterSchedule:
         spec = sch.spectrum(3)
         assert spec.kind is ProtocolKind.CENTER
         assert spec.control == sch.controls[2]
-        with pytest.raises(ValueError):
-            sch.spectrum(12)
+        for i in (0, 12):
+            with pytest.raises(ValueError):
+                sch.spectrum(i)
 
 
 class TestSpringSchedule:
@@ -131,6 +134,26 @@ class TestSpringSchedule:
         sch = build_spring_schedule(1.3, 11, 0.1, 100)
         assert sch.w_grid.min == 0.0
         assert sch.w_grid.points == 8001
+
+
+class TestGridBudget:
+    # the builders size grids without allocating them, so these cost nothing
+    def test_over_budget_schedules_refused(self):
+        # lambda_s = 1e6 in one step: a 42.3M-node x grid, about 5.6e8 values
+        with pytest.raises(GridTooLarge):
+            build_center_schedule(1e6, 2, 1.0, 10)
+        with pytest.raises(GridTooLarge):
+            build_spring_schedule(1.3, 3, 0.1, 0, x_points=GRID_BUDGET)
+        with pytest.raises(GridTooLarge):
+            build_center_schedule(0.0, 2, 1.0, GRID_BUDGET)
+
+    def test_largest_tested_schedules_fit(self):
+        for sch in (build_spring_schedule(1.3, 1001, 50.0, 0),
+                    build_center_schedule(1.0, 101, 1.0, 10),
+                    build_spring_schedule(1.3, 61, 0.05, 200)):
+            values = (sch.x_grid.points * (sch.n_max + 1)
+                      + (sch.s - 1) * (2 * sch.x_grid.points + sch.w_grid.points))
+            assert values < GRID_BUDGET / 5
 
 
 class TestDefaults:

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import stepwork
 from stepwork import spectra
 from stepwork.spectra import ProtocolKind
 
@@ -29,45 +32,54 @@ class TestHermite:
             assert sign_changes == n
 
 
+def _center(lam, n_max=0):
+    return spectra.OscillatorSpectrum(ProtocolKind.CENTER, lam, n_max)
+
+
+def _spring(omega, n_max=0):
+    return spectra.OscillatorSpectrum(ProtocolKind.SPRING, omega, n_max)
+
+
 class TestCenterSpectrum:
     def test_eigenvalues(self):
-        assert spectra.center_eigenvalue(0, 0.0) == 0.5
-        assert spectra.center_eigenvalue(2, 0.0) == 2.5
-        assert spectra.center_eigenvalue(0, 1.0) == 0.625
+        # work units of hbar*omega/2: E_n = 2n + 1 + lambda^2/4
+        assert _center(0.0).work_energy(0) == 1.0
+        assert _center(0.0).work_energy(2) == 5.0
+        assert _center(1.0).work_energy(0) == 1.25
 
     def test_eigenvalue_monotone(self):
         for lam in (0.0, 0.7):
-            e = [spectra.center_eigenvalue(n, lam) for n in range(30)]
+            e = [_center(lam).work_energy(n) for n in range(30)]
             assert all(b > a for a, b in zip(e, e[1:]))
 
     def test_ground_state_peak(self):
-        assert spectra.center_prob_density(0, 0.0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
+        assert _center(0.0).prob_density(0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
 
     def test_odd_state_node_at_center(self):
-        assert spectra.center_prob_density(1, 0.0, 0.0) == 0.0
+        assert _center(0.0).prob_density(1, 0.0) == 0.0
 
     def test_normalization_on_reference_grid(self):
         x = np.linspace(-8.0, 9.0, 4001)
-        dens = spectra.center_prob_density(5, 1.0, x)
+        dens = _center(1.0).prob_density(5, x)
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthonormality_all_low_orders(self):
         x = np.linspace(-10.0, 10.0, 4001)
         for n in range(21):
-            dens = spectra.center_prob_density(n, 0.0, x)
+            dens = _center(0.0).prob_density(n, x)
             assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-8)
 
     def test_translation_covariance(self):
         x = np.linspace(-5.0, 6.0, 501)
         lam = 0.8
         for n in (0, 1, 4):
-            shifted = spectra.center_prob_density(n, lam, x)
-            base = spectra.center_prob_density(n, 0.0, x - 0.5 * lam)
+            shifted = _center(lam).prob_density(n, x)
+            base = _center(0.0).prob_density(n, x - 0.5 * lam)
             assert np.array_equal(shifted, base)
 
     def test_high_order_does_not_overflow(self):
         x = np.linspace(-25, 25, 2001)
-        dens = spectra.center_prob_density(200, 0.0, x)
+        dens = _center(0.0).prob_density(200, x)
         assert np.isfinite(dens).all()
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-7)
 
@@ -83,21 +95,21 @@ class TestSpringSpectrum:
             spectra.spring_frequency(3, -0.5)
 
     def test_eigenvalues(self):
-        assert spectra.spring_eigenvalue(0, 1.0) == 0.5
-        assert spectra.spring_eigenvalue(3, 1.0) == 3.5
-        assert spectra.spring_eigenvalue(0, 1.3) == pytest.approx(0.65)
+        assert _spring(1.0).work_energy(0) == 0.5
+        assert _spring(1.0).work_energy(3) == 3.5
+        assert _spring(1.3).work_energy(0) == pytest.approx(0.65)
 
     def test_ground_state_peak(self):
-        assert spectra.spring_prob_density(0, 1.0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
+        assert _spring(1.0).prob_density(0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
 
     def test_normalization(self):
         x = np.linspace(-8.0, 8.0, 4001)
-        dens = spectra.spring_prob_density(0, 1.3, x)
+        dens = _spring(1.3).prob_density(0, x)
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-8)
 
     def test_ground_state_variance(self):
         x = np.linspace(-8.0, 8.0, 4001)
-        dens = spectra.spring_prob_density(0, 1.3, x)
+        dens = _spring(1.3).prob_density(0, x)
         var = np.trapezoid(x * x * dens, x)
         assert var == pytest.approx(1 / 2.6, abs=1e-8)
 
@@ -138,41 +150,45 @@ class TestAnalyticFreeEnergies:
 
 class TestThermalVariance:
     def test_center_limits(self):
-        assert spectra.thermal_position_variance(ProtocolKind.CENTER, 0.0, 50.0) == pytest.approx(0.5)
+        assert _center(0.0).thermal_variance(50.0) == pytest.approx(0.5)
         # classical equipartition: var -> kT / (m omega^2) = 1/(2a)
-        assert spectra.thermal_position_variance(ProtocolKind.CENTER, 0.0, 1e-4) == pytest.approx(
-            0.5e4, rel=1e-4)
+        assert _center(0.0).thermal_variance(1e-4) == pytest.approx(0.5e4, rel=1e-4)
 
     def test_spring_scaling(self):
-        v1 = spectra.thermal_position_variance(ProtocolKind.SPRING, 1.0, 80.0)
-        v13 = spectra.thermal_position_variance(ProtocolKind.SPRING, 1.3, 80.0)
+        v1 = _spring(1.0).thermal_variance(80.0)
+        v13 = _spring(1.3).thermal_variance(80.0)
         assert v1 == pytest.approx(0.5, rel=1e-10)
         assert v13 == pytest.approx(0.5 / 1.3, rel=1e-10)
 
 
 class TestOscillatorSpectrum:
     def test_work_energy_units(self):
-        # the unit and offset factors are exact, so the energies agree bit for bit
-        spec = spectra.OscillatorSpectrum(ProtocolKind.CENTER, 3, 0.4, 5)
-        assert spec.work_energy(2) == 2 * spectra.center_eigenvalue(2, 0.4)
-        spec = spectra.OscillatorSpectrum(ProtocolKind.SPRING, 2, 1.1, 5)
-        assert spec.work_energy(2) == spectra.spring_eigenvalue(2, 1.1)
+        # center in hbar*omega/2: 2n + 1 + lambda^2/4; spring in hbar*omega_0: (n + 1/2) omega
+        for n in range(6):
+            assert _center(0.0, 5).work_energy(n) == 2 * n + 1
+            assert _spring(1.0, 5).work_energy(n) == n + 0.5
+        assert _center(0.4, 5).work_energy(2) == pytest.approx(5.04, rel=1e-15)
+        assert _spring(1.1, 5).work_energy(2) == pytest.approx(2.75, rel=1e-15)
 
     def test_all_densities_match_scalar(self):
-        x = np.linspace(-4, 4, 101)
-        for kind, control, scalar in ((ProtocolKind.CENTER, 0.6, spectra.center_prob_density),
-                                      (ProtocolKind.SPRING, 1.3, spectra.spring_prob_density)):
-            spec = spectra.OscillatorSpectrum(kind, 1, control, 4)
+        # reference: the raw Hermite recurrence, normalized in closed form,
+        # sqrt(omega) H_n(y)^2 exp(-y^2) / (2^n n! sqrt(pi)), y = sqrt(omega) (x - center)
+        x = np.linspace(-7.0, 7.0, 281)
+        for spec, omega, center in ((_center(0.6, 20), 1.0, 0.3), (_spring(1.3, 20), 1.3, 0.0)):
             stack = spec.all_densities(x)
-            for n in range(5):
-                assert np.allclose(stack[n], scalar(n, control, x), rtol=1e-13)
-                assert spec.prob_density(n, 0.3) == scalar(n, control, 0.3)
+            y = math.sqrt(omega) * (x - center)
+            for n in range(21):
+                ref = (math.sqrt(omega) * spectra.hermite_poly(n, y) ** 2 * np.exp(-y * y)
+                       / (2.0 ** n * math.factorial(n) * math.sqrt(math.pi)))
+                assert np.allclose(stack[n], ref, rtol=1e-12, atol=1e-15)
+                assert np.array_equal(spec.prob_density(n, x), stack[n])
+                assert spec.prob_density(n, x[7]) == stack[n][7]
 
     def test_boltzmann_weights_normalized_to_ground(self):
         # exp(-beta (E_n - E_0)) in work units: 2 a n for center, a0 omega n for spring
         for kind, control, a, gap in ((ProtocolKind.CENTER, 0.0, 1.0, 2.0),
                                       (ProtocolKind.SPRING, 1.3, 0.7, 0.7 * 1.3)):
-            w = spectra.OscillatorSpectrum(kind, 1, control, 3).boltzmann_weights(a)
+            w = spectra.OscillatorSpectrum(kind, control, 3).boltzmann_weights(a)
             assert w[0] == 1.0
             assert np.allclose(w, np.exp(-gap * np.arange(4)), rtol=1e-14)
 
@@ -203,3 +219,10 @@ class TestOscillatorSpectrum:
             for i in range(1, 5):
                 assert np.array_equal(step_work_map(sch, i, x),
                                       sch.spectrum(i).work_increment(sch.increment, x))
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(stepwork.__path__)])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(f"stepwork.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

@@ -133,7 +133,8 @@ class TestRecursion:
         ledger = run_work_recursion(sch)
         m2, s2 = work_moments(ledger.rho(2))
         m3, s3 = work_moments(ledger.rho(3))
-        g2 = pushforward_step_density(ledger.fluctuations[1], sch, 2)
+        g2 = pushforward_step_density(fluctuation_density(sch.spectrum(2), sch.a, sch.x_grid),
+                                      sch, 2)
         gm, gs = work_moments(g2)
         assert m3 == pytest.approx(m2 + gm, abs=1e-12)
         assert s3 ** 2 == pytest.approx(s2 ** 2 + gs ** 2, abs=1e-12)
@@ -144,7 +145,7 @@ class TestRecursion:
         x = sch.x_grid.nodes()
         expected = 0.0
         for i in range(1, sch.s):
-            f = ledger.fluctuations[i - 1]
+            f = fluctuation_density(sch.spectrum(i), sch.a, sch.x_grid)
             expected += np.trapezoid(f.values * step_work_map(sch, i, x), dx=sch.x_grid.spacing)
             mean, _ = work_moments(ledger.rho(i + 1))
             assert mean == pytest.approx(expected, abs=1e-6)
@@ -210,7 +211,7 @@ class TestRecursion:
         sch = build_center_schedule(1.0, 3, 1.0, 2)
         ledger = run_work_recursion(sch)
         rho2, rho3 = ledger.rho(2), ledger.rho(3)
-        f2 = ledger.fluctuations[1]
+        f2 = fluctuation_density(sch.spectrum(2), sch.a, sch.x_grid)
         dlam = sch.increment
         lam2 = sch.controls[1]
         w_nodes = rho2.grid.nodes()
