@@ -180,6 +180,9 @@ def cmd_sweep(args):
                           "sweep_param": "a", "sweep_values": None})
     if cfg["protocol"] not in ("center", "spring"):
         raise _ConfigError(f"unknown protocol {cfg['protocol']}")
+    for key in ("x_points", "w_points"):
+        if cfg[key] is not None:
+            raise _ConfigError(f"sweep evaluates closed forms on no grid; {key} does not apply")
     param = cfg["sweep_param"]
     if param not in ("a", "nmax", "dlambda"):
         raise _ConfigError(f"sweep parameter must be a, nmax, or dlambda, not {param}")

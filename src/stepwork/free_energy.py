@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NonPositiveAverage
 from .protocol import PullSchedule
 from .spectra import ProtocolKind
-from .workdist import GriddedDensity, fluctuation_density, step_densities, work_moments
+from .workdist import GriddedDensity
 
 __all__ = ["FreeEnergyProfile", "exponential_average", "free_energy_profile",
            "approx_free_energy", "ground_state_closed_form_center",
@@ -71,14 +71,14 @@ def free_energy_profile(schedule: PullSchedule):
 
     rho_i is the convolution of the increment densities g_1 .. g_{i-1}, so
     ln<exp(-beta W)>, the mean and the variance of W are sums of per-step
-    terms; no convolution is needed.
+    terms.  Each term is the closed form of
+    ``OscillatorSpectrum.work_expectations``; no grid is touched.
     """
-    incr = step_densities(schedule)[1]
-    step_df = [exponential_average(g, schedule.beta) for g in incr]
-    moments = np.array([work_moments(g) for g in incr]).reshape(-1, 2)
-    delta_f = np.concatenate(([0.0], np.cumsum(step_df)))
-    mean_w = np.concatenate(([0.0], np.cumsum(moments[:, 0])))
-    std_w = np.sqrt(np.concatenate(([0.0], np.cumsum(moments[:, 1] ** 2))))
+    log_avg, mean, var = schedule.work_steps().work_expectations(
+        schedule.increment, schedule.a, schedule.beta)
+    delta_f = np.concatenate(([0.0], np.cumsum(-log_avg / schedule.beta)))
+    mean_w = np.concatenate(([0.0], np.cumsum(mean)))
+    std_w = np.sqrt(np.concatenate(([0.0], np.cumsum(var))))
     steps = [schedule.spectrum(i) for i in range(1, schedule.s + 1)]
     targets = np.array([step.target(schedule.a) for step in steps])
     f_ref = np.array([step.free_energy(schedule.a) for step in steps]) - delta_f
@@ -88,19 +88,17 @@ def free_energy_profile(schedule: PullSchedule):
 def approx_free_energy(schedule: PullSchedule):
     """Gaussian-fluctuation estimate k dlambda sum_i (lambda_i - <x_i>).
 
-    <x_i> is the trapezoid mean of the fluctuation density f_i.  Only defined
-    for the center protocol, whose work increment is linear in the trap
+    <x_i> comes from the exact mean work increment of step i,
+    <dW_i> = dlambda (lambda_i + dlambda/2 - <x_i>).  Only defined for the
+    center protocol, whose work increment is linear in the trap
     displacement; for many steps it approaches the thermodynamic integral and
     hence lambda_s^2/4.
     """
     if schedule.kind is not ProtocolKind.CENTER:
         raise ValueError("the Gaussian approximation applies to the center protocol")
-    fluct = (fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
-             for i in range(1, schedule.s))
-    x = schedule.x_grid.nodes()
-    means = [float(np.trapezoid(x * f.values, dx=schedule.x_grid.spacing)) for f in fluct]
-    lam = np.asarray(schedule.controls[:-1])
-    return float(schedule.increment * np.sum(lam - means))
+    mean = schedule.work_steps().work_expectations(
+        schedule.increment, schedule.a, schedule.beta)[1]
+    return float(np.sum(mean) - (schedule.s - 1) * 0.5 * schedule.increment ** 2)
 
 
 def ground_state_closed_form_center(a, dlambda, s):

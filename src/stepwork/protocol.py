@@ -95,6 +95,11 @@ class PullSchedule:
             raise ValueError(f"step index {i} outside 1..{self.s}")
         return OscillatorSpectrum(self.kind, self.controls[i - 1], self.n_max)
 
+    def work_steps(self):
+        """One spectrum for the work steps 1..s-1 together: its control is the
+        array of their controls, lambda_1..lambda_{s-1} or omega_1..omega_{s-1}."""
+        return OscillatorSpectrum(self.kind, np.asarray(self.controls[:-1]), self.n_max)
+
 
 def default_temperature_sweep():
     """Reduced temperatures a = 2^l for l = -4..4."""

@@ -85,6 +85,32 @@ def _density_stack(n_max, omega, center, x):
     return root * phi * phi
 
 
+def _log_recurrence(next_step, n_max, shape=()):
+    """ln y_0 .. ln y_{n_max} of a positive sequence with y_0 = 1.
+
+    The three-term recurrence runs on relative differences:
+    ``next_step(n, r)`` returns g = (y_{n+1} - y_n) / y_n from
+    r = (y_n - y_{n-1}) / y_n (0 at n = 0), and the logs of 1 + g add up.
+    So no value leaves the float64 range at any order, and rounding the
+    coefficients cannot split the double characteristic root near g = 0,
+    an error the raw form amplifies by about n^2.  ``shape`` gives one
+    sequence per entry, along the trailing axes.
+    """
+    out = np.zeros((n_max + 1,) + shape)
+    r = np.zeros(shape)
+    for n in range(n_max):
+        g = next_step(n, r)
+        out[n + 1] = out[n] + np.log1p(g)
+        r = g / (1.0 + g)
+    return out
+
+
+def _logsumexp(v):
+    """ln sum_n exp(v_n) over the first axis."""
+    top = v.max(axis=0)
+    return top + np.log(np.sum(np.exp(v - top), axis=0))
+
+
 def spring_frequency(i, delta, omega0=1.0):
     """omega_i = omega_0 sqrt(1 + (i-1) delta) for pulling step i >= 1."""
     radicand = 1.0 + (i - 1) * delta
@@ -134,6 +160,10 @@ class OscillatorSpectrum:
     work is in hbar*omega/2; 1 for spring, whose work is in hbar*omega_0).
     Energies from ``work_energy`` are in the work unit, so beta *
     work_energy uses the reduced temperature directly as beta.
+
+    ``control`` may also be an array with one control per step; the
+    spectrum then stands for all those steps, and ``work_expectations``
+    evaluates them together.
     """
 
     kind: ProtocolKind
@@ -150,7 +180,7 @@ class OscillatorSpectrum:
         if self.kind is ProtocolKind.CENTER:
             derived = (1.0, 0.5 * self.control, 0.125 * self.control * self.control, 2.0)
         else:
-            if self.control <= 0.0:
+            if np.any(np.asarray(self.control) <= 0.0):
                 raise ValueError("spring frequency must be positive")
             derived = (self.control, 0.0, 0.0, 1.0)
         for name, value in zip(("omega", "center", "offset", "unit"), derived):
@@ -193,6 +223,49 @@ class OscillatorSpectrum:
         if self.kind is ProtocolKind.CENTER:
             return increment * (self.control + 0.5 * increment - x)
         return 0.5 * increment * x * x
+
+    def work_expectations(self, increment, a, t):
+        """ln E[exp(-t dW)], E[dW] and Var[dW] of the step's work increment
+        dW = ``work_increment(increment, x)``, with x drawn from the Boltzmann
+        mixture of the retained states at reduced temperature a.
+
+        Per state (Talkner, Lutz & Hanggi, PRE 75, 050102(R) (2007); Deffner
+        & Lutz, PRE 77, 021128 (2008)), with y = sqrt(omega) (x - center):
+        center, E_n[exp(-t dW)] = exp(-t dW(center) + k^2/4) L_n(-k^2/2) with
+        k = t increment, <y^2> = n + 1/2; spring, E_n[exp(-t dW)] =
+        u_n / sqrt(1 + kappa) with kappa = t increment / (2 omega), u_0 = 1,
+        u_1 = 1/(1+kappa),
+        u_{n+1} = ((2n+1) u_n - n (1-kappa) u_{n-1}) / ((n+1)(1+kappa)), and
+        <y^4> = (6n^2 + 6n + 3)/4.  The mixture is a log-sum-exp over
+        ln w_n + ln E_n, so nothing over- or underflows at any temperature.
+        """
+        omega = np.asarray(self.omega, dtype=float)
+        n = np.arange(self.n_max + 1.0).reshape((-1,) + (1,) * np.ndim(self.control))
+        log_w = -a * self.unit * omega * n
+        log_z = _logsumexp(log_w)
+        log_avg = _logsumexp(log_w + self._log_state_expectations(increment, t)) - log_z
+        p = np.exp(log_w - log_z)
+        x2 = np.sum(p * (n + 0.5), axis=0) / omega
+        if self.kind is ProtocolKind.CENTER:
+            mean = self.work_increment(increment, self.center)
+            return tuple(np.broadcast_arrays(log_avg, mean, increment * increment * x2))
+        x4 = np.sum(p * (6.0 * n * n + 6.0 * n + 3.0), axis=0) / (4.0 * omega * omega)
+        c = 0.5 * increment
+        return log_avg, c * x2, c * c * (x4 - x2 * x2)
+
+    def _log_state_expectations(self, increment, t):
+        """ln E_n[exp(-t dW)] for n = 0..n_max along the first axis."""
+        if self.kind is ProtocolKind.CENTER:
+            # (n+1)(L_{n+1} - L_n) = n (L_n - L_{n-1}) + h L_n for L_n(-h)
+            h = 0.5 * (t * increment) ** 2
+            laguerre = _log_recurrence(lambda m, r: (m * r + h) / (m + 1), self.n_max)
+            shift = self.work_increment(increment, self.center)
+            return 0.5 * h + laguerre.reshape((-1,) + (1,) * np.ndim(self.control)) - t * shift
+        # (n+1)(1+kappa)(u_{n+1} - u_n) = n (1-kappa)(u_n - u_{n-1}) - kappa u_n
+        kappa = 0.5 * t * increment / np.asarray(self.omega, dtype=float)
+        return -0.5 * np.log1p(kappa) + _log_recurrence(
+            lambda m, r: (m * (1.0 - kappa) * r - kappa) / ((m + 1) * (1.0 + kappa)),
+            self.n_max, kappa.shape)
 
     def free_energy(self, a):
         """Exact free energy of the step's Hamiltonian in the work unit."""

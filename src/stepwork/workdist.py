@@ -21,8 +21,8 @@ from .protocol import GridSpec, PullSchedule
 from .spectra import OscillatorSpectrum
 
 __all__ = ["GriddedDensity", "WorkLedger", "fluctuation_density", "step_work_map",
-           "pushforward_step_density", "lattice_convolve", "step_densities",
-           "run_work_recursion", "work_moments"]
+           "pushforward_step_density", "lattice_convolve", "run_work_recursion",
+           "work_moments"]
 
 # |integral - 1| above this after a recursion step signals work-grid truncation
 MASS_TOLERANCE = 1e-4
@@ -235,22 +235,15 @@ def _recursion_step(rho_prev, g, schedule, i):
     return GriddedDensity(rho.grid, rho.values / mass), 1.0 / mass
 
 
-def step_densities(schedule: PullSchedule):
-    """Every f_j and its work-increment pushforward g_j, for j = 1 .. s-1."""
-    fluct = tuple(fluctuation_density(schedule.spectrum(j), schedule.a, schedule.x_grid)
-                  for j in range(1, schedule.s))
-    incr = tuple(pushforward_step_density(f, schedule, j) for j, f in enumerate(fluct, 1))
-    return fluct, incr
-
-
 def run_work_recursion(schedule: PullSchedule):
-    """Build every g_j and run the recursion through rho_s."""
-    incr = step_densities(schedule)[1]  # the f_j are released before convolving
+    """Run the recursion through rho_s, building each f_j and its pushforward
+    g_j once, when step j is reached."""
     rho = GriddedDensity.point_mass(0.0)
     dists = []
     norms = []
-    for i, g in enumerate(incr, 2):
-        rho, q = _recursion_step(rho, g, schedule, i)
+    for j in range(1, schedule.s):
+        f = fluctuation_density(schedule.spectrum(j), schedule.a, schedule.x_grid)
+        rho, q = _recursion_step(rho, pushforward_step_density(f, schedule, j), schedule, j + 1)
         dists.append(rho)
         norms.append(q)
     return WorkLedger(schedule, tuple(dists), tuple(norms))

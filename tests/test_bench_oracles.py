@@ -34,7 +34,7 @@ def _oracles():
       "--omega-ratio", "1.3", "--values", "50,100"],
      "check_sweep",
      {"protocol": "spring", "s": 11, "omega_ratio": 1.3, "values": [50.0, 100.0],
-      "df_tol": 1e-4}),
+      "df_tol": 1e-9}),
     (["pathways", "--s", "4", "--nmax", "5", "--a", "1", "--lambda-s", "1"],
      "check_pathways",
      {"s": 4, "a": 1.0, "n_max": 5, "lambda_s": 1.0, "df_tol": 1e-2}),

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from stepwork import cli, export, protocol
+from stepwork import cli, export, protocol, workdist
 from stepwork.cli import main
+from stepwork.workdist import fluctuation_density
 
 
 def _read_csv(path):
@@ -68,6 +69,18 @@ class TestRunCenter:
         code = main(["run-center", "--out", str(blocker / "sub")])
         assert code == 2
         assert "error: output-unwritable:" in capsys.readouterr().err
+
+    def test_builds_each_density_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fluctuation_density(*args)
+
+        monkeypatch.setattr(workdist, "fluctuation_density", counted)
+        monkeypatch.setattr(cli, "fluctuation_density", counted)
+        assert main(["run-center", "--s", "5", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 4
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "det"
@@ -218,6 +231,8 @@ class TestInputContract:
         ["pathways", "--tol", "-0.1"],
         ["pathways", "--eps", "nan"],
         ["pathways", "--eps", "inf"],
+        ["sweep", "--x-points", "100"],
+        ["sweep", "--w-points", "100"],
     ])
     def test_rejected_with_one_config_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -240,6 +255,8 @@ class TestInputContract:
         ("sweep", {"sweep_values": "1,2"}),
         ("sweep", {"jobs": 1.5}),
         ("sweep", {"lambda_s": "2"}),
+        ("sweep", {"x_points": 100}),
+        ("sweep", {"w_points": 100}),
     ])
     def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

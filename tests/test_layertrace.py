@@ -19,8 +19,7 @@ TRACER = ROOT / "bench" / "layertrace.py"
 _RUN = {"cli.main", "spectra.OscillatorSpectrum.all_densities",
         "workdist.fluctuation_density", "workdist.pushforward_step_density",
         "workdist.lattice_convolve", "workdist.run_work_recursion",
-        "free_energy.free_energy_profile", "free_energy.exponential_average",
-        "workdist.work_moments", "export.density_rows", "export.profile_rows",
+        "free_energy.free_energy_profile", "export.density_rows", "export.profile_rows",
         "export.write_csv"}
 
 

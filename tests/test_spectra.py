@@ -1,6 +1,8 @@
 import importlib
+import importlib.util
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +221,87 @@ class TestOscillatorSpectrum:
             for i in range(1, 5):
                 assert np.array_equal(step_work_map(sch, i, x),
                                       sch.spectrum(i).work_increment(sch.increment, x))
+
+
+def _oracles():
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gauss_hermite_state_factors(kappa, n_max, nodes=260):
+    """<n| exp(-kappa y^2) |n> for n = 0..n_max by Gauss-Hermite quadrature.
+
+    With z = sqrt(1 + kappa) y the integrand is exp(-z^2) times a polynomial
+    of degree 2 n_max in z, which the rule integrates exactly for n_max < nodes.
+    """
+    z, w = np.polynomial.hermite.hermgauss(nodes)
+    y = z / math.sqrt(1.0 + kappa)
+    # h_n = H_n / sqrt(2^n n! sqrt(pi)), orthonormal under exp(-y^2)
+    h_prev, h = np.zeros_like(y), np.full_like(y, math.pi ** -0.25)
+    out = []
+    for n in range(n_max + 1):
+        out.append(np.sum(w * h * h) / math.sqrt(1.0 + kappa))
+        h_prev, h = h, math.sqrt(2.0 / (n + 1)) * y * h - math.sqrt(n / (n + 1)) * h_prev
+    return np.array(out)
+
+
+class TestWorkExpectations:
+    def test_spring_state_factors_match_gauss_hermite(self):
+        # omega = 1 and increment = 2 make kappa = t
+        kappas = np.logspace(-4.0, math.log10(300.0), 15)
+        spec = _spring(np.ones(kappas.size), 200)
+        got = np.exp(spec._log_state_expectations(2.0, kappas))
+        for j, kappa in enumerate(kappas):
+            ref = _gauss_hermite_state_factors(kappa, 200)
+            assert np.allclose(got[:, j], ref, rtol=0.0, atol=1e-12), kappa
+
+    @pytest.mark.parametrize("s, a", [(51, 2.0 ** l) for l in range(-4, 5)] + [(101, 1.0)])
+    def test_center_profile_matches_laguerre_oracle(self, s, a):
+        from stepwork.protocol import build_center_schedule
+
+        sch = build_center_schedule(1.0, s, a, 10)
+        log_avg = sch.work_steps().work_expectations(sch.increment, a, a)[0]
+        exact = _oracles().center_exact_profile(1.0, s, a, 10)
+        assert np.allclose(np.cumsum(-log_avg / a), exact[1:], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind, control", [(ProtocolKind.CENTER, 0.6),
+                                               (ProtocolKind.SPRING, 1.3)])
+    def test_moments_match_dense_quadrature(self, kind, control):
+        # E[dW] and Var[dW] of the mixed density on a fine x grid
+        spec = spectra.OscillatorSpectrum(kind, control, 20)
+        x = np.linspace(-12.0, 12.0, 48001)
+        a, increment = 0.3, 0.2
+        f = spec.boltzmann_weights(a) @ spec.all_densities(x)
+        f /= np.trapezoid(f, x)
+        dw = spec.work_increment(increment, x)
+        mean = np.trapezoid(dw * f, x)
+        var = np.trapezoid((dw - mean) ** 2 * f, x)
+        _, got_mean, got_var = spec.work_expectations(increment, a, a)
+        assert got_mean == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        assert got_var == pytest.approx(var, rel=1e-12, abs=1e-15)
+
+    def test_steps_together_match_one_at_a_time(self):
+        for kind, controls in ((ProtocolKind.CENTER, [0.0, 0.25, 0.5]),
+                               (ProtocolKind.SPRING, [1.0, 1.1, 1.2])):
+            together = spectra.OscillatorSpectrum(kind, np.array(controls), 7)
+            rows = np.array(together.work_expectations(0.25, 2.0, 3.0))
+            for j, control in enumerate(controls):
+                alone = spectra.OscillatorSpectrum(kind, control, 7)
+                assert np.allclose(rows[:, j], alone.work_expectations(0.25, 2.0, 3.0),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_no_overflow_at_any_temperature(self):
+        # a cold, strongly tilted center step: exp(k^2/4) and L_200 overflow
+        # float64 and the excited weights underflow, but not their logs
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            log_avg, mean, var = _center(0.0, 200).work_expectations(0.1, 1000.0, 1000.0)
+            assert log_avg == pytest.approx(2500.0 - 5.0, rel=1e-15)
+            assert (mean, var) == (pytest.approx(0.005), pytest.approx(0.005))
+            log_avg = _spring(1.0, 200).work_expectations(1e-3, 1e6, 1e6)[0]
+            assert log_avg == pytest.approx(-0.5 * math.log1p(500.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(stepwork.__path__)])
