@@ -5,7 +5,7 @@ Subcommands
 run-center   work distributions + free-energy profile for the trap-center pull
 run-spring   the same for the spring-constant pull
 sweep        endpoint free energy versus a, n_max, or dlambda (CSV + line fit)
-pathways     transition scan and pathway decomposition in the enumeration regime
+pathways     transition scan and pathway-class decomposition of the free energy
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration or I/O error.
 Identical configurations produce byte-identical outputs.
@@ -18,12 +18,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import export
-from .errors import EnumerationCap, GridTooLarge, GridTooNarrow, MassLeak, NonPositiveAverage
+from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonPositiveAverage
 from .free_energy import free_energy_profile, ground_state_closed_form_center
 from .pathways import decompose_free_energy, find_optimal_transitions, overlap_measure
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
@@ -144,7 +143,7 @@ def cmd_run(args):
 
 
 def _sweep_point(cfg, param, value):
-    """One sweep evaluation; module-level so worker processes can pickle it."""
+    """One sweep evaluation: the endpoint profile and its oracle."""
     point = dict(cfg)
     if param == "a":
         point["a"] = float(value)
@@ -176,7 +175,7 @@ def _check_sweep_value(param, value):
 
 
 def cmd_sweep(args):
-    cfg = _resolve(args, {**_CENTER_DEFAULTS, "omega_ratio": 1.3, "jobs": 1,
+    cfg = _resolve(args, {**_CENTER_DEFAULTS, "omega_ratio": 1.3,
                           "sweep_param": "a", "sweep_values": None})
     if cfg["protocol"] not in ("center", "spring"):
         raise _ConfigError(f"unknown protocol {cfg['protocol']}")
@@ -195,16 +194,10 @@ def cmd_sweep(args):
     values = [float(v) for v in cfg["sweep_values"]]
     for value in values:
         _check_sweep_value(param, value)
+    if param == "dlambda" and len(set(values)) < 2:
+        raise _ConfigError("a dlambda sweep fits a line and needs two distinct values")
     out = _ensure_outdir(cfg["out"])
-
-    # a fork-based pool starts all its workers at the first submit
-    jobs = min(cfg["jobs"], len(values))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, [cfg] * len(values),
-                                 [param] * len(values), values))
-    else:
-        rows = [_sweep_point(cfg, param, v) for v in values]
+    rows = [_sweep_point(cfg, param, v) for v in values]
 
     meta = {k: v for k, v in cfg.items() if v is not None}
     path = os.path.join(out, "sweep.csv")
@@ -230,17 +223,11 @@ def cmd_pathways(args):
     schedule = _schedule_from(cfg)
     tol, eps = float(cfg["tol"]), float(cfg["eps"])
 
+    # everything is computed before anything is written, so a failure leaves no output
     records = []
     for i in range(2, schedule.s + 1):
         scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps)
         records.extend(scan.records)
-    header = ["step", "n_prev", "n_next", "x_prev", "x_next",
-              "e_prev", "e_next", "r12a", "r12b", "r13", "class"]
-    rows = [(r.step, r.n_prev, r.n_next, r.x_prev, r.x_next, r.e_prev, r.e_next,
-             r.r12a, r.r12b, r.r13, r.label.value) for r in records]
-    meta = {k: v for k, v in cfg.items() if v is not None}
-    export.write_csv(os.path.join(out, "transitions.csv"), header, rows, meta)
-
     decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps)
     overlaps = []
     for i in range(1, schedule.s - 1):
@@ -248,6 +235,13 @@ def cmd_pathways(args):
         f_next = fluctuation_density(schedule.spectrum(i + 1), schedule.a, schedule.x_grid)
         dx, mass = overlap_measure(f_prev, f_next)
         overlaps.append({"steps": [i, i + 1], "dx": dx, "mass": mass})
+
+    header = ["step", "n_prev", "n_next", "x_prev", "x_next",
+              "e_prev", "e_next", "r12a", "r12b", "r13", "class"]
+    rows = [(r.step, r.n_prev, r.n_next, r.x_prev, r.x_next, r.e_prev, r.e_next,
+             r.r12a, r.r12b, r.r13, r.label.value) for r in records]
+    meta = {k: v for k, v in cfg.items() if v is not None}
+    export.write_csv(os.path.join(out, "transitions.csv"), header, rows, meta)
     payload = {
         "config": meta,
         "delta_F": {"total": decomp.df_total, "stochastic": decomp.df_stochastic,
@@ -300,7 +294,6 @@ def build_parser():
     p.add_argument("--param", choices=["a", "nmax", "dlambda"])
     p.add_argument("--values", type=_number_list, help="comma-separated sweep values")
     p.add_argument("--omega-ratio", type=float, dest="omega_ratio")
-    p.add_argument("--jobs", type=int, help="worker processes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pathways", help="transition scan and pathway decomposition")
@@ -325,8 +318,6 @@ def main(argv=None):
         return _fail("config", str(exc), 2)
     except PermissionError as exc:
         return _fail("output-unwritable", str(exc), 2)
-    except EnumerationCap as exc:
-        return _fail("enumeration-cap", str(exc), 2)
     except GridTooLarge as exc:
         return _fail("grid-too-large", str(exc), 2)
     except MassLeak as exc:

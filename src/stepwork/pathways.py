@@ -4,10 +4,11 @@ A transition between pulling steps i-1 and i is a tuple
 (x_prev, x_next, n_prev, n_next) of positions and eigenstates.  Three
 log-ratio residuals quantify how far it sits from the variational
 conditions; transitions satisfying both position-like and energy-like
-conditions are "optimal" and obey detailed balance.  At small s and n_max
-every quantum pathway can be enumerated exactly, which splits the
-exponential work average into stochastic / deterministic / optimal / biased
-contributions that recombine to the total identically.
+conditions are "optimal" and obey detailed balance.  A transfer-matrix
+forward pass over the pathways on a subsampled grid splits the exponential
+work average into stochastic / deterministic / optimal / biased
+contributions that recombine to the total identically; at small s and n_max
+the work distribution of every energy pathway can also be enumerated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DensityFloor, EnumerationCap
-from .protocol import GridSpec, PullSchedule
+from .protocol import GridSpec, PullSchedule, check_grid_budget
 from .workdist import (
     GriddedDensity,
     lattice_convolve,
@@ -41,8 +42,6 @@ MAX_ENUM_STATES = 5
 # default log-ratio tolerance and relative density floor
 DEFAULT_TOL = 0.05
 DEFAULT_EPS_REL = 1e-12
-# keep full path enumerations at or below this many tuples
-_MAX_TUPLES = 2_000_000
 
 
 class PathwayClass(enum.Enum):
@@ -198,7 +197,15 @@ def _transition_tables(schedule, i, x, eps_rel):
     Both positions of a transition range over the same axis x.  Each residual
     comes with its floor mask, which is True exactly where the scalar residual
     raises no DensityFloor; below-floor entries carry -inf or NaN residuals.
+    The tables are refused before any is allocated if, with the pass masks
+    built from them, they would need more than the grid budget.
     """
+    # r12a, r13, one full-size temporary while either is formed or tested,
+    # and the one-byte masks and codes: the measured peaks of the scan and
+    # the decomposition stay below four full-size float64 arrays
+    check_grid_budget("the transition tables",
+                      5 * (schedule.n_max + 1) ** 2 * x.size ** 2,
+                      "lower n_max")
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
     beta = schedule.beta
@@ -392,85 +399,66 @@ def _lattice_add(d1, d2, h):
     return GriddedDensity(GridSpec(lo * h, (hi - 1) * h, hi - lo), vals)
 
 
-def _path_axes(arr, j, n_slots):
-    """Reshape a per-transition array for broadcasting over full pathways.
-
-    ``arr`` has axes (n_j, n_{j+1}, k_j, k_{j+1}) for the transition between
-    slots j and j+1 (0-based j); the full pathway tensor carries axes
-    (n_1..n_T, k_1..k_T).
-    """
-    shape = [1] * (2 * n_slots)
-    shape[j] = arr.shape[0]
-    shape[j + 1] = arr.shape[1]
-    shape[n_slots + j] = arr.shape[2]
-    shape[n_slots + j + 1] = arr.shape[3]
-    return arr.reshape(shape)
+def _transition_codes(schedule, i, x, eps_rel, tol):
+    """Which conditions hold on each link of one transition, as a code
+    A + 2 B + 4 DB over ((n_prev k_prev), (n_next k_next))."""
+    tab = _transition_tables(schedule, i, x, eps_rel)
+    size = tab["d_prev"].size
+    code = np.zeros((size, size), dtype=np.uint8)
+    for bit, c in enumerate(("a", "b", "db")):
+        holds = _passes(*tab[c], tol).transpose(0, 2, 1, 3).reshape(size, size)
+        code |= holds.astype(np.uint8) << bit
+    return code
 
 
 def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
                           eps_rel=DEFAULT_EPS_REL, max_x_points=50):
-    """Split exp(-beta dF) over pathway classes by exact enumeration.
+    """Split exp(-beta dF) over pathway classes on up to max_x_points positions.
 
-    Every (energy pathway, position pathway) tuple on the subsampled grid is
-    classified by its transition residuals: optimal pathways satisfy both
-    conditions at every transition, deterministic ones exactly one of the
-    two, stochastic ones only detailed balance, and the rest are biased.
-    The stochastic and deterministic contributions each include the optimal
-    pathways, so the total recombines as S + D - OP + B identically.
+    Every (energy pathway, position pathway) tuple is classified by its
+    transition residuals: optimal pathways satisfy both conditions at every
+    transition, deterministic ones exactly one of the two, stochastic ones
+    only detailed balance, and the rest are biased.  The stochastic and
+    deterministic contributions each include the optimal pathways, so the
+    total recombines as S + D - OP + B identically.
+
+    Weights are products over slots and conditions ANDs over transitions, so
+    one forward pass of s-2 transfer-matrix products (as in a hidden Markov
+    model) carries, per slot state and per set of conditions held so far,
+    disjoint prefix sums; any s is covered.  Counts run through the same
+    pass in float64: exact while ((n_max+1) p)^(s-1) <= 2^53, rounded beyond.
     """
-    _check_enumeration_regime(schedule)
     _check_tolerances(tol, eps_rel)
-    n_slots = schedule.s - 1
-    n_states = schedule.n_max + 1
-    p = max_x_points
-    while n_states ** n_slots * p ** n_slots > _MAX_TUPLES and p > 2:
-        p -= 1
-    x = _subsample(schedule.x_grid, p)
-    p = x.size
-    h_sub = float(x[1] - x[0]) if p > 1 else 1.0
+    x = _subsample(schedule.x_grid, max_x_points)
     beta = schedule.beta
 
     # per-slot discrete weights q_i[n, k] ~ Boltzmann x density x e^{-beta dW}
     slot_weight = []
     for i in range(1, schedule.s):
         spec = schedule.spectrum(i)
-        w = spec.boltzmann_weights(schedule.a)
-        dens = spec.all_densities(x)
-        q = w[:, None] * dens * h_sub
+        q = spec.boltzmann_weights(schedule.a)[:, None] * spec.all_densities(x)
         q /= q.sum()
-        q = q * np.exp(-beta * step_work_map(schedule, i, x))[None, :]
-        slot_weight.append(q)
+        slot_weight.append(q * np.exp(-beta * step_work_map(schedule, i, x))[None, :])
 
-    # pathway weight tensor over (n_1..n_T, k_1..k_T)
-    weight = np.ones([1] * (2 * n_slots))
-    for j, q in enumerate(slot_weight):
-        shape = [1] * (2 * n_slots)
-        shape[j] = q.shape[0]
-        shape[n_slots + j] = q.shape[1]
-        weight = weight * q.reshape(shape)
-
-    full_shape = [n_states] * n_slots + [p] * n_slots
-    pass_a = np.ones(full_shape, dtype=bool)
-    pass_b = np.ones(full_shape, dtype=bool)
-    pass_db = np.ones(full_shape, dtype=bool)
-    for j in range(n_slots - 1):
-        tab = _transition_tables(schedule, j + 2, x, eps_rel)
-        pass_a &= _path_axes(_passes(*tab["a"], tol), j, n_slots)
-        pass_b &= _path_axes(_passes(*tab["b"], tol), j, n_slots)
-        pass_db &= _path_axes(_passes(*tab["db"], tol), j, n_slots)
-    codes = _classes(pass_a, pass_b, pass_db)
-
-    weight = np.broadcast_to(weight, full_shape)
-    c_total = float(weight.sum())
-    sums, counts = {}, {}
-    for code, cls in enumerate(_BY_CODE):
-        mask = codes == code
-        sums[cls.value] = float(weight[mask].sum())
-        counts[cls.value] = int(mask.sum())
-    c_op = sums["optimal"]
-    c_s = c_op + sums["stochastic"]
-    c_d = c_op + sums["deterministic"]
-    c_bia = sums["biased"]
+    # chain[f] carries the (weight, count) sums of the prefixes along which
+    # exactly the conditions in f (A + 2 B + 4 DB) held; at the first slot
+    # every condition holds vacuously
+    first = slot_weight[0].ravel()
+    chain = np.zeros((8, 2, first.size))
+    chain[7] = first, np.ones(first.size)
+    held = np.arange(8)
+    for i, q in enumerate(slot_weight[1:], start=2):
+        code = _transition_codes(schedule, i, x, eps_rel, tol)
+        nxt = np.zeros_like(chain)
+        for g in range(8):
+            np.add.at(nxt, held & g, chain @ (code == g).astype(float))
+        chain = nxt * np.stack([q.ravel(), np.ones(q.size)])
+    by_class = np.zeros((len(_BY_CODE), 2))
+    np.add.at(by_class, _classes(held & 1 > 0, held & 2 > 0, held & 4 > 0),
+              chain.sum(axis=-1))
+    c_op, c_det, c_sto, c_bia = by_class[:, 0].tolist()
+    c_total = float(by_class[:, 0].sum())
+    c_s, c_d = c_op + c_sto, c_op + c_det
     reconstruction = (c_s + c_d - c_op + c_bia) - c_total
 
     def to_df(c):
@@ -484,6 +472,6 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
         df_biased=to_df(c_bia),
         contributions={"total": c_total, "stochastic": c_s, "deterministic": c_d,
                        "optimal": c_op, "biased": c_bia},
-        counts=counts,
+        counts={cls.value: int(n) for cls, n in zip(_BY_CODE, by_class[:, 1])},
         reconstruction_error=abs(reconstruction) / c_total,
     )

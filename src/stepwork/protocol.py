@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +52,24 @@ class GridSpec:
         return self.min + self.spacing * np.arange(self.points)
 
 
+def check_grid_budget(what, values, remedy):
+    """Refuse work that would hold more than GRID_BUDGET float64 values at once."""
+    if values > GRID_BUDGET:
+        raise GridTooLarge(f"{what} need about {values:.3g} float64 values, over the "
+                           f"budget of {GRID_BUDGET:.0e}; {remedy}")
+
+
 @dataclass(frozen=True)
 class PullSchedule:
-    """An immutable step-wise pulling run: controls, temperature, grids.
+    """An immutable step-wise pulling run: controls, temperature, grid request.
 
     ``controls`` holds lambda_1..lambda_s (center) or omega_1..omega_s in
     omega_0 units (spring).  ``increment`` is dlambda (center) or delta
     (spring).  ``a`` is the reduced temperature, which doubles as the
     inverse temperature against energies in the reporting unit.
+    ``x_points``/``w_points`` request point counts (None: auto-sized).  The
+    grids are sized, and checked against the budget, on the first read of
+    ``x_grid`` or ``w_grid``; closed-form work reads neither.
     """
 
     kind: ProtocolKind
@@ -67,18 +78,22 @@ class PullSchedule:
     increment: float
     a: float
     n_max: int
-    x_grid: GridSpec
-    w_grid: GridSpec
+    x_points: int | None = None
+    w_points: int | None = None
 
-    def __post_init__(self):
+    @cached_property
+    def _grids(self):
+        size = _center_grids if self.kind is ProtocolKind.CENTER else _spring_grids
+        x_grid, w_grid = size(self)
         # the eigenstate stack on the x grid, plus f_j, its work image (about
         # as long as f_j) and rho_{j+1} for every work step j
-        values = (self.x_grid.points * (self.n_max + 1)
-                  + (self.s - 1) * (2 * self.x_grid.points + self.w_grid.points))
-        if values > GRID_BUDGET:
-            raise GridTooLarge(
-                f"the grids need about {values:.3g} float64 values, over the budget of "
-                f"{GRID_BUDGET:.0e}; lower s, n_max, the pull or the point counts")
+        check_grid_budget("the grids", x_grid.points * (self.n_max + 1)
+                          + (self.s - 1) * (2 * x_grid.points + w_grid.points),
+                          "lower s, n_max, the pull or the point counts")
+        return x_grid, w_grid
+
+    x_grid = property(lambda self: self._grids[0])
+    w_grid = property(lambda self: self._grids[1])
 
     @property
     def beta(self):
@@ -175,9 +190,13 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
         # endpoint is reconstructed bit-for-bit
         controls = tuple(lambda_s * ((i - 1) / (s - 1)) for i in range(1, s + 1))
         dlam = lambda_s / (s - 1)
+    return PullSchedule(ProtocolKind.CENTER, s, controls, dlam, a, n_max, x_points, w_points)
 
+
+def _center_grids(schedule):
+    controls, dlam, a, n_max = schedule.controls, schedule.increment, schedule.a, schedule.n_max
     # every step's density has the first one's shape, translated
-    first = OscillatorSpectrum(ProtocolKind.CENTER, controls[0], n_max)
+    first = schedule.spectrum(1)
     sig2 = _effective_sigma2(first, a)
     half = _half_width(first, a)
     # the exponential work average tilts each density by exp(+a dlam x),
@@ -186,16 +205,15 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
     centers = [0.5 * c for c in controls]
     x_lo = min(centers) - half
     x_hi = max(centers) + half
-    if x_points is not None:
-        h_target = (x_hi - x_lo) / (x_points - 1)
+    if schedule.x_points is not None:
+        h_target = (x_hi - x_lo) / (schedule.x_points - 1)
     else:
         h_target = _target_spacing(n_max, 1.0)
 
     if dlam == 0.0:
         n_pts = max(2, math.ceil((x_hi - x_lo) / h_target) + 1)
-        x_grid = GridSpec(x_lo, x_hi, n_pts)
-        w_grid = GridSpec(-1.0, 1.0, 3)  # never populated: all increments degenerate
-        return PullSchedule(ProtocolKind.CENTER, s, controls, dlam, a, n_max, x_grid, w_grid)
+        # the work grid is never populated: all increments are degenerate
+        return GridSpec(x_lo, x_hi, n_pts), GridSpec(-1.0, 1.0, 3)
 
     gamma = abs(dlam)  # |slope| of the work increment, k = 1 in hbar*omega/2 units
 
@@ -214,11 +232,11 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
     m = max(2, math.ceil(abs(dlam) / h_target))
     m += m % 2  # even M keeps every increment image on the work lattice
     x_grid, w_grid = _build(m)
+    w_points = schedule.w_points
     if w_points is not None and w_grid.points < w_points:
         m *= math.ceil((w_points - 1) / (w_grid.points - 1))
         x_grid, w_grid = _build(m)
-
-    return PullSchedule(ProtocolKind.CENTER, s, controls, dlam, a, n_max, x_grid, w_grid)
+    return x_grid, w_grid
 
 
 def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=None):
@@ -238,27 +256,28 @@ def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=Non
 
     delta = (omega_ratio * omega_ratio - 1.0) / (s - 1)
     controls = tuple(spring_frequency(i, delta) for i in range(1, s + 1))
-    steps = [OscillatorSpectrum(ProtocolKind.SPRING, w, n_max) for w in controls]
+    return PullSchedule(ProtocolKind.SPRING, s, controls, delta, a0, n_max, x_points, w_points)
+
+
+def _spring_grids(schedule):
+    controls, delta, a0 = schedule.controls, schedule.increment, schedule.a
+    steps = [OscillatorSpectrum(ProtocolKind.SPRING, w, schedule.n_max) for w in controls]
 
     half = _half_width(steps[0], a0)
-    if x_points is not None:
-        n_pts = x_points
+    if schedule.x_points is not None:
+        n_pts = schedule.x_points
     else:
-        h_target = _target_spacing(n_max, controls[-1])
+        h_target = _target_spacing(schedule.n_max, controls[-1])
         n_pts = max(2, 2 * math.ceil(half / h_target) + 1)
     x_grid = GridSpec(-half, half, n_pts)
 
-    if w_points is None:
-        w_points = 8001
     if delta == 0.0:
-        w_grid = GridSpec(-1.0, 1.0, 3)
-        return PullSchedule(ProtocolKind.SPRING, s, controls, delta, a0, n_max, x_grid, w_grid)
+        return x_grid, GridSpec(-1.0, 1.0, 3)
+    w_points = 8001 if schedule.w_points is None else schedule.w_points
 
     c = 0.5 * delta  # work increment is c * x^2 for every step
     sig2 = [_effective_sigma2(step, a0) for step in steps[:-1]]
     total_mu = c * sum(sig2)
     sigma_tot = math.sqrt(sum(3.0 * c * c * v * v for v in sig2))
     w_hi = total_mu + _W_SIGMA_MARGIN * sigma_tot + c * half * half
-    w_grid = GridSpec(0.0, w_hi, w_points)
-
-    return PullSchedule(ProtocolKind.SPRING, s, controls, delta, a0, n_max, x_grid, w_grid)
+    return x_grid, GridSpec(0.0, w_hi, w_points)

@@ -4,21 +4,9 @@ bench/oracles.py imports nothing from stepwork, so these checks compare the
 CLI's printed free energies with the physics rather than with the pipeline.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from stepwork.cli import main
-
-ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
-
-
-def _oracles():
-    spec = importlib.util.spec_from_file_location("oracles", ORACLES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("argv, check, params", [
@@ -39,8 +27,8 @@ def _oracles():
      "check_pathways",
      {"s": 4, "a": 1.0, "n_max": 5, "lambda_s": 1.0, "df_tol": 1e-2}),
 ], ids=["run-center", "center-sweep", "spring-sweep", "pathways"])
-def test_outputs_pass_the_oracles(argv, check, params, tmp_path, capsys):
+def test_outputs_pass_the_oracles(argv, check, params, tmp_path, capsys, oracles):
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    report = getattr(_oracles(), check)(str(tmp_path), capsys.readouterr().out, params)
+    report = getattr(oracles, check)(str(tmp_path), capsys.readouterr().out, params)
     assert report.ok, report.problems
     assert report.residuals

@@ -144,14 +144,19 @@ class TestSweep:
         means = [float(r[2]) for r in rows]
         assert np.allclose(means, 0.275, atol=1e-9)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        kwargs = ["sweep", "--param", "a", "--values", "0.5,1.0,2.0"]
-        out1, out2 = tmp_path / "serial", tmp_path / "par"
-        assert main(kwargs + ["--out", str(out1)]) == 0
-        assert main(kwargs + ["--out", str(out2), "--jobs", "2"]) == 0
-        body1 = (out1 / "sweep.csv").read_text().splitlines()[1:]
-        body2 = (out2 / "sweep.csv").read_text().splitlines()[1:]
-        assert body1 == body2
+    @pytest.mark.parametrize("argv, points", [
+        (["--param", "dlambda", "--values", "0.0025,0.005"], [(401, 1.0), (201, 1.0)]),
+        (["--protocol", "center", "--param", "a", "--values", "1", "--s", "3001"],
+         [(3001, 1.0)]),
+    ])
+    def test_sweep_sizes_no_grid(self, argv, points, tmp_path, oracles):
+        # the grids of s = 401 and s = 3001 are far over the budget; a sweep reads none
+        assert main(["sweep", *argv, "--nmax", "10", "--out", str(tmp_path)]) == 0
+        _, _, rows = _read_csv(tmp_path / "sweep.csv")
+        assert len(rows) == len(points)
+        for row, (s, a) in zip(rows, points):
+            exact = oracles.center_exact_profile(1.0, s, a, 10)[-1]
+            assert float(row[1]) == pytest.approx(exact, rel=0.0, abs=1e-12)
 
     def test_a_sweep_defaults_to_doubling_ladder(self, tmp_path):
         assert main(["sweep", "--param", "a", "--nmax", "0", "--out", str(tmp_path)]) == 0
@@ -194,10 +199,26 @@ class TestPathwaysCommand:
         assert "x_points" not in auto["config"]
         assert fine["overlaps"] != auto["overlaps"]
 
-    def test_enumeration_cap(self, tmp_path, capsys):
-        assert main(["pathways", "--s", "5", "--out", str(tmp_path)]) == 2
-        assert "error: enumeration-cap:" in capsys.readouterr().err
-        assert main(["pathways", "--nmax", "6", "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("steps", [5, 11])
+    def test_decomposes_beyond_four_steps(self, steps, tmp_path, oracles):
+        assert main(["pathways", "--s", str(steps), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "decomposition.json").read_text())
+        exact = oracles.center_exact_profile(1.0, steps, 1.0, 3)[-1]
+        assert payload["delta_F"]["total"] == pytest.approx(exact, rel=0.0, abs=1e-3)
+        assert payload["reconstruction_error"] <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["pathways", "--nmax", "40"],  # (41, 41, 200, 200) transition tables
+        ["pathways", "--lambda-s", "1e6"],
+        ["run-center", "--s", "2", "--lambda-s", "1e6"],
+    ])
+    def test_oversized_work_refused_before_any_output(self, argv, tmp_path, capsys):
+        # refused by the size estimates, before any large array is allocated
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-large:")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_huge_tolerance_all_optimal(self, tmp_path):
         assert main(["pathways", "--tol", "1e9", "--nmax", "1",
@@ -233,6 +254,8 @@ class TestInputContract:
         ["pathways", "--eps", "inf"],
         ["sweep", "--x-points", "100"],
         ["sweep", "--w-points", "100"],
+        ["sweep", "--param", "dlambda", "--values", "0.005"],
+        ["sweep", "--param", "dlambda", "--values", "0.005,0.005"],
     ])
     def test_rejected_with_one_config_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -269,8 +292,8 @@ class TestInputContract:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_jobs_only_on_sweep(self, capsys):
-        for command in ("run-center", "run-spring", "pathways"):
+    def test_no_command_takes_jobs(self, capsys):
+        for command in ("run-center", "run-spring", "sweep", "pathways"):
             with pytest.raises(SystemExit) as exc:
                 main([command, "--jobs", "7"])
             assert exc.value.code == 2
@@ -294,30 +317,6 @@ class TestInputContract:
         assert err.startswith("error: grid-too-large:")
         assert len(err.splitlines()) == 1
         assert not list(out.iterdir())
-
-    def test_sweep_workers_capped_at_point_count(self, tmp_path, monkeypatch):
-        # a recorder stands in for the pool, so no worker process starts
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        argv = ["sweep", "--param", "a", "--s", "3", "--nmax", "1", "--jobs", "64"]
-        assert main(argv + ["--values", "0.5,1.0", "--out", str(tmp_path / "two")]) == 0
-        assert pools == [2]
-        assert main(argv + ["--values", "0.5", "--out", str(tmp_path / "one")]) == 0
-        assert pools == [2]
 
 
 class TestExport:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -236,14 +237,16 @@ class TestOverlap:
 
 class TestPathwayEnumeration:
     def test_caps_enforced(self):
+        # the distributions enumerate every energy pathway; the decomposition does not
         big_s = build_center_schedule(1.0, 5, 1.0, 3)
         with pytest.raises(EnumerationCap):
             pathway_work_distribution((0, 0, 0, 0), big_s)
         big_n = build_center_schedule(1.0, 3, 1.0, 6)
         with pytest.raises(EnumerationCap):
             total_pathway_distribution(big_n)
-        with pytest.raises(EnumerationCap):
-            decompose_free_energy(big_n)
+        for sch in (big_s, big_n):
+            d = decompose_free_energy(sch, max_x_points=20)
+            assert sum(d.counts.values()) == ((sch.n_max + 1) * 20) ** (sch.s - 1)
 
     def test_single_step_path_is_weighted_pushforward(self):
         sch = build_center_schedule(1.0, 2, 1.0, 3)
@@ -315,3 +318,70 @@ class TestDecomposition:
         d = decompose_free_energy(sch, tol=0.5)
         assert d.reconstruction_error < 1e-9
         assert d.df_total > 0
+
+
+def _brute_force_decomposition(sch, tol, max_x_points):
+    """Contributions and counts by classifying every pathway tuple one by one.
+
+    Each transition condition comes from the scalar residual, a DensityFloor
+    counting as a fail; the slot weights come from scalar densities.
+    """
+    nodes = sch.x_grid.nodes()
+    x = nodes[np.unique(np.linspace(0, nodes.size - 1, max_x_points).round().astype(int))]
+    states = range(sch.n_max + 1)
+
+    def holds(residual, *args):
+        try:
+            return abs(residual(*args, sch)) <= tol
+        except DensityFloor:
+            return False
+
+    weight = []
+    for i in range(1, sch.s):
+        spec = sch.spectrum(i)
+        boltzmann = spec.boltzmann_weights(sch.a)
+        q = np.array([[boltzmann[n] * spec.prob_density(n, xk) for xk in x] for n in states])
+        q /= q.sum()
+        weight.append(q * np.exp(-sch.beta * step_work_map(sch, i, x)))
+
+    sums = dict.fromkeys(("optimal", "deterministic", "stochastic", "biased"), 0.0)
+    counts = dict.fromkeys(sums, 0)
+    slots = sch.s - 1
+    for ns in itertools.product(states, repeat=slots):
+        for ks in itertools.product(range(x.size), repeat=slots):
+            a = b = db = True
+            for j in range(slots - 1):
+                i, xp, xn, n_p, n_n = j + 2, x[ks[j]], x[ks[j + 1]], ns[j], ns[j + 1]
+                a = a and holds(residual_12a, i, xp, xn, n_p, n_n)
+                b = b and holds(residual_12b, i, xp, xn, n_n)
+                db = db and holds(residual_13, i, xp, xn, n_p, n_n)
+            cls = ("optimal" if a and b else "deterministic" if a or b
+                   else "stochastic" if db else "biased")
+            sums[cls] += math.prod(weight[j][ns[j], ks[j]] for j in range(slots))
+            counts[cls] += 1
+    contributions = {"total": sum(sums.values()),
+                     "stochastic": sums["optimal"] + sums["stochastic"],
+                     "deterministic": sums["optimal"] + sums["deterministic"],
+                     "optimal": sums["optimal"], "biased": sums["biased"]}
+    return contributions, counts
+
+
+class TestTransferMatrixDecomposition:
+    @pytest.mark.parametrize("protocol, tol", [("center", 0.5), ("center", 1.0),
+                                               ("center", 2.0), ("spring", 0.5),
+                                               ("spring", 2.0)])
+    def test_matches_brute_force_enumeration(self, protocol, tol):
+        sch = (build_center_schedule(1.0, 4, 1.0, 1) if protocol == "center"
+               else build_spring_schedule(1.3, 4, 0.5, 1))
+        d = decompose_free_energy(sch, tol=tol, max_x_points=6)
+        contributions, counts = _brute_force_decomposition(sch, tol, 6)
+        assert d.counts == counts
+        assert sum(counts.values()) == (2 * 6) ** 3
+        for key, ref in contributions.items():
+            assert d.contributions[key] == pytest.approx(ref, rel=1e-13, abs=0.0), key
+
+    def test_counts_exact_on_bench_configuration(self):
+        # (6 states x 50 positions)^3 = 2.7e7 pathways, exact in float64
+        d = decompose_free_energy(build_center_schedule(1.0, 4, 1.0, 5))
+        assert sum(d.counts.values()) == 300 ** 3
+        assert all(isinstance(n, int) for n in d.counts.values())

@@ -137,15 +137,16 @@ class TestSpringSchedule:
 
 
 class TestGridBudget:
-    # the builders size grids without allocating them, so these cost nothing
+    # grids are sized, without being allocated, on the first read of a grid
     def test_over_budget_schedules_refused(self):
         # lambda_s = 1e6 in one step: a 42.3M-node x grid, about 5.6e8 values
-        with pytest.raises(GridTooLarge):
-            build_center_schedule(1e6, 2, 1.0, 10)
-        with pytest.raises(GridTooLarge):
-            build_spring_schedule(1.3, 3, 0.1, 0, x_points=GRID_BUDGET)
-        with pytest.raises(GridTooLarge):
-            build_center_schedule(0.0, 2, 1.0, GRID_BUDGET)
+        for sch in (build_center_schedule(1e6, 2, 1.0, 10),
+                    build_spring_schedule(1.3, 3, 0.1, 0, x_points=GRID_BUDGET),
+                    build_center_schedule(0.0, 2, 1.0, GRID_BUDGET)):
+            with pytest.raises(GridTooLarge):
+                sch.x_grid
+            with pytest.raises(GridTooLarge):
+                sch.w_grid
 
     def test_largest_tested_schedules_fit(self):
         for sch in (build_spring_schedule(1.3, 1001, 50.0, 0),

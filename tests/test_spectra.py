@@ -1,8 +1,6 @@
 import importlib
-import importlib.util
 import math
 import pkgutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,14 +221,6 @@ class TestOscillatorSpectrum:
                                       sch.spectrum(i).work_increment(sch.increment, x))
 
 
-def _oracles():
-    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("oracles", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _gauss_hermite_state_factors(kappa, n_max, nodes=260):
     """<n| exp(-kappa y^2) |n> for n = 0..n_max by Gauss-Hermite quadrature.
 
@@ -259,12 +249,12 @@ class TestWorkExpectations:
             assert np.allclose(got[:, j], ref, rtol=0.0, atol=1e-12), kappa
 
     @pytest.mark.parametrize("s, a", [(51, 2.0 ** l) for l in range(-4, 5)] + [(101, 1.0)])
-    def test_center_profile_matches_laguerre_oracle(self, s, a):
+    def test_center_profile_matches_laguerre_oracle(self, s, a, oracles):
         from stepwork.protocol import build_center_schedule
 
         sch = build_center_schedule(1.0, s, a, 10)
         log_avg = sch.work_steps().work_expectations(sch.increment, a, a)[0]
-        exact = _oracles().center_exact_profile(1.0, s, a, 10)
+        exact = oracles.center_exact_profile(1.0, s, a, 10)
         assert np.allclose(np.cumsum(-log_avg / a), exact[1:], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("kind, control", [(ProtocolKind.CENTER, 0.6),

@@ -6,7 +6,12 @@ import pytest
 
 from stepwork.errors import GridTooNarrow, MassLeak
 from stepwork.free_energy import exponential_average, ground_state_closed_form_center
-from stepwork.protocol import GridSpec, build_center_schedule, build_spring_schedule
+from stepwork.protocol import (
+    GridSpec,
+    PullSchedule,
+    build_center_schedule,
+    build_spring_schedule,
+)
 from stepwork.workdist import (
     GriddedDensity,
     fluctuation_density,
@@ -55,9 +60,8 @@ class TestFluctuationDensity:
 
     def test_grid_too_narrow(self):
         sch = build_center_schedule(1.0, 11, 1.0, 10)
-        narrow = dataclasses.replace(sch, x_grid=GridSpec(-1.0, 1.5, 101))
         with pytest.raises(GridTooNarrow):
-            fluctuation_density(narrow.spectrum(1), narrow.a, narrow.x_grid)
+            fluctuation_density(sch.spectrum(1), sch.a, GridSpec(-1.0, 1.5, 101))
 
 
 class TestStepWorkMap:
@@ -177,7 +181,11 @@ class TestRecursion:
 
     def test_mass_leak_detected_on_truncated_window(self):
         sch = build_center_schedule(1.0, 11, 1.0, 0)
-        clipped = dataclasses.replace(sch, w_grid=GridSpec(0.0, 0.05, 101))
+
+        class Clipped(PullSchedule):
+            w_grid = GridSpec(0.0, 0.05, 101)  # in place of the sized work grid
+
+        clipped = Clipped(*(getattr(sch, f.name) for f in dataclasses.fields(sch)))
         with pytest.raises(MassLeak):
             run_work_recursion(clipped)
 
