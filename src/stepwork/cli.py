@@ -199,20 +199,15 @@ def cmd_sweep(args):
     out = _ensure_outdir(cfg["out"])
     rows = [_sweep_point(cfg, param, v) for v in values]
 
-    meta = {k: v for k, v in cfg.items() if v is not None}
-    path = os.path.join(out, "sweep.csv")
-    header = [param, "delta_F", "mean_W", "std_W", "oracle"]
-    lines = ["# config: " + json.dumps(meta, sort_keys=True, separators=(",", ":"))]
+    comments = [{k: v for k, v in cfg.items() if v is not None}]
     if param == "dlambda":
         slope, intercept = np.polyfit([r[0] for r in rows], [r[1] for r in rows], 1)
-        lines.append(f"# fit: slope={export.format_number(float(slope))} "
-                     f"intercept={export.format_number(float(intercept))}")
-        print(f"sweep fit: slope={export.format_number(float(slope))} "
-              f"intercept={export.format_number(float(intercept))}")
-    lines.append(",".join(header))
-    lines.extend(",".join(export.format_number(v) for v in row) for row in rows)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fit = (f"slope={export.format_number(float(slope))} "
+               f"intercept={export.format_number(float(intercept))}")
+        comments.append("fit: " + fit)
+        print("sweep fit: " + fit)
+    path = os.path.join(out, "sweep.csv")
+    export.write_csv(path, [param, "delta_F", "mean_W", "std_W", "oracle"], rows, comments)
     print(f"sweep: wrote {len(rows)} points to {path}")
     return 0
 
@@ -226,7 +221,8 @@ def cmd_pathways(args):
     # everything is computed before anything is written, so a failure leaves no output
     records = []
     for i in range(2, schedule.s + 1):
-        scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps)
+        scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps,
+                                        records_held=len(records))
         records.extend(scan.records)
     decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps)
     overlaps = []

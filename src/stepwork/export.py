@@ -6,6 +6,7 @@ of locale, so identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -16,24 +17,49 @@ def format_number(x):
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
+def _comment(entry):
+    if isinstance(entry, dict):
+        return "# config: " + json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    return "# " + entry
+
+
 def write_csv(path, header, rows, meta=None):
-    """Write rows of scalars with a '# config:' metadata comment line."""
-    lines = []
-    if meta is not None:
-        lines.append("# config: " + json.dumps(meta, sort_keys=True, separators=(",", ":")))
+    """Write a table under its '#' comment lines, in one write.
+
+    ``meta`` is the config dict, written as '# config: {...}', or a list of
+    comment entries in order: config dicts and 'tag: text' strings.  Rows are
+    tuples of scalars, or lines already formatted (as density_rows makes them).
+    """
+    entries = [] if meta is None else [meta] if isinstance(meta, dict) else meta
+    lines = [_comment(e) for e in entries]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
+    if rows and isinstance(rows[0], str):
+        lines.extend(rows)
+    else:
+        lines.extend(",".join(map(format_number, row)) for row in rows)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+@functools.lru_cache(maxsize=1)
+def _row_template(grid):
+    # one "W,%.12g" line per node, W formatted once per grid: equal GridSpecs
+    # have bit-equal nodes, and once the window saturates, successive steps'
+    # distributions share one grid
+    return "\n".join(map("%.12g,%%.12g".__mod__, grid.nodes().tolist()))
+
+
 def density_rows(density, coord_name="W"):
-    """Two-column (coordinate, value) rows; a point mass becomes one row."""
+    """Two-column (coordinate, value) rows; a point mass becomes one row.
+
+    Gridded rows come back as formatted lines; "%.12g" renders every float
+    exactly as format_number does.
+    """
+    header = [coord_name, "rho"]
     if density.is_point_mass:
-        return [coord_name, "rho"], [(density.location, math.inf)]
-    nodes = density.grid.nodes()
-    return [coord_name, "rho"], [(float(w), float(v)) for w, v in zip(nodes, density.values)]
+        return header, [(density.location, math.inf)]
+    body = _row_template(density.grid) % tuple(density.values.tolist())
+    return header, body.split("\n")
 
 
 def profile_rows(profile):

@@ -42,6 +42,9 @@ MAX_ENUM_STATES = 5
 # default log-ratio tolerance and relative density floor
 DEFAULT_TOL = 0.05
 DEFAULT_EPS_REL = 1e-12
+# float64 values' worth of memory one matched transition costs by the time it
+# is written: its record, its CSV row and its line (about 790 bytes measured)
+RECORD_VALUES = 100
 
 
 class PathwayClass(enum.Enum):
@@ -184,6 +187,8 @@ def residual_quotient(i, x_prev, n_prev, n_next, schedule,
 
 
 def _subsample(x_grid, max_points):
+    if max_points < 1:
+        raise ValueError(f"max_x_points must be at least 1, got {max_points}")
     nodes = x_grid.nodes()
     if nodes.size <= max_points:
         return nodes
@@ -255,14 +260,16 @@ _BY_CODE = tuple(PathwayClass)
 
 def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
                              eps_rel=DEFAULT_EPS_REL, max_x_points=200,
-                             match="optimal"):
+                             match="optimal", records_held=0):
     """Scan the discretized transition space at step i-1 -> i.
 
     Returns every (x_prev, x_next, n_prev, n_next) tuple whose matching
     residuals are within tol (``match='optimal'``: both r12a and r12b;
     ``match='detailed-balance'``: r13), with per-state-pair forward/reverse
     density sums as transition-probability proxies.  An empty record list is
-    a valid outcome on coarse grids or tight tolerances.
+    a valid outcome on coarse grids or tight tolerances.  The matches are
+    counted, together with the ``records_held`` the caller keeps from earlier
+    scans, against the grid budget before any record is built.
     """
     if not 2 <= i <= schedule.s:
         raise ValueError(f"transitions exist for 2 <= i <= {schedule.s}")
@@ -276,6 +283,9 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
         matched = _passes(*tab["a"], tol) & _passes(*tab["b"], tol)
     else:
         matched = _passes(*tab["db"], tol)
+    check_grid_budget("the transition records",
+                      RECORD_VALUES * (records_held + int(np.count_nonzero(matched))),
+                      "lower tol or n_max")
 
     records = []
     pairs = []

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from stepwork import cli, export, protocol, workdist
+from stepwork import cli, export, pathways, protocol, workdist
 from stepwork.cli import main
 from stepwork.workdist import fluctuation_density
 
@@ -220,6 +221,25 @@ class TestPathwaysCommand:
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
+    def test_records_over_budget_refused_before_any_output(self, tmp_path, monkeypatch,
+                                                           capsys):
+        argv = ["pathways", "--nmax", "1", "--tol", "1e9", "--x-points", "11",
+                "--w-points", "21"]
+        assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+        _, _, rows = _read_csv(tmp_path / "full" / "transitions.csv")
+        per_step = Counter(row[0] for row in rows)
+        assert len(per_step) == 2
+        # each step's records fit the budget, the two steps' together do not
+        monkeypatch.setattr(protocol, "GRID_BUDGET",
+                            pathways.RECORD_VALUES * max(per_step.values()))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-large: the transition records")
+        assert len(err.splitlines()) == 1
+        assert not list(out.iterdir())
+
     def test_huge_tolerance_all_optimal(self, tmp_path):
         assert main(["pathways", "--tol", "1e9", "--nmax", "1",
                      "--out", str(tmp_path)]) == 0
@@ -332,3 +352,47 @@ class TestExport:
         assert export.format_number(-0.0) == "-0"
         assert export.format_number(1e-300) == "1e-300"
         assert export.format_number("optimal") == "optimal"
+
+    @staticmethod
+    def _reference_csv(header, rows, meta):
+        lines = ["# config: " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
+                 ",".join(header)]
+        lines += [",".join(export.format_number(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def _check_density_file(self, path, density):
+        meta = {"case": path.name}
+        header, rows = export.density_rows(density)
+        export.write_csv(path, header, rows, meta)
+        if density.is_point_mass:
+            expected = [(density.location, math.inf)]
+        else:
+            expected = list(zip(density.grid.nodes().tolist(), density.values.tolist()))
+        assert len(rows) == len(expected)
+        assert path.read_bytes() == self._reference_csv(header, expected, meta).encode()
+
+    def test_density_rows_match_per_value_formatting(self, tmp_path):
+        values = np.array([0.0, 1e-300, 5e-324, 1.7976931348623157e308, 1.0 / 3.0,
+                           123456.7890123456, 2.5e-7, 1.0])
+        grids = [protocol.GridSpec(-2.5e8, 1.3e-9, values.size),   # large, negative W
+                 protocol.GridSpec(-3.7e-12, 4.1e-11, values.size),  # tiny W
+                 protocol.GridSpec(0.1, 8.2e15, values.size)]
+        for k, grid in enumerate(grids):
+            self._check_density_file(tmp_path / f"g{k}.csv", workdist.GriddedDensity(grid, values))
+        for k, location in enumerate((0.0, -0.0, -1.25e-7, 3.0)):
+            self._check_density_file(tmp_path / f"p{k}.csv",
+                                     workdist.GriddedDensity.point_mass(location))
+
+    def test_node_memo_follows_the_grid(self, tmp_path):
+        # grids A, B, A in turn: a stale node column would mislabel B or the second A
+        a = workdist.GriddedDensity(protocol.GridSpec(-1.0, 2.0, 4), [0.1, 0.2, 0.3, 0.4])
+        b = workdist.GriddedDensity(protocol.GridSpec(-1.0, 2.0, 5), [0.5, 0.4, 0.3, 0.2, 0.1])
+        for k, density in enumerate((a, b, a)):
+            self._check_density_file(tmp_path / f"m{k}.csv", density)
+
+    def test_comment_lines_follow_config(self, tmp_path):
+        path = tmp_path / "t.csv"
+        export.write_csv(path, ["x", "y"], [(1, 0.5), (2, "z")],
+                         [{"b": 1, "a": None}, "fit: slope=1 intercept=0"])
+        assert path.read_text() == ('# config: {"a":null,"b":1}\n'
+                                    "# fit: slope=1 intercept=0\nx,y\n1,0.5\n2,z\n")

@@ -30,6 +30,18 @@ def _layer_of():
     return module.LAYER_OF
 
 
+def _trace(argv, tmp_path):
+    """Run the CLI under the tracer; returns its spans file's contents."""
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(TRACER), str(spans_path), *argv,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans_path.read_text())
+
+
 @pytest.mark.parametrize("argv, reached", [
     (["run-center", "--s", "3"], _RUN | {"protocol.build_center_schedule"}),
     (["run-spring", "--s", "3", "--nmax", "5"], _RUN | {"protocol.build_spring_schedule"}),
@@ -41,12 +53,15 @@ def _layer_of():
 ])
 def test_every_reached_layer_is_traced(argv, reached, tmp_path):
     assert reached <= set(_layer_of())
-    spans_path = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, str(TRACER), str(spans_path), *argv,
-                           "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    spans = json.loads(spans_path.read_text())["spans"]
+    spans = _trace(argv, tmp_path)["spans"]
     assert reached <= {name for name, *_ in spans}
+
+
+def test_export_rows_count_data_lines(tmp_path):
+    counts = _trace(["run-center", "--s", "3"], tmp_path)["counts"]
+    csvs = list((tmp_path / "out").glob("*.csv"))
+    # every file: comment lines, one header line, then the data lines
+    data_lines = sum(sum(1 for ln in f.read_text().splitlines() if not ln.startswith("#")) - 1
+                     for f in csvs)
+    assert len(csvs) == 3
+    assert counts["export.rows"] == data_lines

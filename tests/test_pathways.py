@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from stepwork.errors import DensityFloor, EnumerationCap
+from stepwork import protocol
+from stepwork.errors import DensityFloor, EnumerationCap, GridTooLarge
 from stepwork.pathways import (
+    RECORD_VALUES,
     PathwayClass,
     decompose_free_energy,
     find_optimal_transitions,
@@ -129,6 +131,20 @@ class TestTransitionScan:
     def test_zero_tolerance_on_coarse_grid_is_empty(self, center_s3):
         scan = find_optimal_transitions(center_s3, 2, tol=1e-15, max_x_points=50)
         assert scan.records == ()
+
+    def test_rejects_empty_subsample(self, center_s3):
+        with pytest.raises(ValueError, match="max_x_points"):
+            find_optimal_transitions(center_s3, 2, max_x_points=0)
+
+    def test_records_counted_against_budget_before_built(self, center_s3, monkeypatch):
+        matched = len(find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10).records)
+        assert matched > 0
+        # the tables (5 (n_max+1)^2 p^2 = 8,000 values) fit either budget
+        monkeypatch.setattr(protocol, "GRID_BUDGET", RECORD_VALUES * matched)
+        scan = find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10)
+        assert len(scan.records) == matched
+        with pytest.raises(GridTooLarge, match="transition records"):
+            find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10, records_held=1)
 
     def test_matches_concentrate_in_overlap_region(self, center_s3):
         # density centers sit at lambda_1/2 = 0 and lambda_2/2 = 0.25; optimal
@@ -284,6 +300,10 @@ class TestDecomposition:
                     find_optimal_transitions(center_s3, 2, **kwargs)
                 with pytest.raises(ValueError):
                     decompose_free_energy(center_s3, **kwargs)
+
+    def test_rejects_empty_subsample(self, center_s3):
+        with pytest.raises(ValueError, match="max_x_points"):
+            decompose_free_energy(center_s3, max_x_points=0)
 
     def test_reconstruction_is_exact(self, center_s3):
         d = decompose_free_energy(center_s3, tol=0.05)
