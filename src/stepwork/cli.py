@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import export
-from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonPositiveAverage
+from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, NonPositiveAverage
 from .free_energy import free_energy_profile, ground_state_closed_form_center
 from .pathways import decompose_free_energy, find_optimal_transitions, overlap_measure
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
@@ -318,6 +318,8 @@ def main(argv=None):
         return _fail("grid-too-large", str(exc), 2)
     except MassLeak as exc:
         return _fail("mass-leak", str(exc), 1)
+    except NonFiniteResult as exc:
+        return _fail("non-finite", str(exc), 1)
     except NonPositiveAverage as exc:
         return _fail("non-positive-average", str(exc), 1)
     except GridTooNarrow as exc:

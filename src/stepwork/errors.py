@@ -17,6 +17,10 @@ class MassLeak(StepworkError):
     """A work distribution lost probability mass to grid truncation."""
 
 
+class NonFiniteResult(StepworkError):
+    """A result left the float64 range (an overflow, or a NaN from one)."""
+
+
 class NonPositiveAverage(StepworkError):
     """Quadrature of the exponential work average returned a non-positive value."""
 

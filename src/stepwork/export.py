@@ -10,7 +10,8 @@ import functools
 import json
 import math
 
-__all__ = ["format_number", "write_csv", "density_rows", "profile_rows", "write_json"]
+__all__ = ["FormattedRows", "format_number", "format_rows", "write_csv", "density_rows",
+           "profile_rows", "write_json"]
 
 
 def format_number(x):
@@ -23,43 +24,64 @@ def _comment(entry):
     return "# " + entry
 
 
+class FormattedRows:
+    """A table's data lines as one bytes block, each line ending in '\n'.
+
+    ``len()`` is the number of data rows, not of bytes.
+    """
+
+    __slots__ = ("body", "count")
+
+    def __init__(self, body, count):
+        self.body = body
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+
+def format_rows(rows):
+    """FormattedRows of tuples of scalars, each rendered by format_number."""
+    text = "".join(",".join(map(format_number, row)) + "\n" for row in rows)
+    return FormattedRows(text.encode(), len(rows))
+
+
 def write_csv(path, header, rows, meta=None):
-    """Write a table under its '#' comment lines, in one write.
+    """Write a table under its '#' comment lines, in one binary write.
 
     ``meta`` is the config dict, written as '# config: {...}', or a list of
-    comment entries in order: config dicts and 'tag: text' strings.  Rows are
-    tuples of scalars, or lines already formatted (as density_rows makes them).
+    comment entries in order: config dicts and 'tag: text' strings.  Rows
+    are FormattedRows (as density_rows makes them) or tuples of scalars,
+    which format_rows renders.  Every line ends in '\n' on any platform.
     """
+    if not isinstance(rows, FormattedRows):
+        rows = format_rows(rows)
     entries = [] if meta is None else [meta] if isinstance(meta, dict) else meta
-    lines = [_comment(e) for e in entries]
-    lines.append(",".join(header))
-    if rows and isinstance(rows[0], str):
-        lines.extend(rows)
-    else:
-        lines.extend(",".join(map(format_number, row)) for row in rows)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = "".join(_comment(e) + "\n" for e in entries) + ",".join(header) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(head.encode() + rows.body)
 
 
 @functools.lru_cache(maxsize=1)
 def _row_template(grid):
-    # one "W,%.12g" line per node, W formatted once per grid: equal GridSpecs
-    # have bit-equal nodes, and once the window saturates, successive steps'
-    # distributions share one grid
-    return "\n".join(map("%.12g,%%.12g".__mod__, grid.nodes().tolist()))
+    # one b"W,%.12g\n" line per node, W formatted once per grid: equal
+    # GridSpecs have bit-equal nodes, and once the window saturates,
+    # successive steps' distributions share one grid
+    return b"".join(map(b"%.12g,%%.12g\n".__mod__, grid.nodes().tolist()))
 
 
 def density_rows(density, coord_name="W"):
     """Two-column (coordinate, value) rows; a point mass becomes one row.
 
-    Gridded rows come back as formatted lines; "%.12g" renders every float
-    exactly as format_number does.
+    The rows come back as FormattedRows: the rho column is formatted in one
+    bytes % against the grid's line template, and "%.12g" renders every
+    float exactly as format_number does.
     """
     header = [coord_name, "rho"]
     if density.is_point_mass:
-        return header, [(density.location, math.inf)]
+        return header, format_rows([(density.location, math.inf)])
     body = _row_template(density.grid) % tuple(density.values.tolist())
-    return header, body.split("\n")
+    return header, FormattedRows(body, density.grid.points)
 
 
 def profile_rows(profile):

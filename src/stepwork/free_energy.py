@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveAverage
+from .errors import NonFiniteResult, NonPositiveAverage
 from .protocol import PullSchedule
 from .spectra import ProtocolKind
 from .workdist import GriddedDensity
@@ -66,13 +66,16 @@ class FreeEnergyProfile:
         return float(self.delta_f[-1])
 
 
+# an overflow or the NaN it breeds is reported once, at the end, not warned about
+@np.errstate(all="ignore")
 def free_energy_profile(schedule: PullSchedule):
     """dF(1, i), <W> and std W for every step, summed over independent steps.
 
     rho_i is the convolution of the increment densities g_1 .. g_{i-1}, so
     ln<exp(-beta W)>, the mean and the variance of W are sums of per-step
     terms.  Each term is the closed form of
-    ``OscillatorSpectrum.work_expectations``; no grid is touched.
+    ``OscillatorSpectrum.work_expectations``; no grid is touched.  A profile
+    that leaves the float64 range raises NonFiniteResult.
     """
     log_avg, mean, var = schedule.work_steps().work_expectations(
         schedule.increment, schedule.a, schedule.beta)
@@ -82,6 +85,9 @@ def free_energy_profile(schedule: PullSchedule):
     steps = [schedule.spectrum(i) for i in range(1, schedule.s + 1)]
     targets = np.array([step.target(schedule.a) for step in steps])
     f_ref = np.array([step.free_energy(schedule.a) for step in steps]) - delta_f
+    if not np.isfinite([delta_f, targets, mean_w, std_w, f_ref]).all():
+        raise NonFiniteResult(f"the free-energy profile at a={schedule.a}, increment="
+                              f"{schedule.increment} leaves the float64 range")
     return FreeEnergyProfile(schedule, delta_f, targets, mean_w, std_w, f_ref)
 
 

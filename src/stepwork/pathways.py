@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DensityFloor, EnumerationCap
+from .errors import DensityFloor, EnumerationCap, NonFiniteResult
 from .protocol import GridSpec, PullSchedule, check_grid_budget
 from .workdist import (
     GriddedDensity,
@@ -421,6 +421,8 @@ def _transition_codes(schedule, i, x, eps_rel, tol):
     return code
 
 
+# weights past the float64 range are refused once, at the end, not warned about
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
                           eps_rel=DEFAULT_EPS_REL, max_x_points=50):
     """Split exp(-beta dF) over pathway classes on up to max_x_points positions.
@@ -442,18 +444,23 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     x = _subsample(schedule.x_grid, max_x_points)
     beta = schedule.beta
 
-    # per-slot discrete weights q_i[n, k] ~ Boltzmann x density x e^{-beta dW}
+    # per-slot discrete weights q_i[n, k] ~ Boltzmann x density x e^{-beta dW};
+    # where e^{-beta dW} overflows they are formed in log space, so a density
+    # that underflowed to 0 weighs 0
     slot_weight = []
     for i in range(1, schedule.s):
         spec = schedule.spectrum(i)
         q = spec.boltzmann_weights(schedule.a)[:, None] * spec.all_densities(x)
         q /= q.sum()
-        slot_weight.append(q * np.exp(-beta * step_work_map(schedule, i, x))[None, :])
+        log_tilt = -beta * step_work_map(schedule, i, x)[None, :]
+        weight = q * np.exp(log_tilt)
+        slot_weight.append(np.where(np.isfinite(weight), weight, np.exp(np.log(q) + log_tilt)))
 
     # chain[f] carries the (weight, count) sums of the prefixes along which
     # exactly the conditions in f (A + 2 B + 4 DB) held; at the first slot
-    # every condition holds vacuously
-    first = slot_weight[0].ravel()
+    # every condition holds vacuously.  With s = 1 no work is done: one empty
+    # pathway of weight 1, optimal by the same vacuous truth
+    first = slot_weight[0].ravel() if slot_weight else np.ones(1)
     chain = np.zeros((8, 2, first.size))
     chain[7] = first, np.ones(first.size)
     held = np.arange(8)
@@ -468,6 +475,9 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
               chain.sum(axis=-1))
     c_op, c_det, c_sto, c_bia = by_class[:, 0].tolist()
     c_total = float(by_class[:, 0].sum())
+    if not 0.0 < c_total < math.inf:
+        raise NonFiniteResult(f"the pathway weights sum to {c_total}; exp(-beta W) leaves "
+                              "the float64 range on this grid")
     c_s, c_d = c_op + c_sto, c_op + c_det
     reconstruction = (c_s + c_d - c_op + c_bia) - c_total
 

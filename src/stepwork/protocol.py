@@ -160,6 +160,9 @@ def _check_inputs(x_points, w_points, **values):
 
 
 def _snap_grid(lo, hi, h):
+    # a spacing that underflowed to 0 asks for infinitely many nodes
+    check_grid_budget("the grids", (hi - lo) / h if h > 0.0 else math.inf,
+                      "raise the pull increment or lower the point counts")
     m_lo = math.floor(lo / h)
     m_hi = math.ceil(hi / h)
     if m_hi <= m_lo:

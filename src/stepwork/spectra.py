@@ -111,6 +111,12 @@ def _logsumexp(v):
     return top + np.log(np.sum(np.exp(v - top), axis=0))
 
 
+def _log1mexp(x):
+    """ln(1 - e^-x) for x > 0, accurate to the last bits at any x (Maechler,
+    "Accurately computing log(1 - exp(-|a|))", 2012)."""
+    return math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
+
+
 def spring_frequency(i, delta, omega0=1.0):
     """omega_i = omega_0 sqrt(1 + (i-1) delta) for pulling step i >= 1."""
     radicand = 1.0 + (i - 1) * delta
@@ -123,8 +129,8 @@ def analytic_free_energy_center(lam, a):
     """Exact free energy a^-1 ln(e^a - e^-a) + lam^2/4 in hbar*omega/2 units."""
     if a <= 0.0:
         raise ValueError("reduced temperature must be positive")
-    # log(e^a - e^-a) = a + log1p(-e^{-2a}) stays finite for large a
-    return (a + math.log1p(-math.exp(-2.0 * a))) / a + 0.25 * lam * lam
+    # log(e^a - e^-a) = a + log(1 - e^{-2a}) stays finite for large and small a
+    return (a + _log1mexp(2.0 * a)) / a + 0.25 * lam * lam
 
 
 def delta_f_target_center(lam):
@@ -137,8 +143,8 @@ def analytic_free_energy_spring(omega_i, a0):
     if a0 <= 0.0 or omega_i <= 0.0:
         raise ValueError("reduced temperature and frequency must be positive")
     z = 0.5 * a0 * omega_i
-    # log(2 sinh z) = z + log1p(-e^{-2z})
-    return (z + math.log1p(-math.exp(-2.0 * z))) / a0
+    # log(2 sinh z) = z + log(1 - e^{-2z})
+    return (z + _log1mexp(2.0 * z)) / a0
 
 
 def analytic_target_spring(a0, omega_ratio):
@@ -237,14 +243,23 @@ class OscillatorSpectrum:
         u_1 = 1/(1+kappa),
         u_{n+1} = ((2n+1) u_n - n (1-kappa) u_{n-1}) / ((n+1)(1+kappa)), and
         <y^4> = (6n^2 + 6n + 3)/4.  The mixture is a log-sum-exp over
-        ln w_n + ln E_n, so nothing over- or underflows at any temperature.
+        ln w_n + ln E_n, so nothing over- or underflows at any temperature,
+        or, where it is close to 1, log1p of its excess over 1.
         """
         omega = np.asarray(self.omega, dtype=float)
         n = np.arange(self.n_max + 1.0).reshape((-1,) + (1,) * np.ndim(self.control))
         log_w = -a * self.unit * omega * n
         log_z = _logsumexp(log_w)
-        log_avg = _logsumexp(log_w + self._log_state_expectations(increment, t)) - log_z
+        log_e = self._log_state_expectations(increment, t)
         p = np.exp(log_w - log_z)
+        # near ln<exp(-t dW)> = 0 (small t), the log-sum-exp would lose it below
+        # ln z's last bit; there the mixture is 1 + sum_n p_n expm1(ln E_n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            near_one = np.sum(p * np.expm1(log_e), axis=0)
+            near = np.abs(near_one) < 0.5
+            log_avg = np.log1p(near_one)
+            if not near.all():
+                log_avg = np.where(near, log_avg, _logsumexp(log_w + log_e) - log_z)
         x2 = np.sum(p * (n + 0.5), axis=0) / omega
         if self.kind is ProtocolKind.CENTER:
             mean = self.work_increment(increment, self.center)
@@ -257,7 +272,8 @@ class OscillatorSpectrum:
         """ln E_n[exp(-t dW)] for n = 0..n_max along the first axis."""
         if self.kind is ProtocolKind.CENTER:
             # (n+1)(L_{n+1} - L_n) = n (L_n - L_{n-1}) + h L_n for L_n(-h)
-            h = 0.5 * (t * increment) ** 2
+            k = t * increment  # k * k overflows to inf, where ** 2 would raise
+            h = 0.5 * k * k
             laguerre = _log_recurrence(lambda m, r: (m * r + h) / (m + 1), self.n_max)
             shift = self.work_increment(increment, self.center)
             return 0.5 * h + laguerre.reshape((-1,) + (1,) * np.ndim(self.control)) - t * shift

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from stepwork import cli, export, pathways, protocol, workdist
 from stepwork.cli import main
+from stepwork.errors import MassLeak
+from stepwork.free_energy import ground_state_closed_form_center
 from stepwork.workdist import fluctuation_density
 
 
@@ -82,6 +85,26 @@ class TestRunCenter:
         monkeypatch.setattr(cli, "fluctuation_density", counted)
         assert main(["run-center", "--s", "5", "--out", str(tmp_path)]) == 0
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("command", ["run-center", "run-spring"])
+    def test_failure_at_the_last_step_writes_no_file(self, command, tmp_path, monkeypatch,
+                                                     capsys):
+        step, reached = workdist._recursion_step, []
+
+        def leak_at_last(rho_prev, g, schedule, i):
+            reached.append(i)
+            if i == schedule.s:
+                raise MassLeak(f"work distribution at step {i} integrates to 0.5")
+            return step(rho_prev, g, schedule, i)
+
+        monkeypatch.setattr(workdist, "_recursion_step", leak_at_last)
+        out = tmp_path / "out"
+        assert main([command, "--s", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mass-leak: work distribution at step 4")
+        assert len(err.splitlines()) == 1
+        assert reached == [2, 3, 4]
+        assert out.is_dir() and not list(out.iterdir())
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "det"
@@ -212,6 +235,7 @@ class TestPathwaysCommand:
         ["pathways", "--nmax", "40"],  # (41, 41, 200, 200) transition tables
         ["pathways", "--lambda-s", "1e6"],
         ["run-center", "--s", "2", "--lambda-s", "1e6"],
+        ["run-center", "--s", "2", "--lambda-s", "1e-300"],  # work lattice spacing underflows
     ])
     def test_oversized_work_refused_before_any_output(self, argv, tmp_path, capsys):
         # refused by the size estimates, before any large array is allocated
@@ -239,6 +263,30 @@ class TestPathwaysCommand:
         assert err.startswith("error: grid-too-large: the transition records")
         assert len(err.splitlines()) == 1
         assert not list(out.iterdir())
+
+    def test_single_step_is_one_empty_optimal_pathway(self, tmp_path):
+        # s = 1 does no work: dF = 0, as run-center --s 1 reports
+        assert main(["pathways", "--s", "1", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "decomposition.json").read_text())
+        assert payload["delta_F"]["total"] == 0.0 and payload["delta_F"]["optimal"] == 0.0
+        assert payload["counts"] == {"optimal": 1, "deterministic": 0, "stochastic": 0,
+                                     "biased": 0}
+        assert payload["reconstruction_error"] == 0.0 and payload["overlaps"] == []
+        _, header, rows = _read_csv(tmp_path / "transitions.csv")
+        assert header[0] == "step" and rows == []
+
+    @pytest.mark.parametrize("lambda_s", [15.0, 16.0])
+    def test_strongly_tilted_weights_stay_finite(self, lambda_s, tmp_path):
+        # e^{-beta dW} overflows at grid ends where the density underflows or is
+        # tiny; their product is not large.  Ground state: dF is closed form
+        argv = ["pathways", "--s", "3", "--nmax", "0", "--a", "4", "--lambda-s", str(lambda_s)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "decomposition.json").read_text())
+        exact = ground_state_closed_form_center(4.0, lambda_s / 2, 3)
+        assert payload["delta_F"]["total"] == pytest.approx(exact, abs=1e-3)
+        assert payload["reconstruction_error"] <= 1e-12
 
     def test_huge_tolerance_all_optimal(self, tmp_path):
         assert main(["pathways", "--tol", "1e9", "--nmax", "1",
@@ -329,6 +377,25 @@ class TestInputContract:
             assert capsys.readouterr().err.startswith("error: config:")
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run-spring", "--a", "1e300"], "the free-energy profile at a=1e+300"),
+        (["run-center", "--a", "1e300"], "the free-energy profile at a=1e+300"),
+        (["sweep", "--protocol", "spring", "--values", "1e300"],
+         "the free-energy profile at a=1e+300"),
+        # exp(-beta dF) = e^{396800}
+        (["pathways", "--s", "2", "--nmax", "0", "--a", "64", "--lambda-s", "20"],
+         "the pathway weights sum to inf"),
+    ], ids=["run-spring", "run-center", "sweep", "pathways"])
+    def test_out_of_float_range_rejected(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite: " + message)
+        assert len(err.splitlines()) == 1
+        assert not list(out.iterdir())
+
     def test_grid_over_budget_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(protocol, "GRID_BUDGET", 1000)
         out = tmp_path / "out"
@@ -389,6 +456,19 @@ class TestExport:
         b = workdist.GriddedDensity(protocol.GridSpec(-1.0, 2.0, 5), [0.5, 0.4, 0.3, 0.2, 0.1])
         for k, density in enumerate((a, b, a)):
             self._check_density_file(tmp_path / f"m{k}.csv", density)
+
+    def test_rows_are_one_bytes_block(self, tmp_path):
+        grid = protocol.GridSpec(-1.0, 2.0, 4)
+        _, rows = export.density_rows(workdist.GriddedDensity(grid, [0.1, 0.2, 0.3, 0.4]))
+        assert isinstance(rows, export.FormattedRows) and len(rows) == 4
+        assert rows.body == b"-1,0.1\n0,0.2\n1,0.3\n2,0.4\n"
+        # tuple rows take the same path to the same bytes
+        tuples = [(-1.0, 0.1), (0.0, 0.2), (1.0, 0.3), (2.0, 0.4)]
+        assert export.format_rows(tuples).body == rows.body
+        export.write_csv(tmp_path / "a.csv", ["W", "rho"], rows)
+        export.write_csv(tmp_path / "b.csv", ["W", "rho"], tuples)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == b"W,rho\n" + rows.body
 
     def test_comment_lines_follow_config(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -1,0 +1,107 @@
+"""Property-based input gate: every input gives a right answer or one error line.
+
+``cli.main`` runs in process over bounded configurations (s <= 6,
+n_max <= 12) whose float flags also take nan, +-inf, +-0, negatives and
+the float64 extremes.  The grid budget is lowered to 1e6 values, so no
+accepted configuration allocates more than about that; larger work is only
+ever refused by the size estimates.
+"""
+
+import contextlib
+import io
+import json
+import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from stepwork import cli, protocol
+
+BUDGET = 10**6
+_EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300]
+_EDGE_INT = [-1, 0, 1, 2, 3]
+_ERROR_LINE = re.compile(r"error: [a-z-]+: \S")
+
+
+@st.composite
+def _argv(draw):
+    """A valid configuration with some flags swapped for edge values or dropped."""
+    command = draw(st.sampled_from(["run-center", "run-spring", "pathways"]))
+    flags = {"s": draw(st.integers(2 if command == "run-spring" else 1, 6)),
+             "nmax": draw(st.integers(0, 12)), "a": draw(st.floats(1e-3, 64.0))}
+    if command == "run-spring":
+        flags["omega-ratio"] = draw(st.floats(1.0, 4.0))
+    else:
+        flags["lambda-s"] = draw(st.floats(-20.0, 20.0))
+    if command == "pathways":
+        flags["tol"] = draw(st.floats(0.0, 1.0))
+        flags["eps"] = draw(st.floats(0.0, 1e-6))
+    flags["x-points"] = flags["w-points"] = None
+    for name, value in flags.items():
+        change = draw(st.sampled_from(["keep"] * 4 + ["default", "edge"]))
+        if change == "default":
+            flags[name] = None
+        elif change == "edge":
+            flags[name] = draw(st.sampled_from(_EDGE if isinstance(value, float) else _EDGE_INT))
+    # "--flag=value", so argparse cannot read "-inf" as an option
+    return [command] + [f"--{k}={v!r}" for k, v in flags.items() if v is not None]
+
+
+def _run(argv, out):
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        mp.setattr(protocol, "GRID_BUDGET", BUDGET)
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--out", str(out)])
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+def _profile(out):
+    """The config and the delta_F column of a run's profile.csv."""
+    lines = (out / "profile.csv").read_text().splitlines()
+    config = json.loads(lines[0][len("# config: "):])
+    return config, [float(line.split(",")[2]) for line in lines[2:]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_argv())
+@example(argv=["run-spring", "--a=1e300"])
+@example(argv=["run-center", "--a=1e300"])
+@example(argv=["run-center", "--s=2", "--lambda-s=1e-300"])
+@example(argv=["pathways", "--s=1"])
+@example(argv=["run-center", "--a=1e-300", "--s=6", "--nmax=12"])
+@example(argv=["pathways", "--s=3", "--nmax=0", "--a=4.0", "--lambda-s=16.0"])
+def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code, err, caught = _run(argv, out)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 1, 2)
+        assert not caught, caught
+        assert "Traceback" not in err
+        if code != 0:
+            assert len(err.splitlines()) == 1 and _ERROR_LINE.match(err), err
+            assert not out.exists() or not list(out.iterdir())
+            return
+        assert err == ""
+        if argv[0] == "pathways":
+            payload = json.loads((out / "decomposition.json").read_text())
+            assert payload["reconstruction_error"] <= 1e-12
+            return
+        cfg, delta_f = _profile(out)
+        s, a, n_max = cfg["s"], cfg["a"], cfg["n_max"]
+        if argv[0] == "run-center":
+            exact = [0.0] if s == 1 else oracles.center_exact_profile(cfg["lambda_s"], s, a,
+                                                                      n_max)
+        elif n_max == 0 or math.exp(-a) < 1e-16:  # first excited weight exp(-a0 omega_1)
+            exact = [oracles.spring_ground_state_df(a, cfg["omega_ratio"], s)]
+            delta_f = delta_f[-1:]
+        else:
+            return
+        assert delta_f == pytest.approx(exact, rel=1e-9, abs=1e-9)

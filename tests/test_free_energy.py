@@ -141,6 +141,19 @@ class TestCenterProfiles:
         assert prof.endpoint < 0
         assert prof.endpoint == pytest.approx(-0.125, abs=1e-4)
 
+    @pytest.mark.parametrize("build", [
+        lambda a: build_center_schedule(1.0, 6, a, 12),
+        lambda a: build_spring_schedule(1.3, 6, a, 12),
+    ], ids=["center", "spring"])
+    @pytest.mark.parametrize("a", [1e-300, 1e-9])
+    def test_high_temperature_limit_is_the_mean_work(self, build, a):
+        # cumulant expansion dF = <W> - (beta/2) Var W + O(beta^2): ln<exp(-beta W)>
+        # is ~beta <W>, far below the last bit of ln z, and must not vanish into it
+        prof = free_energy_profile(build(a))
+        expected = prof.mean_work - 0.5 * a * prof.std_work ** 2
+        assert prof.delta_f == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert prof.endpoint > 0.2
+
     def test_null_schedule_profile_is_zero(self):
         prof = free_energy_profile(build_center_schedule(0.0, 5, 1.0, 3))
         assert np.all(prof.delta_f == 0.0)

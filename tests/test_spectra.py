@@ -141,6 +141,14 @@ class TestAnalyticFreeEnergies:
     def test_spring_target_low_temperature_limit(self):
         assert spectra.analytic_target_spring(500.0, 1.3) == pytest.approx(0.15, abs=1e-6)
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-10, 0.3, 0.4])
+    def test_free_energies_keep_their_digits_as_a_vanishes(self, a):
+        # both are ln(2 sinh a) / a here; ln(1 - e^{-2a}) must keep its digits
+        # as e^{-2a} nears 1
+        exact = math.log(2.0 * math.sinh(a)) / a
+        assert spectra.analytic_free_energy_center(0.0, a) == pytest.approx(exact, rel=1e-15)
+        assert spectra.analytic_free_energy_spring(2.0, a) == pytest.approx(exact, rel=1e-15)
+
     def test_spring_free_energy_consistent_with_target(self):
         a0 = 0.25
         diff = (spectra.analytic_free_energy_spring(1.3, a0)
