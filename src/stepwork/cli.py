@@ -266,8 +266,16 @@ def _add_common(parser):
                         help="override work-grid point count")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors (unknown flags, missing or
+    malformed values, no subcommand) print one ``error: config:`` line."""
+
+    def error(self, message):
+        self.exit(2, f"error: config: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stepwork",
         description="Free-energy changes from step-wise pulling work distributions.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooNarrow, MassLeak
 from .protocol import GridSpec, PullSchedule
@@ -32,6 +33,12 @@ BOUNDARY_TOLERANCE = 1e-12
 _CROP_RELATIVE = 1e-280
 # deposit fractions closer than this to a node are snapped onto it
 _SNAP = 1e-9
+# output nodes per row of the blocked Toeplitz convolution
+_BLOCK = 128
+# inner dimension of each BLAS product.  OpenBLAS (0.3.31, Haswell kernels)
+# sums 256 terms in the same order at every thread count, and an inner
+# dimension such as 1000 or 2826 in an order that depends on it
+_SLAB = 256
 
 
 @dataclass(frozen=True)
@@ -190,11 +197,43 @@ def pushforward_step_density(f: GriddedDensity, schedule: PullSchedule, i):
     return _lattice_density(n0, vals, schedule.w_grid.spacing)
 
 
+def _toeplitz_convolve(a, b):
+    """Full linear convolution of a and b as blocked Toeplitz matrix products.
+
+    Output node r*_BLOCK + c is window r of the zero-padded longer operand
+    times column c of a Toeplitz kernel that holds the reversed shorter one,
+    so each block of output nodes is one BLAS matrix product.  The inner
+    dimension is zero-padded to whole _SLAB slabs and summed slab by slab, in
+    an order that no BLAS thread count changes.  Every term is a plain
+    product, never a transform, so a sum of nonnegative terms keeps its
+    relative accuracy down to the deepest tail.
+    """
+    if a.size < b.size:
+        a, b = b, a
+    n, m = a.size, b.size
+    size = n + m - 1
+    rows = -(-size // _BLOCK)
+    k = -(-(_BLOCK + m - 1) // _SLAB) * _SLAB
+    padded = np.zeros((rows - 1) * _BLOCK + k)
+    padded[m - 1:m - 1 + n] = a
+    windows = sliding_window_view(padded, k)[::_BLOCK]
+    taps = np.zeros(k + _BLOCK - 1)
+    taps[_BLOCK - 1:_BLOCK - 1 + m] = b[::-1]
+    kernel = sliding_window_view(taps, k)[::-1].T.copy()
+    out = windows[:, :_SLAB] @ kernel[:_SLAB]
+    for j in range(_SLAB, k, _SLAB):
+        out += windows[:, j:j + _SLAB] @ kernel[j:j + _SLAB]
+    return out.ravel()[:size]
+
+
 def lattice_convolve(d1: GriddedDensity, d2: GriddedDensity, h):
     """Convolution of two densities living on the common lattice {j*h}.
 
     No renormalization; the output mass is the product of the input masses.
-    Point masses act as shifts.
+    Point masses act as shifts.  Each lattice value is a direct sum of
+    nonnegative products (``_toeplitz_convolve``), so it keeps its relative
+    accuracy in tails far below the peak, which the cold exponential
+    averages read, and it does not depend on the BLAS thread count.
     """
     if d1.is_point_mass and d2.is_point_mass:
         return GriddedDensity.point_mass(d1.location + d2.location)
@@ -204,7 +243,7 @@ def lattice_convolve(d1: GriddedDensity, d2: GriddedDensity, h):
         n0 = _lattice_offset(d1, h) + int(round(d2.location / h))
         return _lattice_density(n0, d1.values, h)
     n0 = _lattice_offset(d1, h) + _lattice_offset(d2, h)
-    vals = np.convolve(d1.values, d2.values) * h
+    vals = _toeplitz_convolve(d1.values, d2.values) * h
     return _lattice_density(n0, vals, h)
 
 

@@ -360,6 +360,34 @@ class TestInputContract:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run-center", "--a", "-inf"],
+        ["run-center", "--bogus", "1"],
+        ["run-center", "--s"],
+        ["run-center", "--s", "abc"],
+        ["sweep", "--param", "zz"],
+        [],
+    ], ids=["value-read-as-flag", "unknown-flag", "missing-value", "malformed-value",
+            "bad-choice", "no-command"])
+    def test_parser_errors_are_one_config_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--out", str(out)] if argv else []))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run-center", "--help"], ["sweep", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: stepwork") and captured.err == ""
+
     def test_no_command_takes_jobs(self, capsys):
         for command in ("run-center", "run-spring", "sweep", "pathways"):
             with pytest.raises(SystemExit) as exc:

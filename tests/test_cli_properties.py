@@ -2,9 +2,10 @@
 
 ``cli.main`` runs in process over bounded configurations (s <= 6,
 n_max <= 12) whose float flags also take nan, +-inf, +-0, negatives and
-the float64 extremes.  The grid budget is lowered to 1e6 values, so no
-accepted configuration allocates more than about that; larger work is only
-ever refused by the size estimates.
+the float64 extremes, passed as ``--flag=value`` or as separate tokens.
+The grid budget is lowered to 1e6 values, so no accepted configuration
+allocates more than about that; larger work is only ever refused by the
+size estimates.
 """
 
 import contextlib
@@ -48,8 +49,14 @@ def _argv(draw):
             flags[name] = None
         elif change == "edge":
             flags[name] = draw(st.sampled_from(_EDGE if isinstance(value, float) else _EDGE_INT))
-    # "--flag=value", so argparse cannot read "-inf" as an option
-    return [command] + [f"--{k}={v!r}" for k, v in flags.items() if v is not None]
+    # "--flag=value", or the value as a token of its own, which argparse reads
+    # as an option when it starts with "-" and is no plain number ("-inf")
+    joined = draw(st.booleans())
+    argv = [command]
+    for name, value in flags.items():
+        if value is not None:
+            argv += [f"--{name}={value!r}"] if joined else [f"--{name}", repr(value)]
+    return argv
 
 
 def _run(argv, out):
@@ -58,7 +65,10 @@ def _run(argv, out):
         mp.setattr(protocol, "GRID_BUDGET", BUDGET)
         warnings.simplefilter("always")
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv + ["--out", str(out)])
+            try:
+                code = cli.main(argv + ["--out", str(out)])
+            except SystemExit as exc:  # argparse's own errors
+                code = exc.code
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
@@ -77,6 +87,9 @@ def _profile(out):
 @example(argv=["pathways", "--s=1"])
 @example(argv=["run-center", "--a=1e-300", "--s=6", "--nmax=12"])
 @example(argv=["pathways", "--s=3", "--nmax=0", "--a=4.0", "--lambda-s=16.0"])
+@example(argv=["run-center", "--a", "-inf"])
+@example(argv=["run-spring", "--s", "3", "--a", "-1e+300"])
+@example(argv=["pathways", "--lambda-s", "-2.0", "--s", "2"])
 def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

@@ -1,9 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepwork
+from stepwork import workdist
 from stepwork.errors import GridTooNarrow, MassLeak
 from stepwork.free_energy import exponential_average, ground_state_closed_form_center
 from stepwork.protocol import (
@@ -15,6 +21,7 @@ from stepwork.protocol import (
 from stepwork.workdist import (
     GriddedDensity,
     fluctuation_density,
+    lattice_convolve,
     pushforward_step_density,
     run_work_recursion,
     step_work_map,
@@ -234,6 +241,103 @@ class TestRecursion:
         ref = rho3.values[::40]
         peak = rho3.values.max()
         assert np.all(np.abs(direct - ref) < 1e-3 * peak)
+
+
+def _assert_relative(got, ref, rtol=1e-13):
+    """Elementwise |got - ref| <= rtol |ref|: exact zeros must stay zero."""
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref))
+
+
+class TestLatticeConvolve:
+    """The blocked Toeplitz kernel against the direct sum np.convolve."""
+
+    # both orders; around the block (128) and slab (256) edges; center-s101's
+    # first and largest products
+    SIZES = [(1, 1), (1, 1000), (1000, 1), (3, 7), (7, 3)] + [
+        pair for m in (127, 128, 129, 255, 256, 257) for pair in ((m, m), (m, 1000), (1000, m))
+    ] + [(2699, 2699), (39034, 2699), (2699, 39034)]
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_matches_direct_sum(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        a, b = rng.random(n), rng.random(m)
+        ref = np.convolve(a, b)
+        _assert_relative(workdist._toeplitz_convolve(a, b), ref)
+        if min(n, m) < 2:
+            return
+        h = 0.25
+        d1 = GriddedDensity(GridSpec(-3 * h, (n - 4) * h, n), a)
+        d2 = GriddedDensity(GridSpec(5 * h, (m + 4) * h, m), b)
+        out = lattice_convolve(d1, d2, h)
+        # one zero pad per side around the product, which starts at node 2
+        assert out.grid.min == pytest.approx(h)
+        assert out.values[0] == out.values[-1] == 0.0
+        _assert_relative(out.values[1:-1], ref * h)
+
+    def test_tails_keep_relative_accuracy(self):
+        # Gaussians down to 4e-282 of their peaks, as the cold averages read them
+        x = np.linspace(-36.0, 36.0, 2401)
+        y = np.linspace(-28.8, 28.8, 1601)
+        a, b = np.exp(-0.5 * x * x), np.exp(-0.5 * (y / 0.8) ** 2)
+        ref = np.convolve(a, b)
+        normal = ref >= 1e-300
+        assert ref[normal].min() < 1e-300 * ref.max()
+        got = workdist._toeplitz_convolve(a, b)
+        _assert_relative(got[normal], ref[normal])
+        assert np.all(np.abs(got - ref)[~normal] <= 1e-300)
+        # a transform's error is absolute, about 1e-16 of the peak: it loses these tails
+        fft = np.fft.irfft(np.fft.rfft(a, 4096) * np.fft.rfft(b, 4096), 4096)[:ref.size]
+        assert np.max(np.abs(fft - ref)[normal] / ref[normal]) > 1.0
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(stepwork.__file__).resolve().parents[1])
+        bodies = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "stepwork.cli", "run-center", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            # below the "# config" line, which names the output directory
+            bodies[threads] = {p.name: p.read_bytes().split(b"\n", 1)[1]
+                               for p in out.glob("workdist_step_*.csv")}
+        assert len(bodies["1"]) == 10
+        assert bodies["1"] == bodies["2"]
+
+
+class TestCharacteristicFunction:
+    """Whole-shape oracle: the exact characteristic function of each center W_i.
+
+    Step j contributes E[exp(i u dW_j)] = exp(i u dW_j(c_j) - k^2/4)
+    sum_n p_n L_n(k^2/2) with k = u dlambda (Talkner, Lutz & Hanggi, PRE 75,
+    050102(R) (2007)); W_i sums steps 1..i-1.  On the lattice it is
+    sum_k rho_k h exp(i u W_k).
+    """
+
+    @staticmethod
+    def _step_cf(spectrum, increment, a, u):
+        x = 0.5 * (u * increment) ** 2
+        p = spectrum.boltzmann_weights(a)
+        p = p / p.sum()
+        prev, laguerre = np.zeros_like(x), np.ones_like(x)
+        mixture = p[0] * laguerre
+        for n in range(spectrum.n_max):
+            prev, laguerre = laguerre, ((2 * n + 1 - x) * laguerre - n * prev) / (n + 1)
+            mixture = mixture + p[n + 1] * laguerre
+        shift = spectrum.work_increment(increment, spectrum.center)
+        return np.exp(1j * u * shift - 0.5 * x) * mixture
+
+    @pytest.mark.parametrize("a", [0.0625, 1.0, 16.0], ids=["a1/16", "a1", "a16"])
+    def test_every_distribution_matches_closed_form(self, a):
+        sch = build_center_schedule(1.0, 11, a, 10)
+        ledger = run_work_recursion(sch)
+        for i in range(2, sch.s + 1):
+            rho = ledger.rho(i)
+            u = np.linspace(0.0, 6.0 / work_moments(rho)[1], 101)
+            exact = np.prod([self._step_cf(sch.spectrum(j), sch.increment, sch.a, u)
+                             for j in range(1, i)], axis=0)
+            lattice = np.exp(1j * np.outer(u, rho.grid.nodes())) @ (rho.values * rho.grid.spacing)
+            assert np.max(np.abs(lattice - exact)) <= 1e-13
 
 
 class TestMoments:
