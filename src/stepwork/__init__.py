@@ -1,8 +1,6 @@
 """Quantum free-energy changes from step-wise pulling work distributions."""
 
 from .errors import (
-    DensityFloor,
-    EnumerationCap,
     GridTooLarge,
     GridTooNarrow,
     MassLeak,
@@ -25,11 +23,6 @@ from .pathways import (
     decompose_free_energy,
     find_optimal_transitions,
     overlap_measure,
-    pathway_work_distribution,
-    residual_12a,
-    residual_12b,
-    residual_13,
-    total_pathway_distribution,
 )
 from .protocol import (
     GridSpec,

@@ -225,10 +225,12 @@ def cmd_pathways(args):
                                         records_held=len(records))
         records.extend(scan.records)
     decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps)
+    # each density once; with s = 2 there is no pair to overlap, and no density
+    # (nor its boundary check) is built
+    densities = [fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
+                 for i in range(1, schedule.s)] if schedule.s > 2 else []
     overlaps = []
-    for i in range(1, schedule.s - 1):
-        f_prev = fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
-        f_next = fluctuation_density(schedule.spectrum(i + 1), schedule.a, schedule.x_grid)
+    for i, (f_prev, f_next) in enumerate(zip(densities, densities[1:]), start=1):
         dx, mass = overlap_measure(f_prev, f_next)
         overlaps.append({"steps": [i, i + 1], "dx": dx, "mass": mass})
 
@@ -268,10 +270,10 @@ def _add_common(parser):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose own errors (unknown flags, missing or
-    malformed values, no subcommand) print one ``error: config:`` line."""
+    malformed values, no subcommand) are configuration errors like any other."""
 
     def error(self, message):
-        self.exit(2, f"error: config: {message}\n")
+        raise _ConfigError(message)
 
 
 def build_parser():
@@ -315,8 +317,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _ConfigError as exc:
         return _fail("config", str(exc), 2)

@@ -24,10 +24,3 @@ class NonFiniteResult(StepworkError):
 class NonPositiveAverage(StepworkError):
     """Quadrature of the exponential work average returned a non-positive value."""
 
-
-class DensityFloor(StepworkError):
-    """A log-ratio residual was requested where a density is below the floor."""
-
-
-class EnumerationCap(StepworkError):
-    """Pathway enumeration requested outside the exact-enumeration regime."""

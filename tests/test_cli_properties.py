@@ -65,10 +65,7 @@ def _run(argv, out):
         mp.setattr(protocol, "GRID_BUDGET", BUDGET)
         warnings.simplefilter("always")
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = cli.main(argv + ["--out", str(out)])
-            except SystemExit as exc:  # argparse's own errors
-                code = exc.code
+            code = cli.main(argv + ["--out", str(out)])
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 

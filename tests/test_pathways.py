@@ -3,15 +3,9 @@ import math
 
 import numpy as np
 import pytest
-
-from stepwork import protocol
-from stepwork.errors import DensityFloor, EnumerationCap, GridTooLarge
-from stepwork.pathways import (
-    RECORD_VALUES,
-    PathwayClass,
-    decompose_free_energy,
-    find_optimal_transitions,
-    overlap_measure,
+from pathway_reference import (
+    DensityFloor,
+    on_common_lattice,
     pathway_work_distribution,
     residual_12a,
     residual_12b,
@@ -19,8 +13,20 @@ from stepwork.pathways import (
     residual_quotient,
     total_pathway_distribution,
 )
+
+from stepwork import protocol
+from stepwork.errors import GridTooLarge
+from stepwork.free_energy import free_energy_profile
+from stepwork.pathways import (
+    RECORD_VALUES,
+    PathwayClass,
+    decompose_free_energy,
+    find_optimal_transitions,
+    overlap_measure,
+)
 from stepwork.protocol import build_center_schedule, build_spring_schedule
 from stepwork.workdist import (
+    GriddedDensity,
     fluctuation_density,
     pushforward_step_density,
     run_work_recursion,
@@ -31,18 +37,6 @@ from stepwork.workdist import (
 @pytest.fixture(scope="module")
 def center_s3():
     return build_center_schedule(1.0, 3, 1.0, 3)
-
-
-def _on_common_lattice(d1, d2, h):
-    n1 = round(d1.grid.min / h)
-    n2 = round(d2.grid.min / h)
-    lo = min(n1, n2)
-    hi = max(n1 + d1.values.size, n2 + d2.values.size)
-    a = np.zeros(hi - lo)
-    b = np.zeros(hi - lo)
-    a[n1 - lo:n1 - lo + d1.values.size] = d1.values
-    b[n2 - lo:n2 - lo + d2.values.size] = d2.values
-    return a, b
 
 
 class TestResiduals:
@@ -252,18 +246,6 @@ class TestOverlap:
 
 
 class TestPathwayEnumeration:
-    def test_caps_enforced(self):
-        # the distributions enumerate every energy pathway; the decomposition does not
-        big_s = build_center_schedule(1.0, 5, 1.0, 3)
-        with pytest.raises(EnumerationCap):
-            pathway_work_distribution((0, 0, 0, 0), big_s)
-        big_n = build_center_schedule(1.0, 3, 1.0, 6)
-        with pytest.raises(EnumerationCap):
-            total_pathway_distribution(big_n)
-        for sch in (big_s, big_n):
-            d = decompose_free_energy(sch, max_x_points=20)
-            assert sum(d.counts.values()) == ((sch.n_max + 1) * 20) ** (sch.s - 1)
-
     def test_single_step_path_is_weighted_pushforward(self):
         sch = build_center_schedule(1.0, 2, 1.0, 3)
         x = sch.x_grid.nodes()
@@ -273,16 +255,15 @@ class TestPathwayEnumeration:
         for n in range(sch.n_max + 1):
             rho = pathway_work_distribution((n,), sch)
             dens_n = spec.all_densities(x)[n] * weights[n] / z
-            from stepwork.workdist import GriddedDensity
             ref = pushforward_step_density(
                 GriddedDensity(sch.x_grid, dens_n), sch, 1)
-            a, b = _on_common_lattice(rho, ref, sch.w_grid.spacing)
+            _, a, b = on_common_lattice(rho, ref, sch.w_grid.spacing)
             assert np.allclose(a, b, atol=1e-12 * max(1.0, a.max()))
 
     def test_sum_over_paths_equals_recursion(self, center_s3):
         pipeline = run_work_recursion(center_s3).final
         total = total_pathway_distribution(center_s3).normalize()
-        a, b = _on_common_lattice(pipeline, total, center_s3.w_grid.spacing)
+        _, a, b = on_common_lattice(pipeline, total, center_s3.w_grid.spacing)
         assert np.abs(a - b).max() <= 1e-6 * a.max()
 
     def test_ground_path_dominates_at_low_temperature(self):
@@ -309,6 +290,22 @@ class TestDecomposition:
         d = decompose_free_energy(center_s3, tol=0.05)
         assert d.reconstruction_error < 1e-9
         assert sum(d.counts.values()) == (center_s3.n_max + 1) ** 2 * 50 ** 2
+
+    def test_counts_every_pathway_at_any_s_and_n_max(self):
+        for sch in (build_center_schedule(1.0, 5, 1.0, 3), build_center_schedule(1.0, 3, 1.0, 6)):
+            d = decompose_free_energy(sch, max_x_points=20)
+            assert sum(d.counts.values()) == ((sch.n_max + 1) * 20) ** (sch.s - 1)
+
+    @pytest.mark.parametrize("protocol", ["center", "spring"])
+    def test_total_matches_closed_form_profile(self, protocol):
+        # uniform positions make each slot an equal-weight quadrature of the
+        # step's exponential average, which converges exponentially in p
+        for s, n_max, a in itertools.product((2, 3, 4, 6), (0, 1, 3, 5), (1 / 16, 1.0, 4.0, 16.0)):
+            sch = (build_center_schedule(1.0, s, a, n_max) if protocol == "center"
+                   else build_spring_schedule(1.3, s, a, n_max))
+            d = decompose_free_energy(sch)
+            exact = free_energy_profile(sch).endpoint
+            assert d.df_total == pytest.approx(exact, rel=0.0, abs=1e-12), (s, n_max, a)
 
     def test_huge_tolerance_makes_everything_optimal(self, center_s3):
         d = decompose_free_energy(center_s3, tol=1e9)
@@ -346,8 +343,7 @@ def _brute_force_decomposition(sch, tol, max_x_points):
     Each transition condition comes from the scalar residual, a DensityFloor
     counting as a fail; the slot weights come from scalar densities.
     """
-    nodes = sch.x_grid.nodes()
-    x = nodes[np.unique(np.linspace(0, nodes.size - 1, max_x_points).round().astype(int))]
+    x = np.linspace(sch.x_grid.min, sch.x_grid.max, min(max_x_points, sch.x_grid.points))
     states = range(sch.n_max + 1)
 
     def holds(residual, *args):
