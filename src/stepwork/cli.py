@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import export
-from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, NonPositiveAverage
+from .errors import (GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, NonPositiveAverage,
+                     WorkerLost)
 from .free_energy import free_energy_profile, ground_state_closed_form_center
 from .pathways import decompose_free_energy, find_optimal_transitions, overlap_measure
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
@@ -134,9 +135,8 @@ def cmd_run(args):
         temperature = "a0"
     header, rows = export.profile_rows(profile)
     export.write_csv(os.path.join(out, "profile.csv"), header, rows, meta)
-    for i, rho in enumerate(ledger.distributions, 2):
-        header, rows = export.density_rows(rho)
-        export.write_csv(os.path.join(out, f"workdist_step_{i}.csv"), header, rows, meta)
+    paths = [os.path.join(out, f"workdist_step_{i}.csv") for i in range(2, schedule.s + 1)]
+    export.write_densities(paths, ledger.distributions, meta)
     print(f"{args.command}: s={schedule.s} {temperature}={schedule.a} "
           f"n_max={schedule.n_max} dF={export.format_number(profile.endpoint)}")
     return 0
@@ -334,6 +334,8 @@ def main(argv=None):
         return _fail("non-positive-average", str(exc), 1)
     except GridTooNarrow as exc:
         return _fail("grid-too-narrow", str(exc), 1)
+    except WorkerLost as exc:
+        return _fail("worker-lost", str(exc), 1)
     except (ValueError, OSError) as exc:
         return _fail("config", str(exc), 2)
 

@@ -24,3 +24,6 @@ class NonFiniteResult(StepworkError):
 class NonPositiveAverage(StepworkError):
     """Quadrature of the exponential work average returned a non-positive value."""
 
+
+class WorkerLost(StepworkError):
+    """A worker process formatting output rows ended before returning them."""

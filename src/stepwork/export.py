@@ -2,16 +2,33 @@
 
 Numbers are rendered with 12 significant digits and '.' decimals regardless
 of locale, so identical configurations produce byte-identical files.
+
+``write_densities`` writes a run's work distributions.  When they hold at
+least POOL_MIN_ROWS data rows and more than one CPU is usable, each file's
+body is formatted on a pool of worker processes, one per usable CPU, and at
+most two files per worker are in flight.  The main process still makes
+every density_rows and write_csv call, once per file and in order, and
+every body is the same bytes % against the same line template wherever it
+runs, so the files do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import json
 import math
+import os
+
+from .errors import WorkerLost
 
 __all__ = ["FormattedRows", "format_number", "format_rows", "write_csv", "density_rows",
-           "profile_rows", "write_json"]
+           "write_densities", "profile_rows", "write_json"]
+
+# data rows from which formatting a run's distributions on worker processes
+# pays back the pool's start-up; below it they are formatted in process
+POOL_MIN_ROWS = 200_000
 
 
 def format_number(x):
@@ -27,14 +44,22 @@ def _comment(entry):
 class FormattedRows:
     """A table's data lines as one bytes block, each line ending in '\n'.
 
-    ``len()`` is the number of data rows, not of bytes.
+    ``body`` is given as the bytes or as a future of them (a worker's
+    result); reading it waits for the result.  ``len()`` is the number of
+    data rows, not of bytes.
     """
 
-    __slots__ = ("body", "count")
+    __slots__ = ("_body", "count")
 
     def __init__(self, body, count):
-        self.body = body
+        self._body = body
         self.count = count
+
+    @property
+    def body(self):
+        if not isinstance(self._body, bytes):
+            self._body = self._body.result()
+        return self._body
 
     def __len__(self):
         return self.count
@@ -58,8 +83,9 @@ def write_csv(path, header, rows, meta=None):
         rows = format_rows(rows)
     entries = [] if meta is None else [meta] if isinstance(meta, dict) else meta
     head = "".join(_comment(e) + "\n" for e in entries) + ",".join(header) + "\n"
+    data = head.encode() + rows.body  # waits for a worker's body before the file opens
     with open(path, "wb") as fh:
-        fh.write(head.encode() + rows.body)
+        fh.write(data)
 
 
 @functools.lru_cache(maxsize=1)
@@ -70,18 +96,75 @@ def _row_template(grid):
     return b"".join(map(b"%.12g,%%.12g\n".__mod__, grid.nodes().tolist()))
 
 
-def density_rows(density, coord_name="W"):
+def _format_body(grid, values):
+    return _row_template(grid) % tuple(values.tolist())
+
+
+def density_rows(density, coord_name="W", pool=None):
     """Two-column (coordinate, value) rows; a point mass becomes one row.
 
     The rows come back as FormattedRows: the rho column is formatted in one
     bytes % against the grid's line template, and "%.12g" renders every
-    float exactly as format_number does.
+    float exactly as format_number does.  With a process ``pool`` the
+    formatting is submitted to it, and the body is a future.
     """
     header = [coord_name, "rho"]
     if density.is_point_mass:
         return header, format_rows([(density.location, math.inf)])
-    body = _row_template(density.grid) % tuple(density.values.tolist())
+    if pool is None:
+        body = _format_body(density.grid, density.values)
+    else:
+        body = pool.submit(_format_body, density.grid, density.values)
     return header, FormattedRows(body, density.grid.points)
+
+
+def _usable_cpus():
+    # no sched_getaffinity (not Linux): treated as one CPU, so no pool
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def _worker_pool(workers):
+    # imported here, so that importing stepwork and small runs load no
+    # process machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a spawned worker re-imports numpy and the caller's
+    # __main__ (0.4-0.6 s to the first result on 2 cores, against 17 ms), and
+    # fails when __main__ was read from stdin.  The workers only format
+    # bytes, and call neither BLAS nor anything else the parent's threads
+    # may hold.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    except BrokenProcessPool as exc:
+        raise WorkerLost("a worker process formatting the distribution CSVs ended "
+                         "abruptly") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def write_densities(paths, densities, meta):
+    """Write each density's density_rows to its path with write_csv, in order.
+
+    Large runs format the bodies on worker processes (see the module
+    docstring); the files are the same either way.
+    """
+    workers = _usable_cpus()
+    total_rows = sum(d.grid.points for d in densities if not d.is_point_mass)
+    pooled = workers > 1 and total_rows >= POOL_MIN_ROWS
+    with _worker_pool(workers) if pooled else contextlib.nullcontext() as pool:
+        depth = 2 * workers if pooled else 1
+        in_flight = collections.deque()
+        for path, density in zip(paths, densities):
+            in_flight.append((path, density_rows(density, pool=pool)))
+            if len(in_flight) == depth:
+                path, (header, rows) = in_flight.popleft()
+                write_csv(path, header, rows, meta)
+        for path, (header, rows) in in_flight:
+            write_csv(path, header, rows, meta)
 
 
 def profile_rows(profile):

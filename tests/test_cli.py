@@ -1,8 +1,13 @@
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,3 +505,85 @@ class TestExport:
                          [{"b": 1, "a": None}, "fit: slope=1 intercept=0"])
         assert path.read_text() == ('# config: {"a":null,"b":1}\n'
                                     "# fit: slope=1 intercept=0\nx,y\n1,0.5\n2,z\n")
+
+
+def _die(*args):
+    os._exit(1)
+
+
+class TestPooledExport:
+    """Distribution CSVs formatted on worker processes by export.write_densities."""
+
+    @staticmethod
+    def _bodies(out):
+        # below the "# config" line, which names the output directory
+        return {p.name: p.read_bytes().split(b"\n", 1)[1] for p in out.glob("*.csv")}
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the pools write_densities starts."""
+        started, make = [], export._worker_pool
+
+        def spy(workers):
+            started.append(workers)
+            return make(workers)
+
+        monkeypatch.setattr(export, "_worker_pool", spy)
+        return started
+
+    @pytest.mark.parametrize("argv", [["run-center", "--s", "8"],
+                                      ["run-spring", "--s", "8", "--nmax", "20"]])
+    def test_pool_changes_no_byte(self, argv, tmp_path, monkeypatch, pools, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        outputs = {}
+        for mode, gate in (("pooled", 0), ("in-process", math.inf)):
+            monkeypatch.setattr(export, "POOL_MIN_ROWS", gate)
+            assert main([*argv, "--out", str(tmp_path / mode)]) == 0
+            outputs[mode] = self._bodies(tmp_path / mode), capsys.readouterr()
+        assert pools == [2]
+        # seven distributions: more files than the four a two-worker pool holds in flight
+        assert len(outputs["pooled"][0]) == 8
+        assert outputs["pooled"] == outputs["in-process"]
+
+    def test_one_usable_cpu_starts_no_pool(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(export, "POOL_MIN_ROWS", 0)
+        assert main(["run-center", "--s", "4", "--out", str(tmp_path)]) == 0
+        assert pools == []
+        assert len(list(tmp_path.glob("workdist_step_*.csv"))) == 3
+
+    def test_lost_worker_is_one_error_line(self, tmp_path, monkeypatch, pools, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(export, "POOL_MIN_ROWS", 0)
+        monkeypatch.setattr(export, "_format_body", _die)
+        out = tmp_path / "out"
+        assert main(["run-center", "--s", "6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: worker-lost: ")
+        assert len(err.splitlines()) == 1
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        # a body is read before its file opens, so no distribution file is left
+        assert not list(out.glob("workdist_step_*.csv"))
+
+    def test_import_and_small_runs_load_no_process_machinery(self, tmp_path):
+        probe = textwrap.dedent("""
+            import os, sys
+            machinery = ["concurrent.futures.process", "multiprocessing"]
+            def loaded():
+                return [m for m in machinery if m in sys.modules]
+            import stepwork.cli
+            assert loaded() == [], loaded()
+            assert stepwork.cli.main(["run-center", "--out", sys.argv[1]]) == 0
+            assert loaded() == [], loaded()
+            # the probe sees a pooled run load them
+            stepwork.cli.export.POOL_MIN_ROWS = 0
+            os.sched_getaffinity = lambda pid: {0, 1}
+            assert stepwork.cli.main(["run-center", "--out", sys.argv[1]]) == 0
+            assert loaded() == machinery, loaded()
+        """)
+        src = str(Path(export.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

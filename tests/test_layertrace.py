@@ -9,9 +9,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from stepwork import export
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "layertrace.py"
@@ -65,3 +68,18 @@ def test_export_rows_count_data_lines(tmp_path):
                      for f in csvs)
     assert len(csvs) == 3
     assert counts["export.rows"] == data_lines
+
+
+@pytest.mark.skipif(export._usable_cpus() < 2, reason="the pool needs two usable CPUs")
+def test_pooled_run_counts_every_row(tmp_path):
+    s = 41
+    trace = _trace(["run-center", "--s", str(s)], tmp_path)
+    csvs = list((tmp_path / "out").glob("*.csv"))
+    data_lines = sum(sum(1 for ln in f.read_text().splitlines() if not ln.startswith("#")) - 1
+                     for f in csvs)
+    # past the size gate, so the distribution bodies were formatted on workers
+    assert data_lines - s >= export.POOL_MIN_ROWS
+    assert trace["counts"]["export.rows"] == data_lines
+    names = Counter(name for name, *_ in trace["spans"])
+    assert names["export.write_csv"] == len(csvs) == s
+    assert names["export.density_rows"] == s - 1
