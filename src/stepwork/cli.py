@@ -25,7 +25,8 @@ from . import export
 from .errors import (GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, NonPositiveAverage,
                      WorkerLost)
 from .free_energy import free_energy_profile, ground_state_closed_form_center
-from .pathways import decompose_free_energy, find_optimal_transitions, overlap_measure
+from .pathways import (TransitionRecord, decompose_free_energy, find_optimal_transitions,
+                       overlap_measure)
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
 from .workdist import fluctuation_density, run_work_recursion
 
@@ -43,11 +44,6 @@ _FLAG_OF = {"n_max": "nmax", "sweep_param": "param", "sweep_values": "values"}
 
 class _ConfigError(Exception):
     pass
-
-
-def _fail(token, detail, code):
-    print(f"error: {token}: {detail}", file=sys.stderr)
-    return code
 
 
 def _load_config(path):
@@ -234,10 +230,8 @@ def cmd_pathways(args):
         dx, mass = overlap_measure(f_prev, f_next)
         overlaps.append({"steps": [i, i + 1], "dx": dx, "mass": mass})
 
-    header = ["step", "n_prev", "n_next", "x_prev", "x_next",
-              "e_prev", "e_next", "r12a", "r12b", "r13", "class"]
-    rows = [(r.step, r.n_prev, r.n_next, r.x_prev, r.x_next, r.e_prev, r.e_next,
-             r.r12a, r.r12b, r.r13, r.label.value) for r in records]
+    header = [*TransitionRecord._fields[:-1], "class"]
+    rows = [(*r[:-1], r.label.value) for r in records]
     meta = {k: v for k, v in cfg.items() if v is not None}
     export.write_csv(os.path.join(out, "transitions.csv"), header, rows, meta)
     payload = {
@@ -316,28 +310,23 @@ def build_parser():
     return parser
 
 
+# the error contract: each failure's "error: <token>: detail" token and exit
+# code, for the first class in this order that the exception is an instance of
+_FAILURES = ((_ConfigError, "config", 2), (PermissionError, "output-unwritable", 2),
+             (GridTooLarge, "grid-too-large", 2), (MassLeak, "mass-leak", 1),
+             (NonFiniteResult, "non-finite", 1), (NonPositiveAverage, "non-positive-average", 1),
+             (GridTooNarrow, "grid-too-narrow", 1), (WorkerLost, "worker-lost", 1),
+             (ValueError, "config", 2), (OSError, "config", 2))
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _ConfigError as exc:
-        return _fail("config", str(exc), 2)
-    except PermissionError as exc:
-        return _fail("output-unwritable", str(exc), 2)
-    except GridTooLarge as exc:
-        return _fail("grid-too-large", str(exc), 2)
-    except MassLeak as exc:
-        return _fail("mass-leak", str(exc), 1)
-    except NonFiniteResult as exc:
-        return _fail("non-finite", str(exc), 1)
-    except NonPositiveAverage as exc:
-        return _fail("non-positive-average", str(exc), 1)
-    except GridTooNarrow as exc:
-        return _fail("grid-too-narrow", str(exc), 1)
-    except WorkerLost as exc:
-        return _fail("worker-lost", str(exc), 1)
-    except (ValueError, OSError) as exc:
-        return _fail("config", str(exc), 2)
+    except tuple(cls for cls, _, _ in _FAILURES) as exc:
+        token, code = next((t, c) for cls, t, c in _FAILURES if isinstance(exc, cls))
+        print(f"error: {token}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -100,15 +100,15 @@ def _format_body(grid, values):
     return _row_template(grid) % tuple(values.tolist())
 
 
-def density_rows(density, coord_name="W", pool=None):
-    """Two-column (coordinate, value) rows; a point mass becomes one row.
+def density_rows(density, pool=None):
+    """Two-column (W, rho) rows; a point mass becomes one row.
 
     The rows come back as FormattedRows: the rho column is formatted in one
     bytes % against the grid's line template, and "%.12g" renders every
     float exactly as format_number does.  With a process ``pool`` the
     formatting is submitted to it, and the body is a future.
     """
-    header = [coord_name, "rho"]
+    header = ["W", "rho"]
     if density.is_point_mass:
         return header, format_rows([(density.location, math.inf)])
     if pool is None:

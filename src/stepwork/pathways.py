@@ -13,6 +13,7 @@ optimal / biased contributions that recombine to the total identically.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -78,9 +79,6 @@ class PairSummary:
 
 @dataclass(frozen=True)
 class TransitionScan:
-    step: int
-    tol: float
-    eps_rel: float
     records: tuple
     pairs: tuple
 
@@ -117,19 +115,19 @@ def _positions(x_grid, max_points):
     return np.linspace(x_grid.min, x_grid.max, min(max_points, x_grid.points))
 
 
-def _transition_tables(schedule, i, x, eps_rel):
-    """Vectorized residuals over one transition's (n_prev, n_next, k_prev, k_next) grid.
+def _transition_tables(schedule, i, x, eps_rel, tol):
+    """Residuals and condition codes over one transition's (n_prev, n_next, k_prev, k_next) grid.
 
-    Both positions of a transition range over the same axis x.  Each residual
-    comes with its floor mask, which is True exactly where both densities the
-    residual reads are above the floor; below-floor entries carry -inf or NaN
-    residuals.
-    The tables are refused before any is allocated if, with the pass masks
-    built from them, they would need more than the grid budget.
+    Both positions of a transition range over the same axis x.  A condition
+    holds on a link where its residual is within tol and both densities the
+    residual reads are above the floor; ``code`` packs which hold as
+    A + 2 B + 4 DB.  r12b does not depend on n_prev and is kept as
+    (n_next, k_prev, k_next).
     """
-    # r12a, r13, one full-size temporary while either is formed or tested,
-    # and the one-byte masks and codes: the measured peaks of the scan and
-    # the decomposition stay below four full-size float64 arrays
+    # refused before any table is allocated: r12a, r13, one more full-size
+    # float64 array while they are formed, then the one-byte code and pass
+    # arrays; the traced peaks of the scan and the decomposition are 3.1 to
+    # 3.6 full-size float64 arrays
     check_grid_budget("the transition tables",
                       5 * (schedule.n_max + 1) ** 2 * x.size ** 2,
                       "lower n_max")
@@ -141,8 +139,8 @@ def _transition_tables(schedule, i, x, eps_rel):
     ok_prev = d_prev > _density_floor(sp_prev, eps_rel)
     ok_next = d_next > _density_floor(sp_next, eps_rel)
 
-    e_prev = np.array([sp_prev.work_energy(n) for n in range(schedule.n_max + 1)])
-    e_next = np.array([sp_next.work_energy(n) for n in range(schedule.n_max + 1)])
+    e_prev = sp_prev.work_energy(np.arange(schedule.n_max + 1))
+    e_next = sp_next.work_energy(np.arange(schedule.n_max + 1))
     de = e_next[None, :] - e_prev[:, None]                      # (S, S)
     dw = step_work_map(schedule, i - 1, x)                      # (P,)
 
@@ -155,29 +153,26 @@ def _transition_tables(schedule, i, x, eps_rel):
         r12b = (l_next[:, None, :] - l_next[:, :, None] - beta * dw[None, :, None])
         r13 = (l_next[None, :, :, None] - l_prev[:, None, None, :]
                - beta * de[:, :, None, None])
-    full = r12a.shape
-    return {"a": (r12a, ok_next[None, :, None, :] & ok_prev[:, None, :, None]),
-            "b": (np.broadcast_to(r12b[None], full),
-                  np.broadcast_to((ok_next[:, None, :] & ok_next[:, :, None])[None], full)),
-            "db": (r13, ok_next[None, :, :, None] & ok_prev[:, None, None, :]),
+
+    # which conditions hold on each link, as A + 2 B + 4 DB: a residual in
+    # [-tol, tol] whose two densities are above the floor.  B is tested on its
+    # own (S, P, P) table and broadcast over n_prev
+    code = np.zeros(r12a.shape, dtype=np.uint8)
+    for bit, r, floors in ((0, r12a, (ok_prev[:, None, :, None], ok_next[None, :, None, :])),
+                           (1, r12b, (ok_next[:, :, None], ok_next[:, None, :])),
+                           (2, r13, (ok_prev[:, None, None, :], ok_next[None, :, :, None]))):
+        held = (-tol <= r) & (r <= tol)
+        for ok in floors:
+            held &= ok
+        code |= held.view(np.uint8) << bit
+    return {"r12a": r12a, "r12b": r12b, "r13": r13, "code": code,
             "e_prev": e_prev, "e_next": e_next, "d_prev": d_prev, "d_next": d_next}
 
 
-def _passes(residual, ok, tol):
-    """Where a condition holds: its residual is defined and within tol."""
-    return ok & (np.abs(residual) <= tol)
-
-
-def _classes(pass_a, pass_b, pass_db):
-    """Class codes 0..3, in PathwayClass order, from the three conditions' pass masks."""
-    codes = np.full(np.shape(pass_a), 3, dtype=np.uint8)
-    codes[pass_db] = 2
-    codes[pass_a | pass_b] = 1
-    codes[pass_a & pass_b] = 0
-    return codes
-
-
-_BY_CODE = tuple(PathwayClass)
+# PathwayClass index of each code A + 2 B + 4 DB: optimal where A and B hold,
+# deterministic where one of them does, stochastic where only DB does, else biased
+_CLASS_OF = np.array([3, 1, 1, 0, 2, 1, 1, 0])
+_LABELS = np.array(tuple(PathwayClass), dtype=object)
 
 
 def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
@@ -188,10 +183,11 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
     Returns every (x_prev, x_next, n_prev, n_next) tuple whose matching
     residuals are within tol (``match='optimal'``: both r12a and r12b;
     ``match='detailed-balance'``: r13), with per-state-pair forward/reverse
-    density sums as transition-probability proxies.  An empty record list is
-    a valid outcome on coarse grids or tight tolerances.  The matches are
-    counted, together with the ``records_held`` the caller keeps from earlier
-    scans, against the grid budget before any record is built.
+    density sums as transition-probability proxies.  Records come in
+    (n_prev, n_next, k_prev, k_next) order.  An empty record list is a valid
+    outcome on coarse grids or tight tolerances.  The matches are counted,
+    together with the ``records_held`` the caller keeps from earlier scans,
+    against the grid budget before any record is built.
     """
     if not 2 <= i <= schedule.s:
         raise ValueError(f"transitions exist for 2 <= i <= {schedule.s}")
@@ -199,75 +195,52 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
         raise ValueError("match must be 'optimal' or 'detailed-balance'")
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
-    tab = _transition_tables(schedule, i, x, eps_rel)
+    tab = _transition_tables(schedule, i, x, eps_rel, tol)
 
-    if match == "optimal":
-        matched = _passes(*tab["a"], tol) & _passes(*tab["b"], tol)
-    else:
-        matched = _passes(*tab["db"], tol)
+    need = 3 if match == "optimal" else 4
+    code = tab["code"]
+    matched = (code & need) == need
+    counts = np.count_nonzero(matched, axis=(2, 3))   # per (n_prev, n_next)
     check_grid_budget("the transition records",
-                      RECORD_VALUES * (records_held + int(np.count_nonzero(matched))),
+                      RECORD_VALUES * (records_held + int(counts.sum())),
                       "lower tol or n_max")
+    hit = np.unravel_index(np.flatnonzero(matched), code.shape)
+    n_prev, n_next, k_prev, k_next = hit
+    records = tuple(map(
+        TransitionRecord, itertools.repeat(i), n_prev.tolist(), n_next.tolist(),
+        x[k_prev].tolist(), x[k_next].tolist(),
+        tab["e_prev"][n_prev].tolist(), tab["e_next"][n_next].tolist(),
+        tab["r12a"][hit].tolist(), tab["r12b"][n_next, k_prev, k_next].tolist(),
+        tab["r13"][hit].tolist(), _LABELS[_CLASS_OF[code[hit]]].tolist()))
 
-    records = []
+    # a state pair's records are consecutive, and its sums run over them in order
     pairs = []
-    beta = schedule.beta
-    n_states = schedule.n_max + 1
-    for n_prev in range(n_states):
-        for n_next in range(n_states):
-            hit = matched[n_prev, n_next]
-            if not hit.any():
-                continue
-            kp, kn = np.nonzero(hit)
-            p_fwd = float(tab["d_next"][n_next, kp].sum())
-            p_rev = float(tab["d_prev"][n_prev, kn].sum())
-            de = tab["e_next"][n_next] - tab["e_prev"][n_prev]
-            proxy = (math.log(p_fwd / p_rev) - beta * de
+    for (p, n), count, end in zip(np.ndindex(counts.shape), counts.flat, np.cumsum(counts)):
+        if count:
+            p_fwd = float(tab["d_next"][n, k_prev[end - count:end]].sum())
+            p_rev = float(tab["d_prev"][p, k_next[end - count:end]].sum())
+            de = tab["e_next"][n] - tab["e_prev"][p]
+            proxy = (math.log(p_fwd / p_rev) - schedule.beta * de
                      if p_fwd > 0.0 and p_rev > 0.0 else math.nan)
-            pairs.append(PairSummary(n_prev, n_next, kp.size, p_fwd, p_rev, proxy))
-            # residuals and floor masks at the matched entries only
-            at = [(r[n_prev, n_next][kp, kn], ok[n_prev, n_next][kp, kn])
-                  for r, ok in (tab["a"], tab["b"], tab["db"])]
-            codes = _classes(*(_passes(r, ok, tol) for r, ok in at))
-            e_p = float(tab["e_prev"][n_prev])
-            e_n = float(tab["e_next"][n_next])
-            records.extend(
-                TransitionRecord(i, n_prev, n_next, xp, xn, e_p, e_n,
-                                 a_, b_, d_, _BY_CODE[code])
-                for xp, xn, a_, b_, d_, code in zip(
-                    x[kp].tolist(), x[kn].tolist(), *(r.tolist() for r, _ in at),
-                    codes.tolist()))
-    return TransitionScan(i, tol, eps_rel, tuple(records), tuple(pairs))
+            pairs.append(PairSummary(p, n, int(count), p_fwd, p_rev, proxy))
+    return TransitionScan(records, tuple(pairs))
 
 
-def overlap_measure(f_prev: GriddedDensity, f_next: GriddedDensity, eps=None):
+def overlap_measure(f_prev: GriddedDensity, f_next: GriddedDensity):
     """Width and mass of the overlap region between successive densities.
 
     Returns (length of {x: min(f_prev, f_next) > eps}, integral of the
-    pointwise minimum).  Defaults eps to 1e-12 of the larger peak.
+    pointwise minimum), with eps 1e-12 of the larger peak.
     """
     if f_prev.is_point_mass or f_next.is_point_mass:
         raise ValueError("overlap needs gridded densities")
     if f_prev.grid != f_next.grid:
         raise ValueError("densities must share a grid")
-    if eps is None:
-        eps = 1e-12 * max(f_prev.values.max(), f_next.values.max())
+    eps = 1e-12 * max(f_prev.values.max(), f_next.values.max())
     low = np.minimum(f_prev.values, f_next.values)
     width = float(np.count_nonzero(low > eps) * f_prev.grid.spacing)
     mass = float(np.trapezoid(low, dx=f_prev.grid.spacing))
     return width, mass
-
-
-def _transition_codes(schedule, i, x, eps_rel, tol):
-    """Which conditions hold on each link of one transition, as a code
-    A + 2 B + 4 DB over ((n_prev k_prev), (n_next k_next))."""
-    tab = _transition_tables(schedule, i, x, eps_rel)
-    size = tab["d_prev"].size
-    code = np.zeros((size, size), dtype=np.uint8)
-    for bit, c in enumerate(("a", "b", "db")):
-        holds = _passes(*tab[c], tol).transpose(0, 2, 1, 3).reshape(size, size)
-        code |= holds.astype(np.uint8) << bit
-    return code
 
 
 # weights past the float64 range are refused once, at the end, not warned about
@@ -319,14 +292,14 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     chain[7] = first, np.ones(first.size)
     held = np.arange(8)
     for i, q in enumerate(slot_weight[1:], start=2):
-        code = _transition_codes(schedule, i, x, eps_rel, tol)
+        code = _transition_tables(schedule, i, x, eps_rel, tol)["code"]
+        code = code.transpose(0, 2, 1, 3).reshape(chain.shape[-1], -1)
         nxt = np.zeros_like(chain)
         for g in range(8):
             np.add.at(nxt, held & g, chain @ (code == g).astype(float))
         chain = nxt * np.stack([q.ravel(), np.ones(q.size)])
-    by_class = np.zeros((len(_BY_CODE), 2))
-    np.add.at(by_class, _classes(held & 1 > 0, held & 2 > 0, held & 4 > 0),
-              chain.sum(axis=-1))
+    by_class = np.zeros((len(PathwayClass), 2))
+    np.add.at(by_class, _CLASS_OF, chain.sum(axis=-1))
     c_op, c_det, c_sto, c_bia = by_class[:, 0].tolist()
     c_total = float(by_class[:, 0].sum())
     if not 0.0 < c_total < math.inf:
@@ -346,6 +319,6 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
         df_biased=to_df(c_bia),
         contributions={"total": c_total, "stochastic": c_s, "deterministic": c_d,
                        "optimal": c_op, "biased": c_bia},
-        counts={cls.value: int(n) for cls, n in zip(_BY_CODE, by_class[:, 1])},
+        counts={cls.value: int(n) for cls, n in zip(PathwayClass, by_class[:, 1])},
         reconstruction_error=abs(reconstruction) / c_total,
     )

@@ -117,12 +117,12 @@ def _log1mexp(x):
     return math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
 
 
-def spring_frequency(i, delta, omega0=1.0):
-    """omega_i = omega_0 sqrt(1 + (i-1) delta) for pulling step i >= 1."""
+def spring_frequency(i, delta):
+    """omega_i = sqrt(1 + (i-1) delta), in omega_0 units, for pulling step i >= 1."""
     radicand = 1.0 + (i - 1) * delta
     if radicand <= 0.0:
         raise ValueError(f"inverted oscillator at step {i}: 1+(i-1)*delta = {radicand}")
-    return omega0 * math.sqrt(radicand)
+    return math.sqrt(radicand)
 
 
 def analytic_free_energy_center(lam, a):

@@ -425,6 +425,23 @@ class TestInputContract:
         assert len(err.splitlines()) == 1
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["run-center", "--nmax", "1000"],
+        ["sweep", "--param", "nmax", "--values", "1000", "--s", "11"],
+        ["sweep", "--param", "a", "--values", "1", "--s", "1000", "--nmax", "0"],
+        ["run-spring", "--s", "1000", "--nmax", "0"],
+    ])
+    def test_profile_over_budget_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # n_max or s = 1e8 at the real budget, scaled down to allocate nothing large:
+        # the closed-form profile is sized before the controls are built
+        monkeypatch.setattr(protocol, "GRID_BUDGET", 10**4)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-large: the schedule and its closed-form profile")
+        assert len(err.splitlines()) == 1
+        assert not list(out.iterdir())
+
     def test_grid_over_budget_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(protocol, "GRID_BUDGET", 1000)
         out = tmp_path / "out"

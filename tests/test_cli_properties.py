@@ -87,6 +87,8 @@ def _profile(out):
 @example(argv=["run-center", "--a", "-inf"])
 @example(argv=["run-spring", "--s", "3", "--a", "-1e+300"])
 @example(argv=["pathways", "--lambda-s", "-2.0", "--s", "2"])
+@example(argv=["run-center", "--nmax=100000000"])
+@example(argv=["run-spring", "--s=100000000", "--nmax=0"])
 def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

@@ -70,6 +70,14 @@ def test_export_rows_count_data_lines(tmp_path):
     assert counts["export.rows"] == data_lines
 
 
+def test_pathway_records_count_data_lines(tmp_path):
+    counts = _trace(["pathways", "--s", "3", "--nmax", "2"], tmp_path)["counts"]
+    lines = (tmp_path / "out" / "transitions.csv").read_text().splitlines()
+    data_lines = sum(1 for ln in lines if not ln.startswith("#")) - 1
+    assert data_lines > 0
+    assert counts["pathways.records"] == data_lines
+
+
 @pytest.mark.skipif(export._usable_cpus() < 2, reason="the pool needs two usable CPUs")
 def test_pooled_run_counts_every_row(tmp_path):
     s = 41

@@ -182,6 +182,28 @@ class TestTransitionScan:
             assert p.p_forward > 0.0
             assert p.p_reverse > 0.0
 
+    @pytest.mark.parametrize("match", ["optimal", "detailed-balance"])
+    def test_record_order_and_pair_summaries(self, center_s3, match):
+        sch, points = center_s3, 60
+        x = np.linspace(sch.x_grid.min, sch.x_grid.max, points).tolist()
+        for i in (2, 3):
+            scan = find_optimal_transitions(sch, i, tol=0.5, max_x_points=points, match=match)
+            keys = [(r.n_prev, r.n_next, x.index(r.x_prev), x.index(r.x_next))
+                    for r in scan.records]
+            assert len(keys) > 100
+            assert keys == sorted(set(keys))  # (n_prev, n_next, k_prev, k_next) order
+            assert sum(p.count for p in scan.pairs) == len(scan.records)
+            assert [(p.n_prev, p.n_next) for p in scan.pairs] == sorted(
+                {(r.n_prev, r.n_next) for r in scan.records})
+            sp_prev, sp_next = sch.spectrum(i - 1), sch.spectrum(i)
+            for p in scan.pairs:
+                own = [r for r in scan.records if (r.n_prev, r.n_next) == (p.n_prev, p.n_next)]
+                assert p.count == len(own)
+                forward = math.fsum(sp_next.prob_density(p.n_next, r.x_prev) for r in own)
+                reverse = math.fsum(sp_prev.prob_density(p.n_prev, r.x_next) for r in own)
+                assert p.p_forward == pytest.approx(forward, rel=1e-13, abs=0.0)
+                assert p.p_reverse == pytest.approx(reverse, rel=1e-13, abs=0.0)
+
     def test_detailed_balance_proxy_shrinks_under_refinement(self, center_s3):
         # finer grids + tighter tolerances drive ln(P->/P<-) - beta dE to zero
         ladder = ((100, 1.6), (200, 0.4), (400, 0.1), (800, 0.025))
@@ -219,6 +241,26 @@ class TestTransitionScan:
                 assert r.label is expected, r
                 checked += 1
         assert checked > 1000
+
+
+class TestTableBudget:
+    @pytest.mark.parametrize("sch, points", [
+        (build_center_schedule(1.0, 3, 1.0, 1), 200),
+        (build_center_schedule(1.0, 3, 1.0, 5), 200),
+        (build_spring_schedule(1.3, 3, 0.5, 3), 150),
+    ])
+    def test_checked_values_cover_the_traced_peaks(self, sch, points, traced_peak):
+        sch.x_grid
+        for run in (lambda: find_optimal_transitions(sch, 2, max_x_points=points),
+                    lambda: find_optimal_transitions(sch, 2, max_x_points=points,
+                                                     match="detailed-balance"),
+                    lambda: decompose_free_energy(sch, max_x_points=points)):
+            peak = traced_peak(run)
+            # a budget one float64 value below the traced peak refuses the tables
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(protocol, "GRID_BUDGET", peak // 8 - 1)
+                with pytest.raises(GridTooLarge, match="transition tables"):
+                    run()
 
 
 class TestOverlap:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from stepwork import protocol
 from stepwork.errors import GridTooLarge
+from stepwork.free_energy import free_energy_profile
 from stepwork.protocol import (
     GRID_BUDGET,
     GridSpec,
@@ -141,12 +143,40 @@ class TestGridBudget:
     def test_over_budget_schedules_refused(self):
         # lambda_s = 1e6 in one step: a 42.3M-node x grid, about 5.6e8 values
         for sch in (build_center_schedule(1e6, 2, 1.0, 10),
-                    build_spring_schedule(1.3, 3, 0.1, 0, x_points=GRID_BUDGET),
-                    build_center_schedule(0.0, 2, 1.0, GRID_BUDGET)):
+                    build_spring_schedule(1.3, 3, 0.1, 0, x_points=GRID_BUDGET)):
             with pytest.raises(GridTooLarge):
                 sch.x_grid
             with pytest.raises(GridTooLarge):
                 sch.w_grid
+        # n_max = GRID_BUDGET: refused as the schedule is built, before any grid
+        with pytest.raises(GridTooLarge, match="closed-form profile"):
+            build_center_schedule(0.0, 2, 1.0, GRID_BUDGET)
+
+    @pytest.mark.parametrize("build, ratio", [(build_center_schedule, 1.0),
+                                              (build_spring_schedule, 1.3)])
+    def test_profile_estimate_refuses_before_the_controls(self, build, ratio, monkeypatch,
+                                                          traced_peak):
+        # 5 (n_max + 9) s values; a lowered budget keeps every schedule here small
+        monkeypatch.setattr(protocol, "GRID_BUDGET", 5 * (3 + 9) * 40)
+        assert len(build(ratio, 40, 1.0, 3).controls) == 40
+        for s, n_max in ((41, 3), (40, 4), (10**5, 0)):
+            def refused():
+                with pytest.raises(GridTooLarge, match="closed-form profile"):
+                    build(ratio, s, 1.0, n_max)
+            # 10^5 controls alone would take 3.2 MB
+            assert traced_peak(refused) < 10**5
+
+    @pytest.mark.parametrize("build, ratio", [(build_center_schedule, 1.0),
+                                              (build_spring_schedule, 1.3)])
+    def test_profile_estimate_covers_its_measured_peak(self, build, ratio, traced_peak):
+        # per step at n_max = 0, per state and step at large n_max, and between
+        for s, n_max in ((5_000, 0), (1_000, 3), (11, 3_000), (200, 200)):
+            peak = traced_peak(lambda: free_energy_profile(build(ratio, s, 1.0, n_max)))
+            # a budget one float64 value below the traced peak refuses the schedule
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(protocol, "GRID_BUDGET", peak // 8 - 1)
+                with pytest.raises(GridTooLarge, match="closed-form profile"):
+                    build(ratio, s, 1.0, n_max)
 
     def test_largest_tested_schedules_fit(self):
         for sch in (build_spring_schedule(1.3, 1001, 50.0, 0),
