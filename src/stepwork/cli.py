@@ -37,9 +37,10 @@ _SPRING_DEFAULTS = {"protocol": "spring", "omega_ratio": 1.3, "s": 11, "a": 0.1,
 _PATHWAY_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "s": 3, "a": 1.0,
                      "n_max": 3, "x_points": None, "w_points": None,
                      "tol": 0.05, "eps": 1e-12, "out": "."}
-# config keys set by a command-line flag of another name; every other key's
-# flag carries the key's own name
-_FLAG_OF = {"n_max": "nmax", "sweep_param": "param", "sweep_values": "values"}
+# sweep evaluates closed forms on no grid, so it takes no grid keys
+_SWEEP_DEFAULTS = {**_CENTER_DEFAULTS, "omega_ratio": 1.3, "sweep_param": "a",
+                   "sweep_values": None}
+del _SWEEP_DEFAULTS["x_points"], _SWEEP_DEFAULTS["w_points"]
 
 
 class _ConfigError(Exception):
@@ -61,17 +62,20 @@ def _number_list(text):
     return [float(v) for v in text.split(",")]
 
 
-def _file_value_ok(value, flag_type):
-    """Whether a config-file value has the JSON type of what its flag parses to."""
+def _file_value_ok(value, flag_type, choices=None):
+    """Whether a config-file value has the JSON type of what its flag parses
+    to and, where the flag has choices, is one of them."""
     if isinstance(value, bool):
         return False
     if flag_type is _number_list:
         return isinstance(value, list) and all(_file_value_ok(v, float) for v in value)
-    return isinstance(value, {int: int, float: (int, float)}.get(flag_type, str))
+    return (isinstance(value, {int: int, float: (int, float)}.get(flag_type, str))
+            and (choices is None or value in choices))
 
 
-def _resolve(args, defaults):
+def _resolve(args):
     """defaults < config file < command-line flags."""
+    defaults = args.defaults
     cfg = dict(defaults)
     if args.config:
         file_cfg = _load_config(args.config)
@@ -79,7 +83,7 @@ def _resolve(args, defaults):
         if unknown:
             raise _ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            if not _file_value_ok(value, args.flag_types.get(_FLAG_OF.get(key, key))):
+            if not _file_value_ok(value, args.flags[key].type, args.flags[key].choices):
                 raise _ConfigError(f"config key {key!r} cannot take the value {json.dumps(value)}")
         cfg.update(file_cfg)
         # only sweep has a --protocol flag; every other command fixes its protocol
@@ -87,7 +91,7 @@ def _resolve(args, defaults):
             raise _ConfigError(f"{args.command} runs the {defaults['protocol']} protocol, "
                                f"not {cfg['protocol']}")
     for key in defaults:
-        value = getattr(args, _FLAG_OF.get(key, key), None)
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -105,7 +109,7 @@ def _ensure_outdir(out):
 
 def _schedule_from(cfg):
     """The pull schedule a resolved run, sweep-point or pathways config asks for."""
-    grids = {"x_points": cfg["x_points"], "w_points": cfg["w_points"]}
+    grids = {"x_points": cfg.get("x_points"), "w_points": cfg.get("w_points")}
     if cfg["protocol"] == "spring":
         return build_spring_schedule(cfg["omega_ratio"], cfg["s"], cfg["a"], cfg["n_max"],
                                      **grids)
@@ -115,8 +119,7 @@ def _schedule_from(cfg):
     return build_center_schedule(lambda_s, cfg["s"], cfg["a"], cfg["n_max"], **grids)
 
 
-def cmd_run(args):
-    cfg = _resolve(args, args.defaults)
+def cmd_run(args, cfg):
     out = _ensure_outdir(cfg["out"])
     schedule = _schedule_from(cfg)
     profile = free_energy_profile(schedule)
@@ -170,17 +173,8 @@ def _check_sweep_value(param, value):
             raise _ConfigError(f"dlambda {value} does not divide lambda_s = 1 evenly")
 
 
-def cmd_sweep(args):
-    cfg = _resolve(args, {**_CENTER_DEFAULTS, "omega_ratio": 1.3,
-                          "sweep_param": "a", "sweep_values": None})
-    if cfg["protocol"] not in ("center", "spring"):
-        raise _ConfigError(f"unknown protocol {cfg['protocol']}")
-    for key in ("x_points", "w_points"):
-        if cfg[key] is not None:
-            raise _ConfigError(f"sweep evaluates closed forms on no grid; {key} does not apply")
+def cmd_sweep(args, cfg):
     param = cfg["sweep_param"]
-    if param not in ("a", "nmax", "dlambda"):
-        raise _ConfigError(f"sweep parameter must be a, nmax, or dlambda, not {param}")
     if param == "dlambda" and cfg["protocol"] != "center":
         raise _ConfigError("the dlambda sweep applies to the center protocol")
     if not cfg["sweep_values"]:
@@ -208,8 +202,7 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_pathways(args):
-    cfg = _resolve(args, _PATHWAY_DEFAULTS)
+def cmd_pathways(args, cfg):
     out = _ensure_outdir(cfg["out"])
     schedule = _schedule_from(cfg)
     tol, eps = float(cfg["tol"]), float(cfg["eps"])
@@ -236,9 +229,7 @@ def cmd_pathways(args):
     export.write_csv(os.path.join(out, "transitions.csv"), header, rows, meta)
     payload = {
         "config": meta,
-        "delta_F": {"total": decomp.df_total, "stochastic": decomp.df_stochastic,
-                    "deterministic": decomp.df_deterministic,
-                    "optimal": decomp.df_optimal, "biased": decomp.df_biased},
+        "delta_F": decomp.delta_f,
         "contributions": decomp.contributions,
         "counts": decomp.counts,
         "reconstruction_error": decomp.reconstruction_error,
@@ -250,16 +241,17 @@ def cmd_pathways(args):
     return 0
 
 
-def _add_common(parser):
+def _add_common(parser, grids=True):
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--out", help="output directory (default: current)")
     parser.add_argument("--s", type=int, help="number of pulling steps")
     parser.add_argument("--a", type=float, help="reduced temperature")
-    parser.add_argument("--nmax", type=int, help="eigenbasis truncation")
-    parser.add_argument("--x-points", type=int, dest="x_points",
-                        help="override position-grid point count")
-    parser.add_argument("--w-points", type=int, dest="w_points",
-                        help="override work-grid point count")
+    parser.add_argument("--nmax", type=int, dest="n_max", help="eigenbasis truncation")
+    if grids:
+        parser.add_argument("--x-points", type=int, dest="x_points",
+                            help="override position-grid point count")
+        parser.add_argument("--w-points", type=int, dest="w_points",
+                            help="override work-grid point count")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,24 +281,25 @@ def build_parser():
     p.set_defaults(func=cmd_run, defaults=_SPRING_DEFAULTS)
 
     p = sub.add_parser("sweep", help="endpoint free energy versus one parameter")
-    _add_common(p)
+    _add_common(p, grids=False)
     p.add_argument("--protocol", choices=["center", "spring"])
-    p.add_argument("--param", choices=["a", "nmax", "dlambda"])
-    p.add_argument("--values", type=_number_list, help="comma-separated sweep values")
+    p.add_argument("--param", choices=["a", "nmax", "dlambda"], dest="sweep_param")
+    p.add_argument("--values", type=_number_list, dest="sweep_values",
+                   help="comma-separated sweep values")
     p.add_argument("--omega-ratio", type=float, dest="omega_ratio")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, defaults=_SWEEP_DEFAULTS)
 
     p = sub.add_parser("pathways", help="transition scan and pathway decomposition")
     _add_common(p)
     p.add_argument("--lambda-s", type=float, dest="lambda_s")
     p.add_argument("--tol", type=float, help="residual tolerance (log-ratio units)")
     p.add_argument("--eps", type=float, help="relative density floor")
-    p.set_defaults(func=cmd_pathways)
+    p.set_defaults(func=cmd_pathways, defaults=_PATHWAY_DEFAULTS)
 
     # a config key is checked against its flag on any command, since sweep
     # takes lambda_s and dlambda from a file but has no flag for them
-    parser.set_defaults(flag_types={action.dest: action.type for p in sub.choices.values()
-                                    for action in p._actions})
+    parser.set_defaults(flags={action.dest: action for p in sub.choices.values()
+                               for action in p._actions})
     return parser
 
 
@@ -322,7 +315,7 @@ _FAILURES = ((_ConfigError, "config", 2), (PermissionError, "output-unwritable",
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except tuple(cls for cls, _, _ in _FAILURES) as exc:
         token, code = next((t, c) for cls, t, c in _FAILURES if isinstance(exc, cls))
         print(f"error: {token}: {exc}", file=sys.stderr)

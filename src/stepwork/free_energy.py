@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import NonFiniteResult, NonPositiveAverage
 from .protocol import PullSchedule
-from .spectra import ProtocolKind
-from .workdist import GriddedDensity
+from .spectra import ProtocolKind, _logsumexp
+from .workdist import GriddedDensity, _trapezoid_masses
 
 __all__ = ["FreeEnergyProfile", "exponential_average", "free_energy_profile",
            "approx_free_energy", "ground_state_closed_form_center",
@@ -32,17 +32,12 @@ def exponential_average(rho: GriddedDensity, beta):
         raise ValueError("inverse temperature must be positive")
     if rho.is_point_mass:
         return rho.location
-    w = rho.grid.nodes()
-    weights = np.full(w.size, rho.grid.spacing)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
     mask = rho.values > 0.0
     if not mask.any():
         raise NonPositiveAverage("density is identically zero")
     with np.errstate(divide="ignore"):  # underflowing products are harmless here
-        logs = np.log(rho.values[mask] * weights[mask]) - beta * w[mask]
-    top = logs.max()
-    return float(-(top + math.log(np.sum(np.exp(logs - top)))) / beta)
+        logs = np.log(_trapezoid_masses(rho)[mask]) - beta * rho.grid.nodes()[mask]
+    return float(-_logsumexp(logs) / beta)
 
 
 @dataclass(frozen=True)
@@ -77,14 +72,14 @@ def free_energy_profile(schedule: PullSchedule):
     ``OscillatorSpectrum.work_expectations``; no grid is touched.  A profile
     that leaves the float64 range raises NonFiniteResult.
     """
-    log_avg, mean, var = schedule.work_steps().work_expectations(
-        schedule.increment, schedule.a, schedule.beta)
+    steps = schedule.steps
+    log_avg, mean, var = (v[:-1] for v in steps.work_expectations(
+        schedule.increment, schedule.a, schedule.beta))
     delta_f = np.concatenate(([0.0], np.cumsum(-log_avg / schedule.beta)))
     mean_w = np.concatenate(([0.0], np.cumsum(mean)))
     std_w = np.sqrt(np.concatenate(([0.0], np.cumsum(var))))
-    steps = [schedule.spectrum(i) for i in range(1, schedule.s + 1)]
-    targets = np.array([step.target(schedule.a) for step in steps])
-    f_ref = np.array([step.free_energy(schedule.a) for step in steps]) - delta_f
+    targets = steps.target(schedule.a)
+    f_ref = steps.free_energy(schedule.a) - delta_f
     if not np.isfinite([delta_f, targets, mean_w, std_w, f_ref]).all():
         raise NonFiniteResult(f"the free-energy profile at a={schedule.a}, increment="
                               f"{schedule.increment} leaves the float64 range")
@@ -102,9 +97,8 @@ def approx_free_energy(schedule: PullSchedule):
     """
     if schedule.kind is not ProtocolKind.CENTER:
         raise ValueError("the Gaussian approximation applies to the center protocol")
-    mean = schedule.work_steps().work_expectations(
-        schedule.increment, schedule.a, schedule.beta)[1]
-    return float(np.sum(mean) - (schedule.s - 1) * 0.5 * schedule.increment ** 2)
+    mean = schedule.steps.work_expectations(schedule.increment, schedule.a, schedule.beta)[1]
+    return float(np.sum(mean[:-1]) - (schedule.s - 1) * 0.5 * schedule.increment ** 2)
 
 
 def ground_state_closed_form_center(a, dlambda, s):

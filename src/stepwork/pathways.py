@@ -85,13 +85,10 @@ class TransitionScan:
 
 @dataclass(frozen=True)
 class PathwayDecomposition:
-    """Free-energy split over pathway classes, with exact reconstruction."""
+    """Free-energy split over pathway classes, with exact reconstruction;
+    ``delta_f`` holds -ln(c)/beta of each class's contribution c."""
 
-    df_total: float
-    df_stochastic: float
-    df_deterministic: float
-    df_optimal: float
-    df_biased: float
+    delta_f: dict
     contributions: dict
     counts: dict
     reconstruction_error: float
@@ -307,18 +304,12 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
                               "the float64 range on this grid")
     c_s, c_d = c_op + c_sto, c_op + c_det
     reconstruction = (c_s + c_d - c_op + c_bia) - c_total
-
-    def to_df(c):
-        return float(-math.log(c) / beta) if c > 0.0 else math.inf
-
+    contributions = {"total": c_total, "stochastic": c_s, "deterministic": c_d,
+                     "optimal": c_op, "biased": c_bia}
     return PathwayDecomposition(
-        df_total=to_df(c_total),
-        df_stochastic=to_df(c_s),
-        df_deterministic=to_df(c_d),
-        df_optimal=to_df(c_op),
-        df_biased=to_df(c_bia),
-        contributions={"total": c_total, "stochastic": c_s, "deterministic": c_d,
-                       "optimal": c_op, "biased": c_bia},
+        delta_f={name: float(-math.log(c) / beta) if c > 0.0 else math.inf
+                 for name, c in contributions.items()},
+        contributions=contributions,
         counts={cls.value: int(n) for cls, n in zip(PathwayClass, by_class[:, 1])},
         reconstruction_error=abs(reconstruction) / c_total,
     )

@@ -100,20 +100,17 @@ class PullSchedule:
         """Inverse temperature in the unit work is reported in."""
         return self.a
 
-    @property
-    def lambda_s(self):
-        return self.controls[-1]
-
     def spectrum(self, i):
         """Spectrum of the coupled Hamiltonian during pulling step i (1-based)."""
         if not 1 <= i <= self.s:
             raise ValueError(f"step index {i} outside 1..{self.s}")
         return OscillatorSpectrum(self.kind, self.controls[i - 1], self.n_max)
 
-    def work_steps(self):
-        """One spectrum for the work steps 1..s-1 together: its control is the
-        array of their controls, lambda_1..lambda_{s-1} or omega_1..omega_{s-1}."""
-        return OscillatorSpectrum(self.kind, np.asarray(self.controls[:-1]), self.n_max)
+    @cached_property
+    def steps(self):
+        """One spectrum for the steps 1..s together: its control is the array
+        of all the controls.  The work steps are its first s-1 entries."""
+        return OscillatorSpectrum(self.kind, np.asarray(self.controls), self.n_max)
 
 
 def default_temperature_sweep():
@@ -145,8 +142,8 @@ def _target_spacing(n_max, omega_max):
 
 
 def _effective_sigma2(spectrum, a):
-    """Upper bound on the truncated density's position variance."""
-    return min(spectrum.thermal_variance(a), (spectrum.n_max + 0.5) / spectrum.omega)
+    """Upper bound on the truncated density's position variance, per step."""
+    return np.minimum(spectrum.thermal_variance(a), (spectrum.n_max + 0.5) / spectrum.omega)
 
 
 def _check_inputs(x_points, w_points, **values):
@@ -165,9 +162,9 @@ def _check_run(a, n_max, s):
         raise ValueError("reduced temperature must be positive")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    # the controls, and the profile's per-step objects and (n_max+1, s-1)
-    # arrays: tracemalloc peaks, in float64 values, are 36 to 41 per step at
-    # n_max = 0 and 3.0 to 4.2 per state and step from n_max = 100
+    # the controls and the profile's (n_max+1, s) arrays: tracemalloc peaks,
+    # in float64 values, are 20 to 23 per step at n_max = 0 and 3.2 to 5.1
+    # per state and step from n_max = 100
     check_grid_budget("the schedule and its closed-form profile", 5 * (n_max + 9) * s,
                       "lower s or n_max")
 
@@ -271,9 +268,7 @@ def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=Non
 
 def _spring_grids(schedule):
     controls, delta, a0 = schedule.controls, schedule.increment, schedule.a
-    steps = [OscillatorSpectrum(ProtocolKind.SPRING, w, schedule.n_max) for w in controls]
-
-    half = _half_width(steps[0], a0)
+    half = _half_width(schedule.spectrum(1), a0)
     if schedule.x_points is not None:
         n_pts = schedule.x_points
     else:
@@ -286,8 +281,9 @@ def _spring_grids(schedule):
     w_points = 8001 if schedule.w_points is None else schedule.w_points
 
     c = 0.5 * delta  # work increment is c * x^2 for every step
-    sig2 = [_effective_sigma2(step, a0) for step in steps[:-1]]
-    total_mu = c * sum(sig2)
-    sigma_tot = math.sqrt(sum(3.0 * c * c * v * v for v in sig2))
+    # sum() adds left to right; np.sum's pairwise order would move the last bits
+    sig2 = _effective_sigma2(schedule.steps, a0)[:-1]
+    total_mu = c * sum(sig2.tolist())
+    sigma_tot = math.sqrt(sum((3.0 * c * c * sig2 * sig2).tolist()))
     w_hi = total_mu + _W_SIGMA_MARGIN * sigma_tot + c * half * half
     return x_grid, GridSpec(0.0, w_hi, w_points)

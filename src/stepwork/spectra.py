@@ -111,10 +111,16 @@ def _logsumexp(v):
     return top + np.log(np.sum(np.exp(v - top), axis=0))
 
 
+@np.vectorize
 def _log1mexp(x):
-    """ln(1 - e^-x) for x > 0, accurate to the last bits at any x (Maechler,
-    "Accurately computing log(1 - exp(-|a|))", 2012)."""
+    """ln(1 - e^-x) for x > 0, elementwise, accurate to the last bits at any x
+    (Maechler, "Accurately computing log(1 - exp(-|a|))", 2012)."""
     return math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
+
+
+# math.tanh elementwise: np.tanh differs from it in the last bit, which moves
+# the spring work grids
+_tanh = np.vectorize(math.tanh)
 
 
 def spring_frequency(i, delta):
@@ -140,7 +146,7 @@ def delta_f_target_center(lam):
 
 def analytic_free_energy_spring(omega_i, a0):
     """Exact free energy ln(2 sinh(a0 omega_i / 2)) / a0 in hbar*omega_0 units."""
-    if a0 <= 0.0 or omega_i <= 0.0:
+    if a0 <= 0.0 or np.min(omega_i) <= 0.0:
         raise ValueError("reduced temperature and frequency must be positive")
     z = 0.5 * a0 * omega_i
     # log(2 sinh z) = z + log(1 - e^{-2z})
@@ -149,7 +155,7 @@ def analytic_free_energy_spring(omega_i, a0):
 
 def analytic_target_spring(a0, omega_ratio):
     """Exact (1/a0) ln[sinh(a0 ratio/2)/sinh(a0/2)] in hbar*omega_0 units."""
-    if a0 <= 0.0 or omega_ratio <= 0.0:
+    if a0 <= 0.0 or np.min(omega_ratio) <= 0.0:
         raise ValueError("reduced temperature and frequency ratio must be positive")
     return analytic_free_energy_spring(omega_ratio, a0) - analytic_free_energy_spring(1.0, a0)
 
@@ -168,8 +174,9 @@ class OscillatorSpectrum:
     work_energy uses the reduced temperature directly as beta.
 
     ``control`` may also be an array with one control per step; the
-    spectrum then stands for all those steps, and ``work_expectations``
-    evaluates them together.
+    spectrum then stands for all those steps, and ``work_expectations``,
+    ``thermal_variance``, ``free_energy`` and ``target`` evaluate them
+    together.
     """
 
     kind: ProtocolKind
@@ -216,7 +223,7 @@ class OscillatorSpectrum:
     def thermal_variance(self, a):
         """Exact untruncated thermal variance of the position at reduced temperature a:
         coth(a)/2 for center, coth(a0 omega_i/2)/(2 omega_i) for spring."""
-        return 1.0 / (2.0 * self.omega * math.tanh(0.5 * self.unit * a * self.omega))
+        return 1.0 / (2.0 * self.omega * _tanh(0.5 * self.unit * a * self.omega))
 
     def work_increment(self, increment, x):
         """Work picked up at position x when the control steps on by ``increment``.

@@ -353,6 +353,8 @@ class TestInputContract:
         ("sweep", {"lambda_s": "2"}),
         ("sweep", {"x_points": 100}),
         ("sweep", {"w_points": 100}),
+        ("sweep", {"protocol": "quantum"}),
+        ("sweep", {"sweep_param": "zz"}),
     ])
     def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -284,7 +284,7 @@ class TestPerStepProfile:
             "null-pull"])
     def test_matches_average_of_each_distribution(self, sch, tol):
         ledger = run_work_recursion(sch)
-        steps = sch.work_steps()
+        steps = sch.steps
         for t in (0.5 * sch.beta, sch.beta, 2.0 * sch.beta):
             exact = np.cumsum(-steps.work_expectations(sch.increment, sch.a, t)[0] / t)
             for i in range(2, sch.s + 1):

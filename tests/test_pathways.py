@@ -347,7 +347,7 @@ class TestDecomposition:
                    else build_spring_schedule(1.3, s, a, n_max))
             d = decompose_free_energy(sch)
             exact = free_energy_profile(sch).endpoint
-            assert d.df_total == pytest.approx(exact, rel=0.0, abs=1e-12), (s, n_max, a)
+            assert d.delta_f["total"] == pytest.approx(exact, rel=0.0, abs=1e-12), (s, n_max, a)
 
     def test_huge_tolerance_makes_everything_optimal(self, center_s3):
         d = decompose_free_energy(center_s3, tol=1e9)
@@ -376,7 +376,7 @@ class TestDecomposition:
         sch = build_spring_schedule(1.3, 3, 0.5, 3)
         d = decompose_free_energy(sch, tol=0.5)
         assert d.reconstruction_error < 1e-9
-        assert d.df_total > 0
+        assert d.delta_f["total"] > 0
 
 
 def _brute_force_decomposition(sch, tol, max_x_points):

@@ -138,6 +138,32 @@ class TestSpringSchedule:
         assert sch.w_grid.points == 8001
 
 
+_rng = np.random.default_rng(15)
+# fixed schedules, and random spring ones: on 36 of these 40, np.tanh would
+# differ from math.tanh in the last bit of some step's thermal variance
+_STEP_SCHEDULES = [
+    build_center_schedule(1.0, 11, 1.0, 5), build_center_schedule(3.7, 31, 0.0625, 0),
+    build_spring_schedule(1.3, 11, 0.1, 100), build_spring_schedule(2.5, 201, 100.0, 0),
+    build_spring_schedule(1.05, 61, 0.3, 7),
+    *(build_spring_schedule(r, int(s), a, 0) for r, s, a in zip(
+        _rng.uniform(1.0, 3.0, 40), _rng.integers(2, 60, 40), 10.0 ** _rng.uniform(-2, 2, 40)))]
+
+
+class TestStepsSpectrum:
+    @pytest.mark.parametrize("sch", _STEP_SCHEDULES)
+    def test_array_controls_equal_each_step(self, sch):
+        # the closed forms evaluate math functions elementwise, so the one
+        # spectrum over all controls gives every step's scalar values exactly
+        assert sch.steps is sch.steps
+        for a in (sch.a, 0.7 * sch.a, 40.0):
+            together = [np.broadcast_to(f(a), (sch.s,)) for f in (
+                sch.steps.target, sch.steps.free_energy, sch.steps.thermal_variance)]
+            for i in range(1, sch.s + 1):
+                step = sch.spectrum(i)
+                assert [v[i - 1] for v in together] == [
+                    step.target(a), step.free_energy(a), step.thermal_variance(a)], (i, a)
+
+
 class TestGridBudget:
     # grids are sized, without being allocated, on the first read of a grid
     def test_over_budget_schedules_refused(self):
@@ -177,6 +203,25 @@ class TestGridBudget:
                 mp.setattr(protocol, "GRID_BUDGET", peak // 8 - 1)
                 with pytest.raises(GridTooLarge, match="closed-form profile"):
                     build(ratio, s, 1.0, n_max)
+
+    @pytest.mark.parametrize("build, ratio", [(build_center_schedule, 1.0),
+                                              (build_spring_schedule, 1.3)])
+    def test_profile_builds_no_spectrum_per_step(self, build, ratio, traced_peak):
+        # one spectrum over all the controls: 19.6 (center) and 23.0 (spring)
+        # float64 values per step, against 40.6 and 35.7 with one per step
+        s = 10**5
+        assert traced_peak(lambda: free_energy_profile(build(ratio, s, 1.0, 0))) < 30 * 8 * s
+
+    def test_refused_spring_grids_build_no_spectrum_per_step(self, traced_peak):
+        # the schedule and its grid sizing: 16.0 float64 values per step,
+        # against 27.0 with one spectrum per step
+        s = 10**5
+
+        def refused():
+            sch = build_spring_schedule(1.3, s, 1.0, 0)
+            with pytest.raises(GridTooLarge, match="the grids"):
+                sch.x_grid
+        assert traced_peak(refused) < 22 * 8 * s
 
     def test_largest_tested_schedules_fit(self):
         for sch in (build_spring_schedule(1.3, 1001, 50.0, 0),

@@ -261,7 +261,7 @@ class TestWorkExpectations:
         from stepwork.protocol import build_center_schedule
 
         sch = build_center_schedule(1.0, s, a, 10)
-        log_avg = sch.work_steps().work_expectations(sch.increment, a, a)[0]
+        log_avg = sch.steps.work_expectations(sch.increment, a, a)[0][:-1]
         exact = oracles.center_exact_profile(1.0, s, a, 10)
         assert np.allclose(np.cumsum(-log_avg / a), exact[1:], rtol=0.0, atol=1e-12)
 
