@@ -1,10 +1,11 @@
 """Pull schedules, grids, and the sizing rules that keep the numerics exact.
 
 For the center protocol the x-grid spacing is chosen commensurate with the
-pull increment (h_x = dlambda / M with M even), which makes every affine
-work-increment image land exactly on the shared work lattice of spacing
-h_w = dlambda * h_x.  The recursion then never interpolates, so quadrature
-errors are limited to (sub-machine) trapezoid tail terms.
+pull increment: h_x = dlambda / M for the smallest integer M that resolves the
+densities, with the nodes half a spacing off (at (m + 1/2) h_x) when M is odd.
+Every affine work-increment image then lands exactly on the shared work
+lattice of spacing h_w = dlambda * h_x.  The recursion never interpolates, so
+quadrature errors are limited to (sub-machine) trapezoid tail terms.
 """
 
 from __future__ import annotations
@@ -169,15 +170,16 @@ def _check_run(a, n_max, s):
                       "lower s or n_max")
 
 
-def _snap_grid(lo, hi, h):
+def _snap_grid(lo, hi, h, off=0.0):
+    """The nodes m h + off that cover [lo, hi]."""
     # a spacing that underflowed to 0 asks for infinitely many nodes
     check_grid_budget("the grids", (hi - lo) / h if h > 0.0 else math.inf,
                       "raise the pull increment or lower the point counts")
-    m_lo = math.floor(lo / h)
-    m_hi = math.ceil(hi / h)
+    m_lo = math.floor((lo - off) / h)
+    m_hi = math.ceil((hi - off) / h)
     if m_hi <= m_lo:
         m_hi = m_lo + 1
-    return GridSpec(m_lo * h, m_hi * h, m_hi - m_lo + 1)
+    return GridSpec(m_lo * h + off, m_hi * h + off, m_hi - m_lo + 1)
 
 
 def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
@@ -185,7 +187,8 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
 
     Controls are lambda_i = lambda_s (i-1)/(s-1); s = 1 is the no-work
     convention.  Grids are auto-sized unless point counts are given; the
-    x spacing is always an even integer fraction of dlambda.
+    x spacing is dlambda / M for the smallest integer M, the nodes half a
+    spacing off when M is odd.
     """
     _check_inputs(x_points, w_points, lambda_s=lambda_s, a=a)
     if s <= 0:
@@ -229,7 +232,8 @@ def _center_grids(schedule):
 
     def _build(m):
         h_x = abs(dlam) / m
-        xg = _snap_grid(x_lo, x_hi, h_x)
+        # odd M puts the nodes half a spacing off, so every image stays on the lattice
+        xg = _snap_grid(x_lo, x_hi, h_x, 0.5 * h_x * (m % 2))
         h_w = gamma * h_x
         mu = [0.5 * dlam * (lam + dlam) for lam in controls[:-1]]
         var = [dlam * dlam * sig2 for _ in controls[:-1]]
@@ -239,8 +243,7 @@ def _center_grids(schedule):
         w_hi = total_mu + _W_SIGMA_MARGIN * sigma_tot + 2 * h_w
         return xg, _snap_grid(w_lo, w_hi, h_w)
 
-    m = max(2, math.ceil(abs(dlam) / h_target))
-    m += m % 2  # even M keeps every increment image on the work lattice
+    m = max(1, math.ceil(abs(dlam) / h_target))
     x_grid, w_grid = _build(m)
     w_points = schedule.w_points
     if w_points is not None and w_grid.points < w_points:

@@ -149,6 +149,8 @@ def analytic_free_energy_spring(omega_i, a0):
     if a0 <= 0.0 or np.min(omega_i) <= 0.0:
         raise ValueError("reduced temperature and frequency must be positive")
     z = 0.5 * a0 * omega_i
+    if np.min(z) == 0.0:  # then log(1 - e^{-2z}) would take log(0)
+        raise ValueError(f"the spring free energy at a={a0} underflows: a omega/2 is 0")
     # log(2 sinh z) = z + log(1 - e^{-2z})
     return (z + _log1mexp(2.0 * z)) / a0
 

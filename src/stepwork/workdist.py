@@ -5,8 +5,10 @@ per-step increment densities, because each pulling step samples its own
 fluctuation density independently.  Every density lives on a shared uniform
 work lattice; increments are moved onto it by a mass- and mean-conserving
 two-node deposit, which for the commensurate center grids is exact (every
-image point lands on a lattice node) and for the quadratic spring map turns
-the integrable 1/sqrt(u) spike at u = 0 into finite cell masses.
+image point lands on a lattice node: the x spacing is dlambda / M for the
+smallest integer M, the nodes half a spacing off when M is odd) and for the
+quadratic spring map turns the integrable 1/sqrt(u) spike at u = 0 into
+finite cell masses.
 """
 
 from __future__ import annotations

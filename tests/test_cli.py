@@ -428,6 +428,18 @@ class TestInputContract:
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("argv", [
+        ["run-spring", "--a", "5e-324"],
+        ["sweep", "--protocol", "spring", "--param", "a", "--values", "1e-300,5e-324"],
+    ], ids=["run-spring", "sweep"])
+    def test_underflowing_spring_temperature_named(self, argv, tmp_path, capsys):
+        # 0.5 a omega_1 rounds to 0, where ln(1 - e^{-a omega}) has no value
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config: the spring free energy at a=5e-324 underflows: a omega/2 is 0\n"
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ["run-center", "--nmax", "1000"],
         ["sweep", "--param", "nmax", "--values", "1000", "--s", "11"],
         ["sweep", "--param", "a", "--values", "1", "--s", "1000", "--nmax", "0"],

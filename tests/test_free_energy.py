@@ -297,6 +297,18 @@ class TestPerStepProfile:
             assert mean == pytest.approx(prof.mean_work[i - 1], abs=1e-12)
             assert std == pytest.approx(prof.std_work[i - 1], abs=tol)
 
+    @pytest.mark.parametrize("args", [(1.0, 101, 1.0, 10), (1.0, 11, 1.0, 10),
+                                      (1.0, 11, 0.0625, 10)], ids=["s101", "defaults", "a1/16"])
+    def test_odd_m_grids_match_the_profile(self, args):
+        # M = 1 at s = 101 and 3 at s = 11: the x nodes sit half a spacing off
+        sch = build_center_schedule(*args)
+        assert round(sch.increment / sch.x_grid.spacing) % 2 == 1
+        ledger = run_work_recursion(sch)
+        prof = free_energy_profile(sch)
+        gaps = [exponential_average(ledger.rho(i), sch.beta) - prof.delta_f[i - 1]
+                for i in range(2, sch.s + 1)]
+        assert np.abs(gaps).max() <= 1e-14
+
     def test_single_step_matches_final(self):
         sch = build_center_schedule(1.0, 1, 1.0, 10)
         prof = free_energy_profile(sch)

@@ -80,7 +80,7 @@ def test_pathway_records_count_data_lines(tmp_path):
 
 @pytest.mark.skipif(export._usable_cpus() < 2, reason="the pool needs two usable CPUs")
 def test_pooled_run_counts_every_row(tmp_path):
-    s = 41
+    s = 61
     trace = _trace(["run-center", "--s", str(s)], tmp_path)
     csvs = list((tmp_path / "out").glob("*.csv"))
     data_lines = sum(sum(1 for ln in f.read_text().splitlines() if not ln.startswith("#")) - 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from stepwork import protocol
 from stepwork.errors import GridTooLarge
@@ -14,6 +16,7 @@ from stepwork.protocol import (
     default_temperature_sweep,
 )
 from stepwork.spectra import ProtocolKind
+from stepwork.workdist import step_work_map
 
 
 class TestGridSpec:
@@ -27,6 +30,33 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             GridSpec(1.0, 0.0, 10)
+
+
+@st.composite
+def _center_request(draw):
+    """build_center_schedule arguments: either pull direction, optional point counts."""
+    lambda_s = draw(st.floats(0.1, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return (lambda_s, draw(st.integers(2, 40)), draw(st.floats(1 / 16, 16.0)),
+            draw(st.integers(0, 20)), draw(st.none() | st.integers(2, 600)),
+            draw(st.none() | st.integers(2, 6000)))
+
+
+def _commensurate_m(sch):
+    """M = |dlambda| / h_x, checked to be an integer."""
+    ratio = abs(sch.increment) / sch.x_grid.spacing
+    assert ratio == pytest.approx(round(ratio), abs=1e-9)
+    return round(ratio)
+
+
+def _assert_images_on_lattice(sch):
+    """Every step's increment image of every x node is a node of the work lattice."""
+    assert sch.w_grid.spacing == pytest.approx(abs(sch.increment) * sch.x_grid.spacing, rel=1e-12)
+    assert sch.w_grid.min / sch.w_grid.spacing == pytest.approx(
+        round(sch.w_grid.min / sch.w_grid.spacing), abs=1e-9)
+    x = sch.x_grid.nodes()
+    for i in range(1, sch.s):
+        index = step_work_map(sch, i, x) / sch.w_grid.spacing
+        assert np.abs(index - np.round(index)).max() < 1e-9
 
 
 class TestCenterSchedule:
@@ -52,11 +82,23 @@ class TestCenterSchedule:
                 assert sch.controls[-1] == lam_s
 
     def test_commensurate_spacing(self):
+        # default run-center: dlambda / h_target = 2.33, so M = 3, not the even 4
         sch = build_center_schedule(1.0, 11, 1.0, 10)
-        ratio = sch.increment / sch.x_grid.spacing
-        assert ratio == pytest.approx(round(ratio), abs=1e-9)
-        assert round(ratio) % 2 == 0
-        assert sch.w_grid.spacing == pytest.approx(sch.increment * sch.x_grid.spacing, rel=1e-12)
+        assert _commensurate_m(sch) == 3
+        assert sch.x_grid.points == 409
+        _assert_images_on_lattice(sch)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(request=_center_request())
+    @example(request=(1.0, 101, 1.0, 10, None, None))  # M = 1
+    @example(request=(-1.0, 11, 1.0, 10, None, None))  # M = 3, pulled the other way
+    @example(request=(1.0, 11, 1.0, 10, None, 4000))   # w_points refines M = 3 to 9
+    @example(request=(1.0, 4, 1.0, 5, None, None))     # pathways --s 4 --nmax 5: M = 6
+    def test_images_land_on_the_lattice(self, request):
+        lambda_s, s, a, n_max, x_points, w_points = request
+        sch = build_center_schedule(lambda_s, s, a, n_max, x_points, w_points)
+        event(f"M {'odd' if _commensurate_m(sch) % 2 else 'even'}")
+        _assert_images_on_lattice(sch)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
