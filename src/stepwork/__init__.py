@@ -9,12 +9,9 @@ from .errors import (
 )
 from .free_energy import (
     FreeEnergyProfile,
-    approx_free_energy,
     exponential_average,
     free_energy_profile,
     ground_state_closed_form_center,
-    ground_state_closed_form_spring,
-    spring_low_temp_limit,
 )
 from .pathways import (
     PathwayClass,
@@ -38,7 +35,6 @@ from .spectra import (
     analytic_free_energy_spring,
     analytic_target_spring,
     delta_f_target_center,
-    hermite_poly,
     spring_frequency,
 )
 from .workdist import (

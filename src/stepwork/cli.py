@@ -25,8 +25,7 @@ from . import export
 from .errors import (GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, NonPositiveAverage,
                      WorkerLost)
 from .free_energy import free_energy_profile, ground_state_closed_form_center
-from .pathways import (TransitionRecord, decompose_free_energy, find_optimal_transitions,
-                       overlap_measure)
+from .pathways import TransitionRecord, decompose_free_energy, overlap_measure
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
 from .workdist import fluctuation_density, run_work_recursion
 
@@ -208,11 +207,6 @@ def cmd_pathways(args, cfg):
     tol, eps = float(cfg["tol"]), float(cfg["eps"])
 
     # everything is computed before anything is written, so a failure leaves no output
-    records = []
-    for i in range(2, schedule.s + 1):
-        scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps,
-                                        records_held=len(records))
-        records.extend(scan.records)
     decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps)
     # each density once; with s = 2 there is no pair to overlap, and no density
     # (nor its boundary check) is built
@@ -224,7 +218,7 @@ def cmd_pathways(args, cfg):
         overlaps.append({"steps": [i, i + 1], "dx": dx, "mass": mass})
 
     header = [*TransitionRecord._fields[:-1], "class"]
-    rows = [(*r[:-1], r.label.value) for r in records]
+    rows = [(*r[:-1], r.label.value) for r in decomp.records]
     meta = {k: v for k, v in cfg.items() if v is not None}
     export.write_csv(os.path.join(out, "transitions.csv"), header, rows, meta)
     payload = {
@@ -236,7 +230,7 @@ def cmd_pathways(args, cfg):
         "overlaps": overlaps,
     }
     export.write_json(os.path.join(out, "decomposition.json"), payload)
-    print(f"pathways: {len(records)} optimal transitions, "
+    print(f"pathways: {len(decomp.records)} optimal transitions, "
           f"reconstruction error {export.format_number(decomp.reconstruction_error)}")
     return 0
 

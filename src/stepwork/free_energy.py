@@ -1,4 +1,4 @@
-"""Free-energy changes from work distributions, plus every closed-form oracle.
+"""Free-energy changes from work distributions, and the center ground-state closed form.
 
 All center-protocol energies are in hbar*omega/2, all spring-protocol
 energies in hbar*omega_0, and in both cases the reduced temperature of the
@@ -7,19 +7,17 @@ schedule acts as the inverse temperature beta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteResult, NonPositiveAverage
 from .protocol import PullSchedule
-from .spectra import ProtocolKind, _logsumexp
+from .spectra import _logsumexp
 from .workdist import GriddedDensity, _trapezoid_masses
 
 __all__ = ["FreeEnergyProfile", "exponential_average", "free_energy_profile",
-           "approx_free_energy", "ground_state_closed_form_center",
-           "ground_state_closed_form_spring", "spring_low_temp_limit"]
+           "ground_state_closed_form_center"]
 
 
 def exponential_average(rho: GriddedDensity, beta):
@@ -86,41 +84,8 @@ def free_energy_profile(schedule: PullSchedule):
     return FreeEnergyProfile(schedule, delta_f, targets, mean_w, std_w, f_ref)
 
 
-def approx_free_energy(schedule: PullSchedule):
-    """Gaussian-fluctuation estimate k dlambda sum_i (lambda_i - <x_i>).
-
-    <x_i> comes from the exact mean work increment of step i,
-    <dW_i> = dlambda (lambda_i + dlambda/2 - <x_i>).  Only defined for the
-    center protocol, whose work increment is linear in the trap
-    displacement; for many steps it approaches the thermodynamic integral and
-    hence lambda_s^2/4.
-    """
-    if schedule.kind is not ProtocolKind.CENTER:
-        raise ValueError("the Gaussian approximation applies to the center protocol")
-    mean = schedule.steps.work_expectations(schedule.increment, schedule.a, schedule.beta)[1]
-    return float(np.sum(mean[:-1]) - (schedule.s - 1) * 0.5 * schedule.increment ** 2)
-
-
 def ground_state_closed_form_center(a, dlambda, s):
     """Exact dF = dlambda^2 (s-1)(s-a)/4 for the ground-state-only center pull."""
     if s < 1:
         raise ValueError("need at least one step")
     return dlambda * dlambda * (s - 1) * (s - a) / 4.0
-
-
-def ground_state_closed_form_spring(a0, delta, s):
-    """Exact ground-state dF = (1/(2 a0)) sum_i ln(1 + a0 delta / (2 omega_i))."""
-    if a0 <= 0.0:
-        raise ValueError("reduced temperature must be positive")
-    total = 0.0
-    for i in range(1, s):
-        radicand = 1.0 + delta * (i - 1)
-        if radicand <= 0.0:
-            raise ValueError(f"inverted oscillator at step {i}")
-        total += math.log1p(0.5 * a0 * delta / math.sqrt(radicand))
-    return total / (2.0 * a0)
-
-
-def spring_low_temp_limit(omega_ratio):
-    """Large-s, low-temperature limit (omega_s - omega_0)/2 in hbar*omega_0."""
-    return 0.5 * (omega_ratio - 1.0)

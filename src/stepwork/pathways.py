@@ -28,9 +28,10 @@ __all__ = ["PathwayClass", "TransitionRecord", "PairSummary", "TransitionScan",
            "PathwayDecomposition", "find_optimal_transitions", "overlap_measure",
            "decompose_free_energy"]
 
-# default log-ratio tolerance and relative density floor
+# default log-ratio tolerance, relative density floor and position count
 DEFAULT_TOL = 0.05
 DEFAULT_EPS_REL = 1e-12
+DEFAULT_X_POINTS = 200
 # float64 values' worth of memory one matched transition costs by the time it
 # is written: its record, its CSV row and its line (about 790 bytes measured)
 RECORD_VALUES = 100
@@ -79,19 +80,25 @@ class PairSummary:
 
 @dataclass(frozen=True)
 class TransitionScan:
+    """A transition's matched records and state-pair sums, with its condition
+    code A + 2 B + 4 DB over (n_prev, n_next, k_prev, k_next)."""
+
     records: tuple
     pairs: tuple
+    code: np.ndarray
 
 
 @dataclass(frozen=True)
 class PathwayDecomposition:
     """Free-energy split over pathway classes, with exact reconstruction;
-    ``delta_f`` holds -ln(c)/beta of each class's contribution c."""
+    ``delta_f`` holds -ln(c)/beta of each class's contribution c, and
+    ``records`` the optimal transitions of every step, in step order."""
 
     delta_f: dict
     contributions: dict
     counts: dict
     reconstruction_error: float
+    records: tuple
 
 
 def _density_floor(spectrum, eps_rel):
@@ -106,10 +113,22 @@ def _check_tolerances(tol, eps_rel):
 
 
 def _positions(x_grid, max_points):
-    """At most max_points uniform positions over the x-grid's span."""
+    """Uniform positions over the x-grid's span, at most max_points and at
+    most its N points, none of them inside it on a grid node or halfway
+    between two.
+
+    The grids put every step's center on such a point, and there every odd
+    state's density is 0, so no condition reading it holds, even at a huge
+    tol.  Position k is one of them iff 2 k (N - 1) / (p - 1) is an integer,
+    so p is the largest count <= min(max_points, N) with p - 1 coprime to
+    2 (N - 1).
+    """
     if max_points < 1:
         raise ValueError(f"max_x_points must be at least 1, got {max_points}")
-    return np.linspace(x_grid.min, x_grid.max, min(max_points, x_grid.points))
+    p = min(max_points, x_grid.points)
+    while p > 1 and math.gcd(p - 1, 2 * (x_grid.points - 1)) > 1:
+        p -= 1
+    return np.linspace(x_grid.min, x_grid.max, p)
 
 
 def _transition_tables(schedule, i, x, eps_rel, tol):
@@ -173,7 +192,7 @@ _LABELS = np.array(tuple(PathwayClass), dtype=object)
 
 
 def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
-                             eps_rel=DEFAULT_EPS_REL, max_x_points=200,
+                             eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS,
                              match="optimal", records_held=0):
     """Scan the discretized transition space at step i-1 -> i.
 
@@ -220,7 +239,7 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
             proxy = (math.log(p_fwd / p_rev) - schedule.beta * de
                      if p_fwd > 0.0 and p_rev > 0.0 else math.nan)
             pairs.append(PairSummary(p, n, int(count), p_fwd, p_rev, proxy))
-    return TransitionScan(records, tuple(pairs))
+    return TransitionScan(records, tuple(pairs), code)
 
 
 def overlap_measure(f_prev: GriddedDensity, f_next: GriddedDensity):
@@ -240,10 +259,42 @@ def overlap_measure(f_prev: GriddedDensity, f_next: GriddedDensity):
     return width, mass
 
 
+def _advance(chain, code):
+    """Carry the forward pass's sums over one transition's links.
+
+    ``chain[t, f]`` holds, per slot state (n_prev, k_prev), the weight (t = 0)
+    and count (t = 1) sums of the prefixes along which exactly the conditions
+    in f held; a link with code g sends set f to set f & g.  Most links hold
+    no condition and send every set to set 0: those are one product of the
+    summed sets with the code-0 mask, one per n_prev.  The few links with a
+    non-zero code are scattered with ``np.bincount``.  The code is read in its
+    own (n_prev, n_next, k_prev, k_next) layout.
+    """
+    n_states, _, p, _ = code.shape
+    size = n_states * p
+    rows_of = chain.reshape(2, 8, n_states, p)
+    nxt = np.zeros((2, 8 * size))
+    set0 = nxt.reshape(2, 8, n_states, p)[:, 0]
+    for n_prev in range(n_states):
+        block = code[n_prev]              # (n_next, k_prev, k_next)
+        rows = rows_of[:, :, n_prev]      # (t, f, k_prev)
+        zero = block == 0
+        set0 += np.matmul(rows.sum(axis=1), zero).swapaxes(0, 1)
+        n_next, k_prev, k_next = np.unravel_index(np.flatnonzero(~zero), block.shape)
+        held = block[n_next, k_prev, k_next].astype(np.intp)
+        column = n_next * p + k_next
+        # only the sets some prefix reaches carry anything
+        for f in np.flatnonzero(rows[1].any(axis=-1)):
+            target = (f & held) * size + column
+            for t in (0, 1):
+                nxt[t] += np.bincount(target, weights=rows[t, f, k_prev], minlength=8 * size)
+    return nxt.reshape(2, 8, size)
+
+
 # weights past the float64 range are refused once, at the end, not warned about
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
-                          eps_rel=DEFAULT_EPS_REL, max_x_points=50):
+                          eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS):
     """Split exp(-beta dF) over pathway classes on up to max_x_points positions.
 
     The positions are uniform over the x-grid's span, so each slot's
@@ -262,7 +313,15 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     one forward pass of s-2 transfer-matrix products (as in a hidden Markov
     model) carries, per slot state and per set of conditions held so far,
     disjoint prefix sums; any s is covered.  Counts run through the same
-    pass in float64: exact while ((n_max+1) p)^(s-1) <= 2^53, rounded beyond.
+    pass in float64: exact ints while ((n_max+1) p)^(s-1) <= 2^53, and
+    beyond that rounded, so they are given as floats.
+
+    Each transition i = 2..s is scanned once with ``find_optimal_transitions``
+    at the same positions; its records are kept, and its condition code
+    advances the pass when i < s and is then dropped, so one transition's
+    tables are alive at a time.  The records of every step are held, so a
+    split whose matches exceed the grid budget (a huge tol on many positions)
+    is refused with GridTooLarge, although the split itself needs no records.
     """
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
@@ -280,28 +339,30 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
         weight = q * np.exp(log_tilt)
         slot_weight.append(np.where(np.isfinite(weight), weight, np.exp(np.log(q) + log_tilt)))
 
-    # chain[f] carries the (weight, count) sums of the prefixes along which
+    # chain[:, f] carries the (weight, count) sums of the prefixes along which
     # exactly the conditions in f (A + 2 B + 4 DB) held; at the first slot
     # every condition holds vacuously.  With s = 1 no work is done: one empty
     # pathway of weight 1, optimal by the same vacuous truth
     first = slot_weight[0].ravel() if slot_weight else np.ones(1)
-    chain = np.zeros((8, 2, first.size))
-    chain[7] = first, np.ones(first.size)
-    held = np.arange(8)
-    for i, q in enumerate(slot_weight[1:], start=2):
-        code = _transition_tables(schedule, i, x, eps_rel, tol)["code"]
-        code = code.transpose(0, 2, 1, 3).reshape(chain.shape[-1], -1)
-        nxt = np.zeros_like(chain)
-        for g in range(8):
-            np.add.at(nxt, held & g, chain @ (code == g).astype(float))
-        chain = nxt * np.stack([q.ravel(), np.ones(q.size)])
+    chain = np.zeros((2, 8, first.size))
+    chain[:, 7] = first, np.ones(first.size)
+    records = []
+    for i in range(2, schedule.s + 1):
+        scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps_rel,
+                                        max_x_points=max_x_points, records_held=len(records))
+        records.extend(scan.records)
+        if i < schedule.s:
+            q = slot_weight[i - 1].ravel()
+            chain = _advance(chain, scan.code) * np.stack([q, np.ones(q.size)])[:, None, :]
+        del scan  # the next transition's tables are built without this code
     by_class = np.zeros((len(PathwayClass), 2))
-    np.add.at(by_class, _CLASS_OF, chain.sum(axis=-1))
+    np.add.at(by_class, _CLASS_OF, chain.sum(axis=-1).T)
     c_op, c_det, c_sto, c_bia = by_class[:, 0].tolist()
     c_total = float(by_class[:, 0].sum())
     if not 0.0 < c_total < math.inf:
         raise NonFiniteResult(f"the pathway weights sum to {c_total}; exp(-beta W) leaves "
                               "the float64 range on this grid")
+    exact = ((schedule.n_max + 1) * x.size) ** (schedule.s - 1) <= 2 ** 53
     c_s, c_d = c_op + c_sto, c_op + c_det
     reconstruction = (c_s + c_d - c_op + c_bia) - c_total
     contributions = {"total": c_total, "stochastic": c_s, "deterministic": c_d,
@@ -310,6 +371,8 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
         delta_f={name: float(-math.log(c) / beta) if c > 0.0 else math.inf
                  for name, c in contributions.items()},
         contributions=contributions,
-        counts={cls.value: int(n) for cls, n in zip(PathwayClass, by_class[:, 1])},
+        counts={cls.value: int(n) if exact else float(n)
+                for cls, n in zip(PathwayClass, by_class[:, 1])},
         reconstruction_error=abs(reconstruction) / c_total,
+        records=tuple(records),
     )

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "ProtocolKind",
     "OscillatorSpectrum",
-    "hermite_poly",
     "spring_frequency",
     "analytic_free_energy_center",
     "analytic_free_energy_spring",
@@ -36,25 +35,6 @@ class ProtocolKind(enum.Enum):
 
     CENTER = "center"
     SPRING = "spring"
-
-
-def hermite_poly(n, y):
-    """Physicists' Hermite polynomial H_n(y) by the three-term recurrence.
-
-    Total function of n >= 0; raw values overflow near n ~ 150, use the
-    normalized eigenfunctions (``OscillatorSpectrum.prob_density``) for high
-    orders.
-    """
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    y = np.asarray(y, dtype=float)
-    h_prev = np.ones_like(y)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * y
-    for m in range(1, n):
-        h, h_prev = 2.0 * y * h - 2.0 * m * h_prev, h
-    return h if h.ndim else float(h)
 
 
 def _hermite_functions(n_max, y):
@@ -204,14 +184,6 @@ class OscillatorSpectrum:
     def work_energy(self, n):
         """E_n in the unit work is measured in (hbar*omega/2 or hbar*omega_0)."""
         return self.unit * ((n + 0.5) * self.omega + self.offset)
-
-    def prob_density(self, n, x):
-        """|psi_n(x)|^2, a float for scalar x and an array otherwise."""
-        if n < 0:
-            raise ValueError("quantum number must be non-negative")
-        x = np.asarray(x, dtype=float)
-        dens = _density_stack(n, self.omega, self.center, x)[n]
-        return dens if x.ndim else float(dens[0])
 
     def all_densities(self, x):
         """Array of |psi_n(x)|^2 for n = 0..n_max, shape (n_max+1, len(x))."""

@@ -77,14 +77,6 @@ class GriddedDensity:
             return 1.0
         return float(np.trapezoid(self.values, dx=self.grid.spacing))
 
-    def normalize(self):
-        if self.is_point_mass:
-            return self
-        mass = self.integral()
-        if mass <= 0.0:
-            raise ValueError("cannot normalize a zero density")
-        return GriddedDensity(self.grid, self.values / mass)
-
 
 @dataclass(frozen=True)
 class WorkLedger:

@@ -5,13 +5,16 @@ spectra's own densities, so the vectorized tables of ``stepwork.pathways``
 can be checked entry by entry.  The enumeration builds the work distribution
 of every energy pathway by convolving per-state pushforwards, so their sum
 can be checked against the recursion pipeline.  Both cost a power of the
-problem size and are meant for small schedules only.
+problem size and are meant for small schedules only.  The mask step of the
+decomposition's forward pass forms one float64 matrix per condition code,
+so the pass's sparse step can be checked against it.
 """
 
 import itertools
 import math
 
 import numpy as np
+from reference import prob_density
 
 from stepwork.pathways import DEFAULT_EPS_REL, _density_floor
 from stepwork.protocol import GridSpec
@@ -43,8 +46,8 @@ def residual_12a(i, x_prev, x_next, n_prev, n_next, schedule,
     """
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
-    d_next = sp_next.prob_density(n_next, x_next)
-    d_prev = sp_prev.prob_density(n_prev, x_prev)
+    d_next = prob_density(sp_next, n_next, x_next)
+    d_prev = prob_density(sp_prev, n_prev, x_prev)
     log_ratio = (_checked_log(d_next, _density_floor(sp_next, eps_rel), "|psi(x_next)|^2")
                  - _checked_log(d_prev, _density_floor(sp_prev, eps_rel), "|psi(x_prev)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
@@ -56,8 +59,8 @@ def residual_12b(i, x_prev, x_next, n_next, schedule, eps_rel=DEFAULT_EPS_REL):
     """Same-state density ratio between the two positions minus beta dW."""
     sp_next = schedule.spectrum(i)
     floor = _density_floor(sp_next, eps_rel)
-    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_next), floor, "|psi(x_next)|^2")
-                 - _checked_log(sp_next.prob_density(n_next, x_prev), floor, "|psi(x_prev)|^2"))
+    log_ratio = (_checked_log(prob_density(sp_next, n_next, x_next), floor, "|psi(x_next)|^2")
+                 - _checked_log(prob_density(sp_next, n_next, x_prev), floor, "|psi(x_prev)|^2"))
     return log_ratio - schedule.beta * step_work_map(schedule, i - 1, x_prev)
 
 
@@ -66,9 +69,9 @@ def residual_13(i, x_prev, x_next, n_prev, n_next, schedule,
     """Detailed-balance residual: cross-evaluated density ratio minus beta dE."""
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
-    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_prev),
+    log_ratio = (_checked_log(prob_density(sp_next, n_next, x_prev),
                               _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
-                 - _checked_log(sp_prev.prob_density(n_prev, x_next),
+                 - _checked_log(prob_density(sp_prev, n_prev, x_next),
                                 _density_floor(sp_prev, eps_rel), "|psi_prev(x_next)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
     return log_ratio - schedule.beta * de
@@ -83,9 +86,9 @@ def residual_quotient(i, x_prev, n_prev, n_next, schedule,
     """
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
-    log_ratio = (_checked_log(sp_next.prob_density(n_next, x_prev),
+    log_ratio = (_checked_log(prob_density(sp_next, n_next, x_prev),
                               _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
-                 - _checked_log(sp_prev.prob_density(n_prev, x_prev),
+                 - _checked_log(prob_density(sp_prev, n_prev, x_prev),
                                 _density_floor(sp_prev, eps_rel), "|psi_prev(x_prev)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
     return log_ratio - schedule.beta * de
@@ -157,3 +160,20 @@ def total_pathway_distribution(schedule):
             grid, a, b = on_common_lattice(total, rho, h)
             total = GriddedDensity(grid, a + b)
     return total
+
+
+def advance_by_masks(chain, code):
+    """One transition of the decomposition's forward pass, one mask per code.
+
+    ``chain[t, f]`` holds the weight (t = 0) and count (t = 1) sums of the
+    prefixes along which exactly the conditions in f held; a link with code g
+    sends set f to set f & g.  Each of the eight codes g becomes a full
+    (n_prev k_prev, n_next k_next) float64 matrix.
+    """
+    n_states, _, p, _ = code.shape
+    links = code.transpose(0, 2, 1, 3).reshape(n_states * p, -1)
+    nxt = np.zeros_like(chain)
+    held = np.arange(8)
+    for g in range(8):
+        np.add.at(nxt, (slice(None), held & g), chain @ (links == g).astype(float))
+    return nxt

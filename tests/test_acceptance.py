@@ -18,14 +18,13 @@ from pathway_reference import (
     residual_quotient,
     total_pathway_distribution,
 )
+from reference import ground_state_closed_form_spring, normalize, spring_low_temp_limit
 
 from stepwork.cli import main
 from stepwork.free_energy import (
     exponential_average,
     free_energy_profile,
     ground_state_closed_form_center,
-    ground_state_closed_form_spring,
-    spring_low_temp_limit,
 )
 from stepwork.pathways import decompose_free_energy, find_optimal_transitions
 from stepwork.protocol import build_center_schedule, build_spring_schedule
@@ -153,7 +152,7 @@ def test_criterion_8_pathway_suite():
 
     # (i) summed energy-pathway distributions equal the recursion pipeline
     pipeline = run_work_recursion(sch).final
-    total = total_pathway_distribution(sch).normalize()
+    total = normalize(total_pathway_distribution(sch))
     _, a, b = on_common_lattice(pipeline, total, sch.w_grid.spacing)
     enum_err = float(np.abs(a - b).max() / a.max())
     enum_ok = enum_err <= 1e-6

@@ -208,6 +208,20 @@ class TestPathwaysCommand:
         assert header[-1] == "class"
         assert all(r[-1] == "optimal" for r in rows)
 
+    def test_each_transition_table_is_built_once(self, tmp_path, monkeypatch):
+        # the records and the class split read one table per transition
+        built = []
+        tables = pathways._transition_tables
+
+        def spy(schedule, i, x, *args):
+            built.append((i, x.size))
+            return tables(schedule, i, x, *args)
+
+        monkeypatch.setattr(pathways, "_transition_tables", spy)
+        assert main(["pathways", "--s", "4", "--out", str(tmp_path)]) == 0
+        assert [i for i, _ in built] == [2, 3, 4]
+        assert len({p for _, p in built}) == 1
+
     def test_overlap_matches_gaussian_oracle(self, tmp_path):
         # ground-state-only run: overlap of two equal-width Gaussians
         assert main(["pathways", "--nmax", "0", "--a", "50.0",

