@@ -131,21 +131,64 @@ def _positions(x_grid, max_points):
     return np.linspace(x_grid.min, x_grid.max, p)
 
 
+# the rounding margin of a band search, in units of the largest magnitude that
+# it and the residual it stands for read: four ulps over the five roundings
+# between them, each at most half an ulp
+_BAND_ULPS = 4 * np.finfo(float).eps
+
+
+def _band_links(logs, ok, center, magnitude, tol):
+    """Every (query, k) with ok[k] and logs[k] within tol of center[query].
+
+    The band is widened by a rounding margin, so the links are a superset of
+    those where the residual |logs[k] - center[query]| the caller evaluates is
+    within tol; ``magnitude[query]`` bounds the operands that formed the
+    center.  One sort of the above-floor logs and two searchsorted calls give
+    each query's run of sorted values; the runs are laid out query by query.
+    """
+    ks = np.flatnonzero(ok)
+    ks = ks[np.argsort(logs[ks])]
+    ranked = logs[ks]
+    width = tol + _BAND_ULPS * (tol + magnitude + np.abs(ranked).max(initial=0.0))
+    lo = np.searchsorted(ranked, center - width, side="left")
+    count = np.searchsorted(ranked, center + width, side="right") - lo
+    query = np.repeat(np.arange(center.size), count)
+    rank = np.arange(query.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return query, ks[rank]
+
+
+def _within(r, tol):
+    return (-tol <= r) & (r <= tol)
+
+
+# float64 values a link of one state's (n_next or n_prev) slice costs at most
+# while that slice is worked on, traced with every link in play: up to 7.3 for
+# a band-search candidate (its indices, rank and residual), 10.5 for the
+# forward pass over one n_prev block
+SLICE_VALUES = 11
+
+
 def _transition_tables(schedule, i, x, eps_rel, tol):
-    """Residuals and condition codes over one transition's (n_prev, n_next, k_prev, k_next) grid.
+    """Condition codes over one transition's (n_prev, n_next, k_prev, k_next) grid.
 
     Both positions of a transition range over the same axis x.  A condition
     holds on a link where its residual is within tol and both densities the
     residual reads are above the floor; ``code`` packs which hold as
-    A + 2 B + 4 DB.  r12b does not depend on n_prev and is kept as
-    (n_next, k_prev, k_next).
+    A + 2 B + 4 DB.  r12b does not depend on n_prev and is tested on its own
+    (n_next, k_prev, k_next) table.  A (r12a) holds where
+    ln d_next[n_next, k_next] is near ln d_prev[n_prev, k_prev] + beta (dE + dW),
+    and DB (r13) where ln d_prev[n_prev, k_next] is near
+    ln d_next[n_next, k_prev] - beta dE: each is found by a band search over
+    one state's sorted logs, and each candidate is decided by the residual
+    itself, so no float64 table over all links is built.
     """
-    # refused before any table is allocated: r12a, r13, one more full-size
-    # float64 array while they are formed, then the one-byte code and pass
-    # arrays; the traced peaks of the scan and the decomposition are 3.1 to
-    # 3.6 full-size float64 arrays
+    n_states, p = schedule.n_max + 1, x.size
+    # refused before any table is allocated: the one-byte code (three bytes a
+    # link while the matched links are picked from it), the shift table, r12b
+    # and one state's slice, every link of it a candidate at worst
     check_grid_budget("the transition tables",
-                      5 * (schedule.n_max + 1) ** 2 * x.size ** 2,
+                      3 * n_states ** 2 * p ** 2 / 8 + n_states ** 2 * p
+                      + (1 + SLICE_VALUES) * n_states * p ** 2,
                       "lower n_max")
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
@@ -155,33 +198,53 @@ def _transition_tables(schedule, i, x, eps_rel, tol):
     ok_prev = d_prev > _density_floor(sp_prev, eps_rel)
     ok_next = d_next > _density_floor(sp_next, eps_rel)
 
-    e_prev = sp_prev.work_energy(np.arange(schedule.n_max + 1))
-    e_next = sp_next.work_energy(np.arange(schedule.n_max + 1))
+    e_prev = sp_prev.work_energy(np.arange(n_states))
+    e_next = sp_next.work_energy(np.arange(n_states))
     de = e_next[None, :] - e_prev[:, None]                      # (S, S)
     dw = step_work_map(schedule, i - 1, x)                      # (P,)
 
-    # axes: n_prev, n_next, k_prev, k_next
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an infinite log or shift fails every condition that reads it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l_prev = np.log(d_prev)
         l_next = np.log(d_next)
-        r12a = (l_next[None, :, None, :] - l_prev[:, None, :, None]
-                - beta * (de[:, :, None, None] + dw[None, None, :, None]))
-        r12b = (l_next[:, None, :] - l_next[:, :, None] - beta * dw[None, :, None])
-        r13 = (l_next[None, :, :, None] - l_prev[:, None, None, :]
-               - beta * de[:, :, None, None])
+        shift = beta * (de[:, :, None] + dw)                    # (S, S, P)
+        # in place: numpy's elision of the chained temporary costs more than
+        # the subtraction here
+        r12b = l_next[:, None, :] - l_next[:, :, None]
+        r12b -= beta * dw[:, None]
 
-    # which conditions hold on each link, as A + 2 B + 4 DB: a residual in
-    # [-tol, tol] whose two densities are above the floor.  B is tested on its
-    # own (S, P, P) table and broadcast over n_prev
-    code = np.zeros(r12a.shape, dtype=np.uint8)
-    for bit, r, floors in ((0, r12a, (ok_prev[:, None, :, None], ok_next[None, :, None, :])),
-                           (1, r12b, (ok_next[:, :, None], ok_next[:, None, :])),
-                           (2, r13, (ok_prev[:, None, None, :], ok_next[None, :, :, None]))):
-        held = (-tol <= r) & (r <= tol)
-        for ok in floors:
-            held &= ok
-        code |= held.view(np.uint8) << bit
-    return {"r12a": r12a, "r12b": r12b, "r13": r13, "code": code,
+    # r12a and r13 link by link; a below-floor density gives an infinite log,
+    # and a residual reading one is returned as it comes out
+    @np.errstate(invalid="ignore", over="ignore")
+    def r12a(n_prev, n_next, k_prev, k_next):
+        return l_next[n_next, k_next] - l_prev[n_prev, k_prev] - shift[n_prev, n_next, k_prev]
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def r13(n_prev, n_next, k_prev, k_next):
+        return l_next[n_next, k_prev] - l_prev[n_prev, k_next] - beta * de[n_prev, n_next]
+
+    code = np.empty((n_states, n_states, p, p), dtype=np.uint8)
+    code[:] = (_within(r12b, tol) & ok_next[:, :, None] & ok_next[:, None, :]).view(np.uint8) << 1
+    links = code.reshape(-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # A, per n_next: the band of each above-floor (n_prev, k_prev)
+        q_prev, q_k = np.nonzero(ok_prev)
+        base = l_prev[q_prev, q_k]
+        for n in range(n_states):
+            t = shift[q_prev, n, q_k]
+            q, k_next = _band_links(l_next[n], ok_next[n], base + t, np.abs(base) + np.abs(t), tol)
+            link = q_prev[q], n, q_k[q], k_next
+            links[np.ravel_multi_index(link, code.shape)[_within(r12a(*link), tol)]] |= 1
+
+        # DB, per n_prev: the band of each above-floor (n_next, k_prev)
+        q_next, q_k = np.nonzero(ok_next)
+        base = l_next[q_next, q_k]
+        for n in range(n_states):
+            t = beta * de[n, q_next]
+            q, k_next = _band_links(l_prev[n], ok_prev[n], base - t, np.abs(base) + np.abs(t), tol)
+            link = n, q_next[q], q_k[q], k_next
+            links[np.ravel_multi_index(link, code.shape)[_within(r13(*link), tol)]] |= 4
+    return {"code": code, "r12a": r12a, "r12b": r12b, "r13": r13,
             "e_prev": e_prev, "e_next": e_next, "d_prev": d_prev, "d_next": d_next}
 
 
@@ -226,8 +289,8 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
         TransitionRecord, itertools.repeat(i), n_prev.tolist(), n_next.tolist(),
         x[k_prev].tolist(), x[k_next].tolist(),
         tab["e_prev"][n_prev].tolist(), tab["e_next"][n_next].tolist(),
-        tab["r12a"][hit].tolist(), tab["r12b"][n_next, k_prev, k_next].tolist(),
-        tab["r13"][hit].tolist(), _LABELS[_CLASS_OF[code[hit]]].tolist()))
+        tab["r12a"](*hit).tolist(), tab["r12b"][n_next, k_prev, k_next].tolist(),
+        tab["r13"](*hit).tolist(), _LABELS[_CLASS_OF[code[hit]]].tolist()))
 
     # a state pair's records are consecutive, and its sums run over them in order
     pairs = []
@@ -317,11 +380,12 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     beyond that rounded, so they are given as floats.
 
     Each transition i = 2..s is scanned once with ``find_optimal_transitions``
-    at the same positions; its records are kept, and its condition code
-    advances the pass when i < s and is then dropped, so one transition's
-    tables are alive at a time.  The records of every step are held, so a
-    split whose matches exceed the grid budget (a huge tol on many positions)
-    is refused with GridTooLarge, although the split itself needs no records.
+    at the same positions; its records are kept, and its one-byte condition
+    code advances the pass when i < s and is then dropped, so one
+    transition's code is alive at a time, and no float64 array over all its
+    links is built.  The records of every step are held, so a split whose
+    matches exceed the grid budget (a huge tol on many positions) is refused
+    with GridTooLarge, although the split itself needs no records.
     """
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)

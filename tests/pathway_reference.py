@@ -7,7 +7,9 @@ of every energy pathway by convolving per-state pushforwards, so their sum
 can be checked against the recursion pipeline.  Both cost a power of the
 problem size and are meant for small schedules only.  The mask step of the
 decomposition's forward pass forms one float64 matrix per condition code,
-so the pass's sparse step can be checked against it.
+so the pass's sparse step can be checked against it.  The dense transition
+tables evaluate every residual over every link, so the band search of the scan
+can be checked against them code for code and bit for bit.
 """
 
 import itertools
@@ -177,3 +179,47 @@ def advance_by_masks(chain, code):
     for g in range(8):
         np.add.at(nxt, (slice(None), held & g), chain @ (links == g).astype(float))
     return nxt
+
+
+def dense_transition_tables(schedule, i, x, eps_rel, tol):
+    """Residuals and condition codes over every link of one transition's
+    (n_prev, n_next, k_prev, k_next) grid.
+
+    A condition holds on a link where its residual is within tol and both
+    densities the residual reads are above the floor; ``code`` packs which hold
+    as A + 2 B + 4 DB.  r12b does not depend on n_prev and is kept as
+    (n_next, k_prev, k_next).  r12a and r13 are full-size float64 tables.
+    """
+    sp_prev = schedule.spectrum(i - 1)
+    sp_next = schedule.spectrum(i)
+    beta = schedule.beta
+    d_prev = sp_prev.all_densities(x)   # (S, P)
+    d_next = sp_next.all_densities(x)
+    ok_prev = d_prev > _density_floor(sp_prev, eps_rel)
+    ok_next = d_next > _density_floor(sp_next, eps_rel)
+
+    e_prev = sp_prev.work_energy(np.arange(schedule.n_max + 1))
+    e_next = sp_next.work_energy(np.arange(schedule.n_max + 1))
+    de = e_next[None, :] - e_prev[:, None]                      # (S, S)
+    dw = step_work_map(schedule, i - 1, x)                      # (P,)
+
+    # axes: n_prev, n_next, k_prev, k_next
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l_prev = np.log(d_prev)
+        l_next = np.log(d_next)
+        r12a = (l_next[None, :, None, :] - l_prev[:, None, :, None]
+                - beta * (de[:, :, None, None] + dw[None, None, :, None]))
+        r12b = (l_next[:, None, :] - l_next[:, :, None] - beta * dw[None, :, None])
+        r13 = (l_next[None, :, :, None] - l_prev[:, None, None, :]
+               - beta * de[:, :, None, None])
+
+    code = np.zeros(r12a.shape, dtype=np.uint8)
+    for bit, r, floors in ((0, r12a, (ok_prev[:, None, :, None], ok_next[None, :, None, :])),
+                           (1, r12b, (ok_next[:, :, None], ok_next[:, None, :])),
+                           (2, r13, (ok_prev[:, None, None, :], ok_next[None, :, :, None]))):
+        held = (-tol <= r) & (r <= tol)
+        for ok in floors:
+            held &= ok
+        code |= held.view(np.uint8) << bit
+    return {"r12a": r12a, "r12b": r12b, "r13": r13, "code": code,
+            "d_prev": d_prev, "d_next": d_next}

@@ -251,7 +251,7 @@ class TestPathwaysCommand:
         assert payload["reconstruction_error"] <= 1e-12
 
     @pytest.mark.parametrize("argv", [
-        ["pathways", "--nmax", "40"],  # (41, 41, 200, 200) transition tables
+        ["pathways", "--nmax", "100"],  # (101, 101, 200, 200) transition codes
         ["pathways", "--lambda-s", "1e6"],
         ["run-center", "--s", "2", "--lambda-s", "1e6"],
         ["run-center", "--s", "2", "--lambda-s", "1e-300"],  # work lattice spacing underflows

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from pathway_reference import (
     DensityFloor,
     advance_by_masks,
+    dense_transition_tables,
     on_common_lattice,
     pathway_work_distribution,
     residual_12a,
@@ -25,6 +26,7 @@ from stepwork.free_energy import free_energy_profile
 from stepwork.pathways import (
     DEFAULT_EPS_REL,
     DEFAULT_TOL,
+    DEFAULT_X_POINTS,
     RECORD_VALUES,
     PathwayClass,
     _density_floor,
@@ -155,7 +157,7 @@ class TestTransitionScan:
     def test_records_counted_against_budget_before_built(self, center_s3, monkeypatch):
         matched = len(find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10).records)
         assert matched > 0
-        # the tables (5 (n_max+1)^2 p^2 = 5,120 values at p = 8) fit either budget
+        # the tables (3,584 values at p = 8) fit either budget
         monkeypatch.setattr(protocol, "GRID_BUDGET", RECORD_VALUES * matched)
         scan = find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10)
         assert len(scan.records) == matched
@@ -274,7 +276,7 @@ class TestDetailedBalanceIdentity:
         # so where A and B hold, |r13| <= 2 tol + |that log ratio|
         x = _positions(sch.x_grid, 200)
         for i in range(2, sch.s + 1):
-            tab = _transition_tables(sch, i, x, DEFAULT_EPS_REL, tol)
+            tab = dense_transition_tables(sch, i, x, DEFAULT_EPS_REL, tol)
             ok_prev = tab["d_prev"] > _density_floor(sch.spectrum(i - 1), DEFAULT_EPS_REL)
             ok_next = tab["d_next"] > _density_floor(sch.spectrum(i), DEFAULT_EPS_REL)
             read = (ok_prev[:, None, :, None] & ok_prev[:, None, None, :]
@@ -293,23 +295,85 @@ class TestDetailedBalanceIdentity:
             assert np.all(np.abs(tab["r13"][both]) <= 2 * tol + np.abs(ratio[both]) + 1e-12)
 
 
+class TestSparseScan:
+    @settings(max_examples=100, deadline=None)
+    @given(spring=st.booleans(), s=st.integers(2, 4), n_max=st.integers(0, 8),
+           a=st.one_of(st.floats(0.05, 20.0), st.sampled_from([1e3, 1e6])),
+           eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-300, 0.0, 1e-3]),
+           tol=st.one_of(st.sampled_from([0.0, 1e9, "r12a", "r13"]), st.floats(1e-3, 5.0)),
+           x_points=st.integers(5, 121), points=st.integers(1, 40), data=st.data())
+    def test_codes_and_residuals_match_the_dense_tables(self, spring, s, n_max, a, eps_rel,
+                                                        tol, x_points, points, data):
+        sch = (build_spring_schedule(1.3, s, a, n_max, x_points=x_points) if spring
+               else build_center_schedule(1.0, s, a, n_max, x_points=x_points))
+        i = data.draw(st.integers(2, s))
+        x = _positions(sch.x_grid, points)
+        if isinstance(tol, str):
+            # a tol that one link's residual attains, which puts that link on
+            # the edge of its band
+            r = dense_transition_tables(sch, i, x, eps_rel, 0.0)[tol]
+            r = np.abs(r[np.isfinite(r)])
+            tol = float(data.draw(st.sampled_from(r.tolist()))) if r.size else 0.0
+        ref = dense_transition_tables(sch, i, x, eps_rel, tol)
+        code = _transition_tables(sch, i, x, eps_rel, tol)["code"]
+        assert code.dtype == np.uint8 and np.array_equal(code, ref["code"])
+        for match, need in (("optimal", 3), ("detailed-balance", 4)):
+            scan = find_optimal_transitions(sch, i, tol=tol, eps_rel=eps_rel,
+                                            max_x_points=points, match=match)
+            hit = np.nonzero((ref["code"] & need) == need)
+            got = np.array([(r.n_prev, r.n_next) for r in scan.records]).reshape(-1, 2)
+            assert np.array_equal(got, np.transpose(hit[:2]))
+            for name, table in (("r12a", ref["r12a"][hit]),
+                                ("r12b", ref["r12b"][hit[1:]]),
+                                ("r13", ref["r13"][hit])):
+                values = np.array([getattr(r, name) for r in scan.records], dtype=float)
+                assert np.array_equal(values.view(np.int64), table.view(np.int64)), name
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.2])
+    def test_codes_match_the_dense_tables_on_the_bench_configuration(self, tol):
+        sch = build_center_schedule(1.0, 4, 1.0, 5)
+        x = _positions(sch.x_grid, DEFAULT_X_POINTS)
+        for i in range(2, sch.s + 1):
+            ref = dense_transition_tables(sch, i, x, DEFAULT_EPS_REL, tol)["code"]
+            assert np.array_equal(_transition_tables(sch, i, x, DEFAULT_EPS_REL, tol)["code"], ref)
+
+    def test_builds_no_full_size_float64_table(self, traced_peak):
+        sch = build_center_schedule(1.0, 4, 1.0, 5)
+        p = _positions(sch.x_grid, DEFAULT_X_POINTS).size
+        peak = traced_peak(lambda: find_optimal_transitions(sch, 2))
+        assert peak < 8 * (sch.n_max + 1) ** 2 * p ** 2
+
+
 class TestTableBudget:
-    @pytest.mark.parametrize("sch, points", [
-        (build_center_schedule(1.0, 3, 1.0, 1), 200),
-        (build_center_schedule(1.0, 3, 1.0, 5), 200),
-        (build_spring_schedule(1.3, 3, 0.5, 3), 150),
+    @pytest.mark.parametrize("sch, points, tol, refused", [
+        pytest.param(build_center_schedule(1.0, 3, 1.0, 1), 200, DEFAULT_TOL,
+                     "transition tables", id="sch0-200"),
+        pytest.param(build_center_schedule(1.0, 3, 1.0, 5), 200, DEFAULT_TOL,
+                     "transition tables", id="sch1-200"),
+        pytest.param(build_spring_schedule(1.3, 3, 0.5, 3), 150, DEFAULT_TOL,
+                     "transition tables", id="sch2-150"),
+        # one state's slice is the whole table
+        pytest.param(build_center_schedule(1.0, 3, 1.0, 0), 200, DEFAULT_TOL,
+                     "transition tables", id="nmax0-200"),
+        # every link is a candidate and a record: the records' budget refuses the runs
+        pytest.param(build_center_schedule(1.0, 3, 1.0, 2), 60, 1e9,
+                     "transition records", id="huge-tol-60"),
     ])
-    def test_checked_values_cover_the_traced_peaks(self, sch, points, traced_peak):
-        sch.x_grid
-        for run in (lambda: find_optimal_transitions(sch, 2, max_x_points=points),
-                    lambda: find_optimal_transitions(sch, 2, max_x_points=points,
+    def test_checked_values_cover_the_traced_peaks(self, sch, points, tol, refused,
+                                                   traced_peak):
+        x = _positions(sch.x_grid, points)
+        runs = [(lambda: _transition_tables(sch, 2, x, DEFAULT_EPS_REL, tol), "transition tables")]
+        for run in (lambda: find_optimal_transitions(sch, 2, tol=tol, max_x_points=points),
+                    lambda: find_optimal_transitions(sch, 2, tol=tol, max_x_points=points,
                                                      match="detailed-balance"),
-                    lambda: decompose_free_energy(sch, max_x_points=points)):
+                    lambda: decompose_free_energy(sch, tol=tol, max_x_points=points)):
+            runs.append((run, refused))
+        for run, what in runs:
             peak = traced_peak(run)
-            # a budget one float64 value below the traced peak refuses the tables
+            # a budget one float64 value below the traced peak refuses the run
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(protocol, "GRID_BUDGET", peak // 8 - 1)
-                with pytest.raises(GridTooLarge, match="transition tables"):
+                with pytest.raises(GridTooLarge, match=what):
                     run()
 
 
