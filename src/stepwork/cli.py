@@ -149,7 +149,7 @@ def _sweep_point(cfg, param, value):
         point["n_max"] = int(value)
     elif param == "dlambda":
         point["s"] = int(round(1.0 / value)) + 1
-        point["lambda_s"] = float(value) * (point["s"] - 1)
+        point["dlambda"] = float(value)
     schedule = _schedule_from(point)
     if point["protocol"] == "center" and schedule.n_max == 0:
         oracle = ground_state_closed_form_center(schedule.a, schedule.increment, schedule.s)

@@ -101,7 +101,7 @@ def _format_body(grid, values):
 
 
 def density_rows(density, pool=None):
-    """Two-column (W, rho) rows; a point mass becomes one row.
+    """Two-column (W, rho) rows; the point mass becomes the one row 0,inf.
 
     The rows come back as FormattedRows: the rho column is formatted in one
     bytes % against the grid's line template, and "%.12g" renders every
@@ -110,7 +110,7 @@ def density_rows(density, pool=None):
     """
     header = ["W", "rho"]
     if density.is_point_mass:
-        return header, format_rows([(density.location, math.inf)])
+        return header, format_rows([(0.0, math.inf)])
     if pool is None:
         body = _format_body(density.grid, density.values)
     else:

@@ -29,7 +29,7 @@ def exponential_average(rho: GriddedDensity, beta):
     if beta <= 0.0:
         raise ValueError("inverse temperature must be positive")
     if rho.is_point_mass:
-        return rho.location
+        return 0.0
     mask = rho.values > 0.0
     if not mask.any():
         raise NonPositiveAverage("density is identically zero")
@@ -73,7 +73,8 @@ def free_energy_profile(schedule: PullSchedule):
     steps = schedule.steps
     log_avg, mean, var = (v[:-1] for v in steps.work_expectations(
         schedule.increment, schedule.a, schedule.beta))
-    delta_f = np.concatenate(([0.0], np.cumsum(-log_avg / schedule.beta)))
+    # 0 - x is -x for x != 0, and +0 (not -0) for a step that does no work
+    delta_f = np.concatenate(([0.0], np.cumsum((0.0 - log_avg) / schedule.beta)))
     mean_w = np.concatenate(([0.0], np.cumsum(mean)))
     std_w = np.sqrt(np.concatenate(([0.0], np.cumsum(var))))
     targets = steps.target(schedule.a)

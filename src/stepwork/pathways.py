@@ -278,12 +278,12 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
 
     need = 3 if match == "optimal" else 4
     code = tab["code"]
-    matched = (code & need) == need
-    counts = np.count_nonzero(matched, axis=(2, 3))   # per (n_prev, n_next)
-    check_grid_budget("the transition records",
-                      RECORD_VALUES * (records_held + int(counts.sum())),
+    flat = np.flatnonzero((code & need) == need)
+    check_grid_budget("the transition records", RECORD_VALUES * (records_held + flat.size),
                       "lower tol or n_max")
-    hit = np.unravel_index(np.flatnonzero(matched), code.shape)
+    n_states = code.shape[0]
+    counts = np.bincount(flat // x.size ** 2, minlength=n_states ** 2)  # per (n_prev, n_next)
+    hit = np.unravel_index(flat, code.shape)
     n_prev, n_next, k_prev, k_next = hit
     records = tuple(map(
         TransitionRecord, itertools.repeat(i), n_prev.tolist(), n_next.tolist(),
@@ -294,14 +294,16 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
 
     # a state pair's records are consecutive, and its sums run over them in order
     pairs = []
-    for (p, n), count, end in zip(np.ndindex(counts.shape), counts.flat, np.cumsum(counts)):
-        if count:
-            p_fwd = float(tab["d_next"][n, k_prev[end - count:end]].sum())
-            p_rev = float(tab["d_prev"][p, k_next[end - count:end]].sum())
-            de = tab["e_next"][n] - tab["e_prev"][p]
-            proxy = (math.log(p_fwd / p_rev) - schedule.beta * de
-                     if p_fwd > 0.0 and p_rev > 0.0 else math.nan)
-            pairs.append(PairSummary(p, n, int(count), p_fwd, p_rev, proxy))
+    ends = np.cumsum(counts)
+    for pair in np.flatnonzero(counts).tolist():
+        p, n = divmod(pair, n_states)
+        count, end = int(counts[pair]), int(ends[pair])
+        p_fwd = float(tab["d_next"][n, k_prev[end - count:end]].sum())
+        p_rev = float(tab["d_prev"][p, k_next[end - count:end]].sum())
+        de = tab["e_next"][n] - tab["e_prev"][p]
+        proxy = (math.log(p_fwd / p_rev) - schedule.beta * de
+                 if p_fwd > 0.0 and p_rev > 0.0 else math.nan)
+        pairs.append(PairSummary(p, n, count, p_fwd, p_rev, proxy))
     return TransitionScan(records, tuple(pairs), code)
 
 

@@ -172,8 +172,9 @@ def _check_run(a, n_max, s):
 
 def _snap_grid(lo, hi, h, off=0.0):
     """The nodes m h + off that cover [lo, hi]."""
-    # a spacing that underflowed to 0 asks for infinitely many nodes
-    check_grid_budget("the grids", (hi - lo) / h if h > 0.0 else math.inf,
+    # a spacing that underflowed to 0 asks for infinitely many nodes; the
+    # quotient is taken on Python floats, which overflow to inf without a warning
+    check_grid_budget("the grids", float(hi - lo) / float(h) if h > 0.0 else math.inf,
                       "raise the pull increment or lower the point counts")
     m_lo = math.floor((lo - off) / h)
     m_hi = math.ceil((hi - off) / h)

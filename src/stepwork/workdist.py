@@ -45,15 +45,14 @@ _SLAB = 256
 
 @dataclass(frozen=True)
 class GriddedDensity:
-    """A nonnegative density sampled on a uniform grid, or a point mass.
+    """A nonnegative density sampled on a uniform grid, or the point mass at 0.
 
-    Point masses (``grid is None``) encode degenerate work increments and the
-    s = 1 "no work performed" convention.
+    The point mass (``grid is None``) is the work distribution of a pull
+    that does no work: s = 1, or a zero increment.
     """
 
     grid: GridSpec | None
     values: np.ndarray | None
-    location: float = 0.0
 
     def __post_init__(self):
         if self.grid is not None:
@@ -65,8 +64,8 @@ class GriddedDensity:
             object.__setattr__(self, "values", vals)
 
     @classmethod
-    def point_mass(cls, location=0.0):
-        return cls(grid=None, values=None, location=location)
+    def point_mass(cls):
+        return cls(grid=None, values=None)
 
     @property
     def is_point_mass(self):
@@ -91,7 +90,7 @@ class WorkLedger:
         """rho_s, or the s = 1 point-mass convention."""
         if self.distributions:
             return self.distributions[-1]
-        return GriddedDensity.point_mass(0.0)
+        return GriddedDensity.point_mass()
 
     def rho(self, i):
         """Work distribution after reaching pulling step i (2 <= i <= s)."""
@@ -178,14 +177,11 @@ def _lattice_offset(density: GriddedDensity, h):
 def pushforward_step_density(f: GriddedDensity, schedule: PullSchedule, i):
     """Density of the work increment deltaW_i when x is distributed as f.
 
-    A constant map (dlambda = 0 or delta = 0) is degenerate and yields a
-    point mass at zero.  The affine center map is an exact change of
-    variables with |Jacobian| = 1/(k dlambda); the quadratic spring map
-    folds both branches x = +-sqrt(u / c) and leaves an integrable
-    1/sqrt(u) spike whose lattice-cell masses stay finite.
+    The affine center map is an exact change of variables with
+    |Jacobian| = 1/(k dlambda); the quadratic spring map folds both branches
+    x = +-sqrt(u / c) and leaves an integrable 1/sqrt(u) spike whose
+    lattice-cell masses stay finite.
     """
-    if schedule.increment == 0.0:
-        return GriddedDensity.point_mass(0.0)
     u = step_work_map(schedule, i, f.grid.nodes())
     n0, vals = _deposit(u, _trapezoid_masses(f), schedule.w_grid.spacing)
     return _lattice_density(n0, vals, schedule.w_grid.spacing)
@@ -224,18 +220,11 @@ def lattice_convolve(d1: GriddedDensity, d2: GriddedDensity, h):
     """Convolution of two densities living on the common lattice {j*h}.
 
     No renormalization; the output mass is the product of the input masses.
-    Point masses act as shifts.  Each lattice value is a direct sum of
-    nonnegative products (``_toeplitz_convolve``), so it keeps its relative
-    accuracy in tails far below the peak, which the cold exponential
-    averages read, and it does not depend on the BLAS thread count.
+    Each lattice value is a direct sum of nonnegative products
+    (``_toeplitz_convolve``), so it keeps its relative accuracy in tails far
+    below the peak, which the cold exponential averages read, and it does
+    not depend on the BLAS thread count.
     """
-    if d1.is_point_mass and d2.is_point_mass:
-        return GriddedDensity.point_mass(d1.location + d2.location)
-    if d1.is_point_mass:
-        d1, d2 = d2, d1
-    if d2.is_point_mass:
-        n0 = _lattice_offset(d1, h) + int(round(d2.location / h))
-        return _lattice_density(n0, d1.values, h)
     n0 = _lattice_offset(d1, h) + _lattice_offset(d2, h)
     vals = _toeplitz_convolve(d1.values, d2.values) * h
     return _lattice_density(n0, vals, h)
@@ -254,10 +243,9 @@ def _clip_to_window(dens: GriddedDensity, schedule: PullSchedule):
 def _recursion_step(rho_prev, g, schedule, i):
     """rho_i: rho_{i-1} convolved with g_{i-1}, the pushforward of f_{i-1}
     through step i-1's work increment, renormalized; returned with its
-    normalization Q_i.  The base case rho_1 is a point mass at W = 0."""
-    conv = lattice_convolve(rho_prev, g, schedule.w_grid.spacing)
-    if conv.is_point_mass:
-        return conv, 1.0
+    normalization Q_i.  rho_1 is the point mass at W = 0, passed as None, so
+    rho_2 is g_1 itself."""
+    conv = g if rho_prev is None else lattice_convolve(rho_prev, g, schedule.w_grid.spacing)
     rho = _clip_to_window(conv, schedule)
     mass = rho.integral()
     if abs(mass - 1.0) > MASS_TOLERANCE:
@@ -270,8 +258,15 @@ def _recursion_step(rho_prev, g, schedule, i):
 
 def run_work_recursion(schedule: PullSchedule):
     """Run the recursion through rho_s, building each f_j and its pushforward
-    g_j once, when step j is reached."""
-    rho = GriddedDensity.point_mass(0.0)
+    g_j once, when step j is reached.
+
+    A pull with a zero increment (which includes s = 1) does no work: every
+    rho_i is the point mass at W = 0, and no density is built.
+    """
+    if schedule.increment == 0.0:
+        steps = schedule.s - 1
+        return WorkLedger(schedule, (GriddedDensity.point_mass(),) * steps, (1.0,) * steps)
+    rho = None
     dists = []
     norms = []
     for j in range(1, schedule.s):
@@ -285,7 +280,7 @@ def run_work_recursion(schedule: PullSchedule):
 def work_moments(rho: GriddedDensity):
     """Trapezoid-quadrature (mean, standard deviation) of a work density."""
     if rho.is_point_mass:
-        return rho.location, 0.0
+        return 0.0, 0.0
     w = rho.grid.nodes()
     h = rho.grid.spacing
     mass = np.trapezoid(rho.values, dx=h)

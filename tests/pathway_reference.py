@@ -143,8 +143,8 @@ def pathway_work_distribution(e_path, schedule, _cache=None):
         raise ValueError("pathway state outside 0..n_max")
     cache = _cache if _cache is not None else _state_pushforwards(schedule)
     h = schedule.w_grid.spacing
-    rho = GriddedDensity.point_mass(0.0)
-    for i, n in enumerate(e_path, start=1):
+    rho = cache[0][e_path[0]]
+    for i, n in enumerate(e_path[1:], start=2):
         rho = lattice_convolve(rho, cache[i - 1][n], h)
     return rho
 

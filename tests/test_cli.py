@@ -56,6 +56,22 @@ class TestRunCenter:
         assert float(rows[0][2]) == 0.0
         assert not list(tmp_path.glob("workdist_step_*.csv"))
 
+    @pytest.mark.parametrize("argv", [["run-center", "--lambda-s", "0", "--s", "3"],
+                                      ["run-spring", "--omega-ratio", "1", "--s", "3"]])
+    def test_no_work_pull_reports_positive_zero(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith(" dF=0\n")
+        _, _, rows = _read_csv(tmp_path / "profile.csv")
+        assert "-0" not in {field for row in rows for field in row}
+
+    def test_no_work_pull_builds_no_density(self, tmp_path):
+        # two x points cannot hold a density; a pull that does no work reads none
+        assert main(["run-center", "--lambda-s", "0", "--s", "3", "--x-points", "2",
+                     "--out", str(tmp_path)]) == 0
+        for i in (2, 3):
+            _, header, rows = _read_csv(tmp_path / f"workdist_step_{i}.csv")
+            assert header == ["W", "rho"] and rows == [["0", "inf"]]
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"s": 5, "a": 2.0}))
@@ -153,6 +169,17 @@ class TestSweep:
         intercept = float(fit_line.split("intercept=")[1].split()[0])
         assert intercept == pytest.approx(0.25, abs=1e-6)
         assert slope == pytest.approx((1 - 1 / math.tanh(1.0)) / 4.0, abs=1e-6)
+
+    def test_dlambda_sweep_overrides_a_config_dlambda(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dlambda": 0.5}))
+        argv = ["sweep", "--param", "dlambda", "--values", "0.1,0.2"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "keyed")]) == 0
+        plain, keyed = ((tmp_path / run / "sweep.csv").read_text().splitlines()
+                        for run in ("plain", "keyed"))
+        # the config line differs (it echoes the file's key); the fit and the rows do not
+        assert keyed[1:] == plain[1:]
 
     def test_nmax_sweep_stabilizes(self, tmp_path):
         out = tmp_path / "sw"
@@ -255,6 +282,10 @@ class TestPathwaysCommand:
         ["pathways", "--lambda-s", "1e6"],
         ["run-center", "--s", "2", "--lambda-s", "1e6"],
         ["run-center", "--s", "2", "--lambda-s", "1e-300"],  # work lattice spacing underflows
+        # the node count (hi - lo) / h overflows float64
+        ["run-center", "--s", "2", "--lambda-s", "5e-324"],
+        ["run-center", "--s", "2", "--lambda-s", "1e-320"],
+        ["run-center", "--s", "3", "--dlambda", "1e-320"],
     ])
     def test_oversized_work_refused_before_any_output(self, argv, tmp_path, capsys):
         # refused by the size estimates, before any large array is allocated
@@ -506,7 +537,7 @@ class TestExport:
         header, rows = export.density_rows(density)
         export.write_csv(path, header, rows, meta)
         if density.is_point_mass:
-            expected = [(density.location, math.inf)]
+            expected = [(0.0, math.inf)]
         else:
             expected = list(zip(density.grid.nodes().tolist(), density.values.tolist()))
         assert len(rows) == len(expected)
@@ -520,9 +551,8 @@ class TestExport:
                  protocol.GridSpec(0.1, 8.2e15, values.size)]
         for k, grid in enumerate(grids):
             self._check_density_file(tmp_path / f"g{k}.csv", workdist.GriddedDensity(grid, values))
-        for k, location in enumerate((0.0, -0.0, -1.25e-7, 3.0)):
-            self._check_density_file(tmp_path / f"p{k}.csv",
-                                     workdist.GriddedDensity.point_mass(location))
+        self._check_density_file(tmp_path / "p.csv", workdist.GriddedDensity.point_mass())
+        assert (tmp_path / "p.csv").read_bytes().endswith(b"\nW,rho\n0,inf\n")
 
     def test_node_memo_follows_the_grid(self, tmp_path):
         # grids A, B, A in turn: a stale node column would mislabel B or the second A

@@ -81,6 +81,7 @@ def _profile(out):
 @example(argv=["run-spring", "--a=1e300"])
 @example(argv=["run-center", "--a=1e300"])
 @example(argv=["run-center", "--s=2", "--lambda-s=1e-300"])
+@example(argv=["run-center", "--s=2", "--lambda-s=5e-324"])
 @example(argv=["pathways", "--s=1"])
 @example(argv=["run-center", "--a=1e-300", "--s=6", "--nmax=12"])
 @example(argv=["pathways", "--s=3", "--nmax=0", "--a=4.0", "--lambda-s=16.0"])

@@ -34,7 +34,7 @@ def _low_temp_estimate(a, dlam, s):
 
 class TestExponentialAverage:
     def test_point_mass_gives_zero(self):
-        assert exponential_average(GriddedDensity.point_mass(0.0), 2.0) == 0.0
+        assert exponential_average(GriddedDensity.point_mass(), 2.0) == 0.0
 
     def test_matches_gaussian_closed_form(self):
         # <exp(-beta W)> of N(mu, sigma^2) is exp(-beta mu + beta^2 sigma^2/2)

@@ -106,12 +106,12 @@ class TestPushforward:
         assert mean == pytest.approx(0.005, abs=1e-12)
         assert std == pytest.approx(0.1 / math.sqrt(2.0), abs=1e-9)
 
-    def test_degenerate_map_returns_point_mass(self):
+    def test_degenerate_map_deposits_on_zero_node(self):
         sch = build_center_schedule(0.0, 5, 1.0, 0)
         f = fluctuation_density(sch.spectrum(1), sch.a, sch.x_grid)
         g = pushforward_step_density(f, sch, 1)
-        assert g.is_point_mass
-        assert g.location == 0.0
+        assert g.values[g.grid.nodes() != 0.0].max() == 0.0
+        assert g.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_spring_half_line_support(self):
         sch = build_spring_schedule(1.3, 11, LOW_TEMP, 0)
@@ -186,6 +186,20 @@ class TestRecursion:
     def test_null_pull_stays_point_mass(self):
         ledger = run_work_recursion(build_center_schedule(0.0, 5, 1.0, 3))
         assert ledger.final.is_point_mass
+
+    @pytest.mark.parametrize("schedule", [build_center_schedule(1.0, 1, 1.0, 0),
+                                          build_center_schedule(0.0, 5, 1.0, 3),
+                                          build_spring_schedule(1.0, 4, 0.1, 3)])
+    def test_no_work_pull_builds_no_density(self, schedule, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pull that does no work builds no density")
+
+        monkeypatch.setattr(workdist, "fluctuation_density", refuse)
+        monkeypatch.setattr(workdist, "lattice_convolve", refuse)
+        ledger = run_work_recursion(schedule)
+        assert len(ledger.distributions) == schedule.s - 1
+        assert all(rho.is_point_mass for rho in ledger.distributions)
+        assert ledger.normalizations == (1.0,) * (schedule.s - 1)
 
     def test_mass_leak_detected_on_truncated_window(self):
         sch = build_center_schedule(1.0, 11, 1.0, 0)
@@ -378,7 +392,7 @@ class TestCharacteristicFunction:
 
 class TestMoments:
     def test_point_mass(self):
-        assert work_moments(GriddedDensity.point_mass(0.0)) == (0.0, 0.0)
+        assert work_moments(GriddedDensity.point_mass()) == (0.0, 0.0)
 
     def test_low_temperature_std(self):
         sch = build_center_schedule(1.0, 11, 16.0, 10)
