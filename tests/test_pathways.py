@@ -10,7 +10,9 @@ from pathway_reference import (
     DensityFloor,
     advance_by_masks,
     dense_transition_tables,
+    detailed_balance_scan,
     on_common_lattice,
+    pair_summaries,
     pathway_work_distribution,
     residual_12a,
     residual_12b,
@@ -200,8 +202,9 @@ class TestTransitionScan:
 
     def test_pair_summaries_report_positive_sums(self, center_s3):
         scan = find_optimal_transitions(center_s3, 2, tol=0.1, max_x_points=200)
-        assert scan.pairs
-        for p in scan.pairs:
+        pairs = pair_summaries(center_s3, 2, _positions(center_s3.x_grid, 200), scan.records)
+        assert pairs
+        for p in pairs:
             assert p.count > 0
             assert p.p_forward > 0.0
             assert p.p_reverse > 0.0
@@ -211,17 +214,22 @@ class TestTransitionScan:
         sch, points = center_s3, 60
         x = np.linspace(sch.x_grid.min, sch.x_grid.max, points).tolist()
         for i in (2, 3):
-            scan = find_optimal_transitions(sch, i, tol=0.5, max_x_points=points, match=match)
+            # the optimal links are the scan's; the detailed-balance links the reference's
+            if match == "optimal":
+                records = find_optimal_transitions(sch, i, tol=0.5, max_x_points=points).records
+                pairs = pair_summaries(sch, i, np.array(x), records)
+            else:
+                records, pairs = detailed_balance_scan(sch, i, 0.5, points)
             keys = [(r.n_prev, r.n_next, x.index(r.x_prev), x.index(r.x_next))
-                    for r in scan.records]
+                    for r in records]
             assert len(keys) > 100
             assert keys == sorted(set(keys))  # (n_prev, n_next, k_prev, k_next) order
-            assert sum(p.count for p in scan.pairs) == len(scan.records)
-            assert [(p.n_prev, p.n_next) for p in scan.pairs] == sorted(
-                {(r.n_prev, r.n_next) for r in scan.records})
+            assert sum(p.count for p in pairs) == len(records)
+            assert [(p.n_prev, p.n_next) for p in pairs] == sorted(
+                {(r.n_prev, r.n_next) for r in records})
             sp_prev, sp_next = sch.spectrum(i - 1), sch.spectrum(i)
-            for p in scan.pairs:
-                own = [r for r in scan.records if (r.n_prev, r.n_next) == (p.n_prev, p.n_next)]
+            for p in pairs:
+                own = [r for r in records if (r.n_prev, r.n_next) == (p.n_prev, p.n_next)]
                 assert p.count == len(own)
                 forward = math.fsum(prob_density(sp_next, p.n_next, r.x_prev) for r in own)
                 reverse = math.fsum(prob_density(sp_prev, p.n_prev, r.x_next) for r in own)
@@ -233,9 +241,8 @@ class TestTransitionScan:
         ladder = ((100, 1.6), (200, 0.4), (400, 0.1), (800, 0.025))
         totals = []
         for pts, tol in ladder:
-            scan = find_optimal_transitions(center_s3, 2, tol=tol, max_x_points=pts,
-                                            match="detailed-balance")
-            tot = sum(abs(p.proxy_residual) for p in scan.pairs
+            _, pairs = detailed_balance_scan(center_s3, 2, tol, pts)
+            tot = sum(abs(p.proxy_residual) for p in pairs
                       if (p.n_prev, p.n_next) in ((0, 1), (1, 0)))
             totals.append(tot)
         assert all(b < a for a, b in zip(totals, totals[1:]))
@@ -253,9 +260,8 @@ class TestTransitionScan:
 
         checked = 0
         for i in (2, 3):
-            scan = find_optimal_transitions(center_s3, i, tol=tol, max_x_points=40,
-                                            match="detailed-balance")
-            for r in scan.records:
+            records, _ = detailed_balance_scan(center_s3, i, tol, 40)
+            for r in records:
                 a = holds(residual_12a, i, r.x_prev, r.x_next, r.n_prev, r.n_next, center_s3)
                 b = holds(residual_12b, i, r.x_prev, r.x_next, r.n_next, center_s3)
                 db = holds(residual_13, i, r.x_prev, r.x_next, r.n_prev, r.n_next, center_s3)
@@ -294,6 +300,19 @@ class TestDetailedBalanceIdentity:
             assert both.any()
             assert np.all(np.abs(tab["r13"][both]) <= 2 * tol + np.abs(ratio[both]) + 1e-12)
 
+    def test_bench_shares_read_from_the_optimal_scan(self):
+        # of the A and B links (code & 3 == 3) on the bench configuration, those
+        # that also hold DB read code 7; the records carry each link's r13
+        sch, tol = build_center_schedule(1.0, 4, 1.0, 5), DEFAULT_TOL
+        shares = {2: (18, 136, 11.48), 3: (12, 131, 13.10), 4: (5, 138, 8.33)}
+        for i, (balanced, optimal, worst) in shares.items():
+            scan = find_optimal_transitions(sch, i, tol=tol)
+            assert np.count_nonzero(scan.code == 7) == balanced
+            assert np.count_nonzero((scan.code & 3) == 3) == len(scan.records) == optimal
+            r13 = np.abs([r.r13 for r in scan.records])
+            assert np.count_nonzero(r13 <= tol) == balanced
+            assert r13.max() == pytest.approx(worst, abs=0.005)
+
 
 class TestSparseScan:
     @settings(max_examples=100, deadline=None)
@@ -317,16 +336,17 @@ class TestSparseScan:
         ref = dense_transition_tables(sch, i, x, eps_rel, tol)
         code = _transition_tables(sch, i, x, eps_rel, tol)["code"]
         assert code.dtype == np.uint8 and np.array_equal(code, ref["code"])
-        for match, need in (("optimal", 3), ("detailed-balance", 4)):
-            scan = find_optimal_transitions(sch, i, tol=tol, eps_rel=eps_rel,
-                                            max_x_points=points, match=match)
+        # the optimal links are the scan's; the detailed-balance links the reference's
+        scan = find_optimal_transitions(sch, i, tol=tol, eps_rel=eps_rel, max_x_points=points)
+        balanced, _ = detailed_balance_scan(sch, i, tol, points, eps_rel)
+        for records, need in ((scan.records, 3), (balanced, 4)):
             hit = np.nonzero((ref["code"] & need) == need)
-            got = np.array([(r.n_prev, r.n_next) for r in scan.records]).reshape(-1, 2)
+            got = np.array([(r.n_prev, r.n_next) for r in records]).reshape(-1, 2)
             assert np.array_equal(got, np.transpose(hit[:2]))
             for name, table in (("r12a", ref["r12a"][hit]),
                                 ("r12b", ref["r12b"][hit[1:]]),
                                 ("r13", ref["r13"][hit])):
-                values = np.array([getattr(r, name) for r in scan.records], dtype=float)
+                values = np.array([getattr(r, name) for r in records], dtype=float)
                 assert np.array_equal(values.view(np.int64), table.view(np.int64)), name
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.2])
@@ -364,8 +384,6 @@ class TestTableBudget:
         x = _positions(sch.x_grid, points)
         runs = [(lambda: _transition_tables(sch, 2, x, DEFAULT_EPS_REL, tol), "transition tables")]
         for run in (lambda: find_optimal_transitions(sch, 2, tol=tol, max_x_points=points),
-                    lambda: find_optimal_transitions(sch, 2, tol=tol, max_x_points=points,
-                                                     match="detailed-balance"),
                     lambda: decompose_free_energy(sch, tol=tol, max_x_points=points)):
             runs.append((run, refused))
         for run, what in runs:
