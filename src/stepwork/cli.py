@@ -148,8 +148,7 @@ def _sweep_point(cfg, param, value):
     elif param == "nmax":
         point["n_max"] = int(value)
     elif param == "dlambda":
-        point["s"] = int(round(1.0 / value)) + 1
-        point["dlambda"] = float(value)
+        point.update(s=round(cfg["lambda_s"] / value) + 1, dlambda=float(value))
     schedule = _schedule_from(point)
     if point["protocol"] == "center" and schedule.n_max == 0:
         oracle = ground_state_closed_form_center(schedule.a, schedule.increment, schedule.s)
@@ -161,15 +160,16 @@ def _sweep_point(cfg, param, value):
     return (float(value), profile.endpoint, mean_w, std_w, float(oracle))
 
 
-def _check_sweep_value(param, value):
+def _check_sweep_value(param, value, lambda_s):
     if param == "nmax" and not value.is_integer():
         raise _ConfigError(f"nmax sweep values must be integers, not {value}")
     if param == "dlambda":
         if not (math.isfinite(value) and value > 0.0):
             raise _ConfigError(f"dlambda sweep values must be finite and positive, not {value}")
-        n_steps = 1.0 / value
-        if abs(n_steps - round(n_steps)) > 1e-9:
-            raise _ConfigError(f"dlambda {value} does not divide lambda_s = 1 evenly")
+        n_steps = lambda_s / value
+        if not (math.isfinite(n_steps) and n_steps > 0.5 and abs(n_steps - round(n_steps)) <= 1e-9):
+            raise _ConfigError(f"dlambda {value} does not divide lambda_s = {lambda_s} "
+                               "into a positive whole number of steps")
 
 
 def cmd_sweep(args, cfg):
@@ -182,7 +182,7 @@ def cmd_sweep(args, cfg):
         cfg["sweep_values"] = default_temperature_sweep()
     values = [float(v) for v in cfg["sweep_values"]]
     for value in values:
-        _check_sweep_value(param, value)
+        _check_sweep_value(param, value, cfg["lambda_s"])
     if param == "dlambda" and len(set(values)) < 2:
         raise _ConfigError("a dlambda sweep fits a line and needs two distinct values")
     out = _ensure_outdir(cfg["out"])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -230,19 +231,18 @@ def _center_grids(schedule):
         return GridSpec(x_lo, x_hi, n_pts), GridSpec(-1.0, 1.0, 3)
 
     gamma = abs(dlam)  # |slope| of the work increment, k = 1 in hbar*omega/2 units
+    # a window that holds every rho_i; accumulate adds left to right, as sum() does
+    mu = list(accumulate(0.5 * dlam * (lam + dlam) for lam in controls[:-1]))
+    var = list(accumulate(dlam * dlam * sig2 for _ in controls[:-1]))
+    w_lo = min(m_i - a * v_i - _W_SIGMA_MARGIN * math.sqrt(v_i) for m_i, v_i in zip(mu, var))
+    w_hi = max(m_i + _W_SIGMA_MARGIN * math.sqrt(v_i) for m_i, v_i in zip(mu, var))
 
     def _build(m):
-        h_x = abs(dlam) / m
+        h_x = gamma / m
         # odd M puts the nodes half a spacing off, so every image stays on the lattice
         xg = _snap_grid(x_lo, x_hi, h_x, 0.5 * h_x * (m % 2))
         h_w = gamma * h_x
-        mu = [0.5 * dlam * (lam + dlam) for lam in controls[:-1]]
-        var = [dlam * dlam * sig2 for _ in controls[:-1]]
-        total_mu = sum(mu)
-        sigma_tot = math.sqrt(sum(var))
-        w_lo = total_mu - a * sum(var) - _W_SIGMA_MARGIN * sigma_tot - 2 * h_w
-        w_hi = total_mu + _W_SIGMA_MARGIN * sigma_tot + 2 * h_w
-        return xg, _snap_grid(w_lo, w_hi, h_w)
+        return xg, _snap_grid(w_lo - 2 * h_w, w_hi + 2 * h_w, h_w)
 
     m = max(1, math.ceil(abs(dlam) / h_target))
     x_grid, w_grid = _build(m)

@@ -161,8 +161,6 @@ def _trapezoid_masses(density: GriddedDensity):
 def _lattice_density(n0, vals, h):
     """Wrap raw lattice values (index offset n0) with one zero pad per side."""
     keep = np.flatnonzero(vals > vals.max() * _CROP_RELATIVE)
-    if keep.size == 0:
-        keep = np.array([int(np.argmax(vals))])
     lo, hi = int(keep[0]), int(keep[-1])
     vals = np.concatenate(([0.0], vals[lo:hi + 1], [0.0]))
     start = n0 + lo - 1
@@ -235,8 +233,6 @@ def _clip_to_window(dens: GriddedDensity, schedule: PullSchedule):
     n0 = _lattice_offset(dens, h)
     lo = max(0, int(round(schedule.w_grid.min / h)) - 1 - n0)
     hi = min(dens.values.size - 1, int(round(schedule.w_grid.max / h)) + 1 - n0)
-    if lo == 0 and hi == dens.values.size - 1:
-        return dens
     return _lattice_density(n0 + lo, dens.values[lo:hi + 1], h)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from stepwork.protocol import PullSchedule
 from stepwork.spectra import ProtocolKind, _density_stack
-from stepwork.workdist import GriddedDensity
+from stepwork.workdist import (GriddedDensity, fluctuation_density, lattice_convolve,
+                               pushforward_step_density)
 
 
 def hermite_poly(n, y):
@@ -50,6 +51,20 @@ def normalize(density: GriddedDensity):
     if mass <= 0.0:
         raise ValueError("cannot normalize a zero density")
     return GriddedDensity(density.grid, density.values / mass)
+
+
+def unclipped_recursion(schedule: PullSchedule):
+    """rho_2 .. rho_s as ``run_work_recursion`` builds them, but never clipped
+    to the work window: each step convolves, crops its far tails and
+    renormalizes, and keeps every node the crop keeps."""
+    h = schedule.w_grid.spacing
+    rho, dists = None, []
+    for j in range(1, schedule.s):
+        f = fluctuation_density(schedule.spectrum(j), schedule.a, schedule.x_grid)
+        g = pushforward_step_density(f, schedule, j)
+        rho = normalize(g if rho is None else lattice_convolve(rho, g, h))
+        dists.append(rho)
+    return dists
 
 
 def approx_free_energy(schedule: PullSchedule):

@@ -183,11 +183,13 @@ def test_criterion_8_pathway_suite():
         checked += 1
     identity_ok = worst <= 1e-10
 
-    # (iv) detailed-balance proxy shrinks monotonically under refinement
+    # (iv) detailed-balance proxy shrinks monotonically under refinement, on
+    # an 821-point grid whose rungs scan 100, 200, 400 and 800 positions
+    fine = build_center_schedule(1.0, 3, 1.0, 3, x_points=801)
     ladder = ((100, 1.6), (200, 0.4), (400, 0.1), (800, 0.025))
     totals = []
     for pts, tol in ladder:
-        _, pairs = detailed_balance_scan(sch, 2, tol, pts)
+        _, pairs = detailed_balance_scan(fine, 2, tol, pts)
         totals.append(sum(abs(p.proxy_residual) for p in pairs
                           if (p.n_prev, p.n_next) in ((0, 1), (1, 0))))
     proxy_ok = all(b < a for a, b in zip(totals, totals[1:]))

@@ -15,7 +15,7 @@ import pytest
 from stepwork import cli, export, pathways, protocol, workdist
 from stepwork.cli import main
 from stepwork.errors import MassLeak
-from stepwork.free_energy import ground_state_closed_form_center
+from stepwork.free_energy import free_energy_profile, ground_state_closed_form_center
 from stepwork.workdist import fluctuation_density
 
 
@@ -180,6 +180,16 @@ class TestSweep:
                         for run in ("plain", "keyed"))
         # the config line differs (it echoes the file's key); the fit and the rows do not
         assert keyed[1:] == plain[1:]
+
+    def test_dlambda_sweep_pulls_to_the_config_lambda_s(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_s": 2.0}))
+        assert main(["sweep", "--param", "dlambda", "--values", "0.1,0.2",
+                     "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, _, rows = _read_csv(tmp_path / "sweep.csv")
+        for row, s in zip(rows, (21, 11)):
+            exact = free_energy_profile(protocol.build_center_schedule(2.0, s, 1.0, 10)).endpoint
+            assert row[1] == export.format_number(exact)
 
     def test_nmax_sweep_stabilizes(self, tmp_path):
         out = tmp_path / "sw"
@@ -374,6 +384,8 @@ class TestInputContract:
         ["sweep", "--w-points", "100"],
         ["sweep", "--param", "dlambda", "--values", "0.005"],
         ["sweep", "--param", "dlambda", "--values", "0.005,0.005"],
+        ["sweep", "--param", "dlambda", "--values", "0.3"],
+        ["sweep", "--protocol", "spring", "--param", "dlambda", "--values", "0.1,0.2"],
     ])
     def test_rejected_with_one_config_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -236,12 +236,14 @@ class TestTransitionScan:
                 assert p.p_forward == pytest.approx(forward, rel=1e-13, abs=0.0)
                 assert p.p_reverse == pytest.approx(reverse, rel=1e-13, abs=0.0)
 
-    def test_detailed_balance_proxy_shrinks_under_refinement(self, center_s3):
-        # finer grids + tighter tolerances drive ln(P->/P<-) - beta dE to zero
+    def test_detailed_balance_proxy_shrinks_under_refinement(self):
+        # finer grids + tighter tolerances drive ln(P->/P<-) - beta dE to zero;
+        # the 821-point grid lets the rungs scan 100, 200, 400 and 800 positions
+        sch = build_center_schedule(1.0, 3, 1.0, 3, x_points=801)
         ladder = ((100, 1.6), (200, 0.4), (400, 0.1), (800, 0.025))
         totals = []
         for pts, tol in ladder:
-            _, pairs = detailed_balance_scan(center_s3, 2, tol, pts)
+            _, pairs = detailed_balance_scan(sch, 2, tol, pts)
             tot = sum(abs(p.proxy_residual) for p in pairs
                       if (p.n_prev, p.n_next) in ((0, 1), (1, 0)))
             totals.append(tot)

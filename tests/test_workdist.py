@@ -7,12 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import normalize
+from reference import normalize, unclipped_recursion
 
 import stepwork
 from stepwork import workdist
 from stepwork.errors import GridTooNarrow, MassLeak
-from stepwork.free_energy import exponential_average, ground_state_closed_form_center
+from stepwork.free_energy import (
+    exponential_average,
+    free_energy_profile,
+    ground_state_closed_form_center,
+)
 from stepwork.protocol import (
     GridSpec,
     PullSchedule,
@@ -262,6 +266,38 @@ def _assert_relative(got, ref, rtol=1e-13):
     """Elementwise |got - ref| <= rtol |ref|: exact zeros must stay zero."""
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= rtol * np.abs(ref))
+
+
+class TestWorkWindow:
+    """The work window holds every rho_i, not only rho_s.
+
+    Each rho_i's exponential average must not move when the window clip is
+    left out, and for center pulls with |dlambda| <= 10 it must meet the
+    closed-form dF_i.  Past that, the 1e-280 crop, not the window, keeps the
+    deepest tilted tails from the lattice.
+    """
+
+    @staticmethod
+    def _averages(sch, dists):
+        return np.array([exponential_average(rho, sch.beta) for rho in dists])
+
+    @pytest.mark.parametrize("lambda_s", [1.0, 10.0, 12.0, 14.0, 20.0, 100.0,
+                                          -1.0, -10.0, -12.0, -14.0, -20.0, -100.0])
+    def test_center_window_holds_every_distribution(self, lambda_s):
+        for s in range(2, 12):
+            sch = build_center_schedule(lambda_s, s, 1.0, 10)
+            got = self._averages(sch, run_work_recursion(sch).distributions)
+            _assert_relative(got, self._averages(sch, unclipped_recursion(sch)))
+            if abs(sch.increment) <= 10.0:
+                _assert_relative(got, free_energy_profile(sch).delta_f[1:], rtol=1e-12)
+
+    @pytest.mark.parametrize("ratio", [1.3, 2.0, 4.0])
+    def test_spring_window_holds_every_distribution(self, ratio):
+        for s in (2, 6, 11):
+            for a0 in (0.1, 1.0, 4.0):
+                sch = build_spring_schedule(ratio, s, a0, 40)
+                got = self._averages(sch, run_work_recursion(sch).distributions)
+                _assert_relative(got, self._averages(sch, unclipped_recursion(sch)))
 
 
 class TestLatticeConvolve:
