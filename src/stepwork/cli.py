@@ -33,10 +33,10 @@ _CENTER_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "dlambda": None, "s":
                     "a": 1.0, "n_max": 10, "x_points": None, "w_points": None, "out": "."}
 _SPRING_DEFAULTS = {"protocol": "spring", "omega_ratio": 1.3, "s": 11, "a": 0.1,
                     "n_max": 100, "x_points": None, "w_points": None, "out": "."}
+# the pathway scan reads no work grid, and sweep evaluates closed forms on
+# no grid: pathways takes no w_points, and sweep no grid keys
 _PATHWAY_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "s": 3, "a": 1.0,
-                     "n_max": 3, "x_points": None, "w_points": None,
-                     "tol": 0.05, "eps": 1e-12, "out": "."}
-# sweep evaluates closed forms on no grid, so it takes no grid keys
+                     "n_max": 3, "x_points": None, "tol": 0.05, "eps": 1e-12, "out": "."}
 _SWEEP_DEFAULTS = {**_CENTER_DEFAULTS, "omega_ratio": 1.3, "sweep_param": "a",
                    "sweep_values": None}
 del _SWEEP_DEFAULTS["x_points"], _SWEEP_DEFAULTS["w_points"]
@@ -235,17 +235,17 @@ def cmd_pathways(args, cfg):
     return 0
 
 
-def _add_common(parser, grids=True):
+def _add_common(parser, defaults):
+    # a grid flag for each grid key of the command's defaults
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--out", help="output directory (default: current)")
     parser.add_argument("--s", type=int, help="number of pulling steps")
     parser.add_argument("--a", type=float, help="reduced temperature")
     parser.add_argument("--nmax", type=int, dest="n_max", help="eigenbasis truncation")
-    if grids:
-        parser.add_argument("--x-points", type=int, dest="x_points",
-                            help="override position-grid point count")
-        parser.add_argument("--w-points", type=int, dest="w_points",
-                            help="override work-grid point count")
+    for dest, grid in (("x_points", "position"), ("w_points", "work")):
+        if dest in defaults:
+            parser.add_argument(f"--{dest[0]}-points", type=int, dest=dest,
+                                help=f"override {grid}-grid point count")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,19 +263,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run-center", help="trap-center pulling run")
-    _add_common(p)
+    _add_common(p, _CENTER_DEFAULTS)
     p.add_argument("--dlambda", type=float, help="pull increment (sets lambda_s = dlambda*(s-1))")
     p.add_argument("--lambda-s", type=float, dest="lambda_s", help="total pull distance")
     p.set_defaults(func=cmd_run, defaults=_CENTER_DEFAULTS)
 
     p = sub.add_parser("run-spring", help="spring-constant pulling run")
-    _add_common(p)
+    _add_common(p, _SPRING_DEFAULTS)
     p.add_argument("--omega-ratio", type=float, dest="omega_ratio",
                    help="final over initial frequency")
     p.set_defaults(func=cmd_run, defaults=_SPRING_DEFAULTS)
 
     p = sub.add_parser("sweep", help="endpoint free energy versus one parameter")
-    _add_common(p, grids=False)
+    _add_common(p, _SWEEP_DEFAULTS)
     p.add_argument("--protocol", choices=["center", "spring"])
     p.add_argument("--param", choices=["a", "nmax", "dlambda"], dest="sweep_param")
     p.add_argument("--values", type=_number_list, dest="sweep_values",
@@ -284,7 +284,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep, defaults=_SWEEP_DEFAULTS)
 
     p = sub.add_parser("pathways", help="transition scan and pathway decomposition")
-    _add_common(p)
+    _add_common(p, _PATHWAY_DEFAULTS)
     p.add_argument("--lambda-s", type=float, dest="lambda_s")
     p.add_argument("--tol", type=float, help="residual tolerance (log-ratio units)")
     p.add_argument("--eps", type=float, help="relative density floor")

@@ -101,21 +101,18 @@ def _format_body(grid, values):
 
 
 def density_rows(density, pool=None):
-    """Two-column (W, rho) rows; the point mass becomes the one row 0,inf.
+    """Two-column (W, rho) rows, one per grid node.
 
     The rows come back as FormattedRows: the rho column is formatted in one
     bytes % against the grid's line template, and "%.12g" renders every
     float exactly as format_number does.  With a process ``pool`` the
     formatting is submitted to it, and the body is a future.
     """
-    header = ["W", "rho"]
-    if density.is_point_mass:
-        return header, format_rows([(0.0, math.inf)])
     if pool is None:
         body = _format_body(density.grid, density.values)
     else:
         body = pool.submit(_format_body, density.grid, density.values)
-    return header, FormattedRows(body, density.grid.points)
+    return ["W", "rho"], FormattedRows(body, density.grid.points)
 
 
 def _usable_cpus():
@@ -153,7 +150,7 @@ def write_densities(paths, densities, meta):
     docstring); the files are the same either way.
     """
     workers = _usable_cpus()
-    total_rows = sum(d.grid.points for d in densities if not d.is_point_mass)
+    total_rows = sum(d.grid.points for d in densities)
     pooled = workers > 1 and total_rows >= POOL_MIN_ROWS
     with _worker_pool(workers) if pooled else contextlib.nullcontext() as pool:
         depth = 2 * workers if pooled else 1

@@ -28,14 +28,13 @@ def exponential_average(rho: GriddedDensity, beta):
     """
     if beta <= 0.0:
         raise ValueError("inverse temperature must be positive")
-    if rho.is_point_mass:
-        return 0.0
     mask = rho.values > 0.0
     if not mask.any():
         raise NonPositiveAverage("density is identically zero")
     with np.errstate(divide="ignore"):  # underflowing products are harmless here
         logs = np.log(_trapezoid_masses(rho)[mask]) - beta * rho.grid.nodes()[mask]
-    return float(-_logsumexp(logs) / beta)
+    # 0 - x, not -x: all the mass at W = 0 gives +0, as in the profile
+    return float((0.0 - _logsumexp(logs)) / beta)
 
 
 @dataclass(frozen=True)

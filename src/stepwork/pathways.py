@@ -274,8 +274,6 @@ def overlap_measure(f_prev: GriddedDensity, f_next: GriddedDensity):
     Returns (length of {x: min(f_prev, f_next) > eps}, integral of the
     pointwise minimum), with eps 1e-12 of the larger peak.
     """
-    if f_prev.is_point_mass or f_next.is_point_mass:
-        raise ValueError("overlap needs gridded densities")
     if f_prev.grid != f_next.grid:
         raise ValueError("densities must share a grid")
     eps = 1e-12 * max(f_prev.values.max(), f_next.values.max())

@@ -70,8 +70,9 @@ class PullSchedule:
     (spring).  ``a`` is the reduced temperature, which doubles as the
     inverse temperature against energies in the reporting unit.
     ``x_points``/``w_points`` request point counts (None: auto-sized).  The
-    grids are sized, and checked against the budget, on the first read of
-    ``x_grid`` or ``w_grid``; closed-form work reads neither.
+    grids are sized on the first read of either, and each read is checked
+    against the budget for what its reader builds (``_budgeted``); closed-form
+    work reads neither grid, and the pathway scan only ``x_grid``.
     """
 
     kind: ProtocolKind
@@ -86,16 +87,19 @@ class PullSchedule:
     @cached_property
     def _grids(self):
         size = _center_grids if self.kind is ProtocolKind.CENTER else _spring_grids
-        x_grid, w_grid = size(self)
+        return size(self)
+
+    def _budgeted(self, work):
         # the eigenstate stack on the x grid, plus f_j, its work image (about
-        # as long as f_j) and rho_{j+1} for every work step j
+        # as long as f_j) and, with work, rho_{j+1} for every work step j
+        x_grid, w_grid = self._grids
         check_grid_budget("the grids", x_grid.points * (self.n_max + 1)
-                          + (self.s - 1) * (2 * x_grid.points + w_grid.points),
+                          + (self.s - 1) * (2 * x_grid.points + work * w_grid.points),
                           "lower s, n_max, the pull or the point counts")
         return x_grid, w_grid
 
-    x_grid = property(lambda self: self._grids[0])
-    w_grid = property(lambda self: self._grids[1])
+    x_grid = cached_property(lambda self: self._budgeted(False)[0])
+    w_grid = cached_property(lambda self: self._budgeted(True)[1])
 
     @property
     def beta(self):
@@ -227,7 +231,7 @@ def _center_grids(schedule):
 
     if dlam == 0.0:
         n_pts = max(2, math.ceil((x_hi - x_lo) / h_target) + 1)
-        # the work grid is never populated: all increments are degenerate
+        # no work is done: every rho_i is the unit spike at W = 0 on these nodes
         return GridSpec(x_lo, x_hi, n_pts), GridSpec(-1.0, 1.0, 3)
 
     gamma = abs(dlam)  # |slope| of the work increment, k = 1 in hbar*omega/2 units

@@ -45,35 +45,23 @@ _SLAB = 256
 
 @dataclass(frozen=True)
 class GriddedDensity:
-    """A nonnegative density sampled on a uniform grid, or the point mass at 0.
+    """A nonnegative density sampled on a uniform grid."""
 
-    The point mass (``grid is None``) is the work distribution of a pull
-    that does no work: s = 1, or a zero increment.
-    """
+    grid: GridSpec
+    values: np.ndarray
 
-    grid: GridSpec | None
-    values: np.ndarray | None
+    # read by bench/layertrace.py's _count_convolve, _count_recursion and _count_expavg
+    is_point_mass = False
 
     def __post_init__(self):
-        if self.grid is not None:
-            vals = np.asarray(self.values, dtype=float)
-            if vals.shape != (self.grid.points,):
-                raise ValueError("values must match the grid point count")
-            if not vals.min() >= 0.0:  # also catches NaN
-                raise ValueError("density values must be nonnegative numbers")
-            object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def point_mass(cls):
-        return cls(grid=None, values=None)
-
-    @property
-    def is_point_mass(self):
-        return self.grid is None
+        vals = np.asarray(self.values, dtype=float)
+        if vals.shape != (self.grid.points,):
+            raise ValueError("values must match the grid point count")
+        if not vals.min() >= 0.0:  # also catches NaN
+            raise ValueError("density values must be nonnegative numbers")
+        object.__setattr__(self, "values", vals)
 
     def integral(self):
-        if self.is_point_mass:
-            return 1.0
         return float(np.trapezoid(self.values, dx=self.grid.spacing))
 
 
@@ -84,19 +72,6 @@ class WorkLedger:
     schedule: PullSchedule
     distributions: tuple = ()      # rho_2 .. rho_s
     normalizations: tuple = ()     # Q_2 .. Q_s
-
-    @property
-    def final(self):
-        """rho_s, or the s = 1 point-mass convention."""
-        if self.distributions:
-            return self.distributions[-1]
-        return GriddedDensity.point_mass()
-
-    def rho(self, i):
-        """Work distribution after reaching pulling step i (2 <= i <= s)."""
-        if not 2 <= i <= self.schedule.s:
-            raise ValueError(f"rho_i defined for 2 <= i <= {self.schedule.s}")
-        return self.distributions[i - 2]
 
 
 def fluctuation_density(spectrum: OscillatorSpectrum, a, x_grid: GridSpec):
@@ -256,12 +231,16 @@ def run_work_recursion(schedule: PullSchedule):
     """Run the recursion through rho_s, building each f_j and its pushforward
     g_j once, when step j is reached.
 
-    A pull with a zero increment (which includes s = 1) does no work: every
-    rho_i is the point mass at W = 0, and no density is built.
+    The work grid is read first, so a schedule over the grid budget is
+    refused before any density is built.  A pull with a zero increment
+    (which includes s = 1) does no work: every rho_i is the unit spike at
+    W = 0 on the work grid (-1, 0, 1), and no density is built.
     """
+    w_grid = schedule.w_grid
     if schedule.increment == 0.0:
         steps = schedule.s - 1
-        return WorkLedger(schedule, (GriddedDensity.point_mass(),) * steps, (1.0,) * steps)
+        spike = GriddedDensity(w_grid, [0.0, 1.0 / w_grid.spacing, 0.0])
+        return WorkLedger(schedule, (spike,) * steps, (1.0,) * steps)
     rho = None
     dists = []
     norms = []
@@ -275,8 +254,6 @@ def run_work_recursion(schedule: PullSchedule):
 
 def work_moments(rho: GriddedDensity):
     """Trapezoid-quadrature (mean, standard deviation) of a work density."""
-    if rho.is_point_mass:
-        return 0.0, 0.0
     w = rho.grid.nodes()
     h = rho.grid.spacing
     mass = np.trapezoid(rho.values, dx=h)

@@ -44,9 +44,7 @@ def prob_density(spectrum, n, x):
 
 
 def normalize(density: GriddedDensity):
-    """The density divided by its trapezoid integral; a point mass as it is."""
-    if density.is_point_mass:
-        return density
+    """The density divided by its trapezoid integral."""
     mass = density.integral()
     if mass <= 0.0:
         raise ValueError("cannot normalize a zero density")

@@ -131,7 +131,7 @@ def test_criterion_7_spring_targets():
         rels.append(abs(prof.endpoint - target) / target)
     endpoint_ok = all(r <= 0.01 for r in rels)
 
-    rho2 = run_work_recursion(build_spring_schedule(1.3, 2, a0, 100)).rho(2)
+    rho2 = run_work_recursion(build_spring_schedule(1.3, 2, a0, 100)).distributions[0]
     nodes = rho2.grid.nodes()
     peak_ok = abs(nodes[int(np.argmax(rho2.values))]) <= rho2.grid.spacing / 2
 
@@ -152,7 +152,7 @@ def test_criterion_8_pathway_suite():
     sch = build_center_schedule(1.0, 3, 1.0, 3)
 
     # (i) summed energy-pathway distributions equal the recursion pipeline
-    pipeline = run_work_recursion(sch).final
+    pipeline = run_work_recursion(sch).distributions[-1]
     total = normalize(total_pathway_distribution(sch))
     _, a, b = on_common_lattice(pipeline, total, sch.w_grid.spacing)
     enum_err = float(np.abs(a - b).max() / a.max())
@@ -213,11 +213,13 @@ def test_criterion_9_foundational_properties(tmp_path):
             norm_ok &= abs(rho.integral() - 1.0) <= 1e-6
         jensen_ok &= bool(np.all(prof.delta_f <= prof.mean_work + 1e-9))
 
-    # s = 1 is the no-work convention
+    # s = 1 is the no-work convention: no distribution, and dF = <W> = 0, as
+    # the unit spike at W = 0 of a pull that does no work gives
     ledger = run_work_recursion(build_center_schedule(1.0, 1, 1.0, 10))
-    mean, std = work_moments(ledger.final)
-    s1_ok = (ledger.final.is_point_mass and mean == 0.0 and std == 0.0
-             and exponential_average(ledger.final, 1.0) == 0.0)
+    spike = run_work_recursion(build_center_schedule(0.0, 2, 1.0, 10)).distributions[-1]
+    mean, std = work_moments(spike)
+    s1_ok = (ledger.distributions == () and spike.values.tolist() == [0.0, 1.0, 0.0]
+             and mean == 0.0 and std == 0.0 and exponential_average(spike, 1.0) == 0.0)
 
     # identical configuration -> byte-identical outputs
     out = tmp_path / "det"

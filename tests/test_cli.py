@@ -70,7 +70,7 @@ class TestRunCenter:
                      "--out", str(tmp_path)]) == 0
         for i in (2, 3):
             _, header, rows = _read_csv(tmp_path / f"workdist_step_{i}.csv")
-            assert header == ["W", "rho"] and rows == [["0", "inf"]]
+            assert header == ["W", "rho"] and rows == [["-1", "0"], ["0", "1"], ["1", "0"]]
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -269,12 +269,11 @@ class TestPathwaysCommand:
 
     def test_grid_flags_reach_the_schedule(self, tmp_path):
         assert main(["pathways", "--out", str(tmp_path / "auto")]) == 0
-        assert main(["pathways", "--x-points", "1000", "--w-points", "2000",
-                     "--out", str(tmp_path / "fine")]) == 0
+        assert main(["pathways", "--x-points", "1000", "--out", str(tmp_path / "fine")]) == 0
         auto, fine = (json.loads((tmp_path / d / "decomposition.json").read_text())
                       for d in ("auto", "fine"))
         meta, _, _ = _read_csv(tmp_path / "fine" / "transitions.csv")
-        assert meta["x_points"] == 1000 and meta["w_points"] == 2000
+        assert meta["x_points"] == 1000
         assert fine["config"] == meta
         assert "x_points" not in auto["config"]
         assert fine["overlaps"] != auto["overlaps"]
@@ -305,10 +304,27 @@ class TestPathwaysCommand:
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
+    def test_budget_charges_only_the_lattices_built(self, tmp_path, monkeypatch, capsys):
+        # at s = 500 the 499 work lattices take the grids over the budget:
+        # pathways builds none of them, run-center is refused before any density
+        assert main(["pathways", "--s", "500", "--nmax", "0",
+                     "--out", str(tmp_path / "pathways")]) == 0
+
+        def refuse(*args):
+            raise AssertionError("a refused run builds no density")
+
+        monkeypatch.setattr(workdist, "fluctuation_density", refuse)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["run-center", "--s", "500", "--nmax", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-large: the grids")
+        assert len(err.splitlines()) == 1
+        assert not list(out.iterdir())
+
     def test_records_over_budget_refused_before_any_output(self, tmp_path, monkeypatch,
                                                            capsys):
-        argv = ["pathways", "--nmax", "1", "--tol", "1e9", "--x-points", "11",
-                "--w-points", "21"]
+        argv = ["pathways", "--nmax", "1", "--tol", "1e9", "--x-points", "11"]
         assert main(argv + ["--out", str(tmp_path / "full")]) == 0
         _, _, rows = _read_csv(tmp_path / "full" / "transitions.csv")
         per_step = Counter(row[0] for row in rows)
@@ -386,6 +402,7 @@ class TestInputContract:
         ["sweep", "--param", "dlambda", "--values", "0.005,0.005"],
         ["sweep", "--param", "dlambda", "--values", "0.3"],
         ["sweep", "--protocol", "spring", "--param", "dlambda", "--values", "0.1,0.2"],
+        ["pathways", "--w-points", "10"],  # the pathway scan reads no work grid
     ])
     def test_rejected_with_one_config_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -412,6 +429,7 @@ class TestInputContract:
         ("sweep", {"w_points": 100}),
         ("sweep", {"protocol": "quantum"}),
         ("sweep", {"sweep_param": "zz"}),
+        ("pathways", {"w_points": 100}),
     ])
     def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -548,10 +566,7 @@ class TestExport:
         meta = {"case": path.name}
         header, rows = export.density_rows(density)
         export.write_csv(path, header, rows, meta)
-        if density.is_point_mass:
-            expected = [(0.0, math.inf)]
-        else:
-            expected = list(zip(density.grid.nodes().tolist(), density.values.tolist()))
+        expected = list(zip(density.grid.nodes().tolist(), density.values.tolist()))
         assert len(rows) == len(expected)
         assert path.read_bytes() == self._reference_csv(header, expected, meta).encode()
 
@@ -563,8 +578,9 @@ class TestExport:
                  protocol.GridSpec(0.1, 8.2e15, values.size)]
         for k, grid in enumerate(grids):
             self._check_density_file(tmp_path / f"g{k}.csv", workdist.GriddedDensity(grid, values))
-        self._check_density_file(tmp_path / "p.csv", workdist.GriddedDensity.point_mass())
-        assert (tmp_path / "p.csv").read_bytes().endswith(b"\nW,rho\n0,inf\n")
+        spike = workdist.GriddedDensity(protocol.GridSpec(-1.0, 1.0, 3), [0.0, 1.0, 0.0])
+        self._check_density_file(tmp_path / "p.csv", spike)
+        assert (tmp_path / "p.csv").read_bytes().endswith(b"\nW,rho\n-1,0\n0,1\n1,0\n")
 
     def test_node_memo_follows_the_grid(self, tmp_path):
         # grids A, B, A in turn: a stale node column would mislabel B or the second A

@@ -17,6 +17,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -42,7 +43,9 @@ def _argv(draw):
     if command == "pathways":
         flags["tol"] = draw(st.floats(0.0, 1.0))
         flags["eps"] = draw(st.floats(0.0, 1e-6))
-    flags["x-points"] = flags["w-points"] = None
+    flags["x-points"] = None
+    if command != "pathways":  # the pathway scan takes no work grid
+        flags["w-points"] = None
     for name, value in flags.items():
         change = draw(st.sampled_from(["keep"] * 4 + ["default", "edge"]))
         if change == "default":
@@ -90,6 +93,8 @@ def _profile(out):
 @example(argv=["pathways", "--lambda-s", "-2.0", "--s", "2"])
 @example(argv=["run-center", "--nmax=100000000"])
 @example(argv=["run-spring", "--s=100000000", "--nmax=0"])
+@example(argv=["run-center", "--lambda-s=0.0"])
+@example(argv=["run-spring", "--omega-ratio=1.0"])
 def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -107,6 +112,11 @@ def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
             payload = json.loads((out / "decomposition.json").read_text())
             assert payload["reconstruction_error"] <= 1e-12
             return
+        # every distribution integrates to 1 under the trapezoid rule over its own rows
+        for path in out.glob("workdist_step_*.csv"):
+            data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+            mass = np.trapezoid(data[:, 1], data[:, 0])
+            assert abs(mass - 1.0) <= oracles.RHO_MASS_TOL, (path.name, mass)
         cfg, delta_f = _profile(out)
         s, a, n_max = cfg["s"], cfg["a"], cfg["n_max"]
         if argv[0] == "run-center":

@@ -17,7 +17,7 @@ from stepwork.free_energy import (
     free_energy_profile,
     ground_state_closed_form_center,
 )
-from stepwork.protocol import build_center_schedule, build_spring_schedule
+from stepwork.protocol import GridSpec, build_center_schedule, build_spring_schedule
 from stepwork.spectra import analytic_free_energy_center, analytic_target_spring
 from stepwork.workdist import (
     GriddedDensity,
@@ -34,11 +34,13 @@ def _low_temp_estimate(a, dlam, s):
 
 class TestExponentialAverage:
     def test_point_mass_gives_zero(self):
-        assert exponential_average(GriddedDensity.point_mass(), 2.0) == 0.0
+        # the unit spike at W = 0 on the lattice a pull that does no work uses
+        spike = GriddedDensity(GridSpec(-1.0, 1.0, 3), np.array([0.0, 1.0, 0.0]))
+        value = exponential_average(spike, 2.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0  # +0, never -0
 
     def test_matches_gaussian_closed_form(self):
         # <exp(-beta W)> of N(mu, sigma^2) is exp(-beta mu + beta^2 sigma^2/2)
-        from stepwork.protocol import GridSpec
         mu, sigma, beta = 0.3, 0.05, 2.0
         grid = GridSpec(mu - 12 * sigma, mu + 12 * sigma, 4001)
         w = grid.nodes()
@@ -49,7 +51,6 @@ class TestExponentialAverage:
 
     def test_log_space_path_consistent(self):
         # a cold average: the weights exp(-beta W) span 347 decades
-        from stepwork.protocol import GridSpec
         grid = GridSpec(-2.0, 2.0, 8001)
         w = grid.nodes()
         sigma = 0.05
@@ -60,7 +61,6 @@ class TestExponentialAverage:
         assert exponential_average(rho, beta) == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_zero_density(self):
-        from stepwork.protocol import GridSpec
         rho = GriddedDensity(GridSpec(0.0, 1.0, 3), np.zeros(3))
         # cold and warm: neither temperature can make a zero density average
         with pytest.raises(NonPositiveAverage):
@@ -290,11 +290,11 @@ class TestPerStepProfile:
         for t in (0.5 * sch.beta, sch.beta, 2.0 * sch.beta):
             exact = np.cumsum(-steps.work_expectations(sch.increment, sch.a, t)[0] / t)
             for i in range(2, sch.s + 1):
-                assert exponential_average(ledger.rho(i), t) == pytest.approx(
+                assert exponential_average(ledger.distributions[i - 2], t) == pytest.approx(
                     exact[i - 2], abs=tol)
         prof = free_energy_profile(sch)
         for i in range(2, sch.s + 1):
-            mean, std = work_moments(ledger.rho(i))
+            mean, std = work_moments(ledger.distributions[i - 2])
             # the deposit conserves each cell's first moment, so the mean is exact
             assert mean == pytest.approx(prof.mean_work[i - 1], abs=1e-12)
             assert std == pytest.approx(prof.std_work[i - 1], abs=tol)
@@ -307,14 +307,16 @@ class TestPerStepProfile:
         assert round(sch.increment / sch.x_grid.spacing) % 2 == 1
         ledger = run_work_recursion(sch)
         prof = free_energy_profile(sch)
-        gaps = [exponential_average(ledger.rho(i), sch.beta) - prof.delta_f[i - 1]
+        gaps = [exponential_average(ledger.distributions[i - 2], sch.beta) - prof.delta_f[i - 1]
                 for i in range(2, sch.s + 1)]
         assert np.abs(gaps).max() <= 1e-14
 
     def test_single_step_matches_final(self):
+        # s = 1 has no distribution; its profile is that of the no-work spike
         sch = build_center_schedule(1.0, 1, 1.0, 10)
         prof = free_energy_profile(sch)
-        final = run_work_recursion(sch).final
+        assert run_work_recursion(sch).distributions == ()
+        final = run_work_recursion(build_center_schedule(0.0, 2, 1.0, 10)).distributions[-1]
         assert prof.delta_f.tolist() == [exponential_average(final, sch.beta)]
         assert (prof.mean_work[0], prof.std_work[0]) == work_moments(final)
 

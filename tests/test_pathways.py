@@ -437,7 +437,7 @@ class TestPathwayEnumeration:
             assert np.allclose(a, b, atol=1e-12 * max(1.0, a.max()))
 
     def test_sum_over_paths_equals_recursion(self, center_s3):
-        pipeline = run_work_recursion(center_s3).final
+        pipeline = run_work_recursion(center_s3).distributions[-1]
         total = normalize(total_pathway_distribution(center_s3))
         _, a, b = on_common_lattice(pipeline, total, center_s3.w_grid.spacing)
         assert np.abs(a - b).max() <= 1e-6 * a.max()

@@ -261,8 +261,9 @@ class TestGridBudget:
 
         def refused():
             sch = build_spring_schedule(1.3, s, 1.0, 0)
+            sch.x_grid  # the densities fit; the s - 1 work lattices do not
             with pytest.raises(GridTooLarge, match="the grids"):
-                sch.x_grid
+                sch.w_grid
         assert traced_peak(refused) < 22 * 8 * s
 
     def test_largest_tested_schedules_fit(self):

@@ -137,7 +137,7 @@ class TestPushforward:
 class TestRecursion:
     def test_base_case_matches_pushforward(self):
         sch = build_center_schedule(0.1, 2, LOW_TEMP, 0)
-        rho2 = run_work_recursion(sch).rho(2)
+        rho2 = run_work_recursion(sch).distributions[0]
         mean, std = work_moments(rho2)
         assert mean == pytest.approx(0.005, abs=1e-12)
         assert std == pytest.approx(0.1 / math.sqrt(2.0), abs=1e-9)
@@ -147,8 +147,8 @@ class TestRecursion:
         # means add, variances add
         sch = build_center_schedule(0.2, 3, LOW_TEMP, 0)
         ledger = run_work_recursion(sch)
-        m2, s2 = work_moments(ledger.rho(2))
-        m3, s3 = work_moments(ledger.rho(3))
+        m2, s2 = work_moments(ledger.distributions[0])
+        m3, s3 = work_moments(ledger.distributions[1])
         g2 = pushforward_step_density(fluctuation_density(sch.spectrum(2), sch.a, sch.x_grid),
                                       sch, 2)
         gm, gs = work_moments(g2)
@@ -163,7 +163,7 @@ class TestRecursion:
         for i in range(1, sch.s):
             f = fluctuation_density(sch.spectrum(i), sch.a, sch.x_grid)
             expected += np.trapezoid(f.values * step_work_map(sch, i, x), dx=sch.x_grid.spacing)
-            mean, _ = work_moments(ledger.rho(i + 1))
+            mean, _ = work_moments(ledger.distributions[i - 1])
             assert mean == pytest.approx(expected, abs=1e-6)
 
     def test_every_distribution_normalized(self):
@@ -181,15 +181,19 @@ class TestRecursion:
             nodes = rho.grid.nodes()
             assert np.all(rho.values[nodes < -rho.grid.spacing / 2] == 0.0)
 
-    def test_single_step_is_point_mass(self):
+    def test_single_step_has_no_distribution(self):
         ledger = run_work_recursion(build_center_schedule(1.0, 1, 1.0, 0))
-        assert ledger.final.is_point_mass
-        assert work_moments(ledger.final) == (0.0, 0.0)
-        assert exponential_average(ledger.final, 1.0) == 0.0
+        assert ledger.distributions == () and ledger.normalizations == ()
 
     def test_null_pull_stays_point_mass(self):
+        # W = 0 on every path: each rho_i is the unit spike on the grid (-1, 0, 1)
         ledger = run_work_recursion(build_center_schedule(0.0, 5, 1.0, 3))
-        assert ledger.final.is_point_mass
+        for rho in ledger.distributions:
+            assert rho.grid == GridSpec(-1.0, 1.0, 3)
+            assert rho.values.tolist() == [0.0, 1.0, 0.0]
+            assert rho.integral() == 1.0
+            assert work_moments(rho) == (0.0, 0.0)
+            assert exponential_average(rho, 1.0) == 0.0
 
     @pytest.mark.parametrize("schedule", [build_center_schedule(1.0, 1, 1.0, 0),
                                           build_center_schedule(0.0, 5, 1.0, 3),
@@ -202,7 +206,7 @@ class TestRecursion:
         monkeypatch.setattr(workdist, "lattice_convolve", refuse)
         ledger = run_work_recursion(schedule)
         assert len(ledger.distributions) == schedule.s - 1
-        assert all(rho.is_point_mass for rho in ledger.distributions)
+        assert all(rho.values.tolist() == [0.0, 1.0, 0.0] for rho in ledger.distributions)
         assert ledger.normalizations == (1.0,) * (schedule.s - 1)
 
     def test_mass_leak_detected_on_truncated_window(self):
@@ -220,22 +224,22 @@ class TestRecursion:
             for s in (2, 6, 11):
                 sch = build_center_schedule(1.0, s, a, 0)
                 ledger = run_work_recursion(sch)
-                df = exponential_average(ledger.final, sch.beta)
+                df = exponential_average(ledger.distributions[-1], sch.beta)
                 exact = ground_state_closed_form_center(a, sch.increment, s)
                 assert df == pytest.approx(exact, rel=1e-6, abs=1e-9)
 
     def test_work_grid_resolution_independence(self):
         base = build_center_schedule(1.0, 11, 1.0, 5)
         fine = build_center_schedule(1.0, 11, 1.0, 5, w_points=2 * base.w_grid.points)
-        df_base = exponential_average(run_work_recursion(base).final, base.beta)
-        df_fine = exponential_average(run_work_recursion(fine).final, fine.beta)
+        df_base = exponential_average(run_work_recursion(base).distributions[-1], base.beta)
+        df_fine = exponential_average(run_work_recursion(fine).distributions[-1], fine.beta)
         assert abs(df_base - df_fine) < 1e-5
 
     def test_work_grid_resolution_independence_spring(self):
         base = build_spring_schedule(1.3, 11, 1.0, 10)
         fine = build_spring_schedule(1.3, 11, 1.0, 10, w_points=16001)
-        df_base = exponential_average(run_work_recursion(base).final, base.beta)
-        df_fine = exponential_average(run_work_recursion(fine).final, fine.beta)
+        df_base = exponential_average(run_work_recursion(base).distributions[-1], base.beta)
+        df_fine = exponential_average(run_work_recursion(fine).distributions[-1], fine.beta)
         assert abs(df_base - df_fine) < 1e-5
 
     def test_convolution_matches_direct_kernel_integral(self):
@@ -244,7 +248,7 @@ class TestRecursion:
         # with |Jacobian| 1/dlam; an independent route to the same density
         sch = build_center_schedule(1.0, 3, 1.0, 2)
         ledger = run_work_recursion(sch)
-        rho2, rho3 = ledger.rho(2), ledger.rho(3)
+        rho2, rho3 = ledger.distributions[0], ledger.distributions[1]
         f2 = fluctuation_density(sch.spectrum(2), sch.a, sch.x_grid)
         dlam = sch.increment
         lam2 = sch.controls[1]
@@ -399,7 +403,7 @@ class TestCharacteristicFunction:
         ledger = run_work_recursion(sch)
         gaps = []
         for i in range(2, sch.s + 1):
-            rho = ledger.rho(i)
+            rho = ledger.distributions[i - 2]
             u = np.linspace(0.0, 6.0 / work_moments(rho)[1], 101)
             exact = np.prod([step_cf(sch.spectrum(j), sch.increment, sch.a, u)
                              for j in range(1, i)], axis=0)
@@ -428,11 +432,12 @@ class TestCharacteristicFunction:
 
 class TestMoments:
     def test_point_mass(self):
-        assert work_moments(GriddedDensity.point_mass()) == (0.0, 0.0)
+        spike = GriddedDensity(GridSpec(-1.0, 1.0, 3), np.array([0.0, 1.0, 0.0]))
+        assert work_moments(spike) == (0.0, 0.0)
 
     def test_low_temperature_std(self):
         sch = build_center_schedule(1.0, 11, 16.0, 10)
-        mean, std = work_moments(run_work_recursion(sch).final)
+        mean, std = work_moments(run_work_recursion(sch).distributions[-1])
         assert mean == pytest.approx(0.275, abs=1e-9)
         assert std == pytest.approx(0.1 * math.sqrt(5.0), abs=1e-6)
 
