@@ -31,10 +31,6 @@ from .protocol import (
 from .spectra import (
     OscillatorSpectrum,
     ProtocolKind,
-    analytic_free_energy_center,
-    analytic_free_energy_spring,
-    analytic_target_spring,
-    delta_f_target_center,
     spring_frequency,
 )
 from .workdist import (

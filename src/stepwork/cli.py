@@ -150,11 +150,12 @@ def _sweep_point(cfg, param, value):
     elif param == "dlambda":
         point.update(s=round(cfg["lambda_s"] / value) + 1, dlambda=float(value))
     schedule = _schedule_from(point)
+    # the profile first: it refuses a non-finite target before the oracle reads it
+    profile = free_energy_profile(schedule)
     if point["protocol"] == "center" and schedule.n_max == 0:
         oracle = ground_state_closed_form_center(schedule.a, schedule.increment, schedule.s)
     else:
-        oracle = schedule.spectrum(schedule.s).target(schedule.a)
-    profile = free_energy_profile(schedule)
+        oracle = profile.targets[-1]
     mean_w = float(profile.mean_work[-1])
     std_w = float(profile.std_work[-1])
     return (float(value), profile.endpoint, mean_w, std_w, float(oracle))

@@ -19,15 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "ProtocolKind",
-    "OscillatorSpectrum",
-    "spring_frequency",
-    "analytic_free_energy_center",
-    "analytic_free_energy_spring",
-    "delta_f_target_center",
-    "analytic_target_spring",
-]
+__all__ = ["ProtocolKind", "OscillatorSpectrum", "spring_frequency"]
 
 
 class ProtocolKind(enum.Enum):
@@ -109,37 +101,6 @@ def spring_frequency(i, delta):
     if radicand <= 0.0:
         raise ValueError(f"inverted oscillator at step {i}: 1+(i-1)*delta = {radicand}")
     return math.sqrt(radicand)
-
-
-def analytic_free_energy_center(lam, a):
-    """Exact free energy a^-1 ln(e^a - e^-a) + lam^2/4 in hbar*omega/2 units."""
-    if a <= 0.0:
-        raise ValueError("reduced temperature must be positive")
-    # log(e^a - e^-a) = a + log(1 - e^{-2a}) stays finite for large and small a
-    return (a + _log1mexp(2.0 * a)) / a + 0.25 * lam * lam
-
-
-def delta_f_target_center(lam):
-    """Exact free-energy change F(lam) - F(0) = lam^2/4 in hbar*omega/2 units."""
-    return 0.25 * lam * lam
-
-
-def analytic_free_energy_spring(omega_i, a0):
-    """Exact free energy ln(2 sinh(a0 omega_i / 2)) / a0 in hbar*omega_0 units."""
-    if a0 <= 0.0 or np.min(omega_i) <= 0.0:
-        raise ValueError("reduced temperature and frequency must be positive")
-    z = 0.5 * a0 * omega_i
-    if np.min(z) == 0.0:  # then log(1 - e^{-2z}) would take log(0)
-        raise ValueError(f"the spring free energy at a={a0} underflows: a omega/2 is 0")
-    # log(2 sinh z) = z + log(1 - e^{-2z})
-    return (z + _log1mexp(2.0 * z)) / a0
-
-
-def analytic_target_spring(a0, omega_ratio):
-    """Exact (1/a0) ln[sinh(a0 ratio/2)/sinh(a0/2)] in hbar*omega_0 units."""
-    if a0 <= 0.0 or np.min(omega_ratio) <= 0.0:
-        raise ValueError("reduced temperature and frequency ratio must be positive")
-    return analytic_free_energy_spring(omega_ratio, a0) - analytic_free_energy_spring(1.0, a0)
 
 
 @dataclass(frozen=True)
@@ -264,14 +225,25 @@ class OscillatorSpectrum:
             lambda m, r: (m * (1.0 - kappa) * r - kappa) / ((m + 1) * (1.0 + kappa)),
             self.n_max, kappa.shape)
 
+    def _bare_free_energy(self, a, omega):
+        """ln(2 sinh z) / a with z = beta hbar omega / 2: the free energy, in the
+        work unit, of an oscillator of frequency omega with no energy offset."""
+        if a <= 0.0:
+            raise ValueError("reduced temperature must be positive")
+        # the z of thermal_variance; for center it is a itself, bit for bit
+        z = 0.5 * self.unit * a * omega
+        if np.min(z) == 0.0:  # then log(1 - e^{-2z}) would take log(0)
+            raise ValueError(f"the spring free energy at a={a} underflows: a omega/2 is 0")
+        # log(2 sinh z) = z + log(1 - e^{-2z}) stays finite for large and small z
+        return (z + _log1mexp(2.0 * z)) / a
+
     def free_energy(self, a):
         """Exact free energy of the step's Hamiltonian in the work unit."""
-        if self.kind is ProtocolKind.CENTER:
-            return analytic_free_energy_center(self.control, a)
-        return analytic_free_energy_spring(self.control, a)
+        return self._bare_free_energy(a, self.omega) + self.unit * self.offset
 
     def target(self, a):
-        """Exact free-energy change from the first step's Hamiltonian to this one."""
-        if self.kind is ProtocolKind.CENTER:
-            return delta_f_target_center(self.control)
-        return analytic_target_spring(a, self.control)
+        """Exact free-energy change from the first step's Hamiltonian to this one.
+
+        Every schedule's first step has omega = 1 and no energy offset."""
+        return (self._bare_free_energy(a, self.omega) - self._bare_free_energy(a, 1.0)
+                + self.unit * self.offset)

@@ -488,10 +488,14 @@ class TestInputContract:
         (["run-center", "--a", "1e300"], "the free-energy profile at a=1e+300"),
         (["sweep", "--protocol", "spring", "--values", "1e300"],
          "the free-energy profile at a=1e+300"),
+        # the spring free energies overflow; the oracle is read from the profile,
+        # so no RuntimeWarning comes first
+        (["sweep", "--protocol", "spring", "--param", "a", "--values", "1e-310"],
+         "the free-energy profile at a=1e-310"),
         # exp(-beta dF) = e^{396800}
         (["pathways", "--s", "2", "--nmax", "0", "--a", "64", "--lambda-s", "20"],
          "the pathway weights sum to inf"),
-    ], ids=["run-spring", "run-center", "sweep", "pathways"])
+    ], ids=["run-spring", "run-center", "sweep", "sweep-tiny-a", "pathways"])
     def test_out_of_float_range_rejected(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         with warnings.catch_warnings():

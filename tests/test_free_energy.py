@@ -18,7 +18,6 @@ from stepwork.free_energy import (
     ground_state_closed_form_center,
 )
 from stepwork.protocol import GridSpec, build_center_schedule, build_spring_schedule
-from stepwork.spectra import analytic_free_energy_center, analytic_target_spring
 from stepwork.workdist import (
     GriddedDensity,
     fluctuation_density,
@@ -115,7 +114,7 @@ class TestCenterProfiles:
         prof = free_energy_profile(sch)
         assert prof.delta_f[0] == 0.0
         assert prof.mean_work[0] == 0.0
-        assert prof.f_ref[0] == pytest.approx(analytic_free_energy_center(0.0, 1.0))
+        assert prof.f_ref[0] == pytest.approx(math.log(2.0 * math.sinh(1.0)))
 
     def test_jensen_bound_every_step(self):
         for a in (0.0625, 1.0, 16.0):
@@ -196,7 +195,7 @@ class TestApproxFreeEnergy:
 
 class TestSpringProfiles:
     def test_high_temperature_targets(self):
-        target = analytic_target_spring(0.1, 1.3)
+        target = 10.0 * math.log(math.sinh(0.065) / math.sinh(0.05))
         for s in (2, 11):
             prof = free_energy_profile(build_spring_schedule(1.3, s, 0.1, 100))
             assert prof.endpoint == pytest.approx(target, rel=0.01)
@@ -221,7 +220,7 @@ class TestReferenceFreeEnergy:
         # F_ref = F(lambda_s) - dF at the endpoint
         sch = build_center_schedule(1.0, 11, 1.0, 0)
         prof = free_energy_profile(sch)
-        f_s = analytic_free_energy_center(1.0, 1.0)
+        f_s = math.log(2.0 * math.sinh(1.0)) + 0.25
         assert prof.f_ref[-1] + prof.endpoint == pytest.approx(f_s, abs=1e-12)
 
     def test_approaches_initial_free_energy_for_small_increments(self):
@@ -230,7 +229,7 @@ class TestReferenceFreeEnergy:
         for s in (6, 11, 21):
             sch = build_center_schedule(1.0, s, 1.0, 10)
             prof = free_energy_profile(sch)
-            f1 = analytic_free_energy_center(0.0, 1.0)
+            f1 = math.log(2.0 * math.sinh(1.0))
             gaps.append(abs(prof.f_ref[-1] - f1))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.05)

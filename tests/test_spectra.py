@@ -4,6 +4,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import hermite_poly, prob_density
 
 import stepwork
@@ -116,45 +118,77 @@ class TestSpringSpectrum:
 
 
 class TestAnalyticFreeEnergies:
+    # the methods against closed forms written out here: ln(2 sinh z) / a,
+    # lambda^2/4 and ln(sinh(a0 r/2) / sinh(a0/2)) / a0
     def test_center_reference_value(self):
         expected = math.log(math.e - 1 / math.e)
-        assert spectra.analytic_free_energy_center(0.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert _center(0.0).free_energy(1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_center_target(self):
-        assert spectra.delta_f_target_center(1.0) == 0.25
-        assert spectra.delta_f_target_center(0.0) == 0.0
+        assert _center(1.0).target(1.0) == 0.25
+        assert _center(0.0).target(1.0) == 0.0
 
     def test_center_target_is_quadratic(self):
         for lam in (0.3, 1.0, 2.4):
-            assert spectra.delta_f_target_center(2 * lam) == pytest.approx(
-                4 * spectra.delta_f_target_center(lam), rel=1e-14)
+            assert _center(2 * lam).target(1.0) == pytest.approx(
+                4 * (0.25 * lam * lam), rel=1e-14)
 
     def test_spring_target_value(self):
         expected = 10.0 * math.log(math.sinh(0.065) / math.sinh(0.05))
-        got = spectra.analytic_target_spring(0.1, 1.3)
+        got = _spring(1.3).target(0.1)
         assert got == pytest.approx(expected, rel=1e-12)
         # near the classical limit kT ln(omega_s/omega_0) at this temperature
         assert got == pytest.approx(10.0 * math.log(1.3), abs=5e-3)
 
     def test_spring_target_degenerate(self):
-        assert spectra.analytic_target_spring(0.7, 1.0) == 0.0
+        assert _spring(1.0).target(0.7) == 0.0
 
     def test_spring_target_low_temperature_limit(self):
-        assert spectra.analytic_target_spring(500.0, 1.3) == pytest.approx(0.15, abs=1e-6)
+        assert _spring(1.3).target(500.0) == pytest.approx(0.15, abs=1e-6)
 
     @pytest.mark.parametrize("a", [1e-300, 1e-10, 0.3, 0.4])
     def test_free_energies_keep_their_digits_as_a_vanishes(self, a):
         # both are ln(2 sinh a) / a here; ln(1 - e^{-2a}) must keep its digits
         # as e^{-2a} nears 1
         exact = math.log(2.0 * math.sinh(a)) / a
-        assert spectra.analytic_free_energy_center(0.0, a) == pytest.approx(exact, rel=1e-15)
-        assert spectra.analytic_free_energy_spring(2.0, a) == pytest.approx(exact, rel=1e-15)
+        assert _center(0.0).free_energy(a) == pytest.approx(exact, rel=1e-15)
+        assert _spring(2.0).free_energy(a) == pytest.approx(exact, rel=1e-15)
 
     def test_spring_free_energy_consistent_with_target(self):
         a0 = 0.25
-        diff = (spectra.analytic_free_energy_spring(1.3, a0)
-                - spectra.analytic_free_energy_spring(1.0, a0))
-        assert diff == pytest.approx(spectra.analytic_target_spring(a0, 1.3), rel=1e-12)
+        exact = math.log(math.sinh(a0 * 1.3 / 2) / math.sinh(a0 / 2)) / a0
+        diff = _spring(1.3).free_energy(a0) - _spring(1.0).free_energy(a0)
+        assert diff == pytest.approx(exact, rel=1e-12)
+        assert _spring(1.3).target(a0) == pytest.approx(exact, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(ProtocolKind), as_array=st.booleans(),
+           log_a=st.floats(math.log(1e-300), math.log(700.0)),
+           controls=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+           ratios=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4))
+    def test_methods_match_the_closed_forms(self, kind, as_array, log_a, controls, ratios):
+        a = math.exp(log_a)
+        center = kind is ProtocolKind.CENTER
+        controls = controls if center else ratios
+        if as_array:
+            spec = spectra.OscillatorSpectrum(kind, np.array(controls), 0)
+            free, target = spec.free_energy(a), spec.target(a)
+        else:
+            free, target = zip(*((spec.free_energy(a), spec.target(a)) for spec in (
+                spectra.OscillatorSpectrum(kind, c, 0) for c in controls)))
+        for c, f, t in zip(controls, free, target):
+            if center:
+                f_exact = math.log(2.0 * math.sinh(a)) / a + 0.25 * c * c
+                t_exact = 0.25 * c * c
+            else:
+                f_exact = math.log(2.0 * math.sinh(0.5 * a * c)) / a
+                t_exact = math.log(math.sinh(0.5 * a * c) / math.sinh(0.5 * a)) / a
+            bound = 1e-14 * max(1.0, abs(f_exact))
+            assert abs(f - f_exact) <= bound, (c, a)
+            if center and abs(c) >= 1e-150:
+                assert t == t_exact, (c, a)
+            else:
+                assert abs(t - t_exact) <= bound, (c, a)
 
 
 class TestThermalVariance:
@@ -215,15 +249,18 @@ class TestOscillatorSpectrum:
                 1.0, lam / 2, lam * lam / 8, 2.0)
             assert np.allclose(spec.work_increment(dlam, x), dlam * (lam + dlam / 2 - x),
                                rtol=1e-14, atol=1e-15)
-            assert spec.free_energy(2.0) == spectra.analytic_free_energy_center(lam, 2.0)
-            assert spec.target(2.0) == spectra.delta_f_target_center(lam)
+            assert spec.free_energy(2.0) == pytest.approx(
+                math.log(2.0 * math.sinh(2.0)) / 2.0 + 0.25 * lam * lam, rel=1e-14)
+            assert spec.target(2.0) == 0.25 * lam * lam
 
             spec = spring.spectrum(i)
             omega, delta = spring.controls[i - 1], spring.increment
             assert (spec.omega, spec.center, spec.offset, spec.unit) == (omega, 0.0, 0.0, 1.0)
             assert np.allclose(spec.work_increment(delta, x), delta * x * x / 2, rtol=1e-14)
-            assert spec.free_energy(0.5) == spectra.analytic_free_energy_spring(omega, 0.5)
-            assert spec.target(0.5) == spectra.analytic_target_spring(0.5, omega)
+            assert spec.free_energy(0.5) == pytest.approx(
+                math.log(2.0 * math.sinh(0.25 * omega)) / 0.5, rel=1e-14)
+            assert spec.target(0.5) == pytest.approx(
+                math.log(math.sinh(0.25 * omega) / math.sinh(0.25)) / 0.5, rel=1e-14, abs=1e-14)
         for sch in (center, spring):
             for i in range(1, 5):
                 assert np.array_equal(step_work_map(sch, i, x),
