@@ -25,7 +25,8 @@ from . import export
 from .errors import (GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, NonPositiveAverage,
                      WorkerLost)
 from .free_energy import free_energy_profile, ground_state_closed_form_center
-from .pathways import TransitionRecord, decompose_free_energy, overlap_measure
+from .pathways import (DEFAULT_EPS_REL, DEFAULT_TOL, TransitionRecord, decompose_free_energy,
+                       overlap_measure)
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
 from .workdist import fluctuation_density, run_work_recursion
 
@@ -36,7 +37,8 @@ _SPRING_DEFAULTS = {"protocol": "spring", "omega_ratio": 1.3, "s": 11, "a": 0.1,
 # the pathway scan reads no work grid, and sweep evaluates closed forms on
 # no grid: pathways takes no w_points, and sweep no grid keys
 _PATHWAY_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "s": 3, "a": 1.0,
-                     "n_max": 3, "x_points": None, "tol": 0.05, "eps": 1e-12, "out": "."}
+                     "n_max": 3, "x_points": None, "tol": DEFAULT_TOL, "eps": DEFAULT_EPS_REL,
+                     "out": "."}
 _SWEEP_DEFAULTS = {**_CENTER_DEFAULTS, "omega_ratio": 1.3, "sweep_param": "a",
                    "sweep_values": None}
 del _SWEEP_DEFAULTS["x_points"], _SWEEP_DEFAULTS["w_points"]

@@ -6,7 +6,8 @@ class StepworkError(Exception):
 
 
 class GridTooNarrow(StepworkError):
-    """A density carries non-negligible mass at the grid boundary."""
+    """A density carries non-negligible mass at the grid boundary, or its grid
+    is too coarse to hold it (the grid's quadrature misses its known mass)."""
 
 
 class GridTooLarge(StepworkError):

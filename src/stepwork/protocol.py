@@ -286,7 +286,7 @@ def _spring_grids(schedule):
 
     if delta == 0.0:
         return x_grid, GridSpec(-1.0, 1.0, 3)
-    w_points = 8001 if schedule.w_points is None else schedule.w_points
+    w_points = max(8001, schedule.w_points or 0)
 
     c = 0.5 * delta  # work increment is c * x^2 for every step
     # sum() adds left to right; np.sum's pairwise order would move the last bits

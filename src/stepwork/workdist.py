@@ -27,11 +27,12 @@ __all__ = ["GriddedDensity", "WorkLedger", "fluctuation_density", "step_work_map
            "pushforward_step_density", "lattice_convolve", "run_work_recursion",
            "work_moments"]
 
-# |integral - 1| above this after a recursion step signals work-grid truncation
+# relative mass error allowed on a work distribution or a fluctuation density
 MASS_TOLERANCE = 1e-4
 # relative boundary mass allowed on a fluctuation-density grid
 BOUNDARY_TOLERANCE = 1e-12
-# lattice tails below this fraction of the peak are trimmed between steps
+# lattice tails below this fraction of the peak are trimmed between steps; for
+# speed: it keeps them out of the subnormal range, where BLAS products slow down
 _CROP_RELATIVE = 1e-280
 # deposit fractions closer than this to a node are snapped onto it
 _SNAP = 1e-9
@@ -69,7 +70,6 @@ class GriddedDensity:
 class WorkLedger:
     """Everything the recursion produced for one schedule."""
 
-    schedule: PullSchedule
     distributions: tuple = ()      # rho_2 .. rho_s
     normalizations: tuple = ()     # Q_2 .. Q_s
 
@@ -77,8 +77,10 @@ class WorkLedger:
 def fluctuation_density(spectrum: OscillatorSpectrum, a, x_grid: GridSpec):
     """Boltzmann-weighted eigenstate density, renormalized on the grid.
 
-    Truncating the eigenbasis at n_max leaves the raw sum sub-normalized, so
-    the result is rescaled to unit trapezoid integral.
+    The Boltzmann weights are unnormalized, so the result is rescaled to unit
+    trapezoid integral.  Each |psi_n|^2 integrates to 1, so an x grid whose
+    raw integral misses the weights' sum by over MASS_TOLERANCE is too coarse
+    to hold the density and is refused, as is one with mass at its boundary.
     """
     x = x_grid.nodes()
     weights = spectrum.boltzmann_weights(a)
@@ -90,6 +92,9 @@ def fluctuation_density(spectrum: OscillatorSpectrum, a, x_grid: GridSpec):
             f"{BOUNDARY_TOLERANCE:.0e} of peak {peak:.3e}; widen the x grid"
         )
     mass = np.trapezoid(raw, dx=x_grid.spacing)
+    if abs(mass / weights.sum() - 1.0) > MASS_TOLERANCE:
+        raise GridTooNarrow(f"the x grid holds {mass / weights.sum():.6g} of the density's "
+                            "mass; refine the x grid")
     return GriddedDensity(x_grid, raw / mass)
 
 
@@ -133,12 +138,15 @@ def _trapezoid_masses(density: GriddedDensity):
     return density.values * w
 
 
-def _lattice_density(n0, vals, h):
-    """Wrap raw lattice values (index offset n0) with one zero pad per side."""
-    keep = np.flatnonzero(vals > vals.max() * _CROP_RELATIVE)
-    lo, hi = int(keep[0]), int(keep[-1])
-    vals = np.concatenate(([0.0], vals[lo:hi + 1], [0.0]))
-    start = n0 + lo - 1
+def _lattice_density(n0, vals, h, lo=None, hi=None):
+    """Wrap raw lattice values (index offset n0) as a density: the run of
+    nodes above _CROP_RELATIVE of the peak, limited to nodes lo..hi when they
+    are given, with one zero pad per side."""
+    first, end = (0, vals.size) if lo is None else (max(lo - n0, 0), max(hi - n0 + 1, 0))
+    keep = np.flatnonzero(vals[first:end] > vals.max() * _CROP_RELATIVE)
+    first, last = first + int(keep[0]), first + int(keep[-1])
+    vals = np.concatenate(([0.0], vals[first:last + 1], [0.0]))
+    start = n0 + first - 1
     grid = GridSpec(start * h, (start + vals.size - 1) * h, vals.size)
     return GriddedDensity(grid, vals)
 
@@ -203,33 +211,13 @@ def lattice_convolve(d1: GriddedDensity, d2: GriddedDensity, h):
     return _lattice_density(n0, vals, h)
 
 
-def _clip_to_window(dens: GriddedDensity, schedule: PullSchedule):
-    h = schedule.w_grid.spacing
-    n0 = _lattice_offset(dens, h)
-    lo = max(0, int(round(schedule.w_grid.min / h)) - 1 - n0)
-    hi = min(dens.values.size - 1, int(round(schedule.w_grid.max / h)) + 1 - n0)
-    return _lattice_density(n0 + lo, dens.values[lo:hi + 1], h)
-
-
-def _recursion_step(rho_prev, g, schedule, i):
-    """rho_i: rho_{i-1} convolved with g_{i-1}, the pushforward of f_{i-1}
-    through step i-1's work increment, renormalized; returned with its
-    normalization Q_i.  rho_1 is the point mass at W = 0, passed as None, so
-    rho_2 is g_1 itself."""
-    conv = g if rho_prev is None else lattice_convolve(rho_prev, g, schedule.w_grid.spacing)
-    rho = _clip_to_window(conv, schedule)
-    mass = rho.integral()
-    if abs(mass - 1.0) > MASS_TOLERANCE:
-        raise MassLeak(
-            f"work distribution at step {i} integrates to {mass:.8f}; "
-            "the work grid is truncating real mass"
-        )
-    return GriddedDensity(rho.grid, rho.values / mass), 1.0 / mass
-
-
 def run_work_recursion(schedule: PullSchedule):
     """Run the recursion through rho_s, building each f_j and its pushforward
     g_j once, when step j is reached.
+
+    rho_2 is g_1 (rho_1 is the point mass at W = 0), and rho_i is rho_{i-1}
+    convolved with g_{i-1}; each is cut once to the work window's nodes,
+    checked for lost mass and renormalized by Q_i.
 
     The work grid is read first, so a schedule over the grid budget is
     refused before any density is built.  A pull with a zero increment
@@ -240,16 +228,23 @@ def run_work_recursion(schedule: PullSchedule):
     if schedule.increment == 0.0:
         steps = schedule.s - 1
         spike = GriddedDensity(w_grid, [0.0, 1.0 / w_grid.spacing, 0.0])
-        return WorkLedger(schedule, (spike,) * steps, (1.0,) * steps)
-    rho = None
-    dists = []
-    norms = []
-    for j in range(1, schedule.s):
-        f = fluctuation_density(schedule.spectrum(j), schedule.a, schedule.x_grid)
-        rho, q = _recursion_step(rho, pushforward_step_density(f, schedule, j), schedule, j + 1)
+        return WorkLedger((spike,) * steps, (1.0,) * steps)
+    h = w_grid.spacing
+    lo, hi = int(round(w_grid.min / h)) - 1, int(round(w_grid.max / h)) + 1
+    rho, dists, norms = None, [], []
+    for i in range(2, schedule.s + 1):
+        f = fluctuation_density(schedule.spectrum(i - 1), schedule.a, schedule.x_grid)
+        g = pushforward_step_density(f, schedule, i - 1)
+        rho = g if rho is None else lattice_convolve(rho, g, h)
+        rho = _lattice_density(_lattice_offset(rho, h), rho.values, h, lo, hi)
+        mass = rho.integral()
+        if abs(mass - 1.0) > MASS_TOLERANCE:
+            raise MassLeak(f"work distribution at step {i} integrates to {mass:.8f}; "
+                           "the work grid is truncating real mass")
+        rho = GriddedDensity(rho.grid, rho.values / mass)
         dists.append(rho)
-        norms.append(q)
-    return WorkLedger(schedule, tuple(dists), tuple(norms))
+        norms.append(1.0 / mass)
+    return WorkLedger(tuple(dists), tuple(norms))
 
 
 def work_moments(rho: GriddedDensity):

@@ -14,9 +14,8 @@ import pytest
 
 from stepwork import cli, export, pathways, protocol, workdist
 from stepwork.cli import main
-from stepwork.errors import MassLeak
 from stepwork.free_energy import free_energy_profile, ground_state_closed_form_center
-from stepwork.workdist import fluctuation_density
+from stepwork.workdist import GriddedDensity, fluctuation_density
 
 
 def _read_csv(path):
@@ -110,15 +109,18 @@ class TestRunCenter:
     @pytest.mark.parametrize("command", ["run-center", "run-spring"])
     def test_failure_at_the_last_step_writes_no_file(self, command, tmp_path, monkeypatch,
                                                      capsys):
-        step, reached = workdist._recursion_step, []
+        push, convolve, reached = workdist.pushforward_step_density, workdist.lattice_convolve, []
 
-        def leak_at_last(rho_prev, g, schedule, i):
-            reached.append(i)
-            if i == schedule.s:
-                raise MassLeak(f"work distribution at step {i} integrates to 0.5")
-            return step(rho_prev, g, schedule, i)
+        def pushed(f, schedule, j):
+            reached.append(j + 1)
+            return push(f, schedule, j)
 
-        monkeypatch.setattr(workdist, "_recursion_step", leak_at_last)
+        def leak_at_last(d1, d2, h):
+            rho = convolve(d1, d2, h)
+            return GriddedDensity(rho.grid, rho.values * (0.5 if reached[-1] == 4 else 1.0))
+
+        monkeypatch.setattr(workdist, "pushforward_step_density", pushed)
+        monkeypatch.setattr(workdist, "lattice_convolve", leak_at_last)
         out = tmp_path / "out"
         assert main([command, "--s", "4", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -532,6 +534,20 @@ class TestInputContract:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid-too-large: the schedule and its closed-form profile")
+        assert len(err.splitlines()) == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["run-center", "--lambda-s", "20", "--s", "2", "--x-points", "3"],
+        ["run-spring", "--s", "3", "--x-points", "3"],
+        ["run-spring", "--s", "3", "--x-points", "9"],
+        ["pathways", "--lambda-s", "40", "--s", "3", "--x-points", "3"],
+    ])
+    def test_x_grid_too_coarse_for_its_density_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-narrow: the x grid holds ")
         assert len(err.splitlines()) == 1
         assert not list(out.iterdir())
 

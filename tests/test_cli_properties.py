@@ -73,10 +73,10 @@ def _run(argv, out):
 
 
 def _profile(out):
-    """The config and the delta_F column of a run's profile.csv."""
+    """The config and the rows of a run's profile.csv."""
     lines = (out / "profile.csv").read_text().splitlines()
     config = json.loads(lines[0][len("# config: "):])
-    return config, [float(line.split(",")[2]) for line in lines[2:]]
+    return config, np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -95,6 +95,9 @@ def _profile(out):
 @example(argv=["run-spring", "--s=100000000", "--nmax=0"])
 @example(argv=["run-center", "--lambda-s=0.0"])
 @example(argv=["run-spring", "--omega-ratio=1.0"])
+@example(argv=["run-center", "--lambda-s=20.0", "--s=2", "--x-points=3"])
+@example(argv=["run-spring", "--x-points=3"])
+@example(argv=["run-spring", "--w-points=3"])
 def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -112,12 +115,21 @@ def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
             payload = json.loads((out / "decomposition.json").read_text())
             assert payload["reconstruction_error"] <= 1e-12
             return
-        # every distribution integrates to 1 under the trapezoid rule over its own rows
+        cfg, profile = _profile(out)
+        # every distribution integrates to 1 under the trapezoid rule over its own
+        # rows, and its mean and std meet the closed-form profile's; a no-work
+        # spike (std_W = 0) must meet them exactly
+        bound = 1e-9 if argv[0] == "run-center" else 1e-3
         for path in out.glob("workdist_step_*.csv"):
-            data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-            mass = np.trapezoid(data[:, 1], data[:, 0])
+            w, rho = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2).T
+            mass = np.trapezoid(rho, w)
             assert abs(mass - 1.0) <= oracles.RHO_MASS_TOL, (path.name, mass)
-        cfg, delta_f = _profile(out)
+            mean = np.trapezoid(w * rho, w) / mass
+            std = math.sqrt(np.trapezoid((w - mean) ** 2 * rho, w) / mass)
+            mean_w, std_w = profile[int(path.stem.rsplit("_", 1)[1]) - 1, 4:6]
+            assert abs(mean - mean_w) <= bound * std_w, (path.name, mean, mean_w, std_w)
+            assert abs(std - std_w) <= bound * std_w, (path.name, std, std_w)
+        delta_f = list(profile[:, 2])
         s, a, n_max = cfg["s"], cfg["a"], cfg["n_max"]
         if argv[0] == "run-center":
             exact = [0.0] if s == 1 else oracles.center_exact_profile(cfg["lambda_s"], s, a,

@@ -179,6 +179,12 @@ class TestSpringSchedule:
         assert sch.w_grid.min == 0.0
         assert sch.w_grid.points == 8001
 
+    def test_w_points_request_only_refines_lattice(self):
+        base = build_spring_schedule(1.3, 3, 0.1, 100)
+        assert build_spring_schedule(1.3, 3, 0.1, 100, w_points=10).w_grid == base.w_grid
+        fine = build_spring_schedule(1.3, 3, 0.1, 100, w_points=16001)
+        assert fine.w_grid.points == 16001 and fine.w_grid.max == base.w_grid.max
+
 
 _rng = np.random.default_rng(15)
 # fixed schedules, and random spring ones: on 36 of these 40, np.tanh would

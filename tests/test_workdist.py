@@ -75,6 +75,23 @@ class TestFluctuationDensity:
         with pytest.raises(GridTooNarrow):
             fluctuation_density(sch.spectrum(1), sch.a, GridSpec(-1.0, 1.5, 101))
 
+    @pytest.mark.parametrize("sch", [
+        build_center_schedule(20.0, 2, 1.0, 10, x_points=3),  # spacing 20
+        # on these the quadrature gives 2.50, 1.27 and 1.00065 of the mass
+        build_spring_schedule(1.3, 3, 0.1, 100, x_points=3),
+        build_spring_schedule(1.3, 3, 0.1, 100, x_points=5),
+        build_spring_schedule(1.3, 3, 0.1, 100, x_points=9),
+    ])
+    def test_grid_too_coarse(self, sch):
+        with pytest.raises(GridTooNarrow, match="refine the x grid"):
+            fluctuation_density(sch.spectrum(1), sch.a, sch.x_grid)
+
+    def test_finer_grid_holds_the_mass(self):
+        # its quadrature gives 1.0000023 of the mass, inside MASS_TOLERANCE
+        sch = build_spring_schedule(1.3, 3, 0.1, 100, x_points=17)
+        f = fluctuation_density(sch.spectrum(1), sch.a, sch.x_grid)
+        assert f.integral() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestStepWorkMap:
     def test_center_midpoint_is_zero(self):
