@@ -142,10 +142,11 @@ def _within(r, tol):
 
 
 # float64 values a link of one state's (n_next or n_prev) slice costs at most
-# while that slice is worked on, traced with every link in play: up to 7.3 for
-# a band-search candidate (its indices, rank and residual), 10.5 for the
-# forward pass over one n_prev block
-SLICE_VALUES = 11
+# while that slice is worked on, traced with every link in play: up to 8.8 for
+# a band-search candidate (its indices, rank and residual) and 10.3 for the
+# forward pass over one n_prev block with every code non-zero (more only near
+# p = 10, where each block's fixed arrays weigh in), rounded up with a value to spare
+SLICE_VALUES = 12
 
 
 def _transition_tables(schedule, i, x, eps_rel, tol):
@@ -154,21 +155,22 @@ def _transition_tables(schedule, i, x, eps_rel, tol):
     Both positions of a transition range over the same axis x.  A condition
     holds on a link where its residual is within tol and both densities the
     residual reads are above the floor; ``code`` packs which hold as
-    A + 2 B + 4 DB.  r12b does not depend on n_prev and is tested on its own
-    (n_next, k_prev, k_next) table.  A (r12a) holds where
+    A + 2 B + 4 DB.  B (r12b) does not depend on n_prev and is tested on one
+    n_next's (k_prev, k_next) block at a time.  A (r12a) holds where
     ln d_next[n_next, k_next] is near ln d_prev[n_prev, k_prev] + beta (dE + dW),
     and DB (r13) where ln d_prev[n_prev, k_next] is near
     ln d_next[n_next, k_prev] - beta dE: each is found by a band search over
     one state's sorted logs, and each candidate is decided by the residual
-    itself, so no float64 table over all links is built.
+    itself.  So the one-byte code is the only array over all links; the rest
+    is one state's slice at a time, and the three residuals are returned as
+    functions of a link.
     """
     n_states, p = schedule.n_max + 1, x.size
-    # refused before any table is allocated: the one-byte code (three bytes a
-    # link while the matched links are picked from it), the shift table, r12b
-    # and one state's slice, every link of it a candidate at worst
+    # refused before any table is allocated: the one-byte code, the shift
+    # table and one state's slice, every link of it a candidate at worst
     check_grid_budget("the transition tables",
-                      3 * n_states ** 2 * p ** 2 / 8 + n_states ** 2 * p
-                      + (1 + SLICE_VALUES) * n_states * p ** 2,
+                      n_states ** 2 * p ** 2 / 8 + n_states ** 2 * p
+                      + SLICE_VALUES * n_states * p ** 2,
                       "lower n_max")
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
@@ -188,23 +190,29 @@ def _transition_tables(schedule, i, x, eps_rel, tol):
         l_prev = np.log(d_prev)
         l_next = np.log(d_next)
         shift = beta * (de[:, :, None] + dw)                    # (S, S, P)
-        # in place: numpy's elision of the chained temporary costs more than
-        # the subtraction here
-        r12b = l_next[:, None, :] - l_next[:, :, None]
-        r12b -= beta * dw[:, None]
+        tilt = beta * dw                                        # (P,)
 
-    # r12a and r13 link by link; a below-floor density gives an infinite log,
+    # the residuals link by link; a below-floor density gives an infinite log,
     # and a residual reading one is returned as it comes out
     @np.errstate(invalid="ignore", over="ignore")
     def r12a(n_prev, n_next, k_prev, k_next):
         return l_next[n_next, k_next] - l_prev[n_prev, k_prev] - shift[n_prev, n_next, k_prev]
 
     @np.errstate(invalid="ignore", over="ignore")
+    def r12b(n_prev, n_next, k_prev, k_next):
+        return l_next[n_next, k_next] - l_next[n_next, k_prev] - tilt[k_prev]
+
+    @np.errstate(invalid="ignore", over="ignore")
     def r13(n_prev, n_next, k_prev, k_next):
         return l_next[n_next, k_prev] - l_prev[n_prev, k_next] - beta * de[n_prev, n_next]
 
     code = np.empty((n_states, n_states, p, p), dtype=np.uint8)
-    code[:] = (_within(r12b, tol) & ok_next[:, :, None] & ok_next[:, None, :]).view(np.uint8) << 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        # B, per n_next, on its (k_prev, k_next) block; the same for every n_prev
+        for n in range(n_states):
+            r = l_next[n] - l_next[n, :, None]
+            r -= tilt[:, None]
+            code[:, n] = (_within(r, tol) & ok_next[n] & ok_next[n, :, None]).view(np.uint8) << 1
     links = code.reshape(-1)
     with np.errstate(invalid="ignore", over="ignore"):
         # A, per n_next: the band of each above-floor (n_prev, k_prev)
@@ -254,16 +262,19 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
     tab = _transition_tables(schedule, i, x, eps_rel, tol)
 
     code = tab["code"]
-    flat = np.flatnonzero((code & 3) == 3)
-    check_grid_budget("the transition records", RECORD_VALUES * (records_held + flat.size),
+    # the links where A and B hold, picked one n_prev slice at a time
+    size = code[0].size
+    picked = [np.flatnonzero((c & 3) == 3) + n * size for n, c in enumerate(code)]
+    check_grid_budget("the transition records",
+                      RECORD_VALUES * (records_held + sum(map(len, picked))),
                       "lower tol or n_max")
-    hit = np.unravel_index(flat, code.shape)
+    hit = np.unravel_index(np.concatenate(picked), code.shape)
     n_prev, n_next, k_prev, k_next = hit
     records = tuple(map(
         TransitionRecord, itertools.repeat(i), n_prev.tolist(), n_next.tolist(),
         x[k_prev].tolist(), x[k_next].tolist(),
         tab["e_prev"][n_prev].tolist(), tab["e_next"][n_next].tolist(),
-        tab["r12a"](*hit).tolist(), tab["r12b"][n_next, k_prev, k_next].tolist(),
+        tab["r12a"](*hit).tolist(), tab["r12b"](*hit).tolist(),
         tab["r13"](*hit).tolist(), itertools.repeat(PathwayClass.OPTIMAL)))
     return TransitionScan(records, code)
 
@@ -290,9 +301,11 @@ def _advance(chain, code):
     and count (t = 1) sums of the prefixes along which exactly the conditions
     in f held; a link with code g sends set f to set f & g.  Most links hold
     no condition and send every set to set 0: those are one product of the
-    summed sets with the code-0 mask, one per n_prev.  The few links with a
-    non-zero code are scattered with ``np.bincount``.  The code is read in its
-    own (n_prev, n_next, k_prev, k_next) layout.
+    summed sets with the code-0 mask, one per (n_prev, n_next) block, so
+    only a (k_prev, k_next) block is cast to float64 at a time.  The few
+    links with a non-zero code are scattered, one n_prev at a time, with
+    ``np.bincount``.  The code is read in its own (n_prev, n_next, k_prev,
+    k_next) layout.
     """
     n_states, _, p, _ = code.shape
     size = n_states * p
@@ -302,8 +315,10 @@ def _advance(chain, code):
     for n_prev in range(n_states):
         block = code[n_prev]              # (n_next, k_prev, k_next)
         rows = rows_of[:, :, n_prev]      # (t, f, k_prev)
+        summed = rows.sum(axis=1)         # (t, k_prev)
         zero = block == 0
-        set0 += np.matmul(rows.sum(axis=1), zero).swapaxes(0, 1)
+        for n in range(n_states):
+            set0[:, n] += summed @ zero[n]
         n_next, k_prev, k_next = np.unravel_index(np.flatnonzero(~zero), block.shape)
         held = block[n_next, k_prev, k_next].astype(np.intp)
         column = n_next * p + k_next
@@ -343,8 +358,9 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     Each transition i = 2..s is scanned once with ``find_optimal_transitions``
     at the same positions; its records are kept, and its one-byte condition
     code advances the pass when i < s and is then dropped, so one
-    transition's code is alive at a time, and no float64 array over all its
-    links is built.  The records of every step are held, so a split whose
+    transition's code is alive at a time.  The pass works one (n_prev,
+    n_next) block at a time, so what is held is one byte per link plus one
+    state's slice.  The records of every step are held, so a split whose
     matches exceed the grid budget (a huge tol on many positions) is refused
     with GridTooLarge, although the split itself needs no records.
     """

@@ -7,7 +7,9 @@ of every energy pathway by convolving per-state pushforwards, so their sum
 can be checked against the recursion pipeline.  Both cost a power of the
 problem size and are meant for small schedules only.  The mask step of the
 decomposition's forward pass forms one float64 matrix per condition code,
-so the pass's sparse step can be checked against it.  The dense transition
+so the pass's sparse step can be checked against it, and the
+one-product-per-n_prev step keeps the pass's earlier form, so the sliced
+step can be checked against it bit for bit.  The dense transition
 tables evaluate every residual over every link, so the band search of the scan
 can be checked against them code for code and bit for bit.  The
 detailed-balance scan lists the links where r13 holds, with their classes and
@@ -192,6 +194,34 @@ def advance_by_masks(chain, code):
     return nxt
 
 
+def advance_per_n_prev(chain, code):
+    """One transition of the decomposition's forward pass, with one product of
+    the summed sets and the code-0 mask per n_prev.
+
+    The code-0 product runs over the whole (n_next, k_prev, k_next) block of an
+    n_prev, cast to float64 at once; the links with a non-zero code are
+    scattered with ``np.bincount`` as in ``stepwork.pathways._advance``.
+    """
+    n_states, _, p, _ = code.shape
+    size = n_states * p
+    rows_of = chain.reshape(2, 8, n_states, p)
+    nxt = np.zeros((2, 8 * size))
+    set0 = nxt.reshape(2, 8, n_states, p)[:, 0]
+    for n_prev in range(n_states):
+        block = code[n_prev]
+        rows = rows_of[:, :, n_prev]
+        zero = block == 0
+        set0 += np.matmul(rows.sum(axis=1), zero).swapaxes(0, 1)
+        n_next, k_prev, k_next = np.unravel_index(np.flatnonzero(~zero), block.shape)
+        held = block[n_next, k_prev, k_next].astype(np.intp)
+        column = n_next * p + k_next
+        for f in np.flatnonzero(rows[1].any(axis=-1)):
+            target = (f & held) * size + column
+            for t in (0, 1):
+                nxt[t] += np.bincount(target, weights=rows[t, f, k_prev], minlength=8 * size)
+    return nxt.reshape(2, 8, size)
+
+
 def dense_transition_tables(schedule, i, x, eps_rel, tol):
     """Residuals and condition codes over every link of one transition's
     (n_prev, n_next, k_prev, k_next) grid.
@@ -295,6 +325,6 @@ def detailed_balance_scan(schedule, i, tol, max_x_points, eps_rel=DEFAULT_EPS_RE
         TransitionRecord, itertools.repeat(i), n_prev.tolist(), n_next.tolist(),
         x[k_prev].tolist(), x[k_next].tolist(),
         tab["e_prev"][n_prev].tolist(), tab["e_next"][n_next].tolist(),
-        tab["r12a"](*hit).tolist(), tab["r12b"][n_next, k_prev, k_next].tolist(),
+        tab["r12a"](*hit).tolist(), tab["r12b"](*hit).tolist(),
         tab["r13"](*hit).tolist(), labels.tolist()))
     return records, pair_summaries(schedule, i, x, records)

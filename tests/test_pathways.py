@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from pathway_reference import (
     DensityFloor,
     advance_by_masks,
+    advance_per_n_prev,
     dense_transition_tables,
     detailed_balance_scan,
     on_common_lattice,
@@ -365,6 +366,13 @@ class TestSparseScan:
         peak = traced_peak(lambda: find_optimal_transitions(sch, 2))
         assert peak < 8 * (sch.n_max + 1) ** 2 * p ** 2
 
+    def test_scan_and_split_hold_under_two_bytes_a_link(self, traced_peak):
+        # the one-byte code plus one state's slice: no full-size temporary
+        sch = build_center_schedule(1.0, 4, 1.0, 5)
+        p = _positions(sch.x_grid, DEFAULT_X_POINTS).size
+        for run in (lambda: find_optimal_transitions(sch, 2), lambda: decompose_free_energy(sch)):
+            assert traced_peak(run) < 2 * (sch.n_max + 1) ** 2 * p ** 2
+
 
 class TestTableBudget:
     @pytest.mark.parametrize("sch, points, tol, refused", [
@@ -585,9 +593,9 @@ class TestTransferMatrixDecomposition:
         for key, ref in contributions.items():
             assert d.contributions[key] == pytest.approx(ref, rel=1e-13, abs=0.0), key
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(data=st.data(), n_states=st.integers(1, 3), p=st.integers(1, 9))
-    def test_forward_pass_matches_the_mask_reference(self, data, n_states, p):
+    @staticmethod
+    def _draw_pass_inputs(data, n_states, p):
+        """A random condition code and chain for one step of the forward pass."""
         size = n_states * p
         code = data.draw(hnp.arrays(np.uint8, (n_states, n_states, p, p),
                                     elements=st.integers(0, 7)))
@@ -596,10 +604,23 @@ class TestTransferMatrixDecomposition:
             data.draw(hnp.arrays(np.int64, (8, size), elements=st.integers(1, 10 ** 6)))])
         # some sets reached by no prefix
         chain[:, data.draw(hnp.arrays(bool, 8))] = 0.0
+        return chain, code
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n_states=st.integers(1, 3), p=st.integers(1, 9))
+    def test_forward_pass_matches_the_mask_reference(self, data, n_states, p):
+        chain, code = self._draw_pass_inputs(data, n_states, p)
         got = pathways._advance(chain, code)
         ref = advance_by_masks(chain, code)
         np.testing.assert_allclose(got[0], ref[0], rtol=1e-14, atol=0.0)
         assert np.array_equal(got[1], ref[1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n_states=st.integers(1, 3), p=st.integers(1, 9))
+    def test_forward_pass_matches_the_per_n_prev_form(self, data, n_states, p):
+        # one code-0 product per (n_prev, n_next) block sums exactly as one per n_prev
+        chain, code = self._draw_pass_inputs(data, n_states, p)
+        assert np.array_equal(pathways._advance(chain, code), advance_per_n_prev(chain, code))
 
     def test_counts_past_2_53_are_floats(self):
         # (4 states x 20 positions)^11 = 8.6e20 pathways: float64 sums round
