@@ -4,7 +4,6 @@ from .errors import (
     GridTooLarge,
     GridTooNarrow,
     MassLeak,
-    NonPositiveAverage,
     StepworkError,
 )
 from .free_energy import (

@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from . import export
-from .errors import (GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, NonPositiveAverage,
-                     WorkerLost)
+from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, WorkerLost
 from .free_energy import free_energy_profile, ground_state_closed_form_center
 from .pathways import (DEFAULT_EPS_REL, DEFAULT_TOL, TransitionRecord, decompose_free_energy,
                        overlap_measure)
@@ -129,15 +128,11 @@ def cmd_run(args, cfg):
     meta = {k: v for k, v in cfg.items() if v is not None}
     meta.update(increment=schedule.increment, x_points_resolved=schedule.x_grid.points,
                 w_points_resolved=schedule.w_grid.points)
-    temperature = "a"
-    if args.command == "run-spring":  # keeps run-spring's outputs byte-identical
-        meta["delta"] = schedule.increment
-        temperature = "a0"
     header, rows = export.profile_rows(profile)
     export.write_csv(os.path.join(out, "profile.csv"), header, rows, meta)
     paths = [os.path.join(out, f"workdist_step_{i}.csv") for i in range(2, schedule.s + 1)]
     export.write_densities(paths, ledger.distributions, meta)
-    print(f"{args.command}: s={schedule.s} {temperature}={schedule.a} "
+    print(f"{args.command}: s={schedule.s} a={schedule.a} "
           f"n_max={schedule.n_max} dF={export.format_number(profile.endpoint)}")
     return 0
 
@@ -304,8 +299,8 @@ def build_parser():
 # code, for the first class in this order that the exception is an instance of
 _FAILURES = ((_ConfigError, "config", 2), (PermissionError, "output-unwritable", 2),
              (GridTooLarge, "grid-too-large", 2), (MassLeak, "mass-leak", 1),
-             (NonFiniteResult, "non-finite", 1), (NonPositiveAverage, "non-positive-average", 1),
-             (GridTooNarrow, "grid-too-narrow", 1), (WorkerLost, "worker-lost", 1),
+             (NonFiniteResult, "non-finite", 1), (GridTooNarrow, "grid-too-narrow", 1),
+             (WorkerLost, "worker-lost", 1),
              (ValueError, "config", 2), (OSError, "config", 2))
 
 

@@ -22,9 +22,5 @@ class NonFiniteResult(StepworkError):
     """A result left the float64 range (an overflow, or a NaN from one)."""
 
 
-class NonPositiveAverage(StepworkError):
-    """Quadrature of the exponential work average returned a non-positive value."""
-
-
 class WorkerLost(StepworkError):
     """A worker process formatting output rows ended before returning them."""

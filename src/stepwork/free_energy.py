@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteResult, NonPositiveAverage
+from .errors import NonFiniteResult
 from .protocol import PullSchedule
 from .spectra import _logsumexp
 from .workdist import GriddedDensity, _trapezoid_masses
@@ -26,11 +26,9 @@ def exponential_average(rho: GriddedDensity, beta):
     The trapezoid sum runs as a log-sum-exp, so exp(-beta W) cannot underflow
     or overflow at any temperature.
     """
-    if beta <= 0.0:
-        raise ValueError("inverse temperature must be positive")
     mask = rho.values > 0.0
-    if not mask.any():
-        raise NonPositiveAverage("density is identically zero")
+    if beta <= 0.0 or not mask.any():
+        raise ValueError("need a positive inverse temperature and a density that is not all zero")
     with np.errstate(divide="ignore"):  # underflowing products are harmless here
         logs = np.log(_trapezoid_masses(rho)[mask]) - beta * rho.grid.nodes()[mask]
     # 0 - x, not -x: all the mass at W = 0 gives +0, as in the profile

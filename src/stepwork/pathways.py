@@ -262,12 +262,13 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
     tab = _transition_tables(schedule, i, x, eps_rel, tol)
 
     code = tab["code"]
-    # the links where A and B hold, picked one n_prev slice at a time
+    # the links where A and B hold, counted and then picked one n_prev slice
+    # at a time, so a refused scan builds no index of them
+    matched = sum(np.count_nonzero((c & 3) == 3) for c in code)
+    check_grid_budget("the transition records", RECORD_VALUES * (records_held + matched),
+                      "lower tol or n_max")
     size = code[0].size
     picked = [np.flatnonzero((c & 3) == 3) + n * size for n, c in enumerate(code)]
-    check_grid_budget("the transition records",
-                      RECORD_VALUES * (records_held + sum(map(len, picked))),
-                      "lower tol or n_max")
     hit = np.unravel_index(np.concatenate(picked), code.shape)
     n_prev, n_next, k_prev, k_next = hit
     records = tuple(map(

@@ -70,9 +70,10 @@ class PullSchedule:
     (spring).  ``a`` is the reduced temperature, which doubles as the
     inverse temperature against energies in the reporting unit.
     ``x_points``/``w_points`` request point counts (None: auto-sized).  The
-    grids are sized on the first read of either, and each read is checked
-    against the budget for what its reader builds (``_budgeted``); closed-form
-    work reads neither grid, and the pathway scan only ``x_grid``.
+    grids are sized on the first read of either.  ``check_grids`` charges
+    what is built on them against the budget: a read of ``x_grid`` charges
+    the densities, and the work recursion charges its distributions too;
+    closed-form work reads neither grid, and the pathway scan only ``x_grid``.
     """
 
     kind: ProtocolKind
@@ -89,17 +90,19 @@ class PullSchedule:
         size = _center_grids if self.kind is ProtocolKind.CENTER else _spring_grids
         return size(self)
 
-    def _budgeted(self, work):
-        # the eigenstate stack on the x grid, plus f_j, its work image (about
-        # as long as f_j) and, with work, rho_{j+1} for every work step j
+    def check_grids(self, work=False):
+        """The (x, w) grids, refused if what is built on them is over the
+        budget: the eigenstate stack on the x grid, plus f_j, its work image
+        (about as long as f_j) and, with ``work``, rho_{j+1} for every work
+        step j."""
         x_grid, w_grid = self._grids
         check_grid_budget("the grids", x_grid.points * (self.n_max + 1)
                           + (self.s - 1) * (2 * x_grid.points + work * w_grid.points),
                           "lower s, n_max, the pull or the point counts")
         return x_grid, w_grid
 
-    x_grid = cached_property(lambda self: self._budgeted(False)[0])
-    w_grid = cached_property(lambda self: self._budgeted(True)[1])
+    x_grid = cached_property(lambda self: self.check_grids()[0])
+    w_grid = property(lambda self: self._grids[1])
 
     @property
     def beta(self):

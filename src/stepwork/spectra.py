@@ -195,8 +195,9 @@ class OscillatorSpectrum:
         log_e = self._log_state_expectations(increment, t)
         p = np.exp(log_w - log_z)
         # near ln<exp(-t dW)> = 0 (small t), the log-sum-exp would lose it below
-        # ln z's last bit; there the mixture is 1 + sum_n p_n expm1(ln E_n)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # ln z's last bit; there the mixture is 1 + sum_n p_n expm1(ln E_n).
+        # Far from it, where log1p may see -1, the log-sum-exp is taken instead
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             near_one = np.sum(p * np.expm1(log_e), axis=0)
             near = np.abs(near_one) < 0.5
             log_avg = np.log1p(near_one)

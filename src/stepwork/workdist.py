@@ -219,12 +219,12 @@ def run_work_recursion(schedule: PullSchedule):
     convolved with g_{i-1}; each is cut once to the work window's nodes,
     checked for lost mass and renormalized by Q_i.
 
-    The work grid is read first, so a schedule over the grid budget is
-    refused before any density is built.  A pull with a zero increment
-    (which includes s = 1) does no work: every rho_i is the unit spike at
-    W = 0 on the work grid (-1, 0, 1), and no density is built.
+    The grids are charged for the distributions first, so a schedule over
+    the grid budget is refused before any density is built.  A pull with a
+    zero increment (which includes s = 1) does no work: every rho_i is the
+    unit spike at W = 0 on the work grid (-1, 0, 1), and no density is built.
     """
-    w_grid = schedule.w_grid
+    w_grid = schedule.check_grids(work=True)[1]
     if schedule.increment == 0.0:
         steps = schedule.s - 1
         spike = GriddedDensity(w_grid, [0.0, 1.0 / w_grid.spacing, 0.0])

@@ -142,7 +142,7 @@ class TestRunSpring:
     def test_delta_echoed_in_metadata(self, tmp_path):
         assert main(["run-spring", "--out", str(tmp_path)]) == 0
         meta, _, rows = _read_csv(tmp_path / "profile.csv")
-        assert meta["delta"] == pytest.approx((1.3 ** 2 - 1.0) / 10.0, rel=1e-15)
+        assert meta["increment"] == pytest.approx((1.3 ** 2 - 1.0) / 10.0, rel=1e-15)
         assert len(rows) == 11
 
     def test_two_step_peak_at_zero(self, tmp_path):

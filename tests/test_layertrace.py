@@ -91,3 +91,11 @@ def test_pooled_run_counts_every_row(tmp_path):
     names = Counter(name for name, *_ in trace["spans"])
     assert names["export.write_csv"] == len(csvs) == s
     assert names["export.density_rows"] == s - 1
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--param", "dlambda", "--values", "0.001,0.002"],
+                                  ["pathways", "--s", "500", "--nmax", "0"]])
+def test_traced_run_refused_only_where_the_plain_run_is(argv, tmp_path):
+    # neither run builds a work distribution, so reading the work grid to
+    # count its points charges none to the budget
+    _trace(argv, tmp_path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,31 @@ class TestTransitionScan:
         assert len(scan.records) == matched
         with pytest.raises(GridTooLarge, match="transition records"):
             find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10, records_held=1)
+
+    def test_matches_counted_before_any_is_picked(self, center_s3, monkeypatch):
+        sch = center_s3
+        scan = find_optimal_transitions(sch, 2, tol=1e9, max_x_points=50)
+        assert (len(scan.records), scan.code.size) == (24_980, 40_000)
+        monkeypatch.setattr(protocol, "GRID_BUDGET", RECORD_VALUES * len(scan.records) - 1)
+        held = []
+
+        def tables(*args):
+            # traced from here: the code is built, and the picking is to come
+            out = _transition_tables(*args)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(pathways, "_transition_tables", tables)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLarge, match="transition records"):
+                find_optimal_transitions(sch, 2, tol=1e9, max_x_points=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an 8-byte index of each matched link would be 5 bytes a link
+        assert peak - held[0] < scan.code.size
 
     def test_matches_concentrate_in_overlap_region(self, center_s3):
         # density centers sit at lambda_1/2 = 0 and lambda_2/2 = 0.25; optimal

@@ -16,7 +16,7 @@ from stepwork.protocol import (
     default_temperature_sweep,
 )
 from stepwork.spectra import ProtocolKind
-from stepwork.workdist import step_work_map
+from stepwork.workdist import run_work_recursion, step_work_map
 
 
 class TestGridSpec:
@@ -221,7 +221,7 @@ class TestGridBudget:
             with pytest.raises(GridTooLarge):
                 sch.x_grid
             with pytest.raises(GridTooLarge):
-                sch.w_grid
+                run_work_recursion(sch)
         # n_max = GRID_BUDGET: refused as the schedule is built, before any grid
         with pytest.raises(GridTooLarge, match="closed-form profile"):
             build_center_schedule(0.0, 2, 1.0, GRID_BUDGET)
@@ -269,8 +269,16 @@ class TestGridBudget:
             sch = build_spring_schedule(1.3, s, 1.0, 0)
             sch.x_grid  # the densities fit; the s - 1 work lattices do not
             with pytest.raises(GridTooLarge, match="the grids"):
-                sch.w_grid
+                run_work_recursion(sch)
         assert traced_peak(refused) < 22 * 8 * s
+
+    def test_work_grid_read_charges_nothing(self):
+        # at s = 500 the densities fit and the 499 work lattices do not: a
+        # read of either grid passes, and the recursion that builds them is refused
+        sch = build_center_schedule(1.0, 500, 1.0, 0)
+        assert sch.w_grid.points > 0 and sch.x_grid.points > 0
+        with pytest.raises(GridTooLarge, match="the grids"):
+            run_work_recursion(sch)
 
     def test_largest_tested_schedules_fit(self):
         for sch in (build_spring_schedule(1.3, 1001, 50.0, 0),

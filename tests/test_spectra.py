@@ -1,11 +1,13 @@
 import importlib
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import laguerre
 from reference import hermite_poly, prob_density
 
 import stepwork
@@ -338,6 +340,32 @@ class TestWorkExpectations:
             assert (mean, var) == (pytest.approx(0.005), pytest.approx(0.005))
             log_avg = _spring(1.0, 200).work_expectations(1e-3, 1e6, 1e6)[0]
             assert log_avg == pytest.approx(-0.5 * math.log1p(500.0), rel=1e-15)
+
+    @pytest.mark.parametrize("t_over_beta", [1.0, 2.0])
+    def test_quiet_outside_the_profile(self, t_over_beta):
+        # the mixture sits far from 1, so log1p reads -1 and the log-sum-exp
+        # branch gives the value: no warning escapes the method itself
+        from stepwork.free_energy import free_energy_profile
+        from stepwork.protocol import build_center_schedule
+
+        sch = build_center_schedule(100.0, 3, 1.0, 10)
+        t = t_over_beta * sch.beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_avg, mean, var = (v[:-1] for v in sch.steps.work_expectations(
+                sch.increment, sch.a, t))
+        prof = free_energy_profile(sch)
+        assert np.cumsum(mean).tolist() == prof.mean_work[1:].tolist()
+        assert np.sqrt(np.cumsum(var)).tolist() == prof.std_work[1:].tolist()
+        if t == sch.beta:
+            assert np.cumsum((0.0 - log_avg) / t).tolist() == prof.delta_f[1:].tolist()
+        # E_n[exp(-t dW)] = exp(-t dW(center) + k^2/4) L_n(-k^2/2), k = t increment,
+        # mixed over the weights exp(-2 a n)
+        k = t * sch.increment
+        n = np.arange(sch.n_max + 1)
+        weights = np.exp(-2.0 * sch.a * n)
+        mix = weights @ laguerre.lagval(-0.5 * k * k, np.eye(n.size)) / weights.sum()
+        assert np.allclose(log_avg, -t * mean + 0.25 * k * k + math.log(mix), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(stepwork.__path__)])
