@@ -149,7 +149,7 @@ def _within(r, tol):
 SLICE_VALUES = 12
 
 
-def _transition_tables(schedule, i, x, eps_rel, tol):
+def _transition_tables(schedule, i, x, eps_rel, tol, records_held=0):
     """Condition codes over one transition's (n_prev, n_next, k_prev, k_next) grid.
 
     Both positions of a transition range over the same axis x.  A condition
@@ -163,15 +163,18 @@ def _transition_tables(schedule, i, x, eps_rel, tol):
     one state's sorted logs, and each candidate is decided by the residual
     itself.  So the one-byte code is the only array over all links; the rest
     is one state's slice at a time, and the three residuals are returned as
-    functions of a link.
+    functions of a link.  The ``records_held`` that the caller keeps from
+    earlier transitions are charged to the same budget.
     """
     n_states, p = schedule.n_max + 1, x.size
     # refused before any table is allocated: the one-byte code, the shift
-    # table and one state's slice, every link of it a candidate at worst
-    check_grid_budget("the transition tables",
-                      n_states ** 2 * p ** 2 / 8 + n_states ** 2 * p
-                      + SLICE_VALUES * n_states * p ** 2,
-                      "lower n_max")
+    # table and one state's slice, every link of it a candidate at worst,
+    # next to the records held
+    what, remedy = "the transition tables", "lower n_max"
+    if records_held:
+        what, remedy = "the transition records held and the transition tables", "lower tol or n_max"
+    check_grid_budget(what, n_states ** 2 * p ** 2 / 8 + n_states ** 2 * p
+                      + SLICE_VALUES * n_states * p ** 2 + RECORD_VALUES * records_held, remedy)
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
     beta = schedule.beta
@@ -251,15 +254,15 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
     k_prev, k_next) order, with the condition code of every link; the share
     of them that also obeys detailed balance is where the code reads 7.  An
     empty record list is a valid outcome on coarse grids or tight tolerances.
-    The matches are counted, together with the ``records_held`` the caller
-    keeps from earlier scans, against the grid budget before any record is
-    built.
+    The ``records_held`` the caller keeps from earlier scans are charged
+    together with the tables, and then with the counted matches, against
+    the grid budget before any record is built.
     """
     if not 2 <= i <= schedule.s:
         raise ValueError(f"transitions exist for 2 <= i <= {schedule.s}")
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
-    tab = _transition_tables(schedule, i, x, eps_rel, tol)
+    tab = _transition_tables(schedule, i, x, eps_rel, tol, records_held)
 
     code = tab["code"]
     # the links where A and B hold, counted and then picked one n_prev slice
@@ -361,9 +364,11 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     code advances the pass when i < s and is then dropped, so one
     transition's code is alive at a time.  The pass works one (n_prev,
     n_next) block at a time, so what is held is one byte per link plus one
-    state's slice.  The records of every step are held, so a split whose
-    matches exceed the grid budget (a huge tol on many positions) is refused
-    with GridTooLarge, although the split itself needs no records.
+    state's slice.  The records of every step are held and charged with
+    each later transition's tables, so a split whose matches exceed the grid
+    budget (a huge tol on many positions), or whose held records do next to
+    the next tables, is refused with GridTooLarge, although the split itself
+    needs no records.
     """
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)

@@ -165,16 +165,19 @@ def _check_inputs(x_points, w_points, **values):
             raise ValueError(f"{name} must be at least 2, got {points}")
 
 
-def _check_run(a, n_max, s):
+def _check_run(kind, a, n_max, s, increment):
     """Reject a non-positive temperature or n_max, then a schedule over the grid budget."""
     if a <= 0.0:
         raise ValueError("reduced temperature must be positive")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    # the controls and the profile's (n_max+1, s) arrays: tracemalloc peaks,
+    # the profile sums the states 0..n_eff; omega = 1 is the lowest frequency
+    # of every schedule, so this spectrum's n_eff is the profile's
+    n_eff = OscillatorSpectrum(kind, 1.0, n_max)._effective_n_max(increment, a, a)
+    # the controls and the profile's (n_eff+1, s) arrays: tracemalloc peaks,
     # in float64 values, are 20 to 23 per step at n_max = 0 and 3.2 to 5.1
     # per state and step from n_max = 100
-    check_grid_budget("the schedule and its closed-form profile", 5 * (n_max + 9) * s,
+    check_grid_budget("the schedule and its closed-form profile", 5 * (n_eff + 9) * s,
                       "lower s or n_max")
 
 
@@ -202,16 +205,12 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
     _check_inputs(x_points, w_points, lambda_s=lambda_s, a=a)
     if s <= 0:
         raise ValueError("number of pulling steps must be positive")
-    _check_run(a, n_max, s)
-
-    if s == 1:
-        controls = (0.0,)
-        dlam = 0.0
-    else:
-        # (i-1)/(s-1) evaluates to exactly 1.0 at i = s, so the requested
-        # endpoint is reconstructed bit-for-bit
-        controls = tuple(lambda_s * ((i - 1) / (s - 1)) for i in range(1, s + 1))
-        dlam = lambda_s / (s - 1)
+    dlam = 0.0 if s == 1 else lambda_s / (s - 1)
+    _check_run(ProtocolKind.CENTER, a, n_max, s, dlam)
+    # (i-1)/(s-1) evaluates to exactly 1.0 at i = s, so the requested
+    # endpoint is reconstructed bit-for-bit
+    controls = (0.0,) if s == 1 else tuple(lambda_s * ((i - 1) / (s - 1))
+                                           for i in range(1, s + 1))
     return PullSchedule(ProtocolKind.CENTER, s, controls, dlam, a, n_max, x_points, w_points)
 
 
@@ -270,9 +269,8 @@ def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=Non
         raise ValueError("frequency ratio must be positive")
     if omega_ratio < 1.0:
         raise ValueError("spring softening (delta < 0) is not supported")
-    _check_run(a0, n_max, s)
-
     delta = (omega_ratio * omega_ratio - 1.0) / (s - 1)
+    _check_run(ProtocolKind.SPRING, a0, n_max, s, delta)
     controls = tuple(spring_frequency(i, delta) for i in range(1, s + 1))
     return PullSchedule(ProtocolKind.SPRING, s, controls, delta, a0, n_max, x_points, w_points)
 

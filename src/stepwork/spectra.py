@@ -66,7 +66,12 @@ def _log_recurrence(next_step, n_max, shape=()):
     So no value leaves the float64 range at any order, and rounding the
     coefficients cannot split the double characteristic root near g = 0,
     an error the raw form amplifies by about n^2.  ``shape`` gives one
-    sequence per entry, along the trailing axes.
+    sequence per entry, along the trailing axes.  It costs one Python step
+    per order, so ``work_expectations`` runs it only to n_eff
+    (``OscillatorSpectrum._effective_n_max``): past n_eff a state's
+    Boltzmann weight and its term in the log-sum-exp, bounded through
+    ln y_n (spring: y_n <= sqrt(1 + kappa); center: ln L_n(-h) <=
+    2 sqrt(n h)), are exactly 0 in float64.
     """
     out = np.zeros((n_max + 1,) + shape)
     r = np.zeros(shape)
@@ -89,6 +94,11 @@ def _log1mexp(x):
     (Maechler, "Accurately computing log(1 - exp(-|a|))", 2012)."""
     return math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
 
+
+# exp(x) is exactly 0 in float64 for x < ln(2^-1075) = -745.133; a state is
+# dropped from the mixture only where its terms lie a further 1 below that,
+# which covers the rounding of the terms and of the bound itself
+_ZERO_EXP = 745.14 + 1.0
 
 # math.tanh elementwise: np.tanh differs from it in the last bit, which moves
 # the spring work grids
@@ -187,22 +197,40 @@ class OscillatorSpectrum:
         <y^4> = (6n^2 + 6n + 3)/4.  The mixture is a log-sum-exp over
         ln w_n + ln E_n, so nothing over- or underflows at any temperature,
         or, where it is close to 1, log1p of its excess over 1.
+
+        Only the states 0..n_eff are summed (``_effective_n_max``, from
+        E_n <= 1 for spring with kappa >= 0 and from ln(E_n / E_0) =
+        ln L_n(-h) <= 2 sqrt(n h) for center): every
+        later one has a weight p_n that is exactly 0 in float64 and a
+        log-sum-exp term exp(ln w_n + ln E_n - top) that is exactly 0 too,
+        so dropping them moves no bit of a spectrum of two or more steps,
+        whose sums run state by state (numpy sums a single step's states
+        pairwise, so there the last bit can move).  Nor can a dropped state
+        whose own E_n overflows put 0 * inf or 0 * NaN into the sums.
         """
+        n_eff = self._effective_n_max(increment, a, t)
         omega = np.asarray(self.omega, dtype=float)
-        n = np.arange(self.n_max + 1.0).reshape((-1,) + (1,) * np.ndim(self.control))
+        n = np.arange(n_eff + 1.0).reshape((-1,) + (1,) * np.ndim(self.control))
         log_w = -a * self.unit * omega * n
         log_z = _logsumexp(log_w)
-        log_e = self._log_state_expectations(increment, t)
+        log_e = self._log_state_expectations(increment, t, n_eff)
         p = np.exp(log_w - log_z)
         # near ln<exp(-t dW)> = 0 (small t), the log-sum-exp would lose it below
         # ln z's last bit; there the mixture is 1 + sum_n p_n expm1(ln E_n).
         # Far from it, where log1p may see -1, the log-sum-exp is taken instead
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            near_one = np.sum(p * np.expm1(log_e), axis=0)
+            # formed in place, and each state-sized array dropped once read,
+            # so at most four are alive at once: the peak stays within the
+            # profile's budget estimate, 5 (n_eff + 9) s values
+            excess = np.expm1(log_e)
+            excess *= p
+            near_one = np.sum(excess, axis=0)
+            del excess
             near = np.abs(near_one) < 0.5
             log_avg = np.log1p(near_one)
             if not near.all():
                 log_avg = np.where(near, log_avg, _logsumexp(log_w + log_e) - log_z)
+        del log_w, log_e
         x2 = np.sum(p * (n + 0.5), axis=0) / omega
         if self.kind is ProtocolKind.CENTER:
             mean = self.work_increment(increment, self.center)
@@ -211,20 +239,52 @@ class OscillatorSpectrum:
         c = 0.5 * increment
         return log_avg, c * x2, c * c * (x4 - x2 * x2)
 
-    def _log_state_expectations(self, increment, t):
-        """ln E_n[exp(-t dW)] for n = 0..n_max along the first axis."""
+    def _effective_n_max(self, increment, a, t):
+        """n_eff: the last state that can move a bit of ``work_expectations``
+        at reduced temperature a and argument t; n_max where no bound holds.
+
+        A later state n is dropped only where a unit omega_min n - ln(E_n /
+        E_0) > 746.14 for it and every state after it.  Then ln w_n <
+        -746.14, so p_n = exp(ln w_n - ln z) is exactly 0 (ln z >= 0), and so
+        is its log-sum-exp term, as top >= ln w_0 + ln E_0.  The two bounds:
+        spring with kappa >= 0 (so t dW >= 0), E_n <= 1 and E_0 =
+        (1 + kappa)^(-1/2), with kappa largest at omega_min; center, ln(E_n /
+        E_0) = ln L_n(-h) <= ln I_0(2 sqrt(n h)) <= 2 sqrt(n h), past the
+        peak of 2 sqrt(n h) - 2 a n.  Spring with kappa < 0 (E_n grows with
+        n) has no bound, and every state is summed.
+        """
+        # on Python floats an overflow gives inf without a warning
+        a, t, increment = float(a), float(t), float(increment)
+        omega_min = float(np.min(self.omega))
+        rate = a * self.unit * omega_min
+        if not rate > 0.0:  # weights that do not fall with n
+            return self.n_max
+        if self.kind is ProtocolKind.CENTER:
+            # rate n - 2 sqrt(h n) > _ZERO_EXP for sqrt(n) past the positive root
+            k = t * increment
+            h = 0.5 * k * k
+            root = (math.sqrt(h) + math.sqrt(h + rate * _ZERO_EXP)) / rate
+            last = root * root
+        else:
+            kappa = 0.5 * t * increment / omega_min
+            last = (_ZERO_EXP + 0.5 * math.log1p(kappa)) / rate if kappa >= 0.0 else math.inf
+        # a NaN or an inf bound keeps every state
+        return int(last) if last < self.n_max else self.n_max
+
+    def _log_state_expectations(self, increment, t, n_eff):
+        """ln E_n[exp(-t dW)] for n = 0..n_eff along the first axis."""
         if self.kind is ProtocolKind.CENTER:
             # (n+1)(L_{n+1} - L_n) = n (L_n - L_{n-1}) + h L_n for L_n(-h)
             k = t * increment  # k * k overflows to inf, where ** 2 would raise
             h = 0.5 * k * k
-            laguerre = _log_recurrence(lambda m, r: (m * r + h) / (m + 1), self.n_max)
+            laguerre = _log_recurrence(lambda m, r: (m * r + h) / (m + 1), n_eff)
             shift = self.work_increment(increment, self.center)
             return 0.5 * h + laguerre.reshape((-1,) + (1,) * np.ndim(self.control)) - t * shift
         # (n+1)(1+kappa)(u_{n+1} - u_n) = n (1-kappa)(u_n - u_{n-1}) - kappa u_n
         kappa = 0.5 * t * increment / np.asarray(self.omega, dtype=float)
+        down, up = 1.0 - kappa, 1.0 + kappa
         return -0.5 * np.log1p(kappa) + _log_recurrence(
-            lambda m, r: (m * (1.0 - kappa) * r - kappa) / ((m + 1) * (1.0 + kappa)),
-            self.n_max, kappa.shape)
+            lambda m, r: (m * down * r - kappa) / ((m + 1) * up), n_eff, kappa.shape)
 
     def _bare_free_energy(self, a, omega):
         """ln(2 sinh z) / a with z = beta hbar omega / 2: the free energy, in the

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from stepwork.protocol import PullSchedule
-from stepwork.spectra import ProtocolKind, _density_stack
+from stepwork.spectra import ProtocolKind, _density_stack, _log_recurrence, _logsumexp
 from stepwork.workdist import (GriddedDensity, fluctuation_density, lattice_convolve,
                                pushforward_step_density)
 
@@ -78,6 +78,40 @@ def approx_free_energy(schedule: PullSchedule):
         raise ValueError("the Gaussian approximation applies to the center protocol")
     mean = schedule.steps.work_expectations(schedule.increment, schedule.a, schedule.beta)[1]
     return float(np.sum(mean[:-1]) - (schedule.s - 1) * 0.5 * schedule.increment ** 2)
+
+
+def full_work_expectations(spectrum, increment, a, t):
+    """``OscillatorSpectrum.work_expectations`` summed over every state 0..n_max:
+    the loop as it ran before the sum stopped at n_eff."""
+    n = np.arange(spectrum.n_max + 1.0).reshape((-1,) + (1,) * np.ndim(spectrum.control))
+    omega = np.asarray(spectrum.omega, dtype=float)
+    log_w = -a * spectrum.unit * omega * n
+    log_z = _logsumexp(log_w)
+    if spectrum.kind is ProtocolKind.CENTER:
+        k = t * increment
+        h = 0.5 * k * k
+        laguerre = _log_recurrence(lambda m, r: (m * r + h) / (m + 1), spectrum.n_max)
+        shift = spectrum.work_increment(increment, spectrum.center)
+        log_e = 0.5 * h + laguerre.reshape(n.shape) - t * shift
+    else:
+        kappa = 0.5 * t * increment / omega
+        log_e = -0.5 * np.log1p(kappa) + _log_recurrence(
+            lambda m, r: (m * (1.0 - kappa) * r - kappa) / ((m + 1) * (1.0 + kappa)),
+            spectrum.n_max, kappa.shape)
+    p = np.exp(log_w - log_z)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        near_one = np.sum(p * np.expm1(log_e), axis=0)
+        near = np.abs(near_one) < 0.5
+        log_avg = np.log1p(near_one)
+        if not near.all():
+            log_avg = np.where(near, log_avg, _logsumexp(log_w + log_e) - log_z)
+    x2 = np.sum(p * (n + 0.5), axis=0) / omega
+    if spectrum.kind is ProtocolKind.CENTER:
+        mean = spectrum.work_increment(increment, spectrum.center)
+        return tuple(np.broadcast_arrays(log_avg, mean, increment * increment * x2))
+    x4 = np.sum(p * (6.0 * n * n + 6.0 * n + 3.0), axis=0) / (4.0 * omega * omega)
+    c = 0.5 * increment
+    return log_avg, c * x2, c * c * (x4 - x2 * x2)
 
 
 def ground_state_closed_form_spring(a0, delta, s):

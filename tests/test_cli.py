@@ -485,11 +485,26 @@ class TestInputContract:
             assert capsys.readouterr().err.startswith("error: config:")
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv, table", [
+        (["run-spring", "--a", "1e300"], "profile.csv"),
+        (["sweep", "--protocol", "spring", "--values", "1e300"], "sweep.csv"),
+    ], ids=["run-spring", "sweep"])
+    def test_zero_weight_states_change_no_row(self, argv, table, tmp_path, capsys):
+        # at a0 = 1e300 every excited state weighs exactly 0, so the default
+        # n_max = 100 writes the data rows of the ground state alone; summed
+        # over all states, 0 * NaN from their overflowed E_n made it non-finite
+        rows = []
+        for extra in ([], ["--nmax", "0"]):
+            out = tmp_path / str(len(extra))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv + extra + ["--out", str(out)]) == 0
+            rows.append((out / table).read_bytes().split(b"\n", 1)[1])
+        assert rows[0] == rows[1]
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("argv, message", [
-        (["run-spring", "--a", "1e300"], "the free-energy profile at a=1e+300"),
         (["run-center", "--a", "1e300"], "the free-energy profile at a=1e+300"),
-        (["sweep", "--protocol", "spring", "--values", "1e300"],
-         "the free-energy profile at a=1e+300"),
         # the spring free energies overflow; the oracle is read from the profile,
         # so no RuntimeWarning comes first
         (["sweep", "--protocol", "spring", "--param", "a", "--values", "1e-310"],
@@ -497,7 +512,7 @@ class TestInputContract:
         # exp(-beta dF) = e^{396800}
         (["pathways", "--s", "2", "--nmax", "0", "--a", "64", "--lambda-s", "20"],
          "the pathway weights sum to inf"),
-    ], ids=["run-spring", "run-center", "sweep", "sweep-tiny-a", "pathways"])
+    ], ids=["run-center", "sweep-tiny-a", "pathways"])
     def test_out_of_float_range_rejected(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -535,6 +550,18 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error: grid-too-large: the schedule and its closed-form profile")
         assert len(err.splitlines()) == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("protocol", ["center", "spring"])
+    def test_profile_budget_counts_the_summed_states(self, protocol, tmp_path, capsys):
+        # 5 (n_max + 9) s would be 1.5e9 values at n_max = 1e8, but at a = 1 the
+        # profile sums only the states up to n_eff (379 center, 746 spring)
+        assert main(["sweep", "--protocol", protocol, "--param", "nmax", "--values",
+                     "100000000", "--s", "3", "--out", str(tmp_path / "sweep")]) == 0
+        # a run still puts every state's density on its x grid
+        out = tmp_path / "run"
+        assert main([f"run-{protocol}", "--nmax", "100000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: grid-too-large: the grids need")
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -168,6 +168,17 @@ class TestTransitionScan:
         with pytest.raises(GridTooLarge, match="transition records"):
             find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10, records_held=1)
 
+    def test_held_records_charged_with_the_next_tables(self, center_s3, monkeypatch):
+        # a budget that holds the tables alone, and the held records with this
+        # scan's matches alone, but not the held records next to the tables
+        held = 2_000
+        matched = len(find_optimal_transitions(center_s3, 2, max_x_points=50).records)
+        monkeypatch.setattr(protocol, "GRID_BUDGET", RECORD_VALUES * (held + matched))
+        assert len(find_optimal_transitions(center_s3, 2, max_x_points=50).records) == matched
+        with pytest.raises(GridTooLarge, match="the transition records held and the transition "
+                                               "tables need"):
+            find_optimal_transitions(center_s3, 2, max_x_points=50, records_held=held)
+
     def test_matches_counted_before_any_is_picked(self, center_s3, monkeypatch):
         sch = center_s3
         scan = find_optimal_transitions(sch, 2, tol=1e9, max_x_points=50)

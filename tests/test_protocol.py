@@ -222,9 +222,10 @@ class TestGridBudget:
                 sch.x_grid
             with pytest.raises(GridTooLarge):
                 run_work_recursion(sch)
-        # n_max = GRID_BUDGET: refused as the schedule is built, before any grid
+        # n_max = GRID_BUDGET, every state summed at a = 1e-6: refused as the
+        # schedule is built, before any grid
         with pytest.raises(GridTooLarge, match="closed-form profile"):
-            build_center_schedule(0.0, 2, 1.0, GRID_BUDGET)
+            build_center_schedule(0.0, 2, 1e-6, GRID_BUDGET)
 
     @pytest.mark.parametrize("build, ratio", [(build_center_schedule, 1.0),
                                               (build_spring_schedule, 1.3)])

@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import laguerre
-from reference import hermite_poly, prob_density
+from reference import full_work_expectations, hermite_poly, prob_density
 
 import stepwork
 from stepwork import spectra
@@ -291,10 +291,63 @@ class TestWorkExpectations:
         # omega = 1 and increment = 2 make kappa = t
         kappas = np.logspace(-4.0, math.log10(300.0), 15)
         spec = _spring(np.ones(kappas.size), 200)
-        got = np.exp(spec._log_state_expectations(2.0, kappas))
+        got = np.exp(spec._log_state_expectations(2.0, kappas, 200))
         for j, kappa in enumerate(kappas):
             ref = _gauss_hermite_state_factors(kappa, 200)
             assert np.allclose(got[:, j], ref, rtol=0.0, atol=1e-12), kappa
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(ProtocolKind), steps=st.integers(2, 4),
+           log_a=st.floats(-2.0, 4.0), t_over_a=st.sampled_from([1.0, 2.0]),
+           n_max=st.integers(0, 500), ratio=st.floats(0.5, 2.0),
+           increment=st.floats(-2.0, 2.0))
+    def test_summed_states_change_no_bit(self, kind, steps, log_a, t_over_a, n_max, ratio,
+                                         increment):
+        # every state past n_eff weighs exactly 0, so the cut sum equals the
+        # sum over all n_max + 1 states bit for bit, wherever that is finite;
+        # a spring ratio below 1 softens (kappa < 0), where every state is summed;
+        # at kappa <= -1 the expectation diverges
+        a, t = 10.0 ** log_a, t_over_a * 10.0 ** log_a
+        if kind is ProtocolKind.SPRING:
+            increment = (ratio * ratio - 1.0) / (steps - 1)
+            controls = np.sqrt(1.0 + increment * np.arange(steps))
+            assume(0.5 * t * increment / controls.min() > -1.0)
+        else:
+            controls = increment * np.arange(steps)
+        spec = spectra.OscillatorSpectrum(kind, controls, n_max)
+        ref = full_work_expectations(spec, increment, a, t)
+        assume(all(np.isfinite(v).all() for v in ref))
+        n_eff = spec._effective_n_max(increment, a, t)
+        with np.errstate(over="ignore"):
+            # the zero-weight fault the cut mends: a dropped state whose
+            # expm1(ln E_n) overflows made the full near-one sum read 0 * inf
+            dropped = spec._log_state_expectations(increment, t, n_max)[n_eff + 1:]
+            assume(np.isfinite(np.expm1(dropped)).all())
+        event("cut" if n_eff < n_max else "no cut")
+        got = spec.work_expectations(increment, a, t)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+    def test_states_run_stop_at_the_last_weighted_one(self, monkeypatch, tmp_path):
+        from stepwork.cli import main
+
+        orders = []
+        recurrence = spectra._log_recurrence
+
+        def spy(next_step, n_max, shape=()):
+            orders.append(n_max)
+            return recurrence(next_step, n_max, shape)
+
+        monkeypatch.setattr(spectra, "_log_recurrence", spy)
+        # the spring-sweep benchmark's coldest point, a0 = 100: 8 states, not 201
+        assert main(["sweep", "--protocol", "spring", "--param", "a", "--nmax", "200",
+                     "--s", "61", "--omega-ratio", "1.3", "--values", "100.0",
+                     "--out", str(tmp_path / "cold")]) == 0
+        assert orders and max(orders) + 1 <= 9
+        orders.clear()
+        # a0 = 1: about 747 states of the million asked for
+        assert main(["sweep", "--protocol", "spring", "--param", "nmax", "--values", "1000000",
+                     "--s", "3", "--out", str(tmp_path / "nmax")]) == 0
+        assert orders and max(orders) + 1 < 800
 
     @pytest.mark.parametrize("s, a", [(51, 2.0 ** l) for l in range(-4, 5)] + [(101, 1.0)])
     def test_center_profile_matches_laguerre_oracle(self, s, a, oracles):
