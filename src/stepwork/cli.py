@@ -21,11 +21,11 @@ import sys
 
 import numpy as np
 
-from . import export
+from . import export, protocol
 from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, WorkerLost
 from .free_energy import free_energy_profile, ground_state_closed_form_center
-from .pathways import (DEFAULT_EPS_REL, DEFAULT_TOL, TransitionRecord, decompose_free_energy,
-                       overlap_measure)
+from .pathways import (DEFAULT_EPS_REL, DEFAULT_TOL, TransitionRecord, _check_tolerances,
+                       decompose_free_energy, overlap_measure)
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
 from .workdist import fluctuation_density, run_work_recursion
 
@@ -203,6 +203,9 @@ def cmd_pathways(args, cfg):
     out = _ensure_outdir(cfg["out"])
     schedule = _schedule_from(cfg)
     tol, eps = float(cfg["tol"]), float(cfg["eps"])
+    _check_tolerances(tol, eps)
+    # the overlap densities, charged before the split, which builds none of them
+    protocol.check_grid_budget("the grids", schedule.density_values)
 
     # everything is computed before anything is written, so a failure leaves no output
     decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps)

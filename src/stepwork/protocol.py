@@ -54,7 +54,7 @@ class GridSpec:
         return self.min + self.spacing * np.arange(self.points)
 
 
-def check_grid_budget(what, values, remedy):
+def check_grid_budget(what, values, remedy="lower s, n_max, the pull or the point counts"):
     """Refuse work that would hold more than GRID_BUDGET float64 values at once."""
     if values > GRID_BUDGET:
         raise GridTooLarge(f"{what} need about {values:.3g} float64 values, over the "
@@ -70,10 +70,11 @@ class PullSchedule:
     (spring).  ``a`` is the reduced temperature, which doubles as the
     inverse temperature against energies in the reporting unit.
     ``x_points``/``w_points`` request point counts (None: auto-sized).  The
-    grids are sized on the first read of either.  ``check_grids`` charges
-    what is built on them against the budget: a read of ``x_grid`` charges
-    the densities, and the work recursion charges its distributions too;
-    closed-form work reads neither grid, and the pathway scan only ``x_grid``.
+    grids are sized on the first read of either, and a read charges nothing
+    to the budget: each pass charges what it builds on them.
+    ``density_values`` counts the float64 values built on the x grid: the
+    eigenstate stack, plus f_j and its work image (about as long as f_j) for
+    every work step j.
     """
 
     kind: ProtocolKind
@@ -90,19 +91,9 @@ class PullSchedule:
         size = _center_grids if self.kind is ProtocolKind.CENTER else _spring_grids
         return size(self)
 
-    def check_grids(self, work=False):
-        """The (x, w) grids, refused if what is built on them is over the
-        budget: the eigenstate stack on the x grid, plus f_j, its work image
-        (about as long as f_j) and, with ``work``, rho_{j+1} for every work
-        step j."""
-        x_grid, w_grid = self._grids
-        check_grid_budget("the grids", x_grid.points * (self.n_max + 1)
-                          + (self.s - 1) * (2 * x_grid.points + work * w_grid.points),
-                          "lower s, n_max, the pull or the point counts")
-        return x_grid, w_grid
-
-    x_grid = cached_property(lambda self: self.check_grids()[0])
+    x_grid = property(lambda self: self._grids[0])
     w_grid = property(lambda self: self._grids[1])
+    density_values = property(lambda self: self.x_grid.points * (self.n_max + 2 * self.s - 1))
 
     @property
     def beta(self):
@@ -169,8 +160,6 @@ def _check_run(kind, a, n_max, s, increment):
     """Reject a non-positive temperature or n_max, then a schedule over the grid budget."""
     if a <= 0.0:
         raise ValueError("reduced temperature must be positive")
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
     # the profile sums the states 0..n_eff; omega = 1 is the lowest frequency
     # of every schedule, so this spectrum's n_eff is the profile's
     n_eff = OscillatorSpectrum(kind, 1.0, n_max)._effective_n_max(increment, a, a)

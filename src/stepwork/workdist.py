@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooNarrow, MassLeak
-from .protocol import GridSpec, PullSchedule
+from .protocol import GridSpec, PullSchedule, check_grid_budget
 from .spectra import OscillatorSpectrum
 
 __all__ = ["GriddedDensity", "WorkLedger", "fluctuation_density", "step_work_map",
@@ -197,6 +197,13 @@ def _toeplitz_convolve(a, b):
     return out.ravel()[:size]
 
 
+def _convolve_values(a, b):
+    """float64 values _toeplitz_convolve holds besides operands of at most a
+    and b values: padded, taps, the (k, _BLOCK) kernel, out and one product."""
+    size, k = a + b - 1, -(-(_BLOCK + min(a, b) - 1) // _SLAB) * _SLAB
+    return 3 * size + (_BLOCK + 2) * k + 3 * _BLOCK
+
+
 def lattice_convolve(d1: GriddedDensity, d2: GriddedDensity, h):
     """Convolution of two densities living on the common lattice {j*h}.
 
@@ -219,21 +226,27 @@ def run_work_recursion(schedule: PullSchedule):
     convolved with g_{i-1}; each is cut once to the work window's nodes,
     checked for lost mass and renormalized by Q_i.
 
-    The grids are charged for the distributions first, so a schedule over
-    the grid budget is refused before any density is built.  A pull with a
-    zero increment (which includes s = 1) does no work: every rho_i is the
-    unit spike at W = 0 on the work grid (-1, 0, 1), and no density is built.
+    Everything built is charged to the grid budget first, so a schedule over
+    it is refused before any density is built.  A pull with a zero increment
+    (which includes s = 1) does no work: every rho_i is the unit spike at
+    W = 0 on the work grid (-1, 0, 1), and no density is built.
     """
-    w_grid = schedule.check_grids(work=True)[1]
+    x_grid, w_grid = schedule.x_grid, schedule.w_grid
+    h, held = w_grid.spacing, w_grid.points + 4  # a rho_i cut to the window, with pads
+    values = schedule.density_values + (schedule.s - 1) * held
+    if schedule.s > 2:
+        # g_j, with pads, spans the x grid's image, extreme at the grid's ends or at 0
+        u = step_work_map(schedule, 1, [x_grid.min, 0.0, x_grid.max])
+        values += _convolve_values(held, int(np.ptp(u) / h) + 6)
+    check_grid_budget("the grids", values)
     if schedule.increment == 0.0:
         steps = schedule.s - 1
         spike = GriddedDensity(w_grid, [0.0, 1.0 / w_grid.spacing, 0.0])
         return WorkLedger((spike,) * steps, (1.0,) * steps)
-    h = w_grid.spacing
     lo, hi = int(round(w_grid.min / h)) - 1, int(round(w_grid.max / h)) + 1
     rho, dists, norms = None, [], []
     for i in range(2, schedule.s + 1):
-        f = fluctuation_density(schedule.spectrum(i - 1), schedule.a, schedule.x_grid)
+        f = fluctuation_density(schedule.spectrum(i - 1), schedule.a, x_grid)
         g = pushforward_step_density(f, schedule, i - 1)
         rho = g if rho is None else lattice_convolve(rho, g, h)
         rho = _lattice_density(_lattice_offset(rho, h), rho.values, h, lo, hi)

@@ -328,6 +328,22 @@ class TestPathwaysCommand:
         assert len(err.splitlines()) == 1
         assert not list(out.iterdir())
 
+    def test_split_builds_no_density_and_is_not_charged_for_one(self, tmp_path, capsys):
+        # 30M x nodes: the split reads only 199 positions over the grid's
+        # span, while the command's overlap densities would hold about 2.4e8 values
+        sch = protocol.build_center_schedule(1.0, 3, 1.0, 3, x_points=30_000_000)
+        assert pathways.decompose_free_energy(sch).reconstruction_error <= 1e-12
+        out = tmp_path / "out"
+        assert main(["pathways", "--x-points", "30000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: grid-too-large: the grids need")
+        assert not list(out.iterdir())
+
+    def test_tolerance_checked_before_the_densities_are_charged(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pathways", "--lambda-s", "1e6", "--tol", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config: tol must be finite")
+        assert not list(out.iterdir())
+
     def test_records_over_budget_refused_before_any_output(self, tmp_path, monkeypatch,
                                                            capsys):
         argv = ["pathways", "--nmax", "1", "--tol", "1e9", "--x-points", "11"]

@@ -94,8 +94,13 @@ def test_pooled_run_counts_every_row(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--param", "dlambda", "--values", "0.001,0.002"],
-                                  ["pathways", "--s", "500", "--nmax", "0"]])
+                                  ["pathways", "--s", "500", "--nmax", "0"],
+                                  ["sweep", "--protocol", "center", "--param", "nmax",
+                                   "--values", "100000000", "--s", "3"],
+                                  ["sweep", "--protocol", "spring", "--param", "nmax",
+                                   "--values", "100000000", "--s", "3"]])
 def test_traced_run_refused_only_where_the_plain_run_is(argv, tmp_path):
-    # neither run builds a work distribution, so reading the work grid to
-    # count its points charges none to the budget
+    # none of these runs builds a work distribution, and the n_max = 1e8
+    # sweeps build no density either, so reading the grids to count their
+    # points charges none to the budget
     _trace(argv, tmp_path)

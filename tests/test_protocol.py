@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from stepwork import protocol
+from stepwork import protocol, workdist
 from stepwork.errors import GridTooLarge
 from stepwork.free_energy import free_energy_profile
 from stepwork.protocol import (
@@ -212,14 +212,29 @@ class TestStepsSpectrum:
                     step.target(a), step.free_energy(a), step.thermal_variance(a)], (i, a)
 
 
+def _recursion_charge(sch):
+    """The values run_work_recursion charges to the budget, read as it charges them."""
+    charged = []
+
+    def record(what, values, *remedy):
+        charged.append(values)
+        raise GridTooLarge(what)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workdist, "check_grid_budget", record)
+        with pytest.raises(GridTooLarge):
+            run_work_recursion(sch)
+    return charged[0]
+
+
 class TestGridBudget:
     # grids are sized, without being allocated, on the first read of a grid
     def test_over_budget_schedules_refused(self):
         # lambda_s = 1e6 in one step: a 42.3M-node x grid, about 5.6e8 values
         for sch in (build_center_schedule(1e6, 2, 1.0, 10),
                     build_spring_schedule(1.3, 3, 0.1, 0, x_points=GRID_BUDGET)):
-            with pytest.raises(GridTooLarge):
-                sch.x_grid
+            # the read returns the sized grid; what is built on it is over the budget
+            assert sch.x_grid.points >= 4 * 10**7
+            assert sch.density_values > GRID_BUDGET
             with pytest.raises(GridTooLarge):
                 run_work_recursion(sch)
         # n_max = GRID_BUDGET, every state summed at a = 1e-6: refused as the
@@ -275,20 +290,41 @@ class TestGridBudget:
         assert traced_peak(refused) < 22 * 8 * s
 
     def test_work_grid_read_charges_nothing(self):
-        # at s = 500 the densities fit and the 499 work lattices do not: a
-        # read of either grid passes, and the recursion that builds them is refused
-        sch = build_center_schedule(1.0, 500, 1.0, 0)
-        assert sch.w_grid.points > 0 and sch.x_grid.points > 0
-        with pytest.raises(GridTooLarge, match="the grids"):
-            run_work_recursion(sch)
+        # at s = 500 the densities fit and the 499 work lattices do not; at
+        # n_max = 1e8 the eigenstate stacks alone take about 1e14 values.  A
+        # read of either grid passes, and the recursion that builds on them is refused
+        for sch in (build_center_schedule(1.0, 500, 1.0, 0),
+                    build_center_schedule(1.0, 3, 1.0, 10**8),
+                    build_spring_schedule(1.3, 3, 1.0, 10**8)):
+            assert sch.w_grid.points > 2 and sch.x_grid.points > 2
+            with pytest.raises(GridTooLarge, match="the grids"):
+                run_work_recursion(sch)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_spring_schedule(1.3, 11, 0.1, 100),
+        lambda: build_spring_schedule(1.3, 3, 0.1, 10, w_points=20_001),
+        lambda: build_spring_schedule(1.3, 3, 0.1, 10, w_points=50_001),
+        lambda: build_spring_schedule(1.3, 3, 0.1, 10, w_points=100_001),
+        lambda: build_center_schedule(1.0, 3, 1.0, 10, w_points=100_001),
+        lambda: build_center_schedule(20.0, 3, 1.0, 10),
+        lambda: build_center_schedule(1.0, 101, 1.0, 10),
+    ], ids=["run-spring", "spring-s3-w20001", "spring-s3-w50001", "spring-s3-w100001",
+            "center-s3-w100001", "center-lambda20-s3", "center-s101"])
+    def test_recursion_estimate_covers_its_measured_peak(self, build, traced_peak):
+        # the convolution's kernel, 128 values per node of the shorter
+        # operand, outweighs everything else where the work window is long
+        peak = traced_peak(lambda: run_work_recursion(build()))
+        # a budget one float64 value below the traced peak refuses the schedule
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "GRID_BUDGET", peak // 8 - 1)
+            with pytest.raises(GridTooLarge, match="the grids"):
+                run_work_recursion(build())
 
     def test_largest_tested_schedules_fit(self):
         for sch in (build_spring_schedule(1.3, 1001, 50.0, 0),
                     build_center_schedule(1.0, 101, 1.0, 10),
                     build_spring_schedule(1.3, 61, 0.05, 200)):
-            values = (sch.x_grid.points * (sch.n_max + 1)
-                      + (sch.s - 1) * (2 * sch.x_grid.points + sch.w_grid.points))
-            assert values < GRID_BUDGET / 5
+            assert _recursion_charge(sch) < GRID_BUDGET / 5
 
 
 class TestDefaults:
