@@ -204,19 +204,19 @@ def cmd_pathways(args, cfg):
     schedule = _schedule_from(cfg)
     tol, eps = float(cfg["tol"]), float(cfg["eps"])
     _check_tolerances(tol, eps)
-    # the overlap densities, charged before the split, which builds none of them
+    # the overlap densities are charged, built, read and dropped before the
+    # split, which builds none of them, so they are never held next to its
+    # tables or records.  Each density once; with s = 2 there is no pair to
+    # overlap, and no density (nor its boundary check) is built
     protocol.check_grid_budget("the grids", schedule.density_values)
+    densities = [fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
+                 for i in range(1, schedule.s)] if schedule.s > 2 else []
+    overlaps = [{"steps": [i, i + 1], "dx": dx, "mass": mass} for i, (dx, mass)
+                in enumerate(map(overlap_measure, densities, densities[1:]), start=1)]
+    del densities
 
     # everything is computed before anything is written, so a failure leaves no output
     decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps)
-    # each density once; with s = 2 there is no pair to overlap, and no density
-    # (nor its boundary check) is built
-    densities = [fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
-                 for i in range(1, schedule.s)] if schedule.s > 2 else []
-    overlaps = []
-    for i, (f_prev, f_next) in enumerate(zip(densities, densities[1:]), start=1):
-        dx, mass = overlap_measure(f_prev, f_next)
-        overlaps.append({"steps": [i, i + 1], "dx": dx, "mass": mass})
 
     meta = {k: v for k, v in cfg.items() if v is not None}
     export.write_csv(os.path.join(out, "transitions.csv"), TransitionRecord._fields,

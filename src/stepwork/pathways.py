@@ -32,8 +32,8 @@ DEFAULT_TOL = 0.05
 DEFAULT_EPS_REL = 1e-12
 DEFAULT_X_POINTS = 200
 # float64 values' worth of memory one matched transition costs by the time it
-# is written: its record, its CSV row and its line (about 790 bytes measured)
-RECORD_VALUES = 100
+# is written: its record and the copies of its CSV line (604 bytes measured)
+RECORD_VALUES = 80
 
 
 class PathwayClass(enum.Enum):

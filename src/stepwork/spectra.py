@@ -29,32 +29,28 @@ class ProtocolKind(enum.Enum):
     SPRING = "spring"
 
 
-def _hermite_functions(n_max, y):
-    """All normalized oscillator eigenfunctions phi_0..phi_{n_max} at y.
-
-    phi_n(y) = H_n(y) exp(-y^2/2) / sqrt(2^n n! sqrt(pi)).  The recurrence
-    works on phi_n directly, folding the 1/(2^n n!) normalization in, so it
-    stays finite for any order (n up to several hundred).
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty((n_max + 1, y.size))
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * y * y)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * y * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = (
-            math.sqrt(2.0 / (n + 1)) * y * out[n]
-            - math.sqrt(n / (n + 1)) * out[n - 1]
-        )
-    return out
-
-
 def _density_stack(n_max, omega, center, x):
     """|psi_n(x)|^2 for n = 0..n_max of an oscillator of frequency omega
-    centered on ``center``: sqrt(omega) phi_n(sqrt(omega) (x - center))^2."""
+    centered on ``center``: sqrt(omega) phi_n(y)^2 with y = sqrt(omega) (x - center),
+    shape (n_max + 1, len(x)).
+
+    phi_n(y) = H_n(y) exp(-y^2/2) / sqrt(2^n n! sqrt(pi)) are the normalized
+    eigenfunctions.  The recurrence works on phi_n directly, folding the
+    1/(2^n n!) normalization in, so it stays finite for any order (n up to
+    several hundred).  It holds two rows, phi_{n-1} and phi_n, and writes each
+    squared row into the stack as it is made, so the stack is the only array
+    of its size.
+    """
     root = math.sqrt(omega)
-    phi = _hermite_functions(n_max, root * (x - center))
-    return root * phi * phi
+    y = np.atleast_1d(root * (x - center))
+    out = np.empty((n_max + 1, y.size))
+    # phi_{-1} = 0: phi_1's step subtracts an exact zero, which moves no bit
+    prev, phi = 0.0, math.pi ** -0.25 * np.exp(-0.5 * y * y)
+    for n in range(n_max + 1):
+        if n:
+            prev, phi = phi, math.sqrt(2.0 / n) * y * phi - math.sqrt((n - 1) / n) * prev
+        np.multiply(root * phi, phi, out=out[n])
+    return out
 
 
 def _log_recurrence(next_step, n_max, shape=()):

@@ -43,6 +43,24 @@ def prob_density(spectrum, n, x):
     return dens if x.ndim else float(dens[0])
 
 
+def two_pass_density_stack(n_max, omega, center, x):
+    """|psi_n(x)|^2 for n = 0..n_max in two passes: the normalized Hermite
+    recurrence into a full (n_max + 1, len(x)) stack phi, then
+    sqrt(omega) phi^2.  ``OscillatorSpectrum.all_densities`` squares each row
+    as the recurrence makes it, with the same float operations in the same
+    order, so the two agree bit for bit."""
+    root = math.sqrt(omega)
+    y = np.atleast_1d(root * (np.asarray(x, dtype=float) - center))
+    phi = np.empty((n_max + 1, y.size))
+    phi[0] = math.pi ** -0.25 * np.exp(-0.5 * y * y)
+    if n_max >= 1:
+        phi[1] = math.sqrt(2.0) * y * phi[0]
+    for n in range(1, n_max):
+        phi[n + 1] = (math.sqrt(2.0 / (n + 1)) * y * phi[n]
+                      - math.sqrt(n / (n + 1)) * phi[n - 1])
+    return root * phi * phi
+
+
 def normalize(density: GriddedDensity):
     """The density divided by its trapezoid integral."""
     mass = density.integral()

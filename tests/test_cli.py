@@ -362,6 +362,21 @@ class TestPathwaysCommand:
         assert len(err.splitlines()) == 1
         assert not list(out.iterdir())
 
+    def test_overlap_densities_dropped_before_the_split(self, tmp_path, monkeypatch,
+                                                        traced_peak):
+        # ten 120,000-point overlap densities and 22,530 records each fit a
+        # budget that the two held together would exceed
+        argv = ["pathways", "--s", "11", "--nmax", "0", "--tol", "1", "--x-points", "120000"]
+        assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+        meta, _, rows = _read_csv(tmp_path / "full" / "transitions.csv")
+        budget = 1.001 * max(cli._schedule_from(meta).density_values,
+                             pathways.RECORD_VALUES * len(rows))
+        monkeypatch.setattr(protocol, "GRID_BUDGET", budget)
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv + ["--out", str(tmp_path / "out")])))
+        assert codes == [0]
+        assert peak < 8 * budget
+
     def test_single_step_is_one_empty_optimal_pathway(self, tmp_path):
         # s = 1 does no work: dF = 0, as run-center --s 1 reports
         assert main(["pathways", "--s", "1", "--out", str(tmp_path)]) == 0

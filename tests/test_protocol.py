@@ -308,8 +308,9 @@ class TestGridBudget:
         lambda: build_center_schedule(1.0, 3, 1.0, 10, w_points=100_001),
         lambda: build_center_schedule(20.0, 3, 1.0, 10),
         lambda: build_center_schedule(1.0, 101, 1.0, 10),
+        lambda: build_spring_schedule(1.3, 61, 0.05, 200),
     ], ids=["run-spring", "spring-s3-w20001", "spring-s3-w50001", "spring-s3-w100001",
-            "center-s3-w100001", "center-lambda20-s3", "center-s101"])
+            "center-s3-w100001", "center-lambda20-s3", "center-s101", "spring-s61-n200"])
     def test_recursion_estimate_covers_its_measured_peak(self, build, traced_peak):
         # the convolution's kernel, 128 values per node of the shorter
         # operand, outweighs everything else where the work window is long

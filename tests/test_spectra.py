@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import laguerre
-from reference import full_work_expectations, hermite_poly, prob_density
+from reference import (full_work_expectations, hermite_poly, prob_density,
+                       two_pass_density_stack)
 
 import stepwork
 from stepwork import spectra
@@ -228,6 +229,28 @@ class TestOscillatorSpectrum:
                 assert np.allclose(stack[n], ref, rtol=1e-12, atol=1e-15)
                 assert np.array_equal(prob_density(spec, n, x), stack[n])
                 assert prob_density(spec, n, x[7]) == stack[n][7]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_max=st.integers(0, 300), omega=st.floats(0.01, 100.0), center=st.floats(-10.0, 10.0),
+           points=st.integers(1, 3_000), half_width=st.floats(0.1, 40.0))
+    def test_stack_matches_the_two_pass_recurrence(self, n_max, omega, center, points,
+                                                   half_width):
+        # the stack squares each row as the recurrence makes it; a full Hermite
+        # stack squared afterwards has the same bits
+        x = np.linspace(center - half_width, center + half_width, points)
+        assert np.array_equal(_spring(omega, n_max).all_densities(x),
+                              two_pass_density_stack(n_max, omega, 0.0, x))
+        assert np.array_equal(_center(2.0 * center, n_max).all_densities(x),
+                              two_pass_density_stack(n_max, 1.0, center, x))
+        assert np.array_equal(spectra._density_stack(n_max, omega, center, x),
+                              two_pass_density_stack(n_max, omega, center, x))
+
+    def test_stack_is_the_only_array_of_its_size(self, traced_peak):
+        # two recurrence rows and their temporaries, about 6 rows, beyond the
+        # stack; a full Hermite stack next to its square would double it
+        x = np.linspace(-20.0, 20.0, 5_975)
+        spec = _spring(1.0, 200)
+        assert traced_peak(lambda: spec.all_densities(x)) <= 8 * (spec.n_max + 1 + 10) * x.size
 
     def test_boltzmann_weights_normalized_to_ground(self):
         # exp(-beta (E_n - E_0)) in work units: 2 a n for center, a0 omega n for spring
