@@ -10,7 +10,6 @@ from .free_energy import (
     FreeEnergyProfile,
     exponential_average,
     free_energy_profile,
-    ground_state_closed_form_center,
 )
 from .pathways import (
     PathwayClass,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import export, protocol
 from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, WorkerLost
-from .free_energy import free_energy_profile, ground_state_closed_form_center
+from .free_energy import free_energy_profile
 from .pathways import (DEFAULT_EPS_REL, DEFAULT_TOL, TransitionRecord, _check_tolerances,
                        decompose_free_energy, overlap_measure)
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
@@ -138,7 +138,7 @@ def cmd_run(args, cfg):
 
 
 def _sweep_point(cfg, param, value):
-    """One sweep evaluation: the endpoint profile and its oracle."""
+    """One sweep evaluation: the endpoint profile and its equilibrium target."""
     point = dict(cfg)
     if param == "a":
         point["a"] = float(value)
@@ -146,16 +146,9 @@ def _sweep_point(cfg, param, value):
         point["n_max"] = int(value)
     elif param == "dlambda":
         point.update(s=round(cfg["lambda_s"] / value) + 1, dlambda=float(value))
-    schedule = _schedule_from(point)
-    # the profile first: it refuses a non-finite target before the oracle reads it
-    profile = free_energy_profile(schedule)
-    if point["protocol"] == "center" and schedule.n_max == 0:
-        oracle = ground_state_closed_form_center(schedule.a, schedule.increment, schedule.s)
-    else:
-        oracle = profile.targets[-1]
-    mean_w = float(profile.mean_work[-1])
-    std_w = float(profile.std_work[-1])
-    return (float(value), profile.endpoint, mean_w, std_w, float(oracle))
+    profile = free_energy_profile(_schedule_from(point))
+    return (float(value), profile.endpoint, float(profile.mean_work[-1]),
+            float(profile.std_work[-1]), float(profile.targets[-1]))
 
 
 def _check_sweep_value(param, value, lambda_s):
@@ -207,20 +200,33 @@ def cmd_pathways(args, cfg):
     # the overlap densities are charged, built, read and dropped before the
     # split, which builds none of them, so they are never held next to its
     # tables or records.  Each density once; with s = 2 there is no pair to
-    # overlap, and no density (nor its boundary check) is built
-    protocol.check_grid_budget("the grids", schedule.density_values)
-    densities = [fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
-                 for i in range(1, schedule.s)] if schedule.s > 2 else []
-    overlaps = [{"steps": [i, i + 1], "dx": dx, "mass": mass} for i, (dx, mass)
-                in enumerate(map(overlap_measure, densities, densities[1:]), start=1)]
-    del densities
+    # overlap, and no density (nor its boundary check) is built or charged
+    overlaps = []
+    if schedule.s > 2:
+        protocol.check_grid_budget("the grids", schedule.density_values)
+        densities = [fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
+                     for i in range(1, schedule.s)]
+        overlaps = [{"steps": [i, i + 1], "dx": dx, "mass": mass} for i, (dx, mass)
+                    in enumerate(map(overlap_measure, densities, densities[1:]), start=1)]
+        del densities
 
-    # everything is computed before anything is written, so a failure leaves no output
-    decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps)
-
+    # each transition's records are appended as they are scanned, and the
+    # file is removed if the split fails, so a failure leaves no output
     meta = {k: v for k, v in cfg.items() if v is not None}
-    export.write_csv(os.path.join(out, "transitions.csv"), TransitionRecord._fields,
-                     decomp.records, meta)
+    path = os.path.join(out, "transitions.csv")
+    export.write_csv(path, TransitionRecord._fields, (), meta)
+    rows = 0
+    try:
+        with open(path, "ab") as fh:
+            def write(records):
+                nonlocal rows
+                fh.write(export.format_rows(records).body)
+                rows += len(records)
+
+            decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps, on_records=write)
+    except BaseException:
+        os.remove(path)
+        raise
     payload = {
         "config": meta,
         "delta_F": decomp.delta_f,
@@ -230,7 +236,7 @@ def cmd_pathways(args, cfg):
         "overlaps": overlaps,
     }
     export.write_json(os.path.join(out, "decomposition.json"), payload)
-    print(f"pathways: {len(decomp.records)} optimal transitions, "
+    print(f"pathways: {rows} optimal transitions, "
           f"reconstruction error {export.format_number(decomp.reconstruction_error)}")
     return 0
 

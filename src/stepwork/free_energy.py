@@ -1,4 +1,4 @@
-"""Free-energy changes from work distributions, and the center ground-state closed form.
+"""Free-energy changes from work distributions.
 
 All center-protocol energies are in hbar*omega/2, all spring-protocol
 energies in hbar*omega_0, and in both cases the reduced temperature of the
@@ -16,8 +16,7 @@ from .protocol import PullSchedule
 from .spectra import _logsumexp
 from .workdist import GriddedDensity, _trapezoid_masses
 
-__all__ = ["FreeEnergyProfile", "exponential_average", "free_energy_profile",
-           "ground_state_closed_form_center"]
+__all__ = ["FreeEnergyProfile", "exponential_average", "free_energy_profile"]
 
 
 def exponential_average(rho: GriddedDensity, beta):
@@ -80,10 +79,3 @@ def free_energy_profile(schedule: PullSchedule):
         raise NonFiniteResult(f"the free-energy profile at a={schedule.a}, increment="
                               f"{schedule.increment} leaves the float64 range")
     return FreeEnergyProfile(schedule, delta_f, targets, mean_w, std_w, f_ref)
-
-
-def ground_state_closed_form_center(a, dlambda, s):
-    """Exact dF = dlambda^2 (s-1)(s-a)/4 for the ground-state-only center pull."""
-    if s < 1:
-        raise ValueError("need at least one step")
-    return dlambda * dlambda * (s - 1) * (s - a) / 4.0

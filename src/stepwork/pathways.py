@@ -70,14 +70,12 @@ class TransitionScan:
 @dataclass(frozen=True)
 class PathwayDecomposition:
     """Free-energy split over pathway classes, with exact reconstruction;
-    ``delta_f`` holds -ln(c)/beta of each class's contribution c, and
-    ``records`` the optimal transitions of every step, in step order."""
+    ``delta_f`` holds -ln(c)/beta of each class's contribution c."""
 
     delta_f: dict
     contributions: dict
     counts: dict
     reconstruction_error: float
-    records: tuple
 
 
 def _density_floor(spectrum, eps_rel):
@@ -148,7 +146,7 @@ def _within(r, tol):
 SLICE_VALUES = 12
 
 
-def _transition_tables(schedule, i, x, eps_rel, tol, records_held=0):
+def _transition_tables(schedule, i, x, eps_rel, tol):
     """Condition codes over one transition's (n_prev, n_next, k_prev, k_next) grid.
 
     Both positions of a transition range over the same axis x.  A condition
@@ -162,18 +160,13 @@ def _transition_tables(schedule, i, x, eps_rel, tol, records_held=0):
     one state's sorted logs, and each candidate is decided by the residual
     itself.  So the one-byte code is the only array over all links; the rest
     is one state's slice at a time, and the three residuals are returned as
-    functions of a link.  The ``records_held`` that the caller keeps from
-    earlier transitions are charged to the same budget.
+    functions of a link.
     """
     n_states, p = schedule.n_max + 1, x.size
     # refused before any table is allocated: the one-byte code, the shift
-    # table and one state's slice, every link of it a candidate at worst,
-    # next to the records held
-    what, remedy = "the transition tables", "lower n_max"
-    if records_held:
-        what, remedy = "the transition records held and the transition tables", "lower tol or n_max"
-    check_grid_budget(what, n_states ** 2 * p ** 2 / 8 + n_states ** 2 * p
-                      + SLICE_VALUES * n_states * p ** 2 + RECORD_VALUES * records_held, remedy)
+    # table and one state's slice, every link of it a candidate at worst
+    check_grid_budget("the transition tables", n_states ** 2 * p ** 2 / 8 + n_states ** 2 * p
+                      + SLICE_VALUES * n_states * p ** 2, "lower n_max")
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
     beta = schedule.beta
@@ -244,8 +237,7 @@ _CLASS_OF = np.array([3, 1, 1, 0, 2, 1, 1, 0])
 
 
 def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
-                             eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS,
-                             records_held=0):
+                             eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS):
     """Scan the discretized transition space at step i-1 -> i.
 
     Returns every (x_prev, x_next, n_prev, n_next) tuple whose residuals r12a
@@ -253,22 +245,20 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
     k_prev, k_next) order, with the condition code of every link; the share
     of them that also obeys detailed balance is where the code reads 7.  An
     empty record list is a valid outcome on coarse grids or tight tolerances.
-    The ``records_held`` the caller keeps from earlier scans are charged
-    together with the tables, and then with the counted matches, against
-    the grid budget before any record is built.
+    The matches are counted and charged to the grid budget before any
+    record is built.
     """
     if not 2 <= i <= schedule.s:
         raise ValueError(f"transitions exist for 2 <= i <= {schedule.s}")
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
-    tab = _transition_tables(schedule, i, x, eps_rel, tol, records_held)
+    tab = _transition_tables(schedule, i, x, eps_rel, tol)
 
     code = tab["code"]
     # the links where A and B hold, counted and then picked one n_prev slice
     # at a time, so a refused scan builds no index of them
     matched = sum(np.count_nonzero((c & 3) == 3) for c in code)
-    check_grid_budget("the transition records", RECORD_VALUES * (records_held + matched),
-                      "lower tol or n_max")
+    check_grid_budget("the transition records", RECORD_VALUES * matched, "lower tol or n_max")
     size = code[0].size
     picked = [np.flatnonzero((c & 3) == 3) + n * size for n, c in enumerate(code)]
     hit = np.unravel_index(np.concatenate(picked), code.shape)
@@ -336,7 +326,8 @@ def _advance(chain, code):
 # weights past the float64 range are refused once, at the end, not warned about
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
-                          eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS):
+                          eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS,
+                          on_records=None):
     """Split exp(-beta dF) over pathway classes on up to max_x_points positions.
 
     The positions are uniform over the x-grid's span, so each slot's
@@ -359,15 +350,13 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     beyond that rounded, so they are given as floats.
 
     Each transition i = 2..s is scanned once with ``find_optimal_transitions``
-    at the same positions; its records are kept, and its one-byte condition
-    code advances the pass when i < s and is then dropped, so one
-    transition's code is alive at a time.  The pass works one (n_prev,
-    n_next) block at a time, so what is held is one byte per link plus one
-    state's slice.  The records of every step are held and charged with
-    each later transition's tables, so a split whose matches exceed the grid
-    budget (a huge tol on many positions), or whose held records do next to
-    the next tables, is refused with GridTooLarge, although the split itself
-    needs no records.
+    at the same positions.  Its records go to ``on_records``, when given, in
+    step order; its one-byte condition code advances the pass when i < s;
+    then both are dropped, so one transition's code and records are alive
+    at a time.  The pass works one (n_prev, n_next) block at a time, so what
+    is held is one byte per link plus one state's slice.  A transition whose
+    matches exceed the grid budget (a huge tol on many positions) is
+    refused with GridTooLarge, although the split itself needs no records.
     """
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
@@ -392,15 +381,15 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     first = slot_weight[0].ravel() if slot_weight else np.ones(1)
     chain = np.zeros((2, 8, first.size))
     chain[:, 7] = first, np.ones(first.size)
-    records = []
     for i in range(2, schedule.s + 1):
         scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps_rel,
-                                        max_x_points=max_x_points, records_held=len(records))
-        records.extend(scan.records)
+                                        max_x_points=max_x_points)
+        if on_records is not None:
+            on_records(scan.records)
         if i < schedule.s:
             q = slot_weight[i - 1].ravel()
             chain = _advance(chain, scan.code) * np.stack([q, np.ones(q.size)])[:, None, :]
-        del scan  # the next transition's tables are built without this code
+        del scan  # the next transition's tables are built without its code and records
     by_class = np.zeros((len(PathwayClass), 2))
     np.add.at(by_class, _CLASS_OF, chain.sum(axis=-1).T)
     c_op, c_det, c_sto, c_bia = by_class[:, 0].tolist()
@@ -420,5 +409,4 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
         counts={cls.value: int(n) if exact else float(n)
                 for cls, n in zip(PathwayClass, by_class[:, 1])},
         reconstruction_error=abs(reconstruction) / c_total,
-        records=tuple(records),
     )

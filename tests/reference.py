@@ -132,6 +132,13 @@ def full_work_expectations(spectrum, increment, a, t):
     return log_avg, c * x2, c * c * (x4 - x2 * x2)
 
 
+def ground_state_closed_form_center(a, dlambda, s):
+    """Exact dF = dlambda^2 (s-1)(s-a)/4 for the ground-state-only center pull."""
+    if s < 1:
+        raise ValueError("need at least one step")
+    return dlambda * dlambda * (s - 1) * (s - a) / 4.0
+
+
 def ground_state_closed_form_spring(a0, delta, s):
     """Exact ground-state dF = (1/(2 a0)) sum_i ln(1 + a0 delta / (2 omega_i))."""
     if a0 <= 0.0:

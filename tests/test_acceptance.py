@@ -19,14 +19,11 @@ from pathway_reference import (
     residual_quotient,
     total_pathway_distribution,
 )
-from reference import ground_state_closed_form_spring, normalize, spring_low_temp_limit
+from reference import (ground_state_closed_form_center, ground_state_closed_form_spring,
+                       normalize, spring_low_temp_limit)
 
 from stepwork.cli import main
-from stepwork.free_energy import (
-    exponential_average,
-    free_energy_profile,
-    ground_state_closed_form_center,
-)
+from stepwork.free_energy import exponential_average, free_energy_profile
 from stepwork.pathways import decompose_free_energy
 from stepwork.protocol import build_center_schedule, build_spring_schedule
 from stepwork.workdist import run_work_recursion, work_moments

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import ground_state_closed_form_center
 
 from stepwork import cli, export, pathways, protocol, workdist
 from stepwork.cli import main
-from stepwork.free_energy import free_energy_profile, ground_state_closed_form_center
+from stepwork.free_energy import free_energy_profile
 from stepwork.workdist import GriddedDensity, fluctuation_density
 
 
@@ -203,6 +204,17 @@ class TestSweep:
         assert dfs[0] == pytest.approx(0.25, abs=1e-9)
         assert abs(dfs[-1] - dfs[-2]) < 1e-5
 
+    def test_oracle_is_the_target_at_every_n_max(self, tmp_path):
+        # at a = 16 the ground-state pull's dF is -0.125, and the target 0.25
+        assert main(["sweep", "--param", "nmax", "--values", "0,10", "--a", "16",
+                     "--out", str(tmp_path)]) == 0
+        _, _, rows = _read_csv(tmp_path / "sweep.csv")
+        for row in rows:
+            sch = protocol.build_center_schedule(1.0, 11, 16.0, int(row[0]))
+            assert row[4] == export.format_number(float(free_energy_profile(sch).targets[-1]))
+        assert float(rows[0][1]) == pytest.approx(ground_state_closed_form_center(16.0, 0.1, 11))
+        assert float(rows[0][4]) == pytest.approx(0.25)
+
     def test_a_sweep_constant_mean_work(self, tmp_path):
         out = tmp_path / "sw"
         values = ",".join(str(2.0 ** l) for l in range(-4, 5))
@@ -245,10 +257,11 @@ class TestPathwaysCommand:
                                            "optimal", "biased"}
         meta, header, rows = _read_csv(tmp_path / "transitions.csv")
         # one row per optimal transition of the split, each field as format_number writes it
-        decomp = pathways.decompose_free_energy(cli._schedule_from(meta), tol=meta["tol"],
-                                                eps_rel=meta["eps"])
+        records = []
+        pathways.decompose_free_energy(cli._schedule_from(meta), tol=meta["tol"],
+                                       eps_rel=meta["eps"], on_records=records.extend)
         assert header == list(pathways.TransitionRecord._fields)
-        assert rows == [[export.format_number(v) for v in r] for r in decomp.records]
+        assert rows == [[export.format_number(v) for v in r] for r in records]
         assert rows
 
     def test_each_transition_table_is_built_once(self, tmp_path, monkeypatch):
@@ -338,6 +351,15 @@ class TestPathwaysCommand:
         assert capsys.readouterr().err.startswith("error: grid-too-large: the grids need")
         assert not list(out.iterdir())
 
+    def test_two_steps_charge_no_overlap_density(self, tmp_path, capsys):
+        # s = 2 has no pair of densities to overlap, so it builds and is
+        # charged for none, however many x nodes its grid has
+        assert main(["pathways", "--s", "2", "--x-points", "30000000",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "decomposition.json").read_text())
+        assert payload["overlaps"] == [] and payload["reconstruction_error"] <= 1e-12
+
     def test_tolerance_checked_before_the_densities_are_charged(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["pathways", "--lambda-s", "1e6", "--tol", "-1", "--out", str(out)]) == 2
@@ -346,14 +368,21 @@ class TestPathwaysCommand:
 
     def test_records_over_budget_refused_before_any_output(self, tmp_path, monkeypatch,
                                                            capsys):
-        argv = ["pathways", "--nmax", "1", "--tol", "1e9", "--x-points", "11"]
+        argv = ["pathways", "--nmax", "0", "--tol", "1e9", "--x-points", "11"]
         assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+        # the rows and header, after the config line that echoes --out
+        full = (tmp_path / "full" / "transitions.csv").read_bytes().split(b"\n", 1)[1]
         _, _, rows = _read_csv(tmp_path / "full" / "transitions.csv")
-        per_step = Counter(row[0] for row in rows)
-        assert len(per_step) == 2
-        # each step's records fit the budget, the two steps' together do not
-        monkeypatch.setattr(protocol, "GRID_BUDGET",
-                            pathways.RECORD_VALUES * max(per_step.values()))
+        per_step = [n for _, n in sorted(Counter(int(row[0]) for row in rows).items())]
+        assert len(per_step) == 2 and per_step[0] < per_step[1]
+        # one step's records are held at a time: the largest step's fit, and
+        # the rows are the same
+        monkeypatch.setattr(protocol, "GRID_BUDGET", pathways.RECORD_VALUES * max(per_step))
+        assert main(argv + ["--out", str(tmp_path / "fit")]) == 0
+        assert (tmp_path / "fit" / "transitions.csv").read_bytes().split(b"\n", 1)[1] == full
+        # under a later step's records: refused after the first step's rows
+        # were appended, and the file is removed
+        monkeypatch.setattr(protocol, "GRID_BUDGET", pathways.RECORD_VALUES * max(per_step) - 1)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 2
@@ -361,6 +390,33 @@ class TestPathwaysCommand:
         assert err.startswith("error: grid-too-large: the transition records")
         assert len(err.splitlines()) == 1
         assert not list(out.iterdir())
+
+    def test_peak_is_one_transition_at_any_s(self, tmp_path, monkeypatch, traced_peak):
+        # the charge of one transition's tables and records bounds the run,
+        # however many transitions' records the file holds
+        charged = {}
+        check = pathways.check_grid_budget
+
+        def charge(what, values, *args):
+            charged[what] = max(values, charged.get(what, 0))
+            return check(what, values, *args)
+
+        monkeypatch.setattr(pathways, "check_grid_budget", charge)
+        peaks = []
+        for s in (5, 41):
+            argv = ["pathways", "--s", str(s), "--nmax", "5", "--out", str(tmp_path / str(s))]
+            codes = []
+            peaks.append(traced_peak(lambda: codes.append(main(argv))))
+            assert codes == [0]
+            _, _, rows = _read_csv(tmp_path / str(s) / "transitions.csv")
+            per_step = Counter(row[0] for row in rows)
+            assert len(per_step) == s - 1
+            one_transition = (charged["the transition tables"]
+                              + pathways.RECORD_VALUES * max(per_step.values()))
+            assert peaks[-1] < 8 * one_transition, (s, len(rows))
+        # 40 transitions' records (55,818) held together would take about 11 times
+        # the peak of 4 transitions'
+        assert peaks[1] < 2 * peaks[0]
 
     def test_overlap_densities_dropped_before_the_split(self, tmp_path, monkeypatch,
                                                         traced_peak):

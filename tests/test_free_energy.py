@@ -5,17 +5,13 @@ import numpy as np
 import pytest
 from reference import (
     approx_free_energy,
+    ground_state_closed_form_center,
     ground_state_closed_form_spring,
     spring_low_temp_limit,
 )
 
 from stepwork import cli, spectra, workdist
-from stepwork.free_energy import (
-    FreeEnergyProfile,
-    exponential_average,
-    free_energy_profile,
-    ground_state_closed_form_center,
-)
+from stepwork.free_energy import FreeEnergyProfile, exponential_average, free_energy_profile
 from stepwork.protocol import GridSpec, build_center_schedule, build_spring_schedule
 from stepwork.workdist import (
     GriddedDensity,

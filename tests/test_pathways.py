@@ -161,23 +161,13 @@ class TestTransitionScan:
     def test_records_counted_against_budget_before_built(self, center_s3, monkeypatch):
         matched = len(find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10).records)
         assert matched > 0
-        # the tables (3,584 values at p = 8) fit either budget
+        # the tables (3,584 values at p = 8) fit both budgets
         monkeypatch.setattr(protocol, "GRID_BUDGET", RECORD_VALUES * matched)
         scan = find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10)
         assert len(scan.records) == matched
+        monkeypatch.setattr(protocol, "GRID_BUDGET", RECORD_VALUES * matched - 1)
         with pytest.raises(GridTooLarge, match="transition records"):
-            find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10, records_held=1)
-
-    def test_held_records_charged_with_the_next_tables(self, center_s3, monkeypatch):
-        # a budget that holds the tables alone, and the held records with this
-        # scan's matches alone, but not the held records next to the tables
-        held = 2_000
-        matched = len(find_optimal_transitions(center_s3, 2, max_x_points=50).records)
-        monkeypatch.setattr(protocol, "GRID_BUDGET", RECORD_VALUES * (held + matched))
-        assert len(find_optimal_transitions(center_s3, 2, max_x_points=50).records) == matched
-        with pytest.raises(GridTooLarge, match="the transition records held and the transition "
-                                               "tables need"):
-            find_optimal_transitions(center_s3, 2, max_x_points=50, records_held=held)
+            find_optimal_transitions(center_s3, 2, tol=1e9, max_x_points=10)
 
     def test_matches_counted_before_any_is_picked(self, center_s3, monkeypatch):
         sch = center_s3
@@ -518,10 +508,11 @@ class TestDecomposition:
     def test_optimal_pathways_are_the_scanned_matches(self, center_s3):
         # at s = 3 a pathway has one transition, so the optimal pathways are
         # exactly the scan's matches at step 2, read from the same table
-        d = decompose_free_energy(center_s3)
+        records = []
+        d = decompose_free_energy(center_s3, on_records=records.extend)
         scans = [find_optimal_transitions(center_s3, i) for i in (2, 3)]
         assert d.counts["optimal"] == len(scans[0].records) > 0
-        assert d.records == scans[0].records + scans[1].records
+        assert records == [*scans[0].records, *scans[1].records]
 
     def test_counts_every_pathway_at_any_s_and_n_max(self):
         for sch in (build_center_schedule(1.0, 5, 1.0, 3), build_center_schedule(1.0, 3, 1.0, 6)):
@@ -540,10 +531,9 @@ class TestDecomposition:
             assert d.delta_f["total"] == pytest.approx(exact, rel=0.0, abs=1e-12), (s, n_max, a)
 
     def test_huge_tolerance_makes_everything_optimal(self, center_s3):
-        # nearly every link is matched: at the default p the two steps' 795,491
-        # records count 8e7 float64 values against the budget, so this runs on
-        # 50 positions
-        d = decompose_free_energy(center_s3, tol=1e9, max_x_points=50)
+        # nearly every link is matched: at the default p each step's ~400,000
+        # records are charged, built and dropped before the next step's
+        d = decompose_free_energy(center_s3, tol=1e9)
         total = d.contributions["total"]
         for key in ("stochastic", "deterministic", "optimal"):
             assert d.contributions[key] == pytest.approx(total, rel=1e-9)

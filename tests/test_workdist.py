@@ -7,16 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import normalize, unclipped_recursion
+from reference import ground_state_closed_form_center, normalize, unclipped_recursion
 
 import stepwork
 from stepwork import workdist
 from stepwork.errors import GridTooNarrow, MassLeak
-from stepwork.free_energy import (
-    exponential_average,
-    free_energy_profile,
-    ground_state_closed_form_center,
-)
+from stepwork.free_energy import exponential_average, free_energy_profile
 from stepwork.protocol import (
     GridSpec,
     PullSchedule,
