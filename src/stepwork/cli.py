@@ -14,10 +14,12 @@ Identical configurations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from itertools import pairwise, starmap
 
 import numpy as np
 
@@ -107,6 +109,19 @@ def _ensure_outdir(out):
     return out
 
 
+@contextlib.contextmanager
+def _removed_on_failure(paths):
+    """Remove whichever of a run's output paths exist if the block raises,
+    so a failed run leaves no output file."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+
+
 def _schedule_from(cfg):
     """The pull schedule a resolved run, sweep-point or pathways config asks for."""
     grids = {"x_points": cfg.get("x_points"), "w_points": cfg.get("w_points")}
@@ -129,9 +144,10 @@ def cmd_run(args, cfg):
     meta.update(increment=schedule.increment, x_points_resolved=schedule.x_grid.points,
                 w_points_resolved=schedule.w_grid.points)
     header, rows = export.profile_rows(profile)
-    export.write_csv(os.path.join(out, "profile.csv"), header, rows, meta)
     paths = [os.path.join(out, f"workdist_step_{i}.csv") for i in range(2, schedule.s + 1)]
-    export.write_densities(paths, ledger.distributions, meta)
+    with _removed_on_failure([os.path.join(out, "profile.csv"), *paths]):
+        export.write_csv(os.path.join(out, "profile.csv"), header, rows, meta)
+        export.write_densities(paths, ledger.distributions, meta)
     print(f"{args.command}: s={schedule.s} a={schedule.a} "
           f"n_max={schedule.n_max} dF={export.format_number(profile.endpoint)}")
     return 0
@@ -197,26 +213,26 @@ def cmd_pathways(args, cfg):
     schedule = _schedule_from(cfg)
     tol, eps = float(cfg["tol"]), float(cfg["eps"])
     _check_tolerances(tol, eps)
-    # the overlap densities are charged, built, read and dropped before the
-    # split, which builds none of them, so they are never held next to its
-    # tables or records.  Each density once; with s = 2 there is no pair to
-    # overlap, and no density (nor its boundary check) is built or charged
+    # the overlap densities are charged, built, read two at a time and dropped
+    # before the split, which builds none of them, so they are never held next
+    # to its tables or records.  With s = 2 there is no pair to overlap, and no
+    # density (nor its boundary check) is built or charged
     overlaps = []
     if schedule.s > 2:
         protocol.check_grid_budget("the grids", schedule.density_values)
-        densities = [fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
-                     for i in range(1, schedule.s)]
+        densities = (fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
+                     for i in range(1, schedule.s))
         overlaps = [{"steps": [i, i + 1], "dx": dx, "mass": mass} for i, (dx, mass)
-                    in enumerate(map(overlap_measure, densities, densities[1:]), start=1)]
-        del densities
+                    in enumerate(starmap(overlap_measure, pairwise(densities)), start=1)]
 
-    # each transition's records are appended as they are scanned, and the
-    # file is removed if the split fails, so a failure leaves no output
+    # each transition's records are appended as they are scanned, and both
+    # files are removed if the split or a write fails, so a failure leaves no output
     meta = {k: v for k, v in cfg.items() if v is not None}
     path = os.path.join(out, "transitions.csv")
-    export.write_csv(path, TransitionRecord._fields, (), meta)
+    json_path = os.path.join(out, "decomposition.json")
     rows = 0
-    try:
+    with _removed_on_failure([path, json_path]):
+        export.write_csv(path, TransitionRecord._fields, (), meta)
         with open(path, "ab") as fh:
             def write(records):
                 nonlocal rows
@@ -224,18 +240,14 @@ def cmd_pathways(args, cfg):
                 rows += len(records)
 
             decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps, on_records=write)
-    except BaseException:
-        os.remove(path)
-        raise
-    payload = {
-        "config": meta,
-        "delta_F": decomp.delta_f,
-        "contributions": decomp.contributions,
-        "counts": decomp.counts,
-        "reconstruction_error": decomp.reconstruction_error,
-        "overlaps": overlaps,
-    }
-    export.write_json(os.path.join(out, "decomposition.json"), payload)
+        export.write_json(json_path, {
+            "config": meta,
+            "delta_F": decomp.delta_f,
+            "contributions": decomp.contributions,
+            "counts": decomp.counts,
+            "reconstruction_error": decomp.reconstruction_error,
+            "overlaps": overlaps,
+        })
     print(f"pathways: {rows} optimal transitions, "
           f"reconstruction error {export.format_number(decomp.reconstruction_error)}")
     return 0

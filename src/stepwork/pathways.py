@@ -349,14 +349,14 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     pass in float64: exact ints while ((n_max+1) p)^(s-1) <= 2^53, and
     beyond that rounded, so they are given as floats.
 
-    Each transition i = 2..s is scanned once with ``find_optimal_transitions``
-    at the same positions.  Its records go to ``on_records``, when given, in
-    step order; its one-byte condition code advances the pass when i < s;
-    then both are dropped, so one transition's code and records are alive
-    at a time.  The pass works one (n_prev, n_next) block at a time, so what
-    is held is one byte per link plus one state's slice.  A transition whose
-    matches exceed the grid budget (a huge tol on many positions) is
-    refused with GridTooLarge, although the split itself needs no records.
+    Each transition i = 2..s is scanned once at the same positions: with
+    ``on_records``, by ``find_optimal_transitions``, whose records go to the
+    callback in step order; without it, only the condition code is built.
+    The one-byte code advances the pass when i < s; then it is dropped with
+    the records, so one transition's code and records are alive at a time.
+    The pass works one (n_prev, n_next) block at a time, so what is held is
+    one byte per link plus one state's slice.  With a callback, a transition
+    whose matches exceed the grid budget (a huge tol) is refused with GridTooLarge.
     """
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
@@ -382,14 +382,17 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     chain = np.zeros((2, 8, first.size))
     chain[:, 7] = first, np.ones(first.size)
     for i in range(2, schedule.s + 1):
-        scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps_rel,
-                                        max_x_points=max_x_points)
-        if on_records is not None:
+        if on_records is None:
+            code = _transition_tables(schedule, i, x, eps_rel, tol)["code"]
+        else:
+            scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps_rel,
+                                            max_x_points=max_x_points)
             on_records(scan.records)
+            code, scan = scan.code, None
         if i < schedule.s:
             q = slot_weight[i - 1].ravel()
-            chain = _advance(chain, scan.code) * np.stack([q, np.ones(q.size)])[:, None, :]
-        del scan  # the next transition's tables are built without its code and records
+            chain = _advance(chain, code) * np.stack([q, np.ones(q.size)])[:, None, :]
+        del code  # the next transition's tables are built without this one's
     by_class = np.zeros((len(PathwayClass), 2))
     np.add.at(by_class, _CLASS_OF, chain.sum(axis=-1).T)
     c_op, c_det, c_sto, c_bia = by_class[:, 0].tolist()

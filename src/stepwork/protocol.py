@@ -73,8 +73,8 @@ class PullSchedule:
     grids are sized on the first read of either, and a read charges nothing
     to the budget: each pass charges what it builds on them.
     ``density_values`` counts the float64 values built on the x grid: the
-    eigenstate stack, plus f_j and its work image (about as long as f_j) for
-    every work step j.
+    eigenstate stack, plus one step's f_j, its work image and their
+    temporaries, since every pass builds one step's at a time.
     """
 
     kind: ProtocolKind
@@ -93,7 +93,7 @@ class PullSchedule:
 
     x_grid = property(lambda self: self._grids[0])
     w_grid = property(lambda self: self._grids[1])
-    density_values = property(lambda self: self.x_grid.points * (self.n_max + 2 * self.s - 1))
+    density_values = property(lambda self: self.x_grid.points * (self.n_max + 9))
 
     @property
     def beta(self):
@@ -172,10 +172,11 @@ def _check_run(kind, a, n_max, s, increment):
 
 def _snap_grid(lo, hi, h, off=0.0):
     """The nodes m h + off that cover [lo, hi]."""
-    # a spacing that underflowed to 0 asks for infinitely many nodes; the
-    # quotient is taken on Python floats, which overflow to inf without a warning
-    check_grid_budget("the grids", float(hi - lo) / float(h) if h > 0.0 else math.inf,
-                      "raise the pull increment or lower the point counts")
+    # only an infinite node count is refused here (a spacing that underflowed to
+    # 0, or a Python-float quotient that overflowed); passes charge the rest
+    if not (h > 0.0 and math.isfinite(float(hi - lo) / float(h))):
+        raise GridTooLarge("the grids need infinitely many nodes; raise the pull increment "
+                           "or lower the point counts")
     m_lo = math.floor((lo - off) / h)
     m_hi = math.ceil((hi - off) / h)
     if m_hi <= m_lo:

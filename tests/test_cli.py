@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -16,7 +17,7 @@ from reference import ground_state_closed_form_center
 from stepwork import cli, export, pathways, protocol, workdist
 from stepwork.cli import main
 from stepwork.free_energy import free_energy_profile
-from stepwork.workdist import GriddedDensity, fluctuation_density
+from stepwork.workdist import GriddedDensity, fluctuation_density, run_work_recursion
 
 
 def _read_csv(path):
@@ -310,6 +311,8 @@ class TestPathwaysCommand:
         ["pathways", "--lambda-s", "1e6"],
         ["run-center", "--s", "2", "--lambda-s", "1e6"],
         ["run-center", "--s", "2", "--lambda-s", "1e-300"],  # work lattice spacing underflows
+        # a finite node count: the grid read passes, the recursion's charge refuses
+        ["run-center", "--x-points", "200000000"],
         # the node count (hi - lo) / h overflows float64
         ["run-center", "--s", "2", "--lambda-s", "5e-324"],
         ["run-center", "--s", "2", "--lambda-s", "1e-320"],
@@ -342,12 +345,14 @@ class TestPathwaysCommand:
         assert not list(out.iterdir())
 
     def test_split_builds_no_density_and_is_not_charged_for_one(self, tmp_path, capsys):
-        # 30M x nodes: the split reads only 199 positions over the grid's
-        # span, while the command's overlap densities would hold about 2.4e8 values
-        sch = protocol.build_center_schedule(1.0, 3, 1.0, 3, x_points=30_000_000)
+        # 200M x nodes, over the budget, yet a read of the grid refuses only
+        # a node count that is not finite: the split reads at most 200
+        # positions over its span, while the command's overlap densities
+        # are charged 2.4e9 values
+        sch = protocol.build_center_schedule(1.0, 3, 1.0, 3, x_points=200_000_000)
         assert pathways.decompose_free_energy(sch).reconstruction_error <= 1e-12
         out = tmp_path / "out"
-        assert main(["pathways", "--x-points", "30000000", "--out", str(out)]) == 2
+        assert main(["pathways", "--x-points", "200000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: grid-too-large: the grids need")
         assert not list(out.iterdir())
 
@@ -420,7 +425,7 @@ class TestPathwaysCommand:
 
     def test_overlap_densities_dropped_before_the_split(self, tmp_path, monkeypatch,
                                                         traced_peak):
-        # ten 120,000-point overlap densities and 22,530 records each fit a
+        # the 120,000-point overlap densities and 22,530 records each fit a
         # budget that the two held together would exceed
         argv = ["pathways", "--s", "11", "--nmax", "0", "--tol", "1", "--x-points", "120000"]
         assert main(argv + ["--out", str(tmp_path / "full")]) == 0
@@ -432,6 +437,21 @@ class TestPathwaysCommand:
         peak = traced_peak(lambda: codes.append(main(argv + ["--out", str(tmp_path / "out")])))
         assert codes == [0]
         assert peak < 8 * budget
+
+    def test_overlap_densities_held_two_at_a_time(self, tmp_path, traced_peak):
+        # each overlap reads two consecutive densities, so the peak is that
+        # of two 1M-point densities, at s = 4 as at s = 12
+        peaks = []
+        for s in (4, 12):
+            argv = ["pathways", "--s", str(s), "--nmax", "0", "--x-points", "1000000",
+                    "--out", str(tmp_path / str(s))]
+            codes = []
+            peaks.append(traced_peak(lambda: codes.append(main(argv))))
+            assert codes == [0]
+            meta, _, _ = _read_csv(tmp_path / str(s) / "transitions.csv")
+            assert peaks[-1] < 8 * cli._schedule_from(meta).density_values
+        # eleven densities held together would take about 1.5e7 values
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_single_step_is_one_empty_optimal_pathway(self, tmp_path):
         # s = 1 does no work: dF = 0, as run-center --s 1 reports
@@ -752,6 +772,16 @@ def _die(*args):
     os._exit(1)
 
 
+_FORMAT_BODY = export._format_body
+
+
+def _die_at_peak(peak, grid, values):
+    # a worker formats the body, or dies at the density whose peak is given
+    if values.max() == peak:
+        os._exit(1)
+    return _FORMAT_BODY(grid, values)
+
+
 class TestPooledExport:
     """Distribution CSVs formatted on worker processes by export.write_densities."""
 
@@ -804,8 +834,27 @@ class TestPooledExport:
         assert len(err.splitlines()) == 1
         assert pools == [2]
         assert multiprocessing.active_children() == []
-        # a body is read before its file opens, so no distribution file is left
-        assert not list(out.glob("workdist_step_*.csv"))
+        # profile.csv, written before the distributions, is removed too
+        assert not list(out.iterdir())
+
+    def test_worker_lost_after_files_written_leaves_no_file(self, tmp_path, monkeypatch,
+                                                             pools, capsys):
+        # the worker dies at the last distribution, submitted only after the
+        # first three files were written
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(export, "POOL_MIN_ROWS", 0)
+        last = run_work_recursion(protocol.build_center_schedule(1.0, 8, 1.0, 10))
+        monkeypatch.setattr(export, "_format_body",
+                            functools.partial(_die_at_peak, last.distributions[-1].values.max()))
+        written, write = [], export.write_csv
+        monkeypatch.setattr(export, "write_csv",
+                            lambda path, *args: (write(path, *args), written.append(path)))
+        out = tmp_path / "out"
+        assert main(["run-center", "--s", "8", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: worker-lost: ")
+        assert {os.path.basename(p) for p in written} >= {
+            "profile.csv", "workdist_step_2.csv", "workdist_step_3.csv", "workdist_step_4.csv"}
+        assert not list(out.iterdir())
 
     def test_import_and_small_runs_load_no_process_machinery(self, tmp_path):
         probe = textwrap.dedent("""

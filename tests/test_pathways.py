@@ -413,17 +413,18 @@ class TestTableBudget:
         # one state's slice is the whole table
         pytest.param(build_center_schedule(1.0, 3, 1.0, 0), 200, DEFAULT_TOL,
                      "transition tables", id="nmax0-200"),
-        # every link is a candidate and a record: the records' budget refuses the runs
+        # every link is a candidate and a record: the records' budget refuses
+        # the scan, while the split, which builds no record, is refused by its tables
         pytest.param(build_center_schedule(1.0, 3, 1.0, 2), 60, 1e9,
                      "transition records", id="huge-tol-60"),
     ])
     def test_checked_values_cover_the_traced_peaks(self, sch, points, tol, refused,
                                                    traced_peak):
         x = _positions(sch.x_grid, points)
-        runs = [(lambda: _transition_tables(sch, 2, x, DEFAULT_EPS_REL, tol), "transition tables")]
-        for run in (lambda: find_optimal_transitions(sch, 2, tol=tol, max_x_points=points),
-                    lambda: decompose_free_energy(sch, tol=tol, max_x_points=points)):
-            runs.append((run, refused))
+        runs = [(lambda: _transition_tables(sch, 2, x, DEFAULT_EPS_REL, tol), "transition tables"),
+                (lambda: find_optimal_transitions(sch, 2, tol=tol, max_x_points=points), refused),
+                (lambda: decompose_free_energy(sch, tol=tol, max_x_points=points),
+                 "transition tables")]
         for run, what in runs:
             peak = traced_peak(run)
             # a budget one float64 value below the traced peak refuses the run
@@ -531,13 +532,22 @@ class TestDecomposition:
             assert d.delta_f["total"] == pytest.approx(exact, rel=0.0, abs=1e-12), (s, n_max, a)
 
     def test_huge_tolerance_makes_everything_optimal(self, center_s3):
-        # nearly every link is matched: at the default p each step's ~400,000
-        # records are charged, built and dropped before the next step's
+        # nearly every link is matched; with no reader no record is built
         d = decompose_free_energy(center_s3, tol=1e9)
         total = d.contributions["total"]
         for key in ("stochastic", "deterministic", "optimal"):
             assert d.contributions[key] == pytest.approx(total, rel=1e-9)
         assert d.contributions["biased"] / total < 1e-8
+
+    def test_split_without_a_reader_builds_no_record(self, center_s3, monkeypatch):
+        # at a huge tol every link is a record; the split reads only the codes
+        read = decompose_free_energy(center_s3, tol=1e9, max_x_points=60,
+                                     on_records=lambda records: None)
+
+        def scan(*args, **kwargs):
+            raise AssertionError("a split with no reader scans for no record")
+        monkeypatch.setattr(pathways, "find_optimal_transitions", scan)
+        assert decompose_free_energy(center_s3, tol=1e9, max_x_points=60) == read
 
     def test_biased_pathways_contribute_little_at_moderate_tolerance(self, center_s3):
         d = decompose_free_energy(center_s3, tol=2.0)

@@ -309,11 +309,15 @@ class TestGridBudget:
         lambda: build_center_schedule(20.0, 3, 1.0, 10),
         lambda: build_center_schedule(1.0, 101, 1.0, 10),
         lambda: build_spring_schedule(1.3, 61, 0.05, 200),
+        lambda: build_spring_schedule(1.3, 3, 0.1, 0, x_points=1_000_000),
+        lambda: build_center_schedule(1.0, 2, 1.0, 10, w_points=2_000_000),
     ], ids=["run-spring", "spring-s3-w20001", "spring-s3-w50001", "spring-s3-w100001",
-            "center-s3-w100001", "center-lambda20-s3", "center-s101", "spring-s61-n200"])
+            "center-s3-w100001", "center-lambda20-s3", "center-s101", "spring-s61-n200",
+            "spring-s3-x1e6", "center-s2-w2e6"])
     def test_recursion_estimate_covers_its_measured_peak(self, build, traced_peak):
         # the convolution's kernel, 128 values per node of the shorter
-        # operand, outweighs everything else where the work window is long
+        # operand, outweighs everything else where the work window is long;
+        # one step's x-side arrays do where the x grid is long and s small
         peak = traced_peak(lambda: run_work_recursion(build()))
         # a budget one float64 value below the traced peak refuses the schedule
         with pytest.MonkeyPatch.context() as mp:
