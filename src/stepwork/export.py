@@ -72,7 +72,7 @@ def format_rows(rows):
 
 
 def write_csv(path, header, rows, meta=None):
-    """Write a table under its '#' comment lines, in one binary write.
+    """Write a table under its '#' comment lines: the head, then the body as it is.
 
     ``meta`` is the config dict, written as '# config: {...}', or a list of
     comment entries in order: config dicts and 'tag: text' strings.  Rows
@@ -83,9 +83,9 @@ def write_csv(path, header, rows, meta=None):
         rows = format_rows(rows)
     entries = [] if meta is None else [meta] if isinstance(meta, dict) else meta
     head = "".join(_comment(e) + "\n" for e in entries) + ",".join(header) + "\n"
-    data = head.encode() + rows.body  # waits for a worker's body before the file opens
+    body = rows.body  # waits for a worker's body before the file opens
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines((head.encode(), body))
 
 
 @functools.lru_cache(maxsize=1)

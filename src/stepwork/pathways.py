@@ -349,39 +349,38 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     pass in float64: exact ints while ((n_max+1) p)^(s-1) <= 2^53, and
     beyond that rounded, so they are given as floats.
 
-    Each transition i = 2..s is scanned once at the same positions: with
-    ``on_records``, by ``find_optimal_transitions``, whose records go to the
-    callback in step order; without it, only the condition code is built.
-    The one-byte code advances the pass when i < s; then it is dropped with
-    the records, so one transition's code and records are alive at a time.
-    The pass works one (n_prev, n_next) block at a time, so what is held is
-    one byte per link plus one state's slice.  With a callback, a transition
-    whose matches exceed the grid budget (a huge tol) is refused with GridTooLarge.
+    With ``on_records``, each transition i = 2..s is scanned once at the same
+    positions by ``find_optimal_transitions``, whose records go to the
+    callback in step order (matches over the grid budget, at a huge tol, are
+    refused with GridTooLarge); without it, only the codes of i = 2..s-1 are
+    built, since code s advances nothing.  Code i advances the pass with slot
+    i's weights, built then, one (n_prev, n_next) block at a time, and is
+    dropped with its records, so what is held is one slot's weights, one
+    transition's records, one byte per link and one state's slice.
     """
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
     beta = schedule.beta
 
-    # per-slot discrete weights q_i[n, k] ~ Boltzmann x density x e^{-beta dW};
-    # where e^{-beta dW} overflows they are formed in log space, so a density
-    # that underflowed to 0 weighs 0
-    slot_weight = []
-    for i in range(1, schedule.s):
+    def slot_weight(i):
+        # slot i's discrete weights q_i[n, k] ~ Boltzmann x density x e^{-beta dW};
+        # where e^{-beta dW} overflows they are formed in log space, so a density
+        # that underflowed to 0 weighs 0
         spec = schedule.spectrum(i)
         q = spec.boltzmann_weights(schedule.a)[:, None] * spec.all_densities(x)
         q /= q.sum()
         log_tilt = -beta * step_work_map(schedule, i, x)[None, :]
         weight = q * np.exp(log_tilt)
-        slot_weight.append(np.where(np.isfinite(weight), weight, np.exp(np.log(q) + log_tilt)))
+        return np.where(np.isfinite(weight), weight, np.exp(np.log(q) + log_tilt)).ravel()
 
     # chain[:, f] carries the (weight, count) sums of the prefixes along which
     # exactly the conditions in f (A + 2 B + 4 DB) held; at the first slot
     # every condition holds vacuously.  With s = 1 no work is done: one empty
     # pathway of weight 1, optimal by the same vacuous truth
-    first = slot_weight[0].ravel() if slot_weight else np.ones(1)
-    chain = np.zeros((2, 8, first.size))
-    chain[:, 7] = first, np.ones(first.size)
-    for i in range(2, schedule.s + 1):
+    q = slot_weight(1) if schedule.s > 1 else np.ones(1)
+    chain = np.zeros((2, 8, q.size))
+    chain[:, 7] = q, np.ones(q.size)
+    for i in range(2, schedule.s if on_records is None else schedule.s + 1):
         if on_records is None:
             code = _transition_tables(schedule, i, x, eps_rel, tol)["code"]
         else:
@@ -390,7 +389,7 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
             on_records(scan.records)
             code, scan = scan.code, None
         if i < schedule.s:
-            q = slot_weight[i - 1].ravel()
+            q = slot_weight(i)
             chain = _advance(chain, code) * np.stack([q, np.ones(q.size)])[:, None, :]
         del code  # the next transition's tables are built without this one's
     by_class = np.zeros((len(PathwayClass), 2))

@@ -11,6 +11,7 @@ quadrature errors are limited to (sub-machine) trapezoid tail terms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -57,7 +58,8 @@ class GridSpec:
 def check_grid_budget(what, values, remedy="lower s, n_max, the pull or the point counts"):
     """Refuse work that would hold more than GRID_BUDGET float64 values at once."""
     if values > GRID_BUDGET:
-        raise GridTooLarge(f"{what} need about {values:.3g} float64 values, over the "
+        about = values if values <= sys.float_info.max else math.inf  # an int past float64
+        raise GridTooLarge(f"{what} need about {about:.3g} float64 values, over the "
                            f"budget of {GRID_BUDGET:.0e}; {remedy}")
 
 
@@ -147,13 +149,15 @@ def _effective_sigma2(spectrum, a):
 
 
 def _check_inputs(x_points, w_points, **values):
-    """Reject non-finite physical inputs and grids too small to integrate on."""
+    """Reject non-finite physical inputs and point counts too small or too large to size."""
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     for name, points in (("x_points", x_points), ("w_points", w_points)):
         if points is not None and points < 2:
             raise ValueError(f"{name} must be at least 2, got {points}")
+        if points is not None and points > sys.float_info.max:  # the sizing divides by it
+            raise GridTooLarge(f"{name} is past the float64 range; lower the point counts")
 
 
 def _check_run(kind, a, n_max, s, increment):
@@ -178,9 +182,7 @@ def _snap_grid(lo, hi, h, off=0.0):
         raise GridTooLarge("the grids need infinitely many nodes; raise the pull increment "
                            "or lower the point counts")
     m_lo = math.floor((lo - off) / h)
-    m_hi = math.ceil((hi - off) / h)
-    if m_hi <= m_lo:
-        m_hi = m_lo + 1
+    m_hi = max(math.ceil((hi - off) / h), m_lo + 1)
     return GridSpec(m_lo * h + off, m_hi * h + off, m_hi - m_lo + 1)
 
 

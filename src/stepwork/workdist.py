@@ -133,8 +133,7 @@ def _deposit(positions, masses, h):
 
 def _trapezoid_masses(density: GriddedDensity):
     w = np.full(density.grid.points, density.grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w[[0, -1]] *= 0.5
     return density.values * w
 
 

@@ -317,6 +317,14 @@ class TestPathwaysCommand:
         ["run-center", "--s", "2", "--lambda-s", "5e-324"],
         ["run-center", "--s", "2", "--lambda-s", "1e-320"],
         ["run-center", "--s", "3", "--dlambda", "1e-320"],
+        # point counts past the float64 range, which the grid sizing divides by
+        ["run-center", "--x-points", "1" + "0" * 400],
+        ["run-center", "--w-points", "1" + "0" * 400],
+        ["run-spring", "--x-points", "1" + "0" * 400],
+        ["pathways", "--x-points", "1" + "0" * 400],
+        # within the range, with charges past it
+        ["run-center", "--w-points", "1" + "0" * 308],
+        ["run-spring", "--x-points", "1" + "0" * 308],
     ])
     def test_oversized_work_refused_before_any_output(self, argv, tmp_path, capsys):
         # refused by the size estimates, before any large array is allocated
@@ -759,6 +767,16 @@ class TestExport:
         export.write_csv(tmp_path / "b.csv", ["W", "rho"], tuples)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == b"W,rho\n" + rows.body
+
+    def test_write_makes_no_copy_of_the_body(self, tmp_path, traced_peak):
+        # the head and then the body go to the file, with no joined copy of both
+        grid = protocol.GridSpec(0.0, 1.0, 1_000_000)
+        density = workdist.GriddedDensity(grid, np.linspace(0.0, 1.0, grid.points))
+        _, rows = export.density_rows(density)
+        path = tmp_path / "big.csv"
+        peak = traced_peak(lambda: export.write_csv(path, ["W", "rho"], rows, {"case": 1}))
+        assert peak < 0.1 * len(rows.body)
+        assert path.read_bytes() == b'# config: {"case":1}\nW,rho\n' + rows.body
 
     def test_comment_lines_follow_config(self, tmp_path):
         path = tmp_path / "t.csv"

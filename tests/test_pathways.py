@@ -549,6 +549,33 @@ class TestDecomposition:
         monkeypatch.setattr(pathways, "find_optimal_transitions", scan)
         assert decompose_free_energy(center_s3, tol=1e9, max_x_points=60) == read
 
+    def test_split_without_a_reader_builds_no_last_code(self, monkeypatch):
+        # the code of transition s advances nothing, so no reader means no build
+        built = []
+
+        def tables(schedule, i, *args):
+            built.append(i)
+            return _transition_tables(schedule, i, *args)
+        monkeypatch.setattr(pathways, "_transition_tables", tables)
+        decompose_free_energy(build_center_schedule(1.0, 4, 1.0, 3))
+        assert built == [2, 3]
+
+    def test_two_step_split_without_a_reader_reads_no_tables(self):
+        # the tables of transition 2 alone would be over the budget at n_max = 100
+        d = decompose_free_energy(build_center_schedule(1.0, 2, 1.0, 100))
+        assert d.reconstruction_error <= 1e-12
+
+    def test_split_holds_one_slot_at_a_time(self, traced_peak):
+        # each slot's weights are built when the pass multiplies them in, so
+        # the split's peak does not grow with s; the schedules, whose controls
+        # do, are built before the trace
+        peak = {}
+        for s in (40, 400):
+            sch = build_center_schedule(1.0, s, 1.0, 3)
+            assert sch.x_grid.points > 20  # sized here, not under the trace
+            peak[s] = traced_peak(lambda: decompose_free_energy(sch, max_x_points=20))
+        assert peak[400] <= 1.2 * peak[40], peak
+
     def test_biased_pathways_contribute_little_at_moderate_tolerance(self, center_s3):
         d = decompose_free_energy(center_s3, tol=2.0)
         assert d.contributions["biased"] / d.contributions["total"] < 0.10
