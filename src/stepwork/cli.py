@@ -45,18 +45,14 @@ _SWEEP_DEFAULTS = {**_CENTER_DEFAULTS, "omega_ratio": 1.3, "sweep_param": "a",
 del _SWEEP_DEFAULTS["x_points"], _SWEEP_DEFAULTS["w_points"]
 
 
-class _ConfigError(Exception):
-    pass
-
-
 def _load_config(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise _ConfigError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     return cfg
 
 
@@ -83,15 +79,15 @@ def _resolve(args):
         file_cfg = _load_config(args.config)
         unknown = set(file_cfg) - set(defaults)
         if unknown:
-            raise _ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
             if not _file_value_ok(value, args.flags[key].type, args.flags[key].choices):
-                raise _ConfigError(f"config key {key!r} cannot take the value {json.dumps(value)}")
+                raise ValueError(f"config key {key!r} cannot take the value {json.dumps(value)}")
         cfg.update(file_cfg)
         # only sweep has a --protocol flag; every other command fixes its protocol
         if not hasattr(args, "protocol") and cfg["protocol"] != defaults["protocol"]:
-            raise _ConfigError(f"{args.command} runs the {defaults['protocol']} protocol, "
-                               f"not {cfg['protocol']}")
+            raise ValueError(f"{args.command} runs the {defaults['protocol']} protocol, "
+                             f"not {cfg['protocol']}")
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -100,10 +96,7 @@ def _resolve(args):
 
 
 def _ensure_outdir(out):
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise PermissionError(str(exc)) from exc
+    os.makedirs(out, exist_ok=True)
     if not os.access(out, os.W_OK):
         raise PermissionError(f"{out} is not writable")
     return out
@@ -169,29 +162,29 @@ def _sweep_point(cfg, param, value):
 
 def _check_sweep_value(param, value, lambda_s):
     if param == "nmax" and not value.is_integer():
-        raise _ConfigError(f"nmax sweep values must be integers, not {value}")
+        raise ValueError(f"nmax sweep values must be integers, not {value}")
     if param == "dlambda":
         if not (math.isfinite(value) and value > 0.0):
-            raise _ConfigError(f"dlambda sweep values must be finite and positive, not {value}")
+            raise ValueError(f"dlambda sweep values must be finite and positive, not {value}")
         n_steps = lambda_s / value
         if not (math.isfinite(n_steps) and n_steps > 0.5 and abs(n_steps - round(n_steps)) <= 1e-9):
-            raise _ConfigError(f"dlambda {value} does not divide lambda_s = {lambda_s} "
-                               "into a positive whole number of steps")
+            raise ValueError(f"dlambda {value} does not divide lambda_s = {lambda_s} "
+                             "into a positive whole number of steps")
 
 
 def cmd_sweep(args, cfg):
     param = cfg["sweep_param"]
     if param == "dlambda" and cfg["protocol"] != "center":
-        raise _ConfigError("the dlambda sweep applies to the center protocol")
+        raise ValueError("the dlambda sweep applies to the center protocol")
     if not cfg["sweep_values"]:
         if param != "a":
-            raise _ConfigError("sweep needs a non-empty --values list")
+            raise ValueError("sweep needs a non-empty --values list")
         cfg["sweep_values"] = default_temperature_sweep()
     values = [float(v) for v in cfg["sweep_values"]]
     for value in values:
         _check_sweep_value(param, value, cfg["lambda_s"])
     if param == "dlambda" and len(set(values)) < 2:
-        raise _ConfigError("a dlambda sweep fits a line and needs two distinct values")
+        raise ValueError("a dlambda sweep fits a line and needs two distinct values")
     out = _ensure_outdir(cfg["out"])
     rows = [_sweep_point(cfg, param, v) for v in values]
 
@@ -271,7 +264,7 @@ class _Parser(argparse.ArgumentParser):
     malformed values, no subcommand) are configuration errors like any other."""
 
     def error(self, message):
-        raise _ConfigError(message)
+        raise ValueError(message)
 
 
 def build_parser():
@@ -316,12 +309,11 @@ def build_parser():
 
 
 # the error contract: each failure's "error: <token>: detail" token and exit
-# code, for the first class in this order that the exception is an instance of
-_FAILURES = ((_ConfigError, "config", 2), (PermissionError, "output-unwritable", 2),
+# code: bad input raises ValueError, and an output that cannot be written OSError
+_FAILURES = ((ValueError, "config", 2), (OSError, "output-unwritable", 2),
              (GridTooLarge, "grid-too-large", 2), (MassLeak, "mass-leak", 1),
              (NonFiniteResult, "non-finite", 1), (GridTooNarrow, "grid-too-narrow", 1),
-             (WorkerLost, "worker-lost", 1),
-             (ValueError, "config", 2), (OSError, "config", 2))
+             (WorkerLost, "worker-lost", 1))
 
 
 def main(argv=None):

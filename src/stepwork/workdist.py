@@ -20,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooNarrow, MassLeak
+from .export import ROW_VALUES
 from .protocol import GridSpec, PullSchedule, check_grid_budget
 from .spectra import OscillatorSpectrum
 
@@ -232,7 +233,8 @@ def run_work_recursion(schedule: PullSchedule):
     """
     x_grid, w_grid = schedule.x_grid, schedule.w_grid
     h, held = w_grid.spacing, w_grid.points + 4  # a rho_i cut to the window, with pads
-    values = schedule.density_values + (schedule.s - 1) * held
+    # the s - 1 rho_i, and the export of one of them while all are held
+    values = schedule.density_values + (schedule.s - 1 + ROW_VALUES) * held
     if schedule.s > 2:
         # g_j, with pads, spans the x grid's image, extreme at the grid's ends or at 0
         u = step_work_map(schedule, 1, [x_grid.min, 0.0, x_grid.max])

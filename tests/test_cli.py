@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import math
@@ -95,6 +96,31 @@ class TestRunCenter:
         code = main(["run-center", "--out", str(blocker / "sub")])
         assert code == 2
         assert "error: output-unwritable:" in capsys.readouterr().err
+
+    def test_failed_write_is_output_unwritable(self, tmp_path, monkeypatch, capsys):
+        # a write that fails after --out is made (a full disk at the second
+        # distribution) is one output-unwritable line, and leaves no file
+        write = export.write_csv
+
+        def full_at_step_3(path, *args):
+            if path.endswith("workdist_step_3.csv"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(path, *args)
+
+        monkeypatch.setattr(export, "write_csv", full_at_step_3)
+        out = tmp_path / "out"
+        assert main(["run-center", "--s", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: output-unwritable: [Errno 28] No space left on device\n")
+        assert out.is_dir() and not list(out.iterdir())
+
+    def test_output_path_taken_by_a_directory_is_output_unwritable(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "profile.csv").mkdir(parents=True)
+        assert main(["run-center", "--s", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output-unwritable: ") and len(err.splitlines()) == 1
+        assert [p.name for p in out.iterdir()] == ["profile.csv"]
 
     def test_builds_each_density_once(self, tmp_path, monkeypatch):
         calls = []
@@ -777,6 +803,16 @@ class TestExport:
         peak = traced_peak(lambda: export.write_csv(path, ["W", "rho"], rows, {"case": 1}))
         assert peak < 0.1 * len(rows.body)
         assert path.read_bytes() == b'# config: {"case":1}\nW,rho\n' + rows.body
+
+    def test_template_holds_no_per_node_lines(self, traced_peak):
+        # the W column is formatted in one bytes %; joining one line per node
+        # traced 20.4 float64 values per node
+        grid = protocol.GridSpec(-3.0, 7.0, 1_000_000)
+        export._row_template.cache_clear()
+        try:
+            assert traced_peak(lambda: export._row_template(grid)) < 12 * 8 * grid.points
+        finally:
+            export._row_template.cache_clear()
 
     def test_comment_lines_follow_config(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -5,15 +5,19 @@ n_max <= 12) whose float flags also take nan, +-inf, +-0, negatives and
 the float64 extremes, passed as ``--flag=value`` or as separate tokens.
 The grid budget is lowered to 1e6 values, so no accepted configuration
 allocates more than about that; larger work is only ever refused by the
-size estimates.
+size estimates.  An admitted run's traced peak is held to its largest
+charge to the budget, with one usable CPU so that its export, formatted in
+process, is traced too.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,12 +26,14 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from stepwork import cli, protocol
+from stepwork import cli, pathways, protocol, workdist
 
 BUDGET = 10**6
 _EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300]
 _EDGE_INT = [-1, 0, 1, 2, 3]
 _ERROR_LINE = re.compile(r"error: [a-z-]+: \S")
+# traced bytes of an admitted run that no charge covers
+_UNCHARGED_BYTES = 64 * 1024
 
 
 @st.composite
@@ -63,13 +69,27 @@ def _argv(draw):
 
 
 def _run(argv, out):
-    err = io.StringIO()
+    """main()'s exit code, stderr, warnings, traced peak in bytes, and the
+    largest value it charged to the budget."""
+    err, charges, check = io.StringIO(), [], protocol.check_grid_budget
+
+    def charge(what, values, *remedy):
+        charges.append(values)
+        check(what, values, *remedy)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
         mp.setattr(protocol, "GRID_BUDGET", BUDGET)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        for module in (protocol, workdist, pathways):
+            mp.setattr(module, "check_grid_budget", charge)
         warnings.simplefilter("always")
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv + ["--out", str(out)])
-    return code, err.getvalue(), [str(w.message) for w in caught]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, err.getvalue(), [str(w.message) for w in caught], peak, max(charges, default=0)
 
 
 def _profile(out):
@@ -98,10 +118,13 @@ def _profile(out):
 @example(argv=["run-center", "--lambda-s=20.0", "--s=2", "--x-points=3"])
 @example(argv=["run-spring", "--x-points=3"])
 @example(argv=["run-spring", "--w-points=3"])
+# once admitted at a charge of 956,107 values, while its export, charged
+# nothing, traced about 8 times that
+@example(argv=["run-spring", "--s=2", "--w-points=600000"])
 def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        code, err, caught = _run(argv, out)
+        code, err, caught, peak, charged = _run(argv, out)
         event(f"{argv[0]} exit {code}")
         assert code in (0, 1, 2)
         assert not caught, caught
@@ -111,6 +134,9 @@ def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
             assert not out.exists() or not list(out.iterdir())
             return
         assert err == ""
+        # an admitted run holds no more than it is charged, but for argparse,
+        # the config and small arrays (traced at most 38 KB over 1.1 times the charge)
+        assert peak <= 1.1 * 8 * charged + _UNCHARGED_BYTES, (peak, charged)
         if argv[0] == "pathways":
             payload = json.loads((out / "decomposition.json").read_text())
             assert payload["reconstruction_error"] <= 1e-12
