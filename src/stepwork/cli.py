@@ -31,8 +31,8 @@ from .pathways import (DEFAULT_EPS_REL, DEFAULT_TOL, TransitionRecord, _check_to
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
 from .workdist import fluctuation_density, run_work_recursion
 
-_CENTER_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "dlambda": None, "s": 11,
-                    "a": 1.0, "n_max": 10, "x_points": None, "w_points": None, "out": "."}
+_CENTER_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "s": 11, "a": 1.0, "n_max": 10,
+                    "x_points": None, "w_points": None, "out": "."}
 _SPRING_DEFAULTS = {"protocol": "spring", "omega_ratio": 1.3, "s": 11, "a": 0.1,
                     "n_max": 100, "x_points": None, "w_points": None, "out": "."}
 # the pathway scan reads no work grid, and sweep evaluates closed forms on
@@ -105,12 +105,12 @@ def _ensure_outdir(out):
 @contextlib.contextmanager
 def _removed_on_failure(paths):
     """Remove whichever of a run's output paths exist if the block raises,
-    so a failed run leaves no output file."""
+    so a failed run leaves no output file; a path it cannot remove is skipped."""
     try:
         yield
     except BaseException:
         for path in paths:
-            with contextlib.suppress(FileNotFoundError):
+            with contextlib.suppress(OSError):
                 os.remove(path)
         raise
 
@@ -121,10 +121,7 @@ def _schedule_from(cfg):
     if cfg["protocol"] == "spring":
         return build_spring_schedule(cfg["omega_ratio"], cfg["s"], cfg["a"], cfg["n_max"],
                                      **grids)
-    lambda_s = cfg["lambda_s"]
-    if cfg.get("dlambda") is not None:
-        lambda_s = cfg["dlambda"] * (cfg["s"] - 1)
-    return build_center_schedule(lambda_s, cfg["s"], cfg["a"], cfg["n_max"], **grids)
+    return build_center_schedule(cfg["lambda_s"], cfg["s"], cfg["a"], cfg["n_max"], **grids)
 
 
 def cmd_run(args, cfg):
@@ -154,7 +151,8 @@ def _sweep_point(cfg, param, value):
     elif param == "nmax":
         point["n_max"] = int(value)
     elif param == "dlambda":
-        point.update(s=round(cfg["lambda_s"] / value) + 1, dlambda=float(value))
+        steps = round(cfg["lambda_s"] / value)
+        point.update(s=steps + 1, lambda_s=float(value) * steps)
     profile = free_energy_profile(_schedule_from(point))
     return (float(value), profile.endpoint, float(profile.mean_work[-1]),
             float(profile.std_work[-1]), float(profile.targets[-1]))
@@ -196,7 +194,8 @@ def cmd_sweep(args, cfg):
         comments.append("fit: " + fit)
         print("sweep fit: " + fit)
     path = os.path.join(out, "sweep.csv")
-    export.write_csv(path, [param, "delta_F", "mean_W", "std_W", "oracle"], rows, comments)
+    with _removed_on_failure([path]):
+        export.write_csv(path, [param, "delta_F", "mean_W", "std_W", "oracle"], rows, comments)
     print(f"sweep: wrote {len(rows)} points to {path}")
     return 0
 
@@ -275,7 +274,6 @@ def build_parser():
 
     p = sub.add_parser("run-center", help="trap-center pulling run")
     _add_common(p, _CENTER_DEFAULTS)
-    p.add_argument("--dlambda", type=float, help="pull increment (sets lambda_s = dlambda*(s-1))")
     p.add_argument("--lambda-s", type=float, dest="lambda_s", help="total pull distance")
     p.set_defaults(func=cmd_run, defaults=_CENTER_DEFAULTS)
 
@@ -302,7 +300,7 @@ def build_parser():
     p.set_defaults(func=cmd_pathways, defaults=_PATHWAY_DEFAULTS)
 
     # a config key is checked against its flag on any command, since sweep
-    # takes lambda_s and dlambda from a file but has no flag for them
+    # takes lambda_s from a file but has no flag for it
     parser.set_defaults(flags={action.dest: action for p in sub.choices.values()
                                for action in p._actions})
     return parser

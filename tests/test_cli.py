@@ -122,6 +122,17 @@ class TestRunCenter:
         assert err.startswith("error: output-unwritable: ") and len(err.splitlines()) == 1
         assert [p.name for p in out.iterdir()] == ["profile.csv"]
 
+    def test_failed_write_removes_the_files_past_a_directory(self, tmp_path, capsys):
+        # a stale workdist_step_4.csv from an earlier run, and a directory where
+        # workdist_step_3.csv goes: the cleanup leaves the directory, not the file
+        out = tmp_path / "out"
+        (out / "workdist_step_3.csv").mkdir(parents=True)
+        (out / "workdist_step_4.csv").write_text("stale\n")
+        assert main(["run-center", "--s", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output-unwritable: ") and len(err.splitlines()) == 1
+        assert [p.name for p in out.iterdir()] == ["workdist_step_3.csv"]
+
     def test_builds_each_density_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -200,17 +211,6 @@ class TestSweep:
         assert intercept == pytest.approx(0.25, abs=1e-6)
         assert slope == pytest.approx((1 - 1 / math.tanh(1.0)) / 4.0, abs=1e-6)
 
-    def test_dlambda_sweep_overrides_a_config_dlambda(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dlambda": 0.5}))
-        argv = ["sweep", "--param", "dlambda", "--values", "0.1,0.2"]
-        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
-        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "keyed")]) == 0
-        plain, keyed = ((tmp_path / run / "sweep.csv").read_text().splitlines()
-                        for run in ("plain", "keyed"))
-        # the config line differs (it echoes the file's key); the fit and the rows do not
-        assert keyed[1:] == plain[1:]
-
     def test_dlambda_sweep_pulls_to_the_config_lambda_s(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lambda_s": 2.0}))
@@ -220,6 +220,21 @@ class TestSweep:
         for row, s in zip(rows, (21, 11)):
             exact = free_energy_profile(protocol.build_center_schedule(2.0, s, 1.0, 10)).endpoint
             assert row[1] == export.format_number(exact)
+
+    def test_failed_write_leaves_no_sweep_csv(self, tmp_path, monkeypatch, capsys):
+        # the disk fills after the file is written: it is removed
+        write = export.write_csv
+
+        def write_then_full(path, *args):
+            write(path, *args)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(export, "write_csv", write_then_full)
+        out = tmp_path / "out"
+        assert main(["sweep", "--param", "a", "--values", "1,2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: output-unwritable: [Errno 28] No space left on device\n"
+        assert out.is_dir() and not list(out.iterdir())
 
     def test_nmax_sweep_stabilizes(self, tmp_path):
         out = tmp_path / "sw"
@@ -342,7 +357,7 @@ class TestPathwaysCommand:
         # the node count (hi - lo) / h overflows float64
         ["run-center", "--s", "2", "--lambda-s", "5e-324"],
         ["run-center", "--s", "2", "--lambda-s", "1e-320"],
-        ["run-center", "--s", "3", "--dlambda", "1e-320"],
+        ["run-center", "--s", "3", "--lambda-s", "2e-320"],
         # point counts past the float64 range, which the grid sizing divides by
         ["run-center", "--x-points", "1" + "0" * 400],
         ["run-center", "--w-points", "1" + "0" * 400],
@@ -577,6 +592,9 @@ class TestInputContract:
         ("sweep", {"protocol": "quantum"}),
         ("sweep", {"sweep_param": "zz"}),
         ("pathways", {"w_points": 100}),
+        # the pull length is lambda_s alone; its step is lambda_s / (s - 1)
+        ("sweep", {"dlambda": 0.5}),
+        ("run-center", {"dlambda": 0.1}),
     ])
     def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -596,8 +614,10 @@ class TestInputContract:
         ["run-center", "--s", "abc"],
         ["sweep", "--param", "zz"],
         [],
+        # a center pull steps by lambda_s / (s - 1): --lambda-s is its one length
+        ["run-center", "--dlambda", "0.1"],
     ], ids=["value-read-as-flag", "unknown-flag", "missing-value", "malformed-value",
-            "bad-choice", "no-command"])
+            "bad-choice", "no-command", "no-dlambda-flag"])
     def test_parser_errors_are_one_config_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(argv + (["--out", str(out)] if argv else [])) == 2
@@ -931,3 +951,31 @@ class TestPooledExport:
                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(export._usable_cpus() < 2, reason="the pool needs two usable CPUs")
+    def test_max_rss_grows_by_one_export_per_row(self, tmp_path):
+        # each run from a helper process of its own, which reads the run's max
+        # RSS alone: the figure of this process's children is a running max over
+        # all of them.  A held distribution and its pooled export cost
+        # ROW_VALUES + 1 values per row, measured at 12.9 on two CPUs
+        helper = textwrap.dedent("""
+            import resource, subprocess, sys
+            subprocess.run([sys.executable, "-m", "stepwork.cli", *sys.argv[1:]],
+                           check=True, stdout=subprocess.DEVNULL)
+            print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        """)
+        src = str(Path(export.__file__).resolve().parents[1])
+        runs = []
+        for points in (1_000_000, 3_000_000):
+            out = tmp_path / str(points)
+            proc = subprocess.run([sys.executable, "-c", helper, "run-spring", "--s", "2",
+                                   "--w-points", str(points), "--out", str(out)],
+                                  env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            with open(out / "workdist_step_2.csv", "rb") as fh:
+                rows = sum(1 for _ in fh) - 2  # below the config and header lines
+            runs.append((rows, 1024 * int(proc.stdout)))  # ru_maxrss is in KiB
+        (rows_small, rss_small), (rows_large, rss_large) = runs
+        per_row = (rss_large - rss_small) / (rows_large - rows_small)
+        assert per_row <= (export.ROW_VALUES + 1) * 8, runs

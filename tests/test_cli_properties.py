@@ -26,7 +26,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from stepwork import cli, pathways, protocol, workdist
+from stepwork import cli, export, pathways, protocol, workdist
 
 BUDGET = 10**6
 _EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300]
@@ -121,6 +121,8 @@ def _profile(out):
 # once admitted at a charge of 956,107 values, while its export, charged
 # nothing, traced about 8 times that
 @example(argv=["run-spring", "--s=2", "--w-points=600000"])
+# once admitted, it pulled to 0.2 while its config echoed lambda_s = 1
+@example(argv=["run-center", "--s=3", "--dlambda=0.1"])
 def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -142,6 +144,10 @@ def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
             assert payload["reconstruction_error"] <= 1e-12
             return
         cfg, profile = _profile(out)
+        if argv[0] == "run-center":
+            # the pull ends at the lambda_s it echoes (s = 1 does no work and stays at 0)
+            end = 0.0 if cfg["s"] == 1 else float(export.format_number(cfg["lambda_s"]))
+            assert profile[-1, 1] == end, (profile[-1, 1], cfg)
         # every distribution integrates to 1 under the trapezoid rule over its own
         # rows, and its mean and std meet the closed-form profile's; a no-work
         # spike (std_W = 0) must meet them exactly
