@@ -18,6 +18,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from itertools import pairwise, starmap
 
@@ -135,11 +136,16 @@ def cmd_run(args, cfg):
                 w_points_resolved=schedule.w_grid.points)
     header, rows = export.profile_rows(profile)
     paths = [os.path.join(out, f"workdist_step_{i}.csv") for i in range(2, schedule.s + 1)]
+    # a longer earlier run's distributions past step s would outlive this run's profile
+    for name in os.listdir(out):
+        step = re.fullmatch(r"workdist_step_([1-9][0-9]*)\.csv", name)
+        if step and int(step[1]) > schedule.s:
+            os.remove(os.path.join(out, name))
     with _removed_on_failure([os.path.join(out, "profile.csv"), *paths]):
         export.write_csv(os.path.join(out, "profile.csv"), header, rows, meta)
         export.write_densities(paths, ledger.distributions, meta)
     print(f"{args.command}: s={schedule.s} a={schedule.a} "
-          f"n_max={schedule.n_max} dF={export.format_number(profile.endpoint)}")
+          f"n_max={schedule.n_max} dF={profile.endpoint:.12g}")
     return 0
 
 
@@ -189,8 +195,7 @@ def cmd_sweep(args, cfg):
     comments = [{k: v for k, v in cfg.items() if v is not None}]
     if param == "dlambda":
         slope, intercept = np.polyfit([r[0] for r in rows], [r[1] for r in rows], 1)
-        fit = (f"slope={export.format_number(float(slope))} "
-               f"intercept={export.format_number(float(intercept))}")
+        fit = f"slope={slope:.12g} intercept={intercept:.12g}"
         comments.append("fit: " + fit)
         print("sweep fit: " + fit)
     path = os.path.join(out, "sweep.csv")
@@ -241,7 +246,7 @@ def cmd_pathways(args, cfg):
             "overlaps": overlaps,
         })
     print(f"pathways: {rows} optimal transitions, "
-          f"reconstruction error {export.format_number(decomp.reconstruction_error)}")
+          f"reconstruction error {decomp.reconstruction_error:.12g}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Deterministic CSV/JSON writers for run artifacts.
 
-Numbers are rendered with 12 significant digits and '.' decimals regardless
-of locale, so identical configurations produce byte-identical files.
+Every CSV body is one bytes % against a line template, "%d" per int and "%.12g"
+per float field, so identical configurations produce byte-identical files.
 
 ``write_densities`` writes a run's work distributions.  When they hold at
 least POOL_MIN_ROWS data rows and more than one CPU is usable, each file's
@@ -17,14 +17,15 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 
 from .errors import WorkerLost
 
-__all__ = ["FormattedRows", "format_number", "format_rows", "write_csv", "density_rows",
-           "write_densities", "profile_rows", "write_json"]
+__all__ = ["FormattedRows", "format_rows", "write_csv", "density_rows", "write_densities",
+           "profile_rows", "write_json"]
 
 # data rows from which formatting a run's distributions on worker processes
 # pays back the pool's start-up; below it they are formatted in process
@@ -32,10 +33,6 @@ POOL_MIN_ROWS = 200_000
 # float64 values a distribution's export holds per row (Python floats, line
 # template, body): measured at up to 11.5 in process and 13.5 in a pooled worker
 ROW_VALUES = 14
-
-
-def format_number(x):
-    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _comment(entry):
@@ -69,9 +66,11 @@ class FormattedRows:
 
 
 def format_rows(rows):
-    """FormattedRows of tuples of scalars, each rendered by format_number."""
-    text = "".join(",".join(map(format_number, row)) + "\n" for row in rows)
-    return FormattedRows(text.encode(), len(rows))
+    """FormattedRows of rows with the first row's field types: its line, "%d" per
+    int and "%.12g" per float field, repeated per row and filled in one bytes %."""
+    line = b",".join(b"%d" if isinstance(v, int) else b"%.12g" for v in next(iter(rows), ()))
+    body = (line + b"\n") * len(rows) % tuple(itertools.chain.from_iterable(rows))
+    return FormattedRows(body, len(rows))
 
 
 def write_csv(path, header, rows, meta=None):
@@ -107,9 +106,9 @@ def density_rows(density, pool=None):
     """Two-column (W, rho) rows, one per grid node.
 
     The rows come back as FormattedRows: the rho column is formatted in one
-    bytes % against the grid's line template, and "%.12g" renders every
-    float exactly as format_number does.  With a process ``pool`` the
-    formatting is submitted to it, and the body is a future.
+    bytes % against the grid's line template, as format_rows fills its own.
+    With a process ``pool`` the formatting is submitted to it, and the body
+    is a future.
     """
     if pool is None:
         body = _format_body(density.grid, density.values)
@@ -168,15 +167,10 @@ def write_densities(paths, densities, meta):
 
 
 def profile_rows(profile):
-    header = ["step", "control", "delta_F", "delta_F_target",
-              "mean_W", "std_W", "F_ref"]
-    rows = []
-    for i in range(profile.schedule.s):
-        rows.append((i + 1, float(profile.schedule.controls[i]),
-                     float(profile.delta_f[i]), float(profile.targets[i]),
-                     float(profile.mean_work[i]), float(profile.std_work[i]),
-                     float(profile.f_ref[i])))
-    return header, rows
+    header = ["step", "control", "delta_F", "delta_F_target", "mean_W", "std_W", "F_ref"]
+    columns = (profile.delta_f, profile.targets, profile.mean_work, profile.std_work, profile.f_ref)
+    return header, list(zip(range(1, profile.schedule.s + 1), profile.schedule.controls,
+                            *(c.tolist() for c in columns)))
 
 
 def write_json(path, payload):

@@ -210,7 +210,7 @@ def _center_grids(schedule):
     controls, dlam, a, n_max = schedule.controls, schedule.increment, schedule.a, schedule.n_max
     # every step's density has the first one's shape, translated
     first = schedule.spectrum(1)
-    sig2 = _effective_sigma2(first, a)
+    sig2 = float(_effective_sigma2(first, a))  # a float: inf - inf is a NaN, not a warning
     half = _half_width(first, a)
     # the exponential work average tilts each density by exp(+a dlam x),
     # shifting its effective center by a dlam sigma^2; cover that too

@@ -161,6 +161,7 @@ class OscillatorSpectrum:
         n = np.arange(self.n_max + 1)
         return np.exp(-a * self.unit * self.omega * n)
 
+    @np.errstate(over="ignore", divide="ignore")  # as a -> 0 it grows to inf
     def thermal_variance(self, a):
         """Exact untruncated thermal variance of the position at reduced temperature a:
         coth(a)/2 for center, coth(a0 omega_i/2)/(2 omega_i) for spring."""

@@ -132,6 +132,44 @@ def full_work_expectations(spectrum, increment, a, t):
     return log_avg, c * x2, c * c * (x4 - x2 * x2)
 
 
+def spring_quadrature_profile(omega_ratio, s, a0, n_max):
+    """dF(1, i), i = 1..s, of the truncated spring pull by Gauss-Hermite quadrature.
+
+    Step j < s draws x from the Boltzmann mixture, weights exp(-a0 omega_j n),
+    of the states n = 0..n_max of omega_j = sqrt(1 + (j-1) delta), delta =
+    (omega_ratio^2 - 1)/(s - 1), and does the work (delta/2) x^2.  With
+    kappa = a0 delta / (2 omega_j) and z = sqrt(1 + kappa) sqrt(omega_j) x,
+    E_n[exp(-a0 dW)] = (1 + kappa)^(-1/2) int h_n(z / sqrt(1 + kappa))^2
+    exp(-z^2) dz for the normalized Hermite polynomials h_n, a polynomial of
+    degree 2n against exp(-z^2), which n_max + 1 Gauss-Hermite nodes
+    integrate exactly.  The mixture is a log-sum-exp over the states.
+    """
+    delta = (omega_ratio * omega_ratio - 1.0) / (s - 1)
+    nodes, weights = np.polynomial.hermite.hermgauss(n_max + 1)
+    n = np.arange(n_max + 1)
+    profile = [0.0]
+    for j in range(1, s):
+        omega = math.sqrt(1.0 + (j - 1) * delta)
+        kappa = 0.5 * a0 * delta / omega
+        y = nodes / math.sqrt(1.0 + kappa)
+        h = np.empty((n_max + 1, y.size))
+        h[0] = math.pi ** -0.25
+        prev = np.zeros_like(y)
+        for m in range(n_max):
+            h[m + 1] = math.sqrt(2.0 / (m + 1)) * y * h[m] - math.sqrt(m / (m + 1)) * prev
+            prev = h[m]
+        log_e = np.log((h * h) @ weights) - 0.5 * math.log1p(kappa)
+        log_w = -a0 * omega * n
+        log_mix = np.logaddexp.reduce(log_w + log_e) - np.logaddexp.reduce(log_w)
+        profile.append(profile[-1] - float(log_mix) / a0)
+    return profile
+
+
+def format_number(x):
+    """One CSV field as the writer renders it: an int as str, a float in "%.12g"."""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
 def ground_state_closed_form_center(a, dlambda, s):
     """Exact dF = dlambda^2 (s-1)(s-a)/4 for the ground-state-only center pull."""
     if s < 1:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import ground_state_closed_form_center
+from reference import format_number, ground_state_closed_form_center
 
 from stepwork import cli, export, pathways, protocol, workdist
 from stepwork.cli import main
@@ -133,6 +133,19 @@ class TestRunCenter:
         assert err.startswith("error: output-unwritable: ") and len(err.splitlines()) == 1
         assert [p.name for p in out.iterdir()] == ["workdist_step_3.csv"]
 
+    def test_shorter_run_removes_the_distributions_past_its_last_step(self, tmp_path):
+        # s = 6 then s = 3 into one --out: steps 4..6 would be stale next to the
+        # s = 3 profile.  Names this run never writes stay
+        kept = ["workdist_step_07.csv", "workdist_step_9.csv.bak", "notes.csv"]
+        for name in kept:
+            (tmp_path / name).write_text("kept\n")
+        assert main(["run-center", "--s", "6", "--out", str(tmp_path)]) == 0
+        assert main(["run-center", "--s", "3", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["profile.csv", "workdist_step_2.csv", "workdist_step_3.csv", *kept])
+        for name in ("profile.csv", "workdist_step_2.csv", "workdist_step_3.csv"):
+            assert _read_csv(tmp_path / name)[0]["s"] == 3
+
     def test_builds_each_density_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -219,7 +232,7 @@ class TestSweep:
         _, _, rows = _read_csv(tmp_path / "sweep.csv")
         for row, s in zip(rows, (21, 11)):
             exact = free_energy_profile(protocol.build_center_schedule(2.0, s, 1.0, 10)).endpoint
-            assert row[1] == export.format_number(exact)
+            assert row[1] == format_number(exact)
 
     def test_failed_write_leaves_no_sweep_csv(self, tmp_path, monkeypatch, capsys):
         # the disk fills after the file is written: it is removed
@@ -253,7 +266,7 @@ class TestSweep:
         _, _, rows = _read_csv(tmp_path / "sweep.csv")
         for row in rows:
             sch = protocol.build_center_schedule(1.0, 11, 16.0, int(row[0]))
-            assert row[4] == export.format_number(float(free_energy_profile(sch).targets[-1]))
+            assert row[4] == format_number(float(free_energy_profile(sch).targets[-1]))
         assert float(rows[0][1]) == pytest.approx(ground_state_closed_form_center(16.0, 0.1, 11))
         assert float(rows[0][4]) == pytest.approx(0.25)
 
@@ -303,7 +316,7 @@ class TestPathwaysCommand:
         pathways.decompose_free_energy(cli._schedule_from(meta), tol=meta["tol"],
                                        eps_rel=meta["eps"], on_records=records.extend)
         assert header == list(pathways.TransitionRecord._fields)
-        assert rows == [[export.format_number(v) for v in r] for r in records]
+        assert rows == [[format_number(v) for v in r] for r in records]
         assert rows
 
     def test_each_transition_table_is_built_once(self, tmp_path, monkeypatch):
@@ -743,6 +756,17 @@ class TestInputContract:
         assert len(err.splitlines()) == 1
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("argv, code, err", [
+        # a work window past the float64 range (inf - inf) sizes to no grid
+        (["--lambda-s", "1e300"], 2, "error: grid-too-large: the grids need infinitely many"),
+        # 1 / tanh(a) overflows: the thermal variance is inf, and n_max bounds the grid
+        (["--a", "5e-324", "--lambda-s", "0"], 0, ""),
+    ])
+    def test_float64_extremes_warn_nothing(self, argv, code, err, tmp_path, capsys):
+        # pytest turns a RuntimeWarning into an error
+        assert main(["pathways", *argv, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err.startswith(err)
+
     def test_grid_over_budget_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(protocol, "GRID_BUDGET", 1000)
         out = tmp_path / "out"
@@ -754,24 +778,21 @@ class TestInputContract:
 
 
 class TestExport:
-    def test_format_number_pins(self):
-        assert export.format_number(7) == "7"
-        assert export.format_number(-3) == "-3"
-        assert export.format_number(0.1 + 0.2) == "0.3"
-        assert export.format_number(1.0 / 3.0) == "0.333333333333"
-        assert export.format_number(np.float64(2.5e-7)) == "2.5e-07"
-        assert export.format_number(math.nan) == "nan"
-        assert export.format_number(math.inf) == "inf"
-        assert export.format_number(-math.inf) == "-inf"
-        assert export.format_number(-0.0) == "-0"
-        assert export.format_number(1e-300) == "1e-300"
-        assert export.format_number("optimal") == "optimal"
+    def test_format_rows_pins(self):
+        # "%d" for the int fields, "%.12g" for the floats, the first row's line per row
+        floats = (0.1 + 0.2, 1.0 / 3.0, np.float64(2.5e-7), math.nan, math.inf, -math.inf,
+                  -0.0, 1e-300)
+        rows = export.format_rows([(7, -3, *floats), (0, 12, *floats[::-1])])
+        assert len(rows) == 2
+        assert rows.body == (b"7,-3,0.3,0.333333333333,2.5e-07,nan,inf,-inf,-0,1e-300\n"
+                             b"0,12,1e-300,-0,-inf,inf,nan,2.5e-07,0.333333333333,0.3\n")
+        assert export.format_rows(()).body == b"" and not export.format_rows([])
 
     @staticmethod
     def _reference_csv(header, rows, meta):
         lines = ["# config: " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
                  ",".join(header)]
-        lines += [",".join(export.format_number(v) for v in row) for row in rows]
+        lines += [",".join(format_number(v) for v in row) for row in rows]
         return "\n".join(lines) + "\n"
 
     def _check_density_file(self, path, density):
@@ -836,10 +857,10 @@ class TestExport:
 
     def test_comment_lines_follow_config(self, tmp_path):
         path = tmp_path / "t.csv"
-        export.write_csv(path, ["x", "y"], [(1, 0.5), (2, "z")],
+        export.write_csv(path, ["x", "y"], [(1, 0.5), (2, 0.25)],
                          [{"b": 1, "a": None}, "fit: slope=1 intercept=0"])
         assert path.read_text() == ('# config: {"a":null,"b":1}\n'
-                                    "# fit: slope=1 intercept=0\nx,y\n1,0.5\n2,z\n")
+                                    "# fit: slope=1 intercept=0\nx,y\n1,0.5\n2,0.25\n")
 
 
 def _die(*args):

@@ -25,8 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from reference import format_number, spring_quadrature_profile
 
-from stepwork import cli, export, pathways, protocol, workdist
+from stepwork import cli, pathways, protocol, workdist
 
 BUDGET = 10**6
 _EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300]
@@ -146,7 +147,7 @@ def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
         cfg, profile = _profile(out)
         if argv[0] == "run-center":
             # the pull ends at the lambda_s it echoes (s = 1 does no work and stays at 0)
-            end = 0.0 if cfg["s"] == 1 else float(export.format_number(cfg["lambda_s"]))
+            end = 0.0 if cfg["s"] == 1 else float(format_number(cfg["lambda_s"]))
             assert profile[-1, 1] == end, (profile[-1, 1], cfg)
         # every distribution integrates to 1 under the trapezoid rule over its own
         # rows, and its mean and std meet the closed-form profile's; a no-work
@@ -169,6 +170,8 @@ def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
         elif n_max == 0 or math.exp(-a) < 1e-16:  # first excited weight exp(-a0 omega_1)
             exact = [oracles.spring_ground_state_df(a, cfg["omega_ratio"], s)]
             delta_f = delta_f[-1:]
+        elif a >= 1e-3:  # below it E_n - 1 is under the quadrature's last digit
+            exact = spring_quadrature_profile(cfg["omega_ratio"], s, a, n_max)
         else:
             return
         assert delta_f == pytest.approx(exact, rel=1e-9, abs=1e-9)

@@ -8,6 +8,7 @@ from reference import (
     ground_state_closed_form_center,
     ground_state_closed_form_spring,
     spring_low_temp_limit,
+    spring_quadrature_profile,
 )
 
 from stepwork import cli, spectra, workdist
@@ -204,6 +205,15 @@ class TestSpringProfiles:
         prof = free_energy_profile(sch)
         exact = ground_state_closed_form_spring(100.0, sch.increment, 201)
         assert prof.endpoint == pytest.approx(exact, abs=1e-12)
+
+    # (omega_ratio, s, a0, n_max): the defaults, n_max = 200, a hot near-null
+    # pull, a steep pull and two cold ones; largest gaps 2e-16 to 8e-13
+    @pytest.mark.parametrize("args", [(1.3, 11, 0.1, 100), (1.3, 61, 0.05, 200),
+                                      (1.05, 5, 0.01, 150), (4.0, 6, 1.0, 12),
+                                      (2.0, 3, 16.0, 5), (1.3, 11, 50.0, 100)])
+    def test_matches_the_quadrature_oracle_at_every_n_max(self, args):
+        prof = free_energy_profile(build_spring_schedule(*args))
+        assert prof.delta_f == pytest.approx(spring_quadrature_profile(*args), rel=1e-11)
 
     def test_null_pull(self):
         prof = free_energy_profile(build_spring_schedule(1.0, 5, 0.1, 10))
