@@ -73,7 +73,7 @@ def _file_value_ok(value, flag_type, choices=None):
 
 
 def _resolve(args):
-    """defaults < config file < command-line flags."""
+    """defaults < config file < command-line flags; a key left unset is dropped."""
     defaults = args.defaults
     cfg = dict(defaults)
     if args.config:
@@ -93,26 +93,31 @@ def _resolve(args):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    return cfg
-
-
-def _ensure_outdir(out):
-    os.makedirs(out, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise PermissionError(f"{out} is not writable")
-    return out
+    return {k: v for k, v in cfg.items() if v is not None}
 
 
 @contextlib.contextmanager
-def _removed_on_failure(paths):
-    """Remove whichever of a run's output paths exist if the block raises,
-    so a failed run leaves no output file; a path it cannot remove is skipped."""
+def _outputs(out, names):
+    """Make ``out`` and yield the path of each named file in it.  If the block
+    raises, those files and then the directories made here, deepest first, are
+    removed, so an ``out`` that existed stays; a path it cannot remove is left."""
+    made, parent = [], os.path.abspath(out)
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    paths = [os.path.join(out, name) for name in names]
     try:
-        yield
+        os.makedirs(out, exist_ok=True)
+        if not os.access(out, os.W_OK):
+            raise PermissionError(f"{out} is not writable")
+        yield paths
     except BaseException:
         for path in paths:
             with contextlib.suppress(OSError):
                 os.remove(path)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise
 
 
@@ -126,23 +131,21 @@ def _schedule_from(cfg):
 
 
 def cmd_run(args, cfg):
-    out = _ensure_outdir(cfg["out"])
     schedule = _schedule_from(cfg)
     profile = free_energy_profile(schedule)
     # the recursion runs only for the distributions written out
     ledger = run_work_recursion(schedule)
-    meta = {k: v for k, v in cfg.items() if v is not None}
-    meta.update(increment=schedule.increment, x_points_resolved=schedule.x_grid.points,
+    meta = dict(cfg, increment=schedule.increment, x_points_resolved=schedule.x_grid.points,
                 w_points_resolved=schedule.w_grid.points)
     header, rows = export.profile_rows(profile)
-    paths = [os.path.join(out, f"workdist_step_{i}.csv") for i in range(2, schedule.s + 1)]
-    # a longer earlier run's distributions past step s would outlive this run's profile
-    for name in os.listdir(out):
-        step = re.fullmatch(r"workdist_step_([1-9][0-9]*)\.csv", name)
-        if step and int(step[1]) > schedule.s:
-            os.remove(os.path.join(out, name))
-    with _removed_on_failure([os.path.join(out, "profile.csv"), *paths]):
-        export.write_csv(os.path.join(out, "profile.csv"), header, rows, meta)
+    names = [f"workdist_step_{i}.csv" for i in range(2, schedule.s + 1)]
+    with _outputs(cfg["out"], ["profile.csv", *names]) as (path, *paths):
+        # a longer earlier run's distributions past step s would outlive this run's profile
+        for name in os.listdir(cfg["out"]):
+            step = re.fullmatch(r"workdist_step_([1-9][0-9]*)\.csv", name)
+            if step and int(step[1]) > schedule.s:
+                os.remove(os.path.join(cfg["out"], name))
+        export.write_csv(path, header, rows, meta)
         export.write_densities(paths, ledger.distributions, meta)
     print(f"{args.command}: s={schedule.s} a={schedule.a} "
           f"n_max={schedule.n_max} dF={profile.endpoint:.12g}")
@@ -150,63 +153,57 @@ def cmd_run(args, cfg):
 
 
 def _sweep_point(cfg, param, value):
-    """One sweep evaluation: the endpoint profile and its equilibrium target."""
+    """The config of one sweep point; a value the sweep cannot take is refused."""
     point = dict(cfg)
     if param == "a":
-        point["a"] = float(value)
+        point["a"] = value
     elif param == "nmax":
+        if not value.is_integer():
+            raise ValueError(f"nmax sweep values must be integers, not {value}")
         point["n_max"] = int(value)
     elif param == "dlambda":
-        steps = round(cfg["lambda_s"] / value)
-        point.update(s=steps + 1, lambda_s=float(value) * steps)
-    profile = free_energy_profile(_schedule_from(point))
-    return (float(value), profile.endpoint, float(profile.mean_work[-1]),
-            float(profile.std_work[-1]), float(profile.targets[-1]))
-
-
-def _check_sweep_value(param, value, lambda_s):
-    if param == "nmax" and not value.is_integer():
-        raise ValueError(f"nmax sweep values must be integers, not {value}")
-    if param == "dlambda":
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"dlambda sweep values must be finite and positive, not {value}")
-        n_steps = lambda_s / value
+        n_steps = cfg["lambda_s"] / value
         if not (math.isfinite(n_steps) and n_steps > 0.5 and abs(n_steps - round(n_steps)) <= 1e-9):
-            raise ValueError(f"dlambda {value} does not divide lambda_s = {lambda_s} "
+            raise ValueError(f"dlambda {value} does not divide lambda_s = {cfg['lambda_s']} "
                              "into a positive whole number of steps")
+        steps = round(n_steps)
+        point.update(s=steps + 1, lambda_s=value * steps)
+    return point
 
 
 def cmd_sweep(args, cfg):
     param = cfg["sweep_param"]
     if param == "dlambda" and cfg["protocol"] != "center":
         raise ValueError("the dlambda sweep applies to the center protocol")
-    if not cfg["sweep_values"]:
+    if not cfg.get("sweep_values"):
         if param != "a":
             raise ValueError("sweep needs a non-empty --values list")
         cfg["sweep_values"] = default_temperature_sweep()
     values = [float(v) for v in cfg["sweep_values"]]
-    for value in values:
-        _check_sweep_value(param, value, cfg["lambda_s"])
+    points = [_sweep_point(cfg, param, v) for v in values]
     if param == "dlambda" and len(set(values)) < 2:
         raise ValueError("a dlambda sweep fits a line and needs two distinct values")
-    out = _ensure_outdir(cfg["out"])
-    rows = [_sweep_point(cfg, param, v) for v in values]
+    rows = []
+    for value, point in zip(values, points):
+        profile = free_energy_profile(_schedule_from(point))
+        rows.append((value, profile.endpoint, float(profile.mean_work[-1]),
+                     float(profile.std_work[-1]), float(profile.targets[-1])))
 
-    comments = [{k: v for k, v in cfg.items() if v is not None}]
+    comments = [cfg]
     if param == "dlambda":
         slope, intercept = np.polyfit([r[0] for r in rows], [r[1] for r in rows], 1)
         fit = f"slope={slope:.12g} intercept={intercept:.12g}"
         comments.append("fit: " + fit)
         print("sweep fit: " + fit)
-    path = os.path.join(out, "sweep.csv")
-    with _removed_on_failure([path]):
+    with _outputs(cfg["out"], ["sweep.csv"]) as (path,):
         export.write_csv(path, [param, "delta_F", "mean_W", "std_W", "oracle"], rows, comments)
     print(f"sweep: wrote {len(rows)} points to {path}")
     return 0
 
 
 def cmd_pathways(args, cfg):
-    out = _ensure_outdir(cfg["out"])
     schedule = _schedule_from(cfg)
     tol, eps = float(cfg["tol"]), float(cfg["eps"])
     _check_tolerances(tol, eps)
@@ -222,14 +219,10 @@ def cmd_pathways(args, cfg):
         overlaps = [{"steps": [i, i + 1], "dx": dx, "mass": mass} for i, (dx, mass)
                     in enumerate(starmap(overlap_measure, pairwise(densities)), start=1)]
 
-    # each transition's records are appended as they are scanned, and both
-    # files are removed if the split or a write fails, so a failure leaves no output
-    meta = {k: v for k, v in cfg.items() if v is not None}
-    path = os.path.join(out, "transitions.csv")
-    json_path = os.path.join(out, "decomposition.json")
+    # each transition's records are appended as they are scanned
     rows = 0
-    with _removed_on_failure([path, json_path]):
-        export.write_csv(path, TransitionRecord._fields, (), meta)
+    with _outputs(cfg["out"], ["transitions.csv", "decomposition.json"]) as (path, json_path):
+        export.write_csv(path, TransitionRecord._fields, (), cfg)
         with open(path, "ab") as fh:
             def write(records):
                 nonlocal rows
@@ -238,7 +231,7 @@ def cmd_pathways(args, cfg):
 
             decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps, on_records=write)
         export.write_json(json_path, {
-            "config": meta,
+            "config": cfg,
             "delta_F": decomp.delta_f,
             "contributions": decomp.contributions,
             "counts": decomp.counts,

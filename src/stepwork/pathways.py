@@ -70,7 +70,7 @@ class TransitionScan:
 @dataclass(frozen=True)
 class PathwayDecomposition:
     """Free-energy split over pathway classes, with exact reconstruction;
-    ``delta_f`` holds -ln(c)/beta of each class's contribution c."""
+    ``delta_f`` holds -ln(c)/beta of each contribution c, the total's summed by slot."""
 
     delta_f: dict
     contributions: dict
@@ -361,6 +361,7 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     _check_tolerances(tol, eps_rel)
     x = _positions(schedule.x_grid, max_x_points)
     beta = schedule.beta
+    logs = []  # ln of each slot's sum; the total is their product
 
     def slot_weight(i):
         # slot i's discrete weights q_i[n, k] ~ Boltzmann x density x e^{-beta dW};
@@ -371,7 +372,11 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
         q /= q.sum()
         log_tilt = -beta * step_work_map(schedule, i, x)[None, :]
         weight = q * np.exp(log_tilt)
-        return np.where(np.isfinite(weight), weight, np.exp(np.log(q) + log_tilt)).ravel()
+        weight = np.where(np.isfinite(weight), weight, np.exp(np.log(q) + log_tilt))
+        # near 1 (small beta dW) ln of the sum is log1p of its excess, as in the profile
+        excess = float(np.sum(q * np.expm1(log_tilt)))
+        logs.append(math.log1p(excess) if abs(excess) < 0.5 else np.log(weight.sum()))
+        return weight.ravel()
 
     # chain[:, f] carries the (weight, count) sums of the prefixes along which
     # exactly the conditions in f (A + 2 B + 4 DB) held; at the first slot
@@ -406,7 +411,7 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
                      "optimal": c_op, "biased": c_bia}
     return PathwayDecomposition(
         delta_f={name: float(-math.log(c) / beta) if c > 0.0 else math.inf
-                 for name, c in contributions.items()},
+                 for name, c in contributions.items()} | {"total": -math.fsum(logs) / beta},
         contributions=contributions,
         counts={cls.value: int(n) if exact else float(n)
                 for cls, n in zip(PathwayClass, by_class[:, 1])},

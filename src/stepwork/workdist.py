@@ -72,7 +72,6 @@ class WorkLedger:
     """Everything the recursion produced for one schedule."""
 
     distributions: tuple = ()      # rho_2 .. rho_s
-    normalizations: tuple = ()     # Q_2 .. Q_s
 
 
 def fluctuation_density(spectrum: OscillatorSpectrum, a, x_grid: GridSpec):
@@ -224,7 +223,7 @@ def run_work_recursion(schedule: PullSchedule):
 
     rho_2 is g_1 (rho_1 is the point mass at W = 0), and rho_i is rho_{i-1}
     convolved with g_{i-1}; each is cut once to the work window's nodes,
-    checked for lost mass and renormalized by Q_i.
+    checked for lost mass and renormalized.
 
     Everything built is charged to the grid budget first, so a schedule over
     it is refused before any density is built.  A pull with a zero increment
@@ -243,9 +242,9 @@ def run_work_recursion(schedule: PullSchedule):
     if schedule.increment == 0.0:
         steps = schedule.s - 1
         spike = GriddedDensity(w_grid, [0.0, 1.0 / w_grid.spacing, 0.0])
-        return WorkLedger((spike,) * steps, (1.0,) * steps)
+        return WorkLedger((spike,) * steps)
     lo, hi = int(round(w_grid.min / h)) - 1, int(round(w_grid.max / h)) + 1
-    rho, dists, norms = None, [], []
+    rho, dists = None, []
     for i in range(2, schedule.s + 1):
         f = fluctuation_density(schedule.spectrum(i - 1), schedule.a, x_grid)
         g = pushforward_step_density(f, schedule, i - 1)
@@ -257,8 +256,7 @@ def run_work_recursion(schedule: PullSchedule):
                            "the work grid is truncating real mass")
         rho = GriddedDensity(rho.grid, rho.values / mass)
         dists.append(rho)
-        norms.append(1.0 / mass)
-    return WorkLedger(tuple(dists), tuple(norms))
+    return WorkLedger(tuple(dists))
 
 
 def work_moments(rho: GriddedDensity):

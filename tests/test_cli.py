@@ -108,11 +108,12 @@ class TestRunCenter:
             write(path, *args)
 
         monkeypatch.setattr(export, "write_csv", full_at_step_3)
-        out = tmp_path / "out"
+        out = tmp_path / "a" / "out"
         assert main(["run-center", "--s", "4", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: output-unwritable: [Errno 28] No space left on device\n")
-        assert out.is_dir() and not list(out.iterdir())
+        # and removes the directories it made, the missing parent of --out too
+        assert not list(tmp_path.iterdir())
 
     def test_output_path_taken_by_a_directory_is_output_unwritable(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -179,7 +180,7 @@ class TestRunCenter:
         assert err.startswith("error: mass-leak: work distribution at step 4")
         assert len(err.splitlines()) == 1
         assert reached == [2, 3, 4]
-        assert out.is_dir() and not list(out.iterdir())
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "det"
@@ -247,7 +248,7 @@ class TestSweep:
         assert main(["sweep", "--param", "a", "--values", "1,2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: output-unwritable: [Errno 28] No space left on device\n"
-        assert out.is_dir() and not list(out.iterdir())
+        assert not out.exists()
 
     def test_nmax_sweep_stabilizes(self, tmp_path):
         out = tmp_path / "sw"
@@ -404,7 +405,7 @@ class TestPathwaysCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: grid-too-large: the grids")
         assert len(err.splitlines()) == 1
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_split_builds_no_density_and_is_not_charged_for_one(self, tmp_path, capsys):
         # 200M x nodes, over the budget, yet a read of the grid refuses only
@@ -416,7 +417,7 @@ class TestPathwaysCommand:
         out = tmp_path / "out"
         assert main(["pathways", "--x-points", "200000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: grid-too-large: the grids need")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_two_steps_charge_no_overlap_density(self, tmp_path, capsys):
         # s = 2 has no pair of densities to overlap, so it builds and is
@@ -431,7 +432,7 @@ class TestPathwaysCommand:
         out = tmp_path / "out"
         assert main(["pathways", "--lambda-s", "1e6", "--tol", "-1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: config: tol must be finite")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_records_over_budget_refused_before_any_output(self, tmp_path, monkeypatch,
                                                            capsys):
@@ -456,7 +457,7 @@ class TestPathwaysCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: grid-too-large: the transition records")
         assert len(err.splitlines()) == 1
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_peak_is_one_transition_at_any_s(self, tmp_path, monkeypatch, traced_peak):
         # the charge of one transition's tables and records bounds the run,
@@ -663,6 +664,21 @@ class TestInputContract:
             assert capsys.readouterr().err.startswith("error: config:")
             assert not out.exists()
 
+    # refused before --out is made, and (the last) after transitions.csv is written
+    _REFUSED = [["run-center", "--a", "-1"], ["pathways", "--tol", "-1"],
+                ["sweep", "--param", "nmax", "--values", "-1"],
+                ["run-spring", "--s", "2", "--w-points", "20000000"],
+                ["pathways", "--s", "2", "--nmax", "0", "--a", "64", "--lambda-s", "20"]]
+
+    @pytest.mark.parametrize("argv", _REFUSED)
+    def test_refused_run_removes_only_the_directories_it_made(self, argv, tmp_path, capsys):
+        # a nested --out under a missing parent, an existing empty --out, and a
+        # new --out under an existing parent
+        for out in (tmp_path / "a" / "b", tmp_path, tmp_path / "b"):
+            assert main(argv + ["--out", str(out)]) in (1, 2)
+            assert len(capsys.readouterr().err.splitlines()) == 1
+            assert tmp_path.is_dir() and not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, table", [
         (["run-spring", "--a", "1e300"], "profile.csv"),
         (["sweep", "--protocol", "spring", "--values", "1e300"], "sweep.csv"),
@@ -699,7 +715,7 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite: " + message)
         assert len(err.splitlines()) == 1
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["run-spring", "--a", "5e-324"],
@@ -711,7 +727,7 @@ class TestInputContract:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: config: the spring free energy at a=5e-324 underflows: a omega/2 is 0\n"
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["run-center", "--nmax", "1000"],
@@ -728,7 +744,7 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error: grid-too-large: the schedule and its closed-form profile")
         assert len(err.splitlines()) == 1
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("protocol", ["center", "spring"])
     def test_profile_budget_counts_the_summed_states(self, protocol, tmp_path, capsys):
@@ -740,7 +756,7 @@ class TestInputContract:
         out = tmp_path / "run"
         assert main([f"run-{protocol}", "--nmax", "100000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: grid-too-large: the grids need")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["run-center", "--lambda-s", "20", "--s", "2", "--x-points", "3"],
@@ -754,7 +770,7 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error: grid-too-narrow: the x grid holds ")
         assert len(err.splitlines()) == 1
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, code, err", [
         # a work window past the float64 range (inf - inf) sizes to no grid
@@ -774,7 +790,7 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error: grid-too-large:")
         assert len(err.splitlines()) == 1
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestExport:
@@ -930,7 +946,7 @@ class TestPooledExport:
         assert pools == [2]
         assert multiprocessing.active_children() == []
         # profile.csv, written before the distributions, is removed too
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_worker_lost_after_files_written_leaves_no_file(self, tmp_path, monkeypatch,
                                                              pools, capsys):
@@ -949,7 +965,7 @@ class TestPooledExport:
         assert capsys.readouterr().err.startswith("error: worker-lost: ")
         assert {os.path.basename(p) for p in written} >= {
             "profile.csv", "workdist_step_2.csv", "workdist_step_3.csv", "workdist_step_4.csv"}
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_import_and_small_runs_load_no_process_machinery(self, tmp_path):
         probe = textwrap.dedent("""

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import Phase, event, example, given, settings
 from hypothesis import strategies as st
 from reference import format_number, spring_quadrature_profile
 
@@ -100,7 +100,10 @@ def _profile(out):
     return config, np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+# no explain phase: after a first failure it traces each later example, and
+# its tracer's allocations would land in _run's tracemalloc window
+@settings(max_examples=150, deadline=None, derandomize=True,
+          phases=[p for p in Phase if p is not Phase.explain])
 @given(argv=_argv())
 @example(argv=["run-spring", "--a=1e300"])
 @example(argv=["run-center", "--a=1e300"])
@@ -134,7 +137,7 @@ def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
         assert "Traceback" not in err
         if code != 0:
             assert len(err.splitlines()) == 1 and _ERROR_LINE.match(err), err
-            assert not out.exists() or not list(out.iterdir())
+            assert not out.exists()
             return
         assert err == ""
         # an admitted run holds no more than it is charged, but for argparse,

@@ -531,6 +531,19 @@ class TestDecomposition:
             exact = free_energy_profile(sch).endpoint
             assert d.delta_f["total"] == pytest.approx(exact, rel=0.0, abs=1e-12), (s, n_max, a)
 
+    @pytest.mark.parametrize("s, n_max", [(3, 1), (4, 5)])
+    @pytest.mark.parametrize("a", [1e-300, 1e-12, 1e-6, 1e-3, 0.25, 1.0])
+    def test_total_keeps_its_digits_at_small_a(self, s, n_max, a):
+        # each slot's sum is 1 - beta <dW> + ...: -ln of the summed total read
+        # 1.1e284 at a = 1e-300 and 0.3747002708 at a = 1e-12, against 0.375
+        sch = build_center_schedule(1.0, s, a, n_max)
+        exact = free_energy_profile(sch).endpoint
+        assert decompose_free_energy(sch).delta_f["total"] == pytest.approx(exact, rel=1e-12)
+
+    def test_total_of_a_pull_without_work_is_zero(self):
+        # read from the summed weights, it was 1.1e-16 (their rounding)
+        assert decompose_free_energy(build_center_schedule(0.0, 3, 1.0, 3)).delta_f["total"] == 0.0
+
     def test_huge_tolerance_makes_everything_optimal(self, center_s3):
         # nearly every link is matched; with no reader no record is built
         d = decompose_free_energy(center_s3, tol=1e9)
