@@ -66,6 +66,8 @@ def _file_value_ok(value, flag_type, choices=None):
     to and, where the flag has choices, is one of them."""
     if isinstance(value, bool):
         return False
+    if flag_type is float and isinstance(value, int):  # JSON ints have no size limit
+        return abs(value) <= sys.float_info.max
     if flag_type is _number_list:
         return isinstance(value, list) and all(_file_value_ok(v, float) for v in value)
     return (isinstance(value, {int: int, float: (int, float)}.get(flag_type, str))
@@ -209,15 +211,13 @@ def cmd_pathways(args, cfg):
     _check_tolerances(tol, eps)
     # the overlap densities are charged, built, read two at a time and dropped
     # before the split, which builds none of them, so they are never held next
-    # to its tables or records.  With s = 2 there is no pair to overlap, and no
-    # density (nor its boundary check) is built or charged
-    overlaps = []
-    if schedule.s > 2:
-        protocol.check_grid_budget("the grids", schedule.density_values)
-        densities = (fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
-                     for i in range(1, schedule.s))
-        overlaps = [{"steps": [i, i + 1], "dx": dx, "mass": mass} for i, (dx, mass)
-                    in enumerate(starmap(overlap_measure, pairwise(densities)), start=1)]
+    # to its tables or records.  Building them checks that the x grid holds
+    # each step's density, at s = 2 too, where there is no pair to overlap
+    protocol.check_grid_budget("the grids", schedule.density_values)
+    densities = (fluctuation_density(schedule.spectrum(i), schedule.a, schedule.x_grid)
+                 for i in range(1, schedule.s))
+    overlaps = [{"steps": [i, i + 1], "dx": dx, "mass": mass} for i, (dx, mass)
+                in enumerate(starmap(overlap_measure, pairwise(densities)), start=1)]
 
     # each transition's records are appended as they are scanned
     rows = 0

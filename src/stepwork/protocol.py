@@ -90,6 +90,8 @@ class PullSchedule:
 
     @cached_property
     def _grids(self):
+        if self.n_max > sys.float_info.max:  # the sizing reads it as a float
+            raise GridTooLarge("n_max is past the float64 range; lower n_max")
         size = _center_grids if self.kind is ProtocolKind.CENTER else _spring_grids
         return size(self)
 
@@ -148,11 +150,13 @@ def _effective_sigma2(spectrum, a):
     return np.minimum(spectrum.thermal_variance(a), (spectrum.n_max + 0.5) / spectrum.omega)
 
 
-def _check_inputs(x_points, w_points, **values):
-    """Reject non-finite physical inputs and point counts too small or too large to size."""
+def _check_inputs(s, x_points, w_points, **values):
+    """Reject non-finite physical inputs, and step or point counts the sizing cannot take."""
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if s > sys.float_info.max:  # the sizing divides by s - 1
+        raise GridTooLarge("s is past the float64 range; lower s")
     for name, points in (("x_points", x_points), ("w_points", w_points)):
         if points is not None and points < 2:
             raise ValueError(f"{name} must be at least 2, got {points}")
@@ -194,7 +198,7 @@ def build_center_schedule(lambda_s, s, a, n_max, x_points=None, w_points=None):
     x spacing is dlambda / M for the smallest integer M, the nodes half a
     spacing off when M is odd.
     """
-    _check_inputs(x_points, w_points, lambda_s=lambda_s, a=a)
+    _check_inputs(s, x_points, w_points, lambda_s=lambda_s, a=a)
     if s <= 0:
         raise ValueError("number of pulling steps must be positive")
     dlam = 0.0 if s == 1 else lambda_s / (s - 1)
@@ -254,7 +258,7 @@ def _center_grids(schedule):
 def build_spring_schedule(omega_ratio, s, a0, n_max, x_points=None, w_points=None):
     """Schedule for stiffening the spring so omega runs from omega_0 to
     omega_ratio * omega_0 in s steps; delta = (ratio^2 - 1)/(s - 1)."""
-    _check_inputs(x_points, w_points, omega_ratio=omega_ratio, a0=a0)
+    _check_inputs(s, x_points, w_points, omega_ratio=omega_ratio, a0=a0)
     if s < 2:
         raise ValueError("spring protocol needs at least two steps")
     if omega_ratio <= 0.0:

@@ -380,6 +380,11 @@ class TestPathwaysCommand:
         # within the range, with charges past it
         ["run-center", "--w-points", "1" + "0" * 308],
         ["run-spring", "--x-points", "1" + "0" * 308],
+        # step counts and n_max past the float64 range, which the sizing reads as floats
+        *([command, "--s", "1" + "0" * 400]
+          for command in ("run-center", "run-spring", "sweep", "pathways")),
+        *([command, "--nmax", "1" + "0" * 400]
+          for command in ("run-center", "run-spring", "pathways")),
     ])
     def test_oversized_work_refused_before_any_output(self, argv, tmp_path, capsys):
         # refused by the size estimates, before any large array is allocated
@@ -419,14 +424,29 @@ class TestPathwaysCommand:
         assert capsys.readouterr().err.startswith("error: grid-too-large: the grids need")
         assert not out.exists()
 
-    def test_two_steps_charge_no_overlap_density(self, tmp_path, capsys):
-        # s = 2 has no pair of densities to overlap, so it builds and is
-        # charged for none, however many x nodes its grid has
-        assert main(["pathways", "--s", "2", "--x-points", "30000000",
-                     "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().err == ""
-        payload = json.loads((tmp_path / "decomposition.json").read_text())
+    def test_two_steps_charge_and_check_their_density(self, tmp_path, capsys):
+        # s = 2 has no pair of densities to overlap, yet its step density is
+        # charged and built, as at s = 3, so a grid over the budget is refused
+        out = tmp_path / "out"
+        assert main(["pathways", "--s", "2", "--x-points", "30000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-large: the grids need")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+        assert main(["pathways", "--s", "2", "--out", str(out)]) == 0
+        payload = json.loads((out / "decomposition.json").read_text())
         assert payload["overlaps"] == [] and payload["reconstruction_error"] <= 1e-12
+
+    def test_two_step_grid_too_coarse_for_its_density_refused(self, tmp_path, capsys):
+        # once exited 0 with total 181.55 against the closed form 90.73: with no
+        # pair to overlap, nothing checked that the 3-node grid held the density
+        out = tmp_path / "out"
+        assert main(["pathways", "--s", "2", "--nmax", "0", "--a", "0.001", "--lambda-s",
+                     "-13.474100690675169", "--x-points", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-narrow:")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_tolerance_checked_before_the_densities_are_charged(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -609,6 +629,13 @@ class TestInputContract:
         # the pull length is lambda_s alone; its step is lambda_s / (s - 1)
         ("sweep", {"dlambda": 0.5}),
         ("run-center", {"dlambda": 0.1}),
+        # JSON ints of any size: one past the float64 range has no float value
+        ("run-center", {"a": 10**400}),
+        ("run-center", {"lambda_s": 10**400}),
+        ("run-spring", {"omega_ratio": 10**400}),
+        ("pathways", {"tol": 10**400}),
+        ("pathways", {"eps": 10**400}),
+        ("sweep", {"sweep_values": [1.0, 10**400]}),
     ])
     def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -653,6 +680,15 @@ class TestInputContract:
         for command in ("run-center", "run-spring", "sweep", "pathways"):
             assert main([command, "--jobs", "7"]) == 2
             assert capsys.readouterr().err.startswith("error: config: ")
+
+    def test_config_step_count_past_float64_range_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s": 10**400}))
+        out = tmp_path / "out"
+        assert main(["pathways", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: grid-too-large: s is past the float64 range; lower s\n"
+        assert not out.exists()
 
     def test_config_file_cannot_switch_protocol(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -757,6 +793,18 @@ class TestInputContract:
         assert main([f"run-{protocol}", "--nmax", "100000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: grid-too-large: the grids need")
         assert not out.exists()
+
+    @pytest.mark.parametrize("protocol", ["center", "spring"])
+    def test_sweep_takes_n_max_past_float64_range(self, protocol, tmp_path):
+        # the profile sums only the states that carry weight and sizes no grid,
+        # so its rows are those of n_max = 1e8
+        rows = []
+        for n_max in ("100000000", "1" + "0" * 400):
+            out = tmp_path / str(len(n_max))
+            assert main(["sweep", "--protocol", protocol, "--nmax", n_max, "--s", "3",
+                         "--out", str(out)]) == 0
+            rows.append((out / "sweep.csv").read_bytes().split(b"\n", 1)[1])
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("argv", [
         ["run-center", "--lambda-s", "20", "--s", "2", "--x-points", "3"],
