@@ -39,8 +39,7 @@ _SPRING_DEFAULTS = {"protocol": "spring", "omega_ratio": 1.3, "s": 11, "a": 0.1,
 # the pathway scan reads no work grid, and sweep evaluates closed forms on
 # no grid: pathways takes no w_points, and sweep no grid keys
 _PATHWAY_DEFAULTS = {"protocol": "center", "lambda_s": 1.0, "s": 3, "a": 1.0,
-                     "n_max": 3, "x_points": None, "tol": DEFAULT_TOL, "eps": DEFAULT_EPS_REL,
-                     "out": "."}
+                     "n_max": 3, "x_points": None, "tol": DEFAULT_TOL, "out": "."}
 _SWEEP_DEFAULTS = {**_CENTER_DEFAULTS, "omega_ratio": 1.3, "sweep_param": "a",
                    "sweep_values": None}
 del _SWEEP_DEFAULTS["x_points"], _SWEEP_DEFAULTS["w_points"]
@@ -75,9 +74,10 @@ def _file_value_ok(value, flag_type, choices=None):
 
 
 def _resolve(args):
-    """defaults < config file < command-line flags; a key left unset is dropped."""
+    """defaults < config file < command-line flags; a key left unset is dropped.
+    The keys that the file or a flag sets are left in ``args.explicit``."""
     defaults = args.defaults
-    cfg = dict(defaults)
+    cfg, args.explicit = dict(defaults), set()
     if args.config:
         file_cfg = _load_config(args.config)
         unknown = set(file_cfg) - set(defaults)
@@ -87,6 +87,7 @@ def _resolve(args):
             if not _file_value_ok(value, args.flags[key].type, args.flags[key].choices):
                 raise ValueError(f"config key {key!r} cannot take the value {json.dumps(value)}")
         cfg.update(file_cfg)
+        args.explicit.update(file_cfg)
         # only sweep has a --protocol flag; every other command fixes its protocol
         if not hasattr(args, "protocol") and cfg["protocol"] != defaults["protocol"]:
             raise ValueError(f"{args.command} runs the {defaults['protocol']} protocol, "
@@ -95,6 +96,7 @@ def _resolve(args):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+            args.explicit.add(key)
     return {k: v for k, v in cfg.items() if v is not None}
 
 
@@ -179,6 +181,15 @@ def cmd_sweep(args, cfg):
     param = cfg["sweep_param"]
     if param == "dlambda" and cfg["protocol"] != "center":
         raise ValueError("the dlambda sweep applies to the center protocol")
+    # each point sets its swept key (a dlambda point its s), and neither
+    # protocol reads the other's pull
+    unread = {{"a": "a", "nmax": "n_max", "dlambda": "s"}[param],
+              {"center": "omega_ratio", "spring": "lambda_s"}[cfg["protocol"]]}
+    ignored = sorted(unread & args.explicit)
+    if ignored:
+        raise ValueError(f"a {cfg['protocol']} sweep over {param} ignores "
+                         f"{', '.join(ignored)}; leave it unset")
+    cfg = {k: v for k, v in cfg.items() if k not in unread}
     if not cfg.get("sweep_values"):
         if param != "a":
             raise ValueError("sweep needs a non-empty --values list")
@@ -207,8 +218,8 @@ def cmd_sweep(args, cfg):
 
 def cmd_pathways(args, cfg):
     schedule = _schedule_from(cfg)
-    tol, eps = float(cfg["tol"]), float(cfg["eps"])
-    _check_tolerances(tol, eps)
+    tol = float(cfg["tol"])
+    _check_tolerances(tol, DEFAULT_EPS_REL)
     # the overlap densities are charged, built, read two at a time and dropped
     # before the split, which builds none of them, so they are never held next
     # to its tables or records.  Building them checks that the x grid holds
@@ -229,7 +240,7 @@ def cmd_pathways(args, cfg):
                 fh.write(export.format_rows(records).body)
                 rows += len(records)
 
-            decomp = decompose_free_energy(schedule, tol=tol, eps_rel=eps, on_records=write)
+            decomp = decompose_free_energy(schedule, tol=tol, on_records=write)
         export.write_json(json_path, {
             "config": cfg,
             "delta_F": decomp.delta_f,
@@ -294,7 +305,6 @@ def build_parser():
     _add_common(p, _PATHWAY_DEFAULTS)
     p.add_argument("--lambda-s", type=float, dest="lambda_s")
     p.add_argument("--tol", type=float, help="residual tolerance (log-ratio units)")
-    p.add_argument("--eps", type=float, help="relative density floor")
     p.set_defaults(func=cmd_pathways, defaults=_PATHWAY_DEFAULTS)
 
     # a config key is checked against its flag on any command, since sweep

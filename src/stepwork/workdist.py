@@ -29,7 +29,7 @@ __all__ = ["GriddedDensity", "WorkLedger", "fluctuation_density", "step_work_map
            "work_moments"]
 
 # relative mass error allowed on a work distribution or a fluctuation density
-MASS_TOLERANCE = 1e-4
+MASS_TOLERANCE = 1e-12
 # relative boundary mass allowed on a fluctuation-density grid
 BOUNDARY_TOLERANCE = 1e-12
 # lattice tails below this fraction of the peak are trimmed between steps; for
@@ -92,9 +92,10 @@ def fluctuation_density(spectrum: OscillatorSpectrum, a, x_grid: GridSpec):
             f"{BOUNDARY_TOLERANCE:.0e} of peak {peak:.3e}; widen the x grid"
         )
     mass = np.trapezoid(raw, dx=x_grid.spacing)
-    if abs(mass / weights.sum() - 1.0) > MASS_TOLERANCE:
-        raise GridTooNarrow(f"the x grid holds {mass / weights.sum():.6g} of the density's "
-                            "mass; refine the x grid")
+    gap = mass / weights.sum() - 1.0
+    if abs(gap) > MASS_TOLERANCE:
+        raise GridTooNarrow(f"the x grid holds the density's mass to a relative error of "
+                            f"{gap:+.3g}; refine the x grid")
     return GriddedDensity(x_grid, raw / mass)
 
 
@@ -231,16 +232,18 @@ def run_work_recursion(schedule: PullSchedule):
     W = 0 on the work grid (-1, 0, 1), and no density is built.
     """
     x_grid, w_grid = schedule.x_grid, schedule.w_grid
-    h, held = w_grid.spacing, w_grid.points + 4  # a rho_i cut to the window, with pads
+    h, steps = w_grid.spacing, schedule.s - 1
+    # g_j, with pads, spans the x grid's image, extreme at the grid's ends or at 0,
+    # and a rho_i at most i - 1 of them, cut to the window, with pads
+    u = step_work_map(schedule, 1, [x_grid.min, 0.0, x_grid.max]) if steps else [0.0]
+    span = int(np.ptp(u) / h) + 6
+    held = min(w_grid.points, steps * span) + 4
     # the s - 1 rho_i, and the export of one of them while all are held
-    values = schedule.density_values + (schedule.s - 1 + ROW_VALUES) * held
+    values = schedule.density_values + (steps + ROW_VALUES) * held
     if schedule.s > 2:
-        # g_j, with pads, spans the x grid's image, extreme at the grid's ends or at 0
-        u = step_work_map(schedule, 1, [x_grid.min, 0.0, x_grid.max])
-        values += _convolve_values(held, int(np.ptp(u) / h) + 6)
+        values += _convolve_values(held, span)
     check_grid_budget("the grids", values)
     if schedule.increment == 0.0:
-        steps = schedule.s - 1
         spike = GriddedDensity(w_grid, [0.0, 1.0 / w_grid.spacing, 0.0])
         return WorkLedger((spike,) * steps)
     lo, hi = int(round(w_grid.min / h)) - 1, int(round(w_grid.max / h)) + 1
@@ -252,7 +255,7 @@ def run_work_recursion(schedule: PullSchedule):
         rho = _lattice_density(_lattice_offset(rho, h), rho.values, h, lo, hi)
         mass = rho.integral()
         if abs(mass - 1.0) > MASS_TOLERANCE:
-            raise MassLeak(f"work distribution at step {i} integrates to {mass:.8f}; "
+            raise MassLeak(f"work distribution at step {i} integrates to {mass:.15g}; "
                            "the work grid is truncating real mass")
         rho = GriddedDensity(rho.grid, rho.values / mass)
         dists.append(rho)

@@ -132,6 +132,30 @@ def full_work_expectations(spectrum, increment, a, t):
     return log_avg, c * x2, c * c * (x4 - x2 * x2)
 
 
+def center_exact_profile(lambda_s, s, a, n_max):
+    """dF(1, i), i = 1..s, of the truncated center pull in closed form.
+
+    With k = a dlambda, x = -k^2/2 and the state n weighted by
+    w_n = exp(-2 a n), step j contributes (k (lambda_j + dlambda)/2 - k^2/4 -
+    ln sum w_n L_n(x) / sum w_n) / a.  The mixture's log is taken as
+    log1p(sum w_n D_n / sum w_n) with D_n = L_n(x) - 1 from its own
+    recurrence, so it keeps its digits where the mixture is 1 + O(k^2).
+    """
+    dlam = lambda_s / (s - 1)
+    k = a * dlam
+    x = -0.5 * k * k
+    excess = [0.0, -x]
+    for n in range(1, n_max):
+        excess.append(((2 * n + 1 - x) * excess[n] - n * excess[n - 1] - x) / (n + 1))
+    weights = [math.exp(-2.0 * a * n) for n in range(n_max + 1)]
+    log_mix = math.log1p(sum(w * d for w, d in zip(weights, excess)) / sum(weights))
+    out = [0.0]
+    for j in range(1, s):
+        lam = lambda_s * ((j - 1) / (s - 1))
+        out.append(out[-1] + (0.5 * k * (lam + dlam) - 0.25 * k * k - log_mix) / a)
+    return out
+
+
 def spring_quadrature_profile(omega_ratio, s, a0, n_max):
     """dF(1, i), i = 1..s, of the truncated spring pull by Gauss-Hermite quadrature.
 

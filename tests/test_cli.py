@@ -303,6 +303,15 @@ class TestSweep:
         assert main(["sweep", "--param", "nmax", "--out", str(tmp_path)]) == 2
         assert "error: config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("protocol, unread", [("center", {"a", "omega_ratio"}),
+                                                  ("spring", {"a", "lambda_s"})])
+    def test_echoes_only_the_keys_it_reads(self, protocol, unread, tmp_path):
+        assert main(["sweep", "--protocol", protocol, "--out", str(tmp_path)]) == 0
+        meta, _, _ = _read_csv(tmp_path / "sweep.csv")
+        keys = {"protocol", "s", "n_max", "out", "sweep_param", "sweep_values",
+                "lambda_s", "omega_ratio"} - unread
+        assert set(meta) == keys
+
 
 class TestPathwaysCommand:
     def test_default_outputs(self, tmp_path):
@@ -315,7 +324,7 @@ class TestPathwaysCommand:
         # one row per optimal transition of the split, each field as format_number writes it
         records = []
         pathways.decompose_free_energy(cli._schedule_from(meta), tol=meta["tol"],
-                                       eps_rel=meta["eps"], on_records=records.extend)
+                                       on_records=records.extend)
         assert header == list(pathways.TransitionRecord._fields)
         assert rows == [[format_number(v) for v in r] for r in records]
         assert rows
@@ -599,6 +608,12 @@ class TestInputContract:
         ["sweep", "--param", "dlambda", "--values", "0.3"],
         ["sweep", "--protocol", "spring", "--param", "dlambda", "--values", "0.1,0.2"],
         ["pathways", "--w-points", "10"],  # the pathway scan reads no work grid
+        # a sweep point sets the swept key (a dlambda point its s), and the
+        # center pull reads no omega_ratio
+        ["sweep", "--param", "a", "--values", "1,2", "--a", "5"],
+        ["sweep", "--param", "nmax", "--values", "0,1", "--nmax", "3"],
+        ["sweep", "--param", "dlambda", "--values", "0.1,0.2", "--s", "4"],
+        ["sweep", "--values", "1", "--omega-ratio", "2"],
     ])
     def test_rejected_with_one_config_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -636,6 +651,15 @@ class TestInputContract:
         ("pathways", {"tol": 10**400}),
         ("pathways", {"eps": 10**400}),
         ("sweep", {"sweep_values": [1.0, 10**400]}),
+        # every pathway split runs at the one density floor
+        ("pathways", {"eps": 1e-12}),
+        # a sweep point sets the swept key (a dlambda point its s); the center
+        # pull reads no omega_ratio, and the spring pull no lambda_s
+        ("sweep", {"sweep_param": "a", "sweep_values": [1.0, 2.0], "a": 5.0}),
+        ("sweep", {"sweep_param": "nmax", "sweep_values": [0, 1], "n_max": 3}),
+        ("sweep", {"sweep_param": "dlambda", "sweep_values": [0.1, 0.2], "s": 4}),
+        ("sweep", {"sweep_values": [1.0], "omega_ratio": 2.0}),
+        ("sweep", {"protocol": "spring", "sweep_values": [1.0], "lambda_s": 2.0}),
     ])
     def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -657,8 +681,10 @@ class TestInputContract:
         [],
         # a center pull steps by lambda_s / (s - 1): --lambda-s is its one length
         ["run-center", "--dlambda", "0.1"],
+        # every pathway split runs at the one density floor
+        ["pathways", "--eps", "1e-12"],
     ], ids=["value-read-as-flag", "unknown-flag", "missing-value", "malformed-value",
-            "bad-choice", "no-command", "no-dlambda-flag"])
+            "bad-choice", "no-command", "no-dlambda-flag", "no-eps-flag"])
     def test_parser_errors_are_one_config_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(argv + (["--out", str(out)] if argv else [])) == 2

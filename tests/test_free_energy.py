@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from reference import (
     approx_free_energy,
+    center_exact_profile,
     ground_state_closed_form_center,
     ground_state_closed_form_spring,
     spring_low_temp_limit,
@@ -154,6 +155,26 @@ class TestCenterProfiles:
     def test_null_schedule_profile_is_zero(self):
         prof = free_energy_profile(build_center_schedule(0.0, 5, 1.0, 3))
         assert np.all(prof.delta_f == 0.0)
+
+    # (lambda_s, s, a, n_max).  The bench copy takes the log of the mixture,
+    # 1 + O(k^2), itself: 7.4e-11 off at a = 1e-3, s = 101, and under 2e-14
+    # from a = 1/16
+    @pytest.mark.parametrize("args, tol", [
+        ((1.0, 11, 1e-3, 10), 1e-10), ((1.0, 101, 1e-3, 10), 1e-10),
+        ((1.0, 11, 0.0625, 10), 1e-12), ((1.0, 101, 1.0, 10), 1e-12),
+        ((20.0, 2, 64.0, 12), 1e-12), ((-7.0, 6, 4.0, 3), 1e-12), ((20.0, 6, 16.0, 12), 1e-12),
+    ])
+    def test_center_oracle_matches_the_bench_copy(self, args, tol, oracles):
+        exact = center_exact_profile(*args)
+        assert exact == pytest.approx(oracles.center_exact_profile(*args), rel=tol, abs=tol)
+
+    # below a = 1e-3, where the bench copy loses its digits; worst gap 4.3e-16
+    @pytest.mark.parametrize("args", [(1.0, 2, 1e-300, 3), (1.0, 6, 1e-7, 12),
+                                      (1.0, 101, 1e-6, 10), (5.0, 4, 1e-12, 5),
+                                      (-13.5, 3, 1e-9, 2)])
+    def test_center_oracle_keeps_its_digits_at_small_a(self, args):
+        prof = free_energy_profile(build_center_schedule(*args))
+        assert prof.delta_f == pytest.approx(center_exact_profile(*args), rel=1e-12)
 
 
 class TestApproxFreeEnergy:

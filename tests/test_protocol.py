@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stepwork import protocol, workdist
 from stepwork.errors import GridTooLarge
+from stepwork.export import ROW_VALUES
 from stepwork.free_energy import free_energy_profile
 from stepwork.protocol import (
     GRID_BUDGET,
@@ -324,6 +325,16 @@ class TestGridBudget:
             mp.setattr(protocol, "GRID_BUDGET", peak // 8 - 1)
             with pytest.raises(GridTooLarge, match="the grids"):
                 run_work_recursion(build())
+
+    def test_recursion_charges_the_rows_its_cut_can_hold(self):
+        # a spring rho_2 is cut to the x grid's image, 1,286,827 nodes of the
+        # 2,000,000-node work grid: charged as 1,286,833 rows, held and exported,
+        # not as the 2,000,004 rows of the whole grid
+        sch = build_spring_schedule(1.3, 2, 0.1, 100, w_points=2_000_000)
+        rows = (_recursion_charge(sch) - sch.density_values) / (1 + ROW_VALUES)
+        assert rows == 1_286_833
+        (rho,) = run_work_recursion(sch).distributions
+        assert rho.values.size == 1_286_827
 
     def test_largest_tested_schedules_fit(self):
         for sch in (build_spring_schedule(1.3, 1001, 50.0, 0),
