@@ -27,8 +27,8 @@ import numpy as np
 from . import export, protocol
 from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, WorkerLost
 from .free_energy import free_energy_profile
-from .pathways import (DEFAULT_EPS_REL, DEFAULT_TOL, TransitionRecord, _check_tolerances,
-                       decompose_free_energy, overlap_measure)
+from .pathways import (DEFAULT_TOL, TransitionRecord, _check_tol, decompose_free_energy,
+                       overlap_measure)
 from .protocol import build_center_schedule, build_spring_schedule, default_temperature_sweep
 from .workdist import fluctuation_density, run_work_recursion
 
@@ -190,10 +190,10 @@ def cmd_sweep(args, cfg):
         raise ValueError(f"a {cfg['protocol']} sweep over {param} ignores "
                          f"{', '.join(ignored)}; leave it unset")
     cfg = {k: v for k, v in cfg.items() if k not in unread}
-    if not cfg.get("sweep_values"):
-        if param != "a":
-            raise ValueError("sweep needs a non-empty --values list")
+    if param == "a" and "sweep_values" not in cfg:
         cfg["sweep_values"] = default_temperature_sweep()
+    if not cfg.get("sweep_values"):
+        raise ValueError("sweep needs a non-empty --values list")
     values = [float(v) for v in cfg["sweep_values"]]
     points = [_sweep_point(cfg, param, v) for v in values]
     if param == "dlambda" and len(set(values)) < 2:
@@ -219,7 +219,7 @@ def cmd_sweep(args, cfg):
 def cmd_pathways(args, cfg):
     schedule = _schedule_from(cfg)
     tol = float(cfg["tol"])
-    _check_tolerances(tol, DEFAULT_EPS_REL)
+    _check_tol(tol)
     # the overlap densities are charged, built, read two at a time and dropped
     # before the split, which builds none of them, so they are never held next
     # to its tables or records.  Building them checks that the x grid holds

@@ -27,9 +27,9 @@ from .workdist import GriddedDensity, step_work_map
 __all__ = ["PathwayClass", "TransitionRecord", "TransitionScan", "PathwayDecomposition",
            "find_optimal_transitions", "overlap_measure", "decompose_free_energy"]
 
-# default log-ratio tolerance, relative density floor and position count
+# default log-ratio tolerance, fixed relative density floor, default position count
 DEFAULT_TOL = 0.05
-DEFAULT_EPS_REL = 1e-12
+EPS_REL = 1e-12
 DEFAULT_X_POINTS = 200
 # float64 values' worth of memory one matched transition costs by the time it
 # is written: its record and the copies of its CSV line (604 bytes measured)
@@ -78,15 +78,14 @@ class PathwayDecomposition:
     reconstruction_error: float
 
 
-def _density_floor(spectrum, eps_rel):
-    """eps_rel times the step's peak density (the ground state's maximum)."""
-    return eps_rel * (math.sqrt(spectrum.omega) * math.pi ** -0.5)
+def _density_floor(spectrum):
+    """EPS_REL times the step's peak density (the ground state's maximum)."""
+    return EPS_REL * (math.sqrt(spectrum.omega) * math.pi ** -0.5)
 
 
-def _check_tolerances(tol, eps_rel):
-    for name, value in (("tol", tol), ("eps_rel", eps_rel)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
 
 def _positions(x_grid, max_points):
@@ -146,7 +145,7 @@ def _within(r, tol):
 SLICE_VALUES = 12
 
 
-def _transition_tables(schedule, i, x, eps_rel, tol):
+def _transition_tables(schedule, i, x, tol):
     """Condition codes over one transition's (n_prev, n_next, k_prev, k_next) grid.
 
     Both positions of a transition range over the same axis x.  A condition
@@ -172,8 +171,8 @@ def _transition_tables(schedule, i, x, eps_rel, tol):
     beta = schedule.beta
     d_prev = sp_prev.all_densities(x)   # (S, P)
     d_next = sp_next.all_densities(x)
-    ok_prev = d_prev > _density_floor(sp_prev, eps_rel)
-    ok_next = d_next > _density_floor(sp_next, eps_rel)
+    ok_prev = d_prev > _density_floor(sp_prev)
+    ok_next = d_next > _density_floor(sp_next)
 
     e_prev = sp_prev.work_energy(np.arange(n_states))
     e_next = sp_next.work_energy(np.arange(n_states))
@@ -237,7 +236,7 @@ _CLASS_OF = np.array([3, 1, 1, 0, 2, 1, 1, 0])
 
 
 def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
-                             eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS):
+                             max_x_points=DEFAULT_X_POINTS):
     """Scan the discretized transition space at step i-1 -> i.
 
     Returns every (x_prev, x_next, n_prev, n_next) tuple whose residuals r12a
@@ -250,9 +249,9 @@ def find_optimal_transitions(schedule: PullSchedule, i, tol=DEFAULT_TOL,
     """
     if not 2 <= i <= schedule.s:
         raise ValueError(f"transitions exist for 2 <= i <= {schedule.s}")
-    _check_tolerances(tol, eps_rel)
+    _check_tol(tol)
     x = _positions(schedule.x_grid, max_x_points)
-    tab = _transition_tables(schedule, i, x, eps_rel, tol)
+    tab = _transition_tables(schedule, i, x, tol)
 
     code = tab["code"]
     # the links where A and B hold, counted and then picked one n_prev slice
@@ -326,8 +325,7 @@ def _advance(chain, code):
 # weights past the float64 range are refused once, at the end, not warned about
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
-                          eps_rel=DEFAULT_EPS_REL, max_x_points=DEFAULT_X_POINTS,
-                          on_records=None):
+                          max_x_points=DEFAULT_X_POINTS, on_records=None):
     """Split exp(-beta dF) over pathway classes on up to max_x_points positions.
 
     The positions are uniform over the x-grid's span, so each slot's
@@ -358,7 +356,7 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     dropped with its records, so what is held is one slot's weights, one
     transition's records, one byte per link and one state's slice.
     """
-    _check_tolerances(tol, eps_rel)
+    _check_tol(tol)
     x = _positions(schedule.x_grid, max_x_points)
     beta = schedule.beta
     logs = []  # ln of each slot's sum; the total is their product
@@ -387,10 +385,9 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
     chain[:, 7] = q, np.ones(q.size)
     for i in range(2, schedule.s if on_records is None else schedule.s + 1):
         if on_records is None:
-            code = _transition_tables(schedule, i, x, eps_rel, tol)["code"]
+            code = _transition_tables(schedule, i, x, tol)["code"]
         else:
-            scan = find_optimal_transitions(schedule, i, tol=tol, eps_rel=eps_rel,
-                                            max_x_points=max_x_points)
+            scan = find_optimal_transitions(schedule, i, tol=tol, max_x_points=max_x_points)
             on_records(scan.records)
             code, scan = scan.code, None
         if i < schedule.s:

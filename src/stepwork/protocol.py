@@ -178,13 +178,20 @@ def _check_run(kind, a, n_max, s, increment):
                       "lower s or n_max")
 
 
-def _snap_grid(lo, hi, h, off=0.0):
-    """The nodes m h + off that cover [lo, hi]."""
-    # only an infinite node count is refused here (a spacing that underflowed to
-    # 0, or a Python-float quotient that overflowed); passes charge the rest
-    if not (h > 0.0 and math.isfinite(float(hi - lo) / float(h))):
+def _spacings(length, h):
+    """How many spacings h span length."""
+    # only an infinite count is refused here (a spacing that underflowed to 0,
+    # or a Python-float quotient that overflowed); passes charge the rest
+    count = float(length) / float(h) if h > 0.0 else math.inf
+    if not math.isfinite(count):
         raise GridTooLarge("the grids need infinitely many nodes; raise the pull increment "
                            "or lower the point counts")
+    return count
+
+
+def _snap_grid(lo, hi, h, off=0.0):
+    """The nodes m h + off that cover [lo, hi]."""
+    _spacings(hi - lo, h)
     m_lo = math.floor((lo - off) / h)
     m_hi = max(math.ceil((hi - off) / h), m_lo + 1)
     return GridSpec(m_lo * h + off, m_hi * h + off, m_hi - m_lo + 1)
@@ -246,7 +253,7 @@ def _center_grids(schedule):
         h_w = gamma * h_x
         return xg, _snap_grid(w_lo - 2 * h_w, w_hi + 2 * h_w, h_w)
 
-    m = max(1, math.ceil(abs(dlam) / h_target))
+    m = max(1, math.ceil(_spacings(abs(dlam), h_target)))
     x_grid, w_grid = _build(m)
     w_points = schedule.w_points
     if w_points is not None and w_grid.points < w_points:

@@ -156,10 +156,13 @@ class OscillatorSpectrum:
         """Array of |psi_n(x)|^2 for n = 0..n_max, shape (n_max+1, len(x))."""
         return _density_stack(self.n_max, self.omega, self.center, np.asarray(x, dtype=float))
 
+    @np.errstate(over="ignore", invalid="ignore")  # a huge a: exp(-inf) = 0 is the weight
     def boltzmann_weights(self, a):
         """exp(-beta (E_n - E_0)) for n = 0..n_max at reduced temperature a."""
         n = np.arange(self.n_max + 1)
-        return np.exp(-a * self.unit * self.omega * n)
+        weights = np.exp(-a * self.unit * self.omega * n)
+        weights[0] = 1.0  # exp(0), not the NaN of -inf * 0
+        return weights
 
     @np.errstate(over="ignore", divide="ignore")  # as a -> 0 it grows to inf
     def thermal_variance(self, a):

@@ -27,7 +27,6 @@ from reference import prob_density
 
 from stepwork.pathways import (
     _CLASS_OF,
-    DEFAULT_EPS_REL,
     PathwayClass,
     TransitionRecord,
     _density_floor,
@@ -53,8 +52,7 @@ def _checked_log(value, floor, what):
     return math.log(value)
 
 
-def residual_12a(i, x_prev, x_next, n_prev, n_next, schedule,
-                 eps_rel=DEFAULT_EPS_REL):
+def residual_12a(i, x_prev, x_next, n_prev, n_next, schedule):
     """ln of the state-to-state density ratio minus beta (dE + dW).
 
     Zero on transitions satisfying the joint position/energy optimality
@@ -65,37 +63,35 @@ def residual_12a(i, x_prev, x_next, n_prev, n_next, schedule,
     sp_next = schedule.spectrum(i)
     d_next = prob_density(sp_next, n_next, x_next)
     d_prev = prob_density(sp_prev, n_prev, x_prev)
-    log_ratio = (_checked_log(d_next, _density_floor(sp_next, eps_rel), "|psi(x_next)|^2")
-                 - _checked_log(d_prev, _density_floor(sp_prev, eps_rel), "|psi(x_prev)|^2"))
+    log_ratio = (_checked_log(d_next, _density_floor(sp_next), "|psi(x_next)|^2")
+                 - _checked_log(d_prev, _density_floor(sp_prev), "|psi(x_prev)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
     dw = step_work_map(schedule, i - 1, x_prev)
     return log_ratio - schedule.beta * (de + dw)
 
 
-def residual_12b(i, x_prev, x_next, n_next, schedule, eps_rel=DEFAULT_EPS_REL):
+def residual_12b(i, x_prev, x_next, n_next, schedule):
     """Same-state density ratio between the two positions minus beta dW."""
     sp_next = schedule.spectrum(i)
-    floor = _density_floor(sp_next, eps_rel)
+    floor = _density_floor(sp_next)
     log_ratio = (_checked_log(prob_density(sp_next, n_next, x_next), floor, "|psi(x_next)|^2")
                  - _checked_log(prob_density(sp_next, n_next, x_prev), floor, "|psi(x_prev)|^2"))
     return log_ratio - schedule.beta * step_work_map(schedule, i - 1, x_prev)
 
 
-def residual_13(i, x_prev, x_next, n_prev, n_next, schedule,
-                eps_rel=DEFAULT_EPS_REL):
+def residual_13(i, x_prev, x_next, n_prev, n_next, schedule):
     """Detailed-balance residual: cross-evaluated density ratio minus beta dE."""
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
     log_ratio = (_checked_log(prob_density(sp_next, n_next, x_prev),
-                              _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
+                              _density_floor(sp_next), "|psi_next(x_prev)|^2")
                  - _checked_log(prob_density(sp_prev, n_prev, x_next),
-                                _density_floor(sp_prev, eps_rel), "|psi_prev(x_next)|^2"))
+                                _density_floor(sp_prev), "|psi_prev(x_next)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
     return log_ratio - schedule.beta * de
 
 
-def residual_quotient(i, x_prev, n_prev, n_next, schedule,
-                      eps_rel=DEFAULT_EPS_REL):
+def residual_quotient(i, x_prev, n_prev, n_next, schedule):
     """Quotient residual: both states evaluated at x_prev.
 
     Equals r12a - r12b identically (the work terms cancel); evaluated
@@ -104,9 +100,9 @@ def residual_quotient(i, x_prev, n_prev, n_next, schedule,
     sp_prev = schedule.spectrum(i - 1)
     sp_next = schedule.spectrum(i)
     log_ratio = (_checked_log(prob_density(sp_next, n_next, x_prev),
-                              _density_floor(sp_next, eps_rel), "|psi_next(x_prev)|^2")
+                              _density_floor(sp_next), "|psi_next(x_prev)|^2")
                  - _checked_log(prob_density(sp_prev, n_prev, x_prev),
-                                _density_floor(sp_prev, eps_rel), "|psi_prev(x_prev)|^2"))
+                                _density_floor(sp_prev), "|psi_prev(x_prev)|^2"))
     de = sp_next.work_energy(n_next) - sp_prev.work_energy(n_prev)
     return log_ratio - schedule.beta * de
 
@@ -224,7 +220,7 @@ def advance_per_n_prev(chain, code):
     return nxt.reshape(2, 8, size)
 
 
-def dense_transition_tables(schedule, i, x, eps_rel, tol):
+def dense_transition_tables(schedule, i, x, tol):
     """Residuals and condition codes over every link of one transition's
     (n_prev, n_next, k_prev, k_next) grid.
 
@@ -238,8 +234,8 @@ def dense_transition_tables(schedule, i, x, eps_rel, tol):
     beta = schedule.beta
     d_prev = sp_prev.all_densities(x)   # (S, P)
     d_next = sp_next.all_densities(x)
-    ok_prev = d_prev > _density_floor(sp_prev, eps_rel)
-    ok_next = d_next > _density_floor(sp_next, eps_rel)
+    ok_prev = d_prev > _density_floor(sp_prev)
+    ok_next = d_next > _density_floor(sp_next)
 
     e_prev = sp_prev.work_energy(np.arange(schedule.n_max + 1))
     e_next = sp_next.work_energy(np.arange(schedule.n_max + 1))
@@ -314,7 +310,7 @@ LabelledTransition = collections.namedtuple("LabelledTransition",
                                             [*TransitionRecord._fields, "label"])
 
 
-def detailed_balance_scan(schedule, i, tol, max_x_points, eps_rel=DEFAULT_EPS_REL):
+def detailed_balance_scan(schedule, i, tol, max_x_points):
     """Every link of transition i-1 -> i where DB (r13) holds, as
     LabelledTransitions in (n_prev, n_next, k_prev, k_next) order, with their
     state pairs' sums.
@@ -324,7 +320,7 @@ def detailed_balance_scan(schedule, i, tol, max_x_points, eps_rel=DEFAULT_EPS_RE
     label is the class of its link's code.
     """
     x = _positions(schedule.x_grid, max_x_points)
-    tab = _transition_tables(schedule, i, x, eps_rel, tol)
+    tab = _transition_tables(schedule, i, x, tol)
     code = tab["code"]
     hit = np.unravel_index(np.flatnonzero(code & 4), code.shape)
     n_prev, n_next, k_prev, k_next = hit

@@ -660,6 +660,9 @@ class TestInputContract:
         ("sweep", {"sweep_param": "dlambda", "sweep_values": [0.1, 0.2], "s": 4}),
         ("sweep", {"sweep_values": [1.0], "omega_ratio": 2.0}),
         ("sweep", {"protocol": "spring", "sweep_values": [1.0], "lambda_s": 2.0}),
+        # an empty list is no sweep, and only an absent one means the default a sweep
+        ("sweep", {"sweep_values": []}),
+        ("sweep", {"sweep_param": "a", "sweep_values": []}),
     ])
     def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -851,6 +854,9 @@ class TestInputContract:
         (["--lambda-s", "1e300"], 2, "error: grid-too-large: the grids need infinitely many"),
         # 1 / tanh(a) overflows: the thermal variance is inf, and n_max bounds the grid
         (["--a", "5e-324", "--lambda-s", "0"], 0, ""),
+        # the increment over the target spacing, the center x grid's M, overflows
+        (["--lambda-s", "1e308", "--nmax", "0"], 2,
+         "error: grid-too-large: the grids need infinitely many"),
     ])
     def test_float64_extremes_warn_nothing(self, argv, code, err, tmp_path, capsys):
         # pytest turns a RuntimeWarning into an error

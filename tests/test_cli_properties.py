@@ -30,7 +30,7 @@ from reference import center_exact_profile, format_number, spring_quadrature_pro
 from stepwork import cli, pathways, protocol, workdist
 
 BUDGET = 10**6
-_EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300]
+_EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308, -1e300]
 _EDGE_INT = [-1, 0, 1, 2, 3, 10**400]
 _ERROR_LINE = re.compile(r"error: [a-z-]+: \S")
 # traced bytes of an admitted run that no charge covers
@@ -140,6 +140,11 @@ def _profile(out):
 @example(argv=["run-center", "--s=5", "--nmax=0", "--a=1.0", "--lambda-s=3.0",
                "--x-points=2"])
 @example(argv=["run-spring", "--s=3", "--x-points=17"])
+# once warned of an overflow: a huge a overflowed the Boltzmann exponents, and
+# at n = 0 the product -inf * 0 made the ground weight NaN, refused as config
+@example(argv=["run-spring", "--a=1e307"])
+@example(argv=["run-spring", "--a=1e308", "--s=3", "--nmax=12"])
+@example(argv=["pathways", "--a=9e307", "--lambda-s=0.0", "--s=2", "--nmax=0"])
 def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

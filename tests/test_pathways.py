@@ -29,7 +29,6 @@ from stepwork import pathways, protocol
 from stepwork.errors import GridTooLarge
 from stepwork.free_energy import free_energy_profile
 from stepwork.pathways import (
-    DEFAULT_EPS_REL,
     DEFAULT_TOL,
     DEFAULT_X_POINTS,
     RECORD_VALUES,
@@ -313,9 +312,9 @@ class TestDetailedBalanceIdentity:
         # so where A and B hold, |r13| <= 2 tol + |that log ratio|
         x = _positions(sch.x_grid, 200)
         for i in range(2, sch.s + 1):
-            tab = dense_transition_tables(sch, i, x, DEFAULT_EPS_REL, tol)
-            ok_prev = tab["d_prev"] > _density_floor(sch.spectrum(i - 1), DEFAULT_EPS_REL)
-            ok_next = tab["d_next"] > _density_floor(sch.spectrum(i), DEFAULT_EPS_REL)
+            tab = dense_transition_tables(sch, i, x, tol)
+            ok_prev = tab["d_prev"] > _density_floor(sch.spectrum(i - 1))
+            ok_next = tab["d_next"] > _density_floor(sch.spectrum(i))
             read = (ok_prev[:, None, :, None] & ok_prev[:, None, None, :]
                     & ok_next[None, :, :, None] & ok_next[None, :, None, :])
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -349,11 +348,10 @@ class TestSparseScan:
     @settings(max_examples=100, deadline=None)
     @given(spring=st.booleans(), s=st.integers(2, 4), n_max=st.integers(0, 8),
            a=st.one_of(st.floats(0.05, 20.0), st.sampled_from([1e3, 1e6])),
-           eps_rel=st.sampled_from([DEFAULT_EPS_REL, 1e-300, 0.0, 1e-3]),
            tol=st.one_of(st.sampled_from([0.0, 1e9, "r12a", "r13"]), st.floats(1e-3, 5.0)),
            x_points=st.integers(5, 121), points=st.integers(1, 40), data=st.data())
-    def test_codes_and_residuals_match_the_dense_tables(self, spring, s, n_max, a, eps_rel,
-                                                        tol, x_points, points, data):
+    def test_codes_and_residuals_match_the_dense_tables(self, spring, s, n_max, a, tol,
+                                                        x_points, points, data):
         sch = (build_spring_schedule(1.3, s, a, n_max, x_points=x_points) if spring
                else build_center_schedule(1.0, s, a, n_max, x_points=x_points))
         i = data.draw(st.integers(2, s))
@@ -361,15 +359,15 @@ class TestSparseScan:
         if isinstance(tol, str):
             # a tol that one link's residual attains, which puts that link on
             # the edge of its band
-            r = dense_transition_tables(sch, i, x, eps_rel, 0.0)[tol]
+            r = dense_transition_tables(sch, i, x, 0.0)[tol]
             r = np.abs(r[np.isfinite(r)])
             tol = float(data.draw(st.sampled_from(r.tolist()))) if r.size else 0.0
-        ref = dense_transition_tables(sch, i, x, eps_rel, tol)
-        code = _transition_tables(sch, i, x, eps_rel, tol)["code"]
+        ref = dense_transition_tables(sch, i, x, tol)
+        code = _transition_tables(sch, i, x, tol)["code"]
         assert code.dtype == np.uint8 and np.array_equal(code, ref["code"])
         # the optimal links are the scan's; the detailed-balance links the reference's
-        scan = find_optimal_transitions(sch, i, tol=tol, eps_rel=eps_rel, max_x_points=points)
-        balanced, _ = detailed_balance_scan(sch, i, tol, points, eps_rel)
+        scan = find_optimal_transitions(sch, i, tol=tol, max_x_points=points)
+        balanced, _ = detailed_balance_scan(sch, i, tol, points)
         for records, need in ((scan.records, 3), (balanced, 4)):
             hit = np.nonzero((ref["code"] & need) == need)
             got = np.array([(r.n_prev, r.n_next) for r in records]).reshape(-1, 2)
@@ -385,8 +383,8 @@ class TestSparseScan:
         sch = build_center_schedule(1.0, 4, 1.0, 5)
         x = _positions(sch.x_grid, DEFAULT_X_POINTS)
         for i in range(2, sch.s + 1):
-            ref = dense_transition_tables(sch, i, x, DEFAULT_EPS_REL, tol)["code"]
-            assert np.array_equal(_transition_tables(sch, i, x, DEFAULT_EPS_REL, tol)["code"], ref)
+            ref = dense_transition_tables(sch, i, x, tol)["code"]
+            assert np.array_equal(_transition_tables(sch, i, x, tol)["code"], ref)
 
     def test_builds_no_full_size_float64_table(self, traced_peak):
         sch = build_center_schedule(1.0, 4, 1.0, 5)
@@ -421,7 +419,7 @@ class TestTableBudget:
     def test_checked_values_cover_the_traced_peaks(self, sch, points, tol, refused,
                                                    traced_peak):
         x = _positions(sch.x_grid, points)
-        runs = [(lambda: _transition_tables(sch, 2, x, DEFAULT_EPS_REL, tol), "transition tables"),
+        runs = [(lambda: _transition_tables(sch, 2, x, tol), "transition tables"),
                 (lambda: find_optimal_transitions(sch, 2, tol=tol, max_x_points=points), refused),
                 (lambda: decompose_free_energy(sch, tol=tol, max_x_points=points),
                  "transition tables")]
@@ -489,11 +487,10 @@ class TestPathwayEnumeration:
 class TestDecomposition:
     def test_rejects_non_finite_or_negative_tolerances(self, center_s3):
         for bad in (math.nan, math.inf, -0.1):
-            for kwargs in ({"tol": bad}, {"eps_rel": bad}):
-                with pytest.raises(ValueError):
-                    find_optimal_transitions(center_s3, 2, **kwargs)
-                with pytest.raises(ValueError):
-                    decompose_free_energy(center_s3, **kwargs)
+            with pytest.raises(ValueError):
+                find_optimal_transitions(center_s3, 2, tol=bad)
+            with pytest.raises(ValueError):
+                decompose_free_energy(center_s3, tol=bad)
 
     def test_rejects_empty_subsample(self, center_s3):
         with pytest.raises(ValueError, match="max_x_points"):

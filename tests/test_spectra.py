@@ -260,6 +260,15 @@ class TestOscillatorSpectrum:
             assert w[0] == 1.0
             assert np.allclose(w, np.exp(-gap * np.arange(4)), rtol=1e-14)
 
+    @pytest.mark.parametrize("spec", [_center(0.0, 5), _spring(1.3, 5)])
+    def test_boltzmann_weights_at_a_huge_a(self, spec):
+        # a n unit omega overflows to inf: every excited weight is exp(-inf) = 0,
+        # and the ground weight stays 1, not exp(-inf * 0) = NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = spec.boltzmann_weights(1e308)
+        assert w.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
     def test_step_methods_match_pipeline_and_oracles(self):
         from stepwork.protocol import build_center_schedule, build_spring_schedule
         from stepwork.workdist import step_work_map
