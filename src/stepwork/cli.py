@@ -137,7 +137,7 @@ def _schedule_from(cfg):
 def cmd_run(args, cfg):
     schedule = _schedule_from(cfg)
     profile = free_energy_profile(schedule)
-    # the recursion runs only for the distributions written out
+    # charged here; each distribution is built in _outputs, as it is written out
     ledger = run_work_recursion(schedule)
     meta = dict(cfg, increment=schedule.increment, x_points_resolved=schedule.x_grid.points,
                 w_points_resolved=schedule.w_grid.points)
@@ -150,7 +150,7 @@ def cmd_run(args, cfg):
             if step and int(step[1]) > schedule.s:
                 os.remove(os.path.join(cfg["out"], name))
         export.write_csv(path, header, rows, meta)
-        export.write_densities(paths, ledger.distributions, meta)
+        export.write_densities(paths, ledger, meta, schedule.w_grid.points)
     print(f"{args.command}: s={schedule.s} a={schedule.a} "
           f"n_max={schedule.n_max} dF={profile.endpoint:.12g}")
     return 0

@@ -3,13 +3,14 @@
 Every CSV body is one bytes % against a line template, "%d" per int and "%.12g"
 per float field, so identical configurations produce byte-identical files.
 
-``write_densities`` writes a run's work distributions.  When they hold at
-least POOL_MIN_ROWS data rows and more than one CPU is usable, each file's
-body is formatted on a pool of worker processes, one per usable CPU, and at
-most two files per worker are in flight.  The main process still makes
-every density_rows and write_csv call, once per file and in order, and
-every body is the same bytes % against the same line template wherever it
-runs, so the files do not depend on the CPU count.
+``write_densities`` writes a run's work distributions as they are built.
+When the file count times the work grid's point count reaches
+POOL_MIN_ROWS and more than one CPU is usable, each file's body is
+formatted on a pool of worker processes, one per usable CPU, and at most
+two files per worker are in flight.  The main process still makes every density_rows and write_csv
+call, once per file and in order, and every body is the same bytes %
+against the same line template wherever it runs, so the files do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -145,15 +146,17 @@ def _worker_pool(workers):
         pool.shutdown(cancel_futures=True)
 
 
-def write_densities(paths, densities, meta):
+def write_densities(paths, densities, meta, points):
     """Write each density's density_rows to its path with write_csv, in order.
 
-    Large runs format the bodies on worker processes (see the module
-    docstring); the files are the same either way.
+    ``densities`` may build each density as it is read, and each spans about
+    ``points`` nodes at most.  Large runs, judged from that bound before the
+    first density is read, format the bodies on worker processes (see the
+    module docstring), which fork at the first body, from a parent that
+    holds one density; the files are the same either way.
     """
     workers = _usable_cpus()
-    total_rows = sum(d.grid.points for d in densities)
-    pooled = workers > 1 and total_rows >= POOL_MIN_ROWS
+    pooled = workers > 1 and len(paths) * points >= POOL_MIN_ROWS
     with _worker_pool(workers) if pooled else contextlib.nullcontext() as pool:
         depth = 2 * workers if pooled else 1
         in_flight = collections.deque()

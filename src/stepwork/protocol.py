@@ -180,12 +180,16 @@ def _check_run(kind, a, n_max, s, increment):
 
 def _spacings(length, h):
     """How many spacings h span length."""
-    # only an infinite count is refused here (a spacing that underflowed to 0,
-    # or a Python-float quotient that overflowed); passes charge the rest
-    count = float(length) / float(h) if h > 0.0 else math.inf
+    # only an infinite count is refused here; passes charge the rest.  Its
+    # cause is the factor farther from 1: a spacing that underflowed (a
+    # product length h below 1, as for too small a pull increment) or a
+    # length that overflowed (too long a pull)
+    length, h = float(length), float(h)
+    count = length / h if h > 0.0 else math.inf
     if not math.isfinite(count):
-        raise GridTooLarge("the grids need infinitely many nodes; raise the pull increment "
-                           "or lower the point counts")
+        remedy = ("raise the pull increment or lower the point counts" if length * h < 1.0
+                  else "shorten the pull")
+        raise GridTooLarge("the grids need infinitely many nodes; " + remedy)
     return count
 
 

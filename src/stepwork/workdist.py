@@ -67,11 +67,22 @@ class GriddedDensity:
         return float(np.trapezoid(self.values, dx=self.grid.spacing))
 
 
-@dataclass(frozen=True)
 class WorkLedger:
-    """Everything the recursion produced for one schedule."""
+    """rho_2 .. rho_s of one schedule, built as they are read: iterating builds
+    them one at a time and keeps none; ``distributions`` builds them once and
+    keeps the tuple, which later iterations read."""
 
-    distributions: tuple = ()      # rho_2 .. rho_s
+    def __init__(self, steps):
+        self._steps, self._held = steps, None  # steps() yields rho_2 .. rho_s
+
+    def __iter__(self):
+        return self._steps() if self._held is None else iter(self._held)
+
+    @property
+    def distributions(self):
+        if self._held is None:
+            self._held = tuple(self._steps())
+        return self._held
 
 
 def fluctuation_density(spectrum: OscillatorSpectrum, a, x_grid: GridSpec):
@@ -219,17 +230,17 @@ def lattice_convolve(d1: GriddedDensity, d2: GriddedDensity, h):
 
 
 def run_work_recursion(schedule: PullSchedule):
-    """Run the recursion through rho_s, building each f_j and its pushforward
-    g_j once, when step j is reached.
+    """The WorkLedger of the recursion through rho_s, which builds each f_j
+    and its pushforward g_j once, when step j is reached.
 
     rho_2 is g_1 (rho_1 is the point mass at W = 0), and rho_i is rho_{i-1}
     convolved with g_{i-1}; each is cut once to the work window's nodes,
     checked for lost mass and renormalized.
 
-    Everything built is charged to the grid budget first, so a schedule over
-    it is refused before any density is built.  A pull with a zero increment
-    (which includes s = 1) does no work: every rho_i is the unit spike at
-    W = 0 on the work grid (-1, 0, 1), and no density is built.
+    Everything built is charged to the grid budget here, so a schedule over
+    it is refused before the ledger builds any density.  A pull with a zero
+    increment (which includes s = 1) does no work: every rho_i is the unit
+    spike at W = 0 on the work grid (-1, 0, 1), and no density is built.
     """
     x_grid, w_grid = schedule.x_grid, schedule.w_grid
     h, steps = w_grid.spacing, schedule.s - 1
@@ -238,28 +249,31 @@ def run_work_recursion(schedule: PullSchedule):
     u = step_work_map(schedule, 1, [x_grid.min, 0.0, x_grid.max]) if steps else [0.0]
     span = int(np.ptp(u) / h) + 6
     held = min(w_grid.points, steps * span) + 4
-    # the s - 1 rho_i, and the export of one of them while all are held
+    # the s - 1 rho_i, all held once ``distributions`` is read, and the export of one
     values = schedule.density_values + (steps + ROW_VALUES) * held
     if schedule.s > 2:
         values += _convolve_values(held, span)
     check_grid_budget("the grids", values)
-    if schedule.increment == 0.0:
-        spike = GriddedDensity(w_grid, [0.0, 1.0 / w_grid.spacing, 0.0])
-        return WorkLedger((spike,) * steps)
     lo, hi = int(round(w_grid.min / h)) - 1, int(round(w_grid.max / h)) + 1
-    rho, dists = None, []
-    for i in range(2, schedule.s + 1):
-        f = fluctuation_density(schedule.spectrum(i - 1), schedule.a, x_grid)
-        g = pushforward_step_density(f, schedule, i - 1)
-        rho = g if rho is None else lattice_convolve(rho, g, h)
-        rho = _lattice_density(_lattice_offset(rho, h), rho.values, h, lo, hi)
-        mass = rho.integral()
-        if abs(mass - 1.0) > MASS_TOLERANCE:
-            raise MassLeak(f"work distribution at step {i} integrates to {mass:.15g}; "
-                           "the work grid is truncating real mass")
-        rho = GriddedDensity(rho.grid, rho.values / mass)
-        dists.append(rho)
-    return WorkLedger(tuple(dists))
+
+    def distributions():
+        if schedule.increment == 0.0:
+            yield from (GriddedDensity(w_grid, [0.0, 1.0 / h, 0.0]),) * steps
+            return
+        rho = None
+        for i in range(2, schedule.s + 1):
+            f = fluctuation_density(schedule.spectrum(i - 1), schedule.a, x_grid)
+            g = pushforward_step_density(f, schedule, i - 1)
+            rho = g if rho is None else lattice_convolve(rho, g, h)
+            rho = _lattice_density(_lattice_offset(rho, h), rho.values, h, lo, hi)
+            mass = rho.integral()
+            if abs(mass - 1.0) > MASS_TOLERANCE:
+                raise MassLeak(f"work distribution at step {i} integrates to {mass:.15g}; "
+                               "the work grid is truncating real mass")
+            rho = GriddedDensity(rho.grid, rho.values / mass)
+            yield rho
+
+    return WorkLedger(distributions)
 
 
 def work_moments(rho: GriddedDensity):

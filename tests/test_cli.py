@@ -211,6 +211,17 @@ class TestRunSpring:
         target = 10.0 * math.log(math.sinh(0.065) / math.sinh(0.05))
         assert float(rows[-1][2]) == pytest.approx(target, rel=0.01)
 
+    def test_peak_does_not_grow_with_s(self, tmp_path, monkeypatch, traced_peak):
+        # each rho_i is built as it is written and then dropped, so an
+        # in-process run holds a few distributions and one export at any s
+        monkeypatch.setattr(export, "POOL_MIN_ROWS", math.inf)
+
+        def run(s):
+            argv = ["run-spring", "--s", str(s), "--a", "100", "--nmax", "0"]
+            assert main([*argv, "--out", str(tmp_path / str(s))]) == 0
+        peaks = [traced_peak(functools.partial(run, s)) for s in (21, 81)]
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
 
 class TestSweep:
     def test_dlambda_sweep_with_fit(self, tmp_path, capsys):
@@ -863,6 +874,25 @@ class TestInputContract:
         assert main(["pathways", *argv, "--out", str(tmp_path)]) == code
         assert capsys.readouterr().err.startswith(err)
 
+    @pytest.mark.parametrize("argv, remedy", [
+        # the work window's bounds overflow
+        (["pathways", "--nmax", "0", "--lambda-s", "1e307"], "shorten the pull"),
+        # the increment over the target spacing, the center x grid's M, overflows
+        (["pathways", "--nmax", "0", "--lambda-s", "1e308"], "shorten the pull"),
+        # the x spacing is the increment, 5e-324, too fine for the x grid's span
+        (["run-center", "--s", "2", "--lambda-s", "5e-324"],
+         "raise the pull increment or lower the point counts"),
+        # the work spacing, the increment squared, underflows to 0
+        (["run-center", "--lambda-s", "1e-170"],
+         "raise the pull increment or lower the point counts"),
+    ], ids=["wide-window", "wide-m", "fine-x", "zero-w"])
+    def test_infinite_grids_name_their_cause(self, argv, remedy, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid-too-large: the grids need infinitely many nodes; " + remedy + "\n")
+        assert not out.exists()
+
     def test_grid_over_budget_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(protocol, "GRID_BUDGET", 1000)
         out = tmp_path / "out"
@@ -1026,6 +1056,30 @@ class TestPooledExport:
         assert pools == [2]
         assert multiprocessing.active_children() == []
         # profile.csv, written before the distributions, is removed too
+        assert not out.exists()
+
+    def test_mass_leak_while_pooled_is_one_error_line(self, tmp_path, monkeypatch, pools,
+                                                      capsys):
+        # the distributions are built as they are written, so the leak at
+        # step 4 of 6 is found with the pool running
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(export, "POOL_MIN_ROWS", 0)
+        convolve, calls = workdist.lattice_convolve, []
+
+        def leak_at_step_4(d1, d2, h):
+            # rho_3 is the first convolution and rho_4 the second
+            calls.append(h)
+            rho = convolve(d1, d2, h)
+            return GriddedDensity(rho.grid, rho.values * (0.5 if len(calls) == 2 else 1.0))
+
+        monkeypatch.setattr(workdist, "lattice_convolve", leak_at_step_4)
+        out = tmp_path / "out"
+        assert main(["run-center", "--s", "6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mass-leak: work distribution at step 4")
+        assert len(err.splitlines()) == 1
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
         assert not out.exists()
 
     def test_worker_lost_after_files_written_leaves_no_file(self, tmp_path, monkeypatch,

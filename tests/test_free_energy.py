@@ -365,13 +365,13 @@ class TestPerStepProfile:
         # each stand-in is where the recursion looks it up
         sch = build_center_schedule(1.0, 3, 1.0, 2)
         with pytest.raises(AssertionError, match="built a density"):
-            run_work_recursion(sch)
+            run_work_recursion(sch).distributions
         monkeypatch.setattr(workdist, "fluctuation_density", fluctuation_density)
         with pytest.raises(AssertionError, match="built a density"):
-            run_work_recursion(sch)
+            run_work_recursion(sch).distributions
         monkeypatch.setattr(spectra.OscillatorSpectrum, "all_densities", all_densities)
         with pytest.raises(AssertionError, match="convolved"):
-            run_work_recursion(sch)
+            run_work_recursion(sch).distributions
 
     def test_profile_holds_no_ledger(self):
         assert "ledger" not in {f.name for f in dataclasses.fields(FreeEnergyProfile)}

@@ -319,7 +319,7 @@ class TestGridBudget:
         # the convolution's kernel, 128 values per node of the shorter
         # operand, outweighs everything else where the work window is long;
         # one step's x-side arrays do where the x grid is long and s small
-        peak = traced_peak(lambda: run_work_recursion(build()))
+        peak = traced_peak(lambda: run_work_recursion(build()).distributions)
         # a budget one float64 value below the traced peak refuses the schedule
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocol, "GRID_BUDGET", peak // 8 - 1)

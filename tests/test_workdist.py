@@ -222,6 +222,26 @@ class TestRecursion:
         assert len(ledger.distributions) == schedule.s - 1
         assert all(rho.values.tolist() == [0.0, 1.0, 0.0] for rho in ledger.distributions)
 
+    def test_ledger_builds_each_step_as_it_is_read(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fluctuation_density(*args)
+
+        monkeypatch.setattr(workdist, "fluctuation_density", counted)
+        ledger = run_work_recursion(build_center_schedule(1.0, 5, 1.0, 3))
+        assert calls == []  # the call charges the budget and builds nothing
+        streamed = list(ledger)
+        assert len(calls) == 4
+        held = ledger.distributions  # the iteration kept none: built again
+        assert len(calls) == 8
+        # an iteration after the read yields the held tuple and builds nothing
+        assert list(ledger) == list(held) and ledger.distributions is held
+        assert len(calls) == 8
+        assert [(d.grid, d.values.tolist()) for d in streamed] == [
+            (d.grid, d.values.tolist()) for d in held]
+
     def test_mass_leak_detected_on_truncated_window(self):
         sch = build_center_schedule(1.0, 11, 1.0, 0)
 
@@ -230,7 +250,7 @@ class TestRecursion:
 
         clipped = Clipped(*(getattr(sch, f.name) for f in dataclasses.fields(sch)))
         with pytest.raises(MassLeak):
-            run_work_recursion(clipped)
+            run_work_recursion(clipped).distributions
 
     def test_ground_state_closed_form_subset(self):
         for a in (0.25, 1.0, 4.0):
