@@ -12,7 +12,6 @@ from .free_energy import (
     free_energy_profile,
 )
 from .pathways import (
-    PathwayClass,
     PathwayDecomposition,
     TransitionRecord,
     decompose_free_energy,

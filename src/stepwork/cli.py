@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -45,58 +44,15 @@ _SWEEP_DEFAULTS = {**_CENTER_DEFAULTS, "omega_ratio": 1.3, "sweep_param": "a",
 del _SWEEP_DEFAULTS["x_points"], _SWEEP_DEFAULTS["w_points"]
 
 
-def _load_config(path):
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
-
-
 def _number_list(text):
     return [float(v) for v in text.split(",")]
 
 
-def _file_value_ok(value, flag_type, choices=None):
-    """Whether a config-file value has the JSON type of what its flag parses
-    to and, where the flag has choices, is one of them."""
-    if isinstance(value, bool):
-        return False
-    if flag_type is float and isinstance(value, int):  # JSON ints have no size limit
-        return abs(value) <= sys.float_info.max
-    if flag_type is _number_list:
-        return isinstance(value, list) and all(_file_value_ok(v, float) for v in value)
-    return (isinstance(value, {int: int, float: (int, float)}.get(flag_type, str))
-            and (choices is None or value in choices))
-
-
 def _resolve(args):
-    """defaults < config file < command-line flags; a key left unset is dropped.
-    The keys that the file or a flag sets are left in ``args.explicit``."""
-    defaults = args.defaults
-    cfg, args.explicit = dict(defaults), set()
-    if args.config:
-        file_cfg = _load_config(args.config)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            if not _file_value_ok(value, args.flags[key].type, args.flags[key].choices):
-                raise ValueError(f"config key {key!r} cannot take the value {json.dumps(value)}")
-        cfg.update(file_cfg)
-        args.explicit.update(file_cfg)
-        # only sweep has a --protocol flag; every other command fixes its protocol
-        if not hasattr(args, "protocol") and cfg["protocol"] != defaults["protocol"]:
-            raise ValueError(f"{args.command} runs the {defaults['protocol']} protocol, "
-                             f"not {cfg['protocol']}")
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-            args.explicit.add(key)
+    """defaults < command-line flags; a key left unset is dropped.
+    The keys that a flag sets are left in ``args.explicit``."""
+    args.explicit = {key for key in args.defaults if getattr(args, key, None) is not None}
+    cfg = args.defaults | {key: getattr(args, key) for key in args.explicit}
     return {k: v for k, v in cfg.items() if v is not None}
 
 
@@ -256,7 +212,6 @@ def cmd_pathways(args, cfg):
 
 def _add_common(parser, defaults):
     # a grid flag for each grid key of the command's defaults
-    parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--out", help="output directory (default: current)")
     parser.add_argument("--s", type=int, help="number of pulling steps")
     parser.add_argument("--a", type=float, help="reduced temperature")
@@ -298,6 +253,7 @@ def build_parser():
     p.add_argument("--param", choices=["a", "nmax", "dlambda"], dest="sweep_param")
     p.add_argument("--values", type=_number_list, dest="sweep_values",
                    help="comma-separated sweep values")
+    p.add_argument("--lambda-s", type=float, dest="lambda_s")
     p.add_argument("--omega-ratio", type=float, dest="omega_ratio")
     p.set_defaults(func=cmd_sweep, defaults=_SWEEP_DEFAULTS)
 
@@ -306,11 +262,6 @@ def build_parser():
     p.add_argument("--lambda-s", type=float, dest="lambda_s")
     p.add_argument("--tol", type=float, help="residual tolerance (log-ratio units)")
     p.set_defaults(func=cmd_pathways, defaults=_PATHWAY_DEFAULTS)
-
-    # a config key is checked against its flag on any command, since sweep
-    # takes lambda_s from a file but has no flag for it
-    parser.set_defaults(flags={action.dest: action for p in sub.choices.values()
-                               for action in p._actions})
     return parser
 
 

@@ -12,7 +12,6 @@ optimal / biased contributions that recombine to the total identically.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .errors import NonFiniteResult
 from .protocol import PullSchedule, check_grid_budget
 from .workdist import GriddedDensity, step_work_map
 
-__all__ = ["PathwayClass", "TransitionRecord", "TransitionScan", "PathwayDecomposition",
+__all__ = ["TransitionRecord", "TransitionScan", "PathwayDecomposition",
            "find_optimal_transitions", "overlap_measure", "decompose_free_energy"]
 
 # default log-ratio tolerance, fixed relative density floor, default position count
@@ -36,11 +35,10 @@ DEFAULT_X_POINTS = 200
 RECORD_VALUES = 80
 
 
-class PathwayClass(enum.Enum):
-    OPTIMAL = "optimal"            # both residual conditions hold
-    DETERMINISTIC = "deterministic"  # exactly one of them holds
-    STOCHASTIC = "stochastic"      # neither holds, but detailed balance does
-    BIASED = "biased"              # none hold
+# the pathway classes: optimal where both residual conditions hold,
+# deterministic where exactly one does, stochastic where neither does but
+# detailed balance does, and biased where none hold
+_CLASSES = ("optimal", "deterministic", "stochastic", "biased")
 
 
 class TransitionRecord(NamedTuple):
@@ -230,8 +228,7 @@ def _transition_tables(schedule, i, x, tol):
             "e_prev": e_prev, "e_next": e_next}
 
 
-# PathwayClass index of each code A + 2 B + 4 DB: optimal where A and B hold,
-# deterministic where one of them does, stochastic where only DB does, else biased
+# the _CLASSES index of each code A + 2 B + 4 DB
 _CLASS_OF = np.array([3, 1, 1, 0, 2, 1, 1, 0])
 
 
@@ -394,7 +391,7 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
             q = slot_weight(i)
             chain = _advance(chain, code) * np.stack([q, np.ones(q.size)])[:, None, :]
         del code  # the next transition's tables are built without this one's
-    by_class = np.zeros((len(PathwayClass), 2))
+    by_class = np.zeros((len(_CLASSES), 2))
     np.add.at(by_class, _CLASS_OF, chain.sum(axis=-1).T)
     c_op, c_det, c_sto, c_bia = by_class[:, 0].tolist()
     c_total = float(by_class[:, 0].sum())
@@ -410,7 +407,7 @@ def decompose_free_energy(schedule: PullSchedule, tol=DEFAULT_TOL,
         delta_f={name: float(-math.log(c) / beta) if c > 0.0 else math.inf
                  for name, c in contributions.items()} | {"total": -math.fsum(logs) / beta},
         contributions=contributions,
-        counts={cls.value: int(n) if exact else float(n)
-                for cls, n in zip(PathwayClass, by_class[:, 1])},
+        counts={name: int(n) if exact else float(n)
+                for name, n in zip(_CLASSES, by_class[:, 1])},
         reconstruction_error=abs(reconstruction) / c_total,
     )

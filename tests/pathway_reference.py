@@ -27,7 +27,7 @@ from reference import prob_density
 
 from stepwork.pathways import (
     _CLASS_OF,
-    PathwayClass,
+    _CLASSES,
     TransitionRecord,
     _density_floor,
     _positions,
@@ -304,7 +304,7 @@ def pair_summaries(schedule, i, x, records):
     return tuple(pairs)
 
 
-# a TransitionRecord's fields and the PathwayClass of its link's code: the
+# a TransitionRecord's fields and the class name of its link's code: the
 # scan lists only optimal links, the detailed-balance scan links of any class
 LabelledTransition = collections.namedtuple("LabelledTransition",
                                             [*TransitionRecord._fields, "label"])
@@ -324,7 +324,7 @@ def detailed_balance_scan(schedule, i, tol, max_x_points):
     code = tab["code"]
     hit = np.unravel_index(np.flatnonzero(code & 4), code.shape)
     n_prev, n_next, k_prev, k_next = hit
-    labels = np.array(tuple(PathwayClass), dtype=object)[_CLASS_OF[code[hit]]]
+    labels = np.array(_CLASSES)[_CLASS_OF[code[hit]]]
     records = tuple(map(
         LabelledTransition, itertools.repeat(i), n_prev.tolist(), n_next.tolist(),
         x[k_prev].tolist(), x[k_next].tolist(),

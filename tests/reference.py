@@ -189,6 +189,42 @@ def spring_quadrature_profile(omega_ratio, s, a0, n_max):
     return profile
 
 
+def center_gaussian_profile(lambda_s, s, a):
+    """dF(1, i), i = 1..s, of the center pull at n_max -> infinity, and the
+    running sum of its terms' magnitudes.
+
+    The untruncated thermal state is Gaussian, with the position variance
+    coth(a)/2, so step i, from lambda_i = lambda_s (i-1)/(s-1) on by
+    dlambda, adds dlambda (lambda_i + dlambda)/2 - a dlambda^2 coth(a)/4.
+    Each partial sum is an fsum of the terms, so it is correctly rounded.
+    """
+    dlam = lambda_s / (s - 1)
+    spread = 0.25 * a * dlam * dlam / math.tanh(a)
+    terms, profile, scale = [], [0.0], [0.0]
+    for i in range(1, s):
+        terms += [0.5 * dlam * (lambda_s * ((i - 1) / (s - 1)) + dlam), -spread]
+        profile.append(math.fsum(terms))
+        scale.append(math.fsum(map(abs, terms)))
+    return profile, scale
+
+
+def spring_gaussian_profile(omega_ratio, s, a0):
+    """dF(1, i), i = 1..s, of the spring pull at n_max -> infinity.
+
+    Step i draws x from the untruncated thermal state of omega_i =
+    sqrt(1 + (i-1) delta), a Gaussian of variance sigma_i^2 =
+    coth(a0 omega_i/2)/(2 omega_i), and does the work (delta/2) x^2, so it
+    adds ln(1 + a0 delta sigma_i^2)/(2 a0).
+    """
+    delta = (omega_ratio * omega_ratio - 1.0) / (s - 1)
+    profile = [0.0]
+    for i in range(1, s):
+        omega = math.sqrt(1.0 + (i - 1) * delta)
+        variance = 0.5 / (omega * math.tanh(0.5 * a0 * omega))
+        profile.append(profile[-1] + math.log1p(a0 * delta * variance) / (2.0 * a0))
+    return profile
+
+
 def format_number(x):
     """One CSV field as the writer renders it: an int as str, a float in "%.12g"."""
     return f"{x:.12g}" if isinstance(x, float) else str(x)

@@ -74,21 +74,12 @@ class TestRunCenter:
             _, header, rows = _read_csv(tmp_path / f"workdist_step_{i}.csv")
             assert header == ["W", "rho"] and rows == [["-1", "0"], ["0", "1"], ["1", "0"]]
 
-    def test_flags_override_config_file(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"s": 5, "a": 2.0}))
+    def test_flags_override_the_defaults(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["run-center", "--config", str(cfg), "--s", "3",
-                     "--out", str(out)]) == 0
+        assert main(["run-center", "--s", "3", "--a", "2", "--out", str(out)]) == 0
         meta, _, rows = _read_csv(out / "profile.csv")
-        assert meta["s"] == 3 and meta["a"] == 2.0
+        assert (meta["s"], meta["a"], meta["lambda_s"], meta["n_max"]) == (3, 2.0, 1.0, 10)
         assert len(rows) == 3
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        assert main(["run-center", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "error: config:" in capsys.readouterr().err
 
     def test_unwritable_output(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -237,10 +228,9 @@ class TestSweep:
         assert slope == pytest.approx((1 - 1 / math.tanh(1.0)) / 4.0, abs=1e-6)
 
     def test_dlambda_sweep_pulls_to_the_config_lambda_s(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda_s": 2.0}))
         assert main(["sweep", "--param", "dlambda", "--values", "0.1,0.2",
-                     "--config", str(cfg), "--out", str(tmp_path)]) == 0
+                     "--lambda-s", "2", "--out", str(tmp_path)]) == 0
+        assert '"lambda_s":2.0' in (tmp_path / "sweep.csv").read_text().splitlines()[0]
         _, _, rows = _read_csv(tmp_path / "sweep.csv")
         for row, s in zip(rows, (21, 11)):
             exact = free_energy_profile(protocol.build_center_schedule(2.0, s, 1.0, 10)).endpoint
@@ -634,52 +624,53 @@ class TestInputContract:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    # each value is given by its flag: one its type or choices refuse, a flag
+    # the command does not take, or a value the run refuses; the --out is new
     @pytest.mark.parametrize("command, file_cfg", [
-        ("run-center", {"a": "1"}),
-        ("run-center", {"s": 2.5}),
-        ("run-center", {"s": True}),
-        ("run-center", {"n_max": 2.0}),
-        ("run-center", {"lambda_s": None}),
-        ("run-center", {"jobs": 2}),
-        ("pathways", {"jobs": 2}),
-        ("pathways", {"tol": "0.1"}),
-        ("sweep", {"sweep_values": [1.0, True]}),
-        ("sweep", {"sweep_values": "1,2"}),
-        ("sweep", {"jobs": 1.5}),
-        ("sweep", {"lambda_s": "2"}),
-        ("sweep", {"x_points": 100}),
-        ("sweep", {"w_points": 100}),
-        ("sweep", {"protocol": "quantum"}),
-        ("sweep", {"sweep_param": "zz"}),
-        ("pathways", {"w_points": 100}),
+        ("run-center", ["--a", "one"]),
+        ("run-center", ["--s", "2.5"]),
+        ("run-center", ["--s", "true"]),
+        ("run-center", ["--nmax", "2.0"]),
+        ("run-center", ["--lambda-s", ""]),
+        ("run-center", ["--jobs", "2"]),
+        ("pathways", ["--jobs", "2"]),
+        ("pathways", ["--tol", "0,1"]),
+        ("sweep", ["--values", "1,true"]),
+        ("sweep", ["--values", "[1,2]"]),
+        ("sweep", ["--jobs", "1.5"]),
+        ("sweep", ["--lambda-s", "two"]),
+        ("sweep", ["--values", "1,,2"]),
+        ("sweep", ["--nmax", "-1"]),
+        ("sweep", ["--protocol", "quantum"]),
+        ("sweep", ["--protocol", "spring", "--omega-ratio", "0"]),
+        ("pathways", ["--nmax", "-1"]),
         # the pull length is lambda_s alone; its step is lambda_s / (s - 1)
-        ("sweep", {"dlambda": 0.5}),
-        ("run-center", {"dlambda": 0.1}),
-        # JSON ints of any size: one past the float64 range has no float value
-        ("run-center", {"a": 10**400}),
-        ("run-center", {"lambda_s": 10**400}),
-        ("run-spring", {"omega_ratio": 10**400}),
-        ("pathways", {"tol": 10**400}),
-        ("pathways", {"eps": 10**400}),
-        ("sweep", {"sweep_values": [1.0, 10**400]}),
-        # every pathway split runs at the one density floor
-        ("pathways", {"eps": 1e-12}),
-        # a sweep point sets the swept key (a dlambda point its s); the center
-        # pull reads no omega_ratio, and the spring pull no lambda_s
-        ("sweep", {"sweep_param": "a", "sweep_values": [1.0, 2.0], "a": 5.0}),
-        ("sweep", {"sweep_param": "nmax", "sweep_values": [0, 1], "n_max": 3}),
-        ("sweep", {"sweep_param": "dlambda", "sweep_values": [0.1, 0.2], "s": 4}),
-        ("sweep", {"sweep_values": [1.0], "omega_ratio": 2.0}),
-        ("sweep", {"protocol": "spring", "sweep_values": [1.0], "lambda_s": 2.0}),
+        ("sweep", ["--dlambda", "0.5"]),
+        # a center pull has no frequency ratio
+        ("run-center", ["--omega-ratio", "1.3"]),
+        # a real value past the float64 range parses to inf
+        ("run-center", ["--a", "1" + "0" * 400]),
+        ("run-center", ["--lambda-s", "1" + "0" * 400]),
+        ("run-spring", ["--omega-ratio", "1" + "0" * 400]),
+        ("pathways", ["--tol", "1" + "0" * 400]),
+        ("pathways", ["--lambda-s", "1" + "0" * 400]),
+        ("sweep", ["--values", "1," + "1" + "0" * 400]),
+        # pathways runs the center pull
+        ("pathways", ["--omega-ratio", "1.3"]),
+        # a sweep checks its pull, its temperatures and its step count
+        ("sweep", ["--lambda-s", "nan"]),
+        ("sweep", ["--param", "dlambda", "--values", "0.1,0.2", "--lambda-s", "inf"]),
+        ("sweep", ["--param", "a", "--values", "0"]),
+        ("sweep", ["--s", "0"]),
+        # the spring pull reads no lambda_s
+        ("sweep", ["--protocol", "spring", "--values", "1", "--lambda-s", "2"]),
         # an empty list is no sweep, and only an absent one means the default a sweep
-        ("sweep", {"sweep_values": []}),
-        ("sweep", {"sweep_param": "a", "sweep_values": []}),
+        ("sweep", ["--values", ""]),
+        ("sweep", ["--param", "a", "--values", ""]),
     ])
     def test_config_file_value_rejected(self, command, file_cfg, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(file_cfg))
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert main([command, *file_cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert len(err.splitlines()) == 1
@@ -722,22 +713,29 @@ class TestInputContract:
             assert capsys.readouterr().err.startswith("error: config: ")
 
     def test_config_step_count_past_float64_range_refused(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"s": 10**400}))
         out = tmp_path / "out"
-        assert main(["pathways", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["pathways", "--s", "1" + "0" * 400, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: grid-too-large: s is past the float64 range; lower s\n"
         assert not out.exists()
 
-    def test_config_file_cannot_switch_protocol(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
+    def test_only_sweep_takes_a_protocol(self, tmp_path, capsys):
         for command, other in (("run-center", "spring"), ("run-spring", "center"),
                                ("pathways", "spring")):
-            cfg.write_text(json.dumps({"protocol": other}))
+            out = tmp_path / command
+            assert main([command, "--protocol", other, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: config:")
+            assert not out.exists()
+
+    def test_config_flag_refused(self, tmp_path, capsys):
+        # every setting is a flag: no command reads a config file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s": 3}))
+        for command in ("run-center", "run-spring", "sweep", "pathways"):
             out = tmp_path / command
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-            assert capsys.readouterr().err.startswith("error: config:")
+            err = capsys.readouterr().err
+            assert err.startswith("error: config: ") and len(err.splitlines()) == 1
             assert not out.exists()
 
     # refused before --out is made, and (the last) after transitions.csv is written

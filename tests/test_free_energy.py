@@ -6,8 +6,10 @@ import pytest
 from reference import (
     approx_free_energy,
     center_exact_profile,
+    center_gaussian_profile,
     ground_state_closed_form_center,
     ground_state_closed_form_spring,
+    spring_gaussian_profile,
     spring_low_temp_limit,
     spring_quadrature_profile,
 )
@@ -239,6 +241,29 @@ class TestSpringProfiles:
     def test_null_pull(self):
         prof = free_energy_profile(build_spring_schedule(1.0, 5, 0.1, 10))
         assert np.all(prof.delta_f == 0.0)
+
+
+class TestGaussianLimit:
+    """At n_max -> infinity each step's thermal state is Gaussian.  At these
+    n_max the dropped Boltzmann share e^{-a unit omega (n_max + 1)} and the
+    pull's tilt of the high states leave the profile on the limit."""
+
+    # largest gap 2.8e-16 of the running sum of the terms' magnitudes
+    @pytest.mark.parametrize("a", [2.0, 4.0, 8.0, 16.0])
+    @pytest.mark.parametrize("s, lambda_s, n_max", [(11, 1.0, 10), (101, 1.0, 10),
+                                                    (6, -2.0, 20)])
+    def test_center_meets_the_limit(self, a, s, lambda_s, n_max):
+        prof = free_energy_profile(build_center_schedule(lambda_s, s, a, n_max))
+        limit, scale = center_gaussian_profile(lambda_s, s, a)
+        assert np.all(np.abs(prof.delta_f - limit) <= 2e-15 * np.array(scale))
+
+    # largest gap 7.4e-16 relative
+    @pytest.mark.parametrize("a", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("s, omega_ratio, n_max", [(11, 1.3, 100), (61, 1.3, 200)])
+    def test_spring_meets_the_limit(self, a, s, omega_ratio, n_max):
+        prof = free_energy_profile(build_spring_schedule(omega_ratio, s, a, n_max))
+        limit = spring_gaussian_profile(omega_ratio, s, a)
+        assert prof.delta_f == pytest.approx(limit, rel=2e-15, abs=0.0)
 
 
 class TestReferenceFreeEnergy:

@@ -32,7 +32,6 @@ from stepwork.pathways import (
     DEFAULT_TOL,
     DEFAULT_X_POINTS,
     RECORD_VALUES,
-    PathwayClass,
     _density_floor,
     _positions,
     _transition_tables,
@@ -295,10 +294,9 @@ class TestTransitionScan:
                 a = holds(residual_12a, i, r.x_prev, r.x_next, r.n_prev, r.n_next, center_s3)
                 b = holds(residual_12b, i, r.x_prev, r.x_next, r.n_next, center_s3)
                 db = holds(residual_13, i, r.x_prev, r.x_next, r.n_prev, r.n_next, center_s3)
-                expected = (PathwayClass.OPTIMAL if a and b
-                            else PathwayClass.DETERMINISTIC if a or b
-                            else PathwayClass.STOCHASTIC if db else PathwayClass.BIASED)
-                assert r.label is expected, r
+                expected = ("optimal" if a and b else "deterministic" if a or b
+                            else "stochastic" if db else "biased")
+                assert r.label == expected, r
                 checked += 1
         assert checked > 1000
 
