@@ -239,14 +239,15 @@ def run_work_recursion(schedule: PullSchedule):
 
     Everything built is charged to the grid budget here, so a schedule over
     it is refused before the ledger builds any density.  A pull with a zero
-    increment (which includes s = 1) does no work: every rho_i is the unit
-    spike at W = 0 on the work grid (-1, 0, 1), and no density is built.
+    increment runs the same loop: each g_j is the unit spike at W = 0 on the
+    work grid (-1, 0, 1) the protocol gives it, and each f_j's x grid is checked.
     """
     x_grid, w_grid = schedule.x_grid, schedule.w_grid
     h, steps = w_grid.spacing, schedule.s - 1
     # g_j, with pads, spans the x grid's image, extreme at the grid's ends or at 0,
     # and a rho_i at most i - 1 of them, cut to the window, with pads
-    u = step_work_map(schedule, 1, [x_grid.min, 0.0, x_grid.max]) if steps else [0.0]
+    u = schedule.spectrum(1).work_increment(schedule.increment,
+                                            np.array([x_grid.min, 0.0, x_grid.max]))
     span = int(np.ptp(u) / h) + 6
     held = min(w_grid.points, steps * span) + 4
     # the s - 1 rho_i, all held once ``distributions`` is read, and the export of one
@@ -257,9 +258,6 @@ def run_work_recursion(schedule: PullSchedule):
     lo, hi = int(round(w_grid.min / h)) - 1, int(round(w_grid.max / h)) + 1
 
     def distributions():
-        if schedule.increment == 0.0:
-            yield from (GriddedDensity(w_grid, [0.0, 1.0 / h, 0.0]),) * steps
-            return
         rho = None
         for i in range(2, schedule.s + 1):
             f = fluctuation_density(schedule.spectrum(i - 1), schedule.a, x_grid)

@@ -208,6 +208,36 @@ def center_gaussian_profile(lambda_s, s, a):
     return profile, scale
 
 
+def center_truncation_share(a, dlambda, n_max):
+    """Weight of the states past n_max in a center step's tilted mixture.
+
+    The exponential average weighs state n by q^n L_n(-h), with q = e^{-2a}
+    and h = (a dlambda)^2 / 2, the same at every step.  The weights sum to
+    exp(q h / (1 - q)) / (1 - q) (the Laguerre generating function), so
+    r_n = q^n L_n(-h) (1 - q) exp(-q h / (1 - q)) sums to 1 and follows the
+    Laguerre recurrence.  The tail past n_max is summed directly, so a
+    small share keeps its relative digits; a share over 1/2 is 1 less the
+    head.  q h is taken in logs, where h alone would overflow.
+    """
+    q, one_less_q = math.exp(-2.0 * a), -math.expm1(-2.0 * a)
+    qh = (math.exp(2.0 * (math.log(a) + math.log(abs(dlambda))) - math.log(2.0) - 2.0 * a)
+          if dlambda else 0.0)
+    prev, r = 0.0, one_less_q * math.exp(-qh / one_less_q)
+    head = []
+    for n in range(n_max + 1):
+        head.append(r)
+        prev, r = r, (((2 * n + 1) * q + qh) * r - n * q * q * prev) / (n + 1)
+    kept = math.fsum(head)
+    if kept < 0.5:
+        return 1.0 - kept
+    tail, n = [], n_max + 1
+    while not (tail and r <= 1e-17 * math.fsum(tail) and r <= tail[-1]):
+        tail.append(r)
+        prev, r = r, (((2 * n + 1) * q + qh) * r - n * q * q * prev) / (n + 1)
+        n += 1
+    return math.fsum(tail)
+
+
 def spring_gaussian_profile(omega_ratio, s, a0):
     """dF(1, i), i = 1..s, of the spring pull at n_max -> infinity.
 

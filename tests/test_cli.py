@@ -65,14 +65,21 @@ class TestRunCenter:
         assert capsys.readouterr().out.endswith(" dF=0\n")
         _, _, rows = _read_csv(tmp_path / "profile.csv")
         assert "-0" not in {field for row in rows for field in row}
-
-    def test_no_work_pull_builds_no_density(self, tmp_path):
-        # two x points cannot hold a density; a pull that does no work reads none
-        assert main(["run-center", "--lambda-s", "0", "--s", "3", "--x-points", "2",
-                     "--out", str(tmp_path)]) == 0
+        # every distribution is the unit spike at W = 0 on the nodes (-1, 0, 1)
         for i in (2, 3):
             _, header, rows = _read_csv(tmp_path / f"workdist_step_{i}.csv")
             assert header == ["W", "rho"] and rows == [["-1", "0"], ["0", "1"], ["1", "0"]]
+
+    def test_no_work_pull_on_a_too_coarse_x_grid_refused(self, tmp_path, capsys):
+        # once exited 0: a pull that does no work built no density, so nothing
+        # checked that two x points could hold one
+        out = tmp_path / "out"
+        assert main(["run-center", "--lambda-s", "0", "--s", "3", "--x-points", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid-too-narrow: boundary density ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_flags_override_the_defaults(self, tmp_path):
         out = tmp_path / "out"

@@ -25,7 +25,14 @@ import numpy as np
 import pytest
 from hypothesis import Phase, event, example, given, settings
 from hypothesis import strategies as st
-from reference import center_exact_profile, format_number, spring_quadrature_profile
+from reference import (
+    center_exact_profile,
+    center_gaussian_profile,
+    center_truncation_share,
+    format_number,
+    spring_gaussian_profile,
+    spring_quadrature_profile,
+)
 
 from stepwork import cli, pathways, protocol, workdist
 
@@ -145,6 +152,13 @@ def _profile(out):
 @example(argv=["run-spring", "--a=1e307"])
 @example(argv=["run-spring", "--a=1e308", "--s=3", "--nmax=12"])
 @example(argv=["pathways", "--a=9e307", "--lambda-s=0.0", "--s=2", "--nmax=0"])
+# once admitted: a pull that does no work built no density, so nothing checked
+# that two x points could hold one
+@example(argv=["run-center", "--lambda-s=0", "--s=3", "--x-points=2"])
+# the states past n_max carry 7.0e-13 of the tilted weight, under the 1e-12
+# that holds the profile to its n_max -> infinity limit, though
+# e^{-2a(n_max+1)} alone is 7.8e-20
+@example(argv=["run-center", "--a=2.0", "--s=3", "--lambda-s=5.0", "--nmax=10"])
 def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -194,6 +208,21 @@ def test_every_input_gives_an_answer_or_one_error_line(argv, oracles):
             assert -1e-9 * var_w <= excess <= deposit + 1e-9 * var_w, (path.name, excess, deposit)
         delta_f = list(profile[:, 2])
         s, a, n_max = cfg["s"], cfg["a"], cfg["n_max"]
+        # where the states past n_max carry no weight, the profile sits on its
+        # n_max -> infinity limit.  The center share counts the pull's tilt; the
+        # spring share is at most e^{-a(n_max+1)} sqrt(1 + a delta/2) / (1 - e^{-a})
+        limit = None
+        if argv[0] == "run-center":
+            if s > 1 and center_truncation_share(a, cfg["lambda_s"] / (s - 1), n_max) <= 1e-12:
+                limit = center_gaussian_profile(cfg["lambda_s"], s, a)[0]
+        else:
+            delta = (cfg["omega_ratio"] ** 2 - 1.0) / (s - 1)
+            bound = math.exp(-a * (n_max + 1)) * math.sqrt(1.0 + 0.5 * a * delta)
+            if bound <= -1e-12 * math.expm1(-a):
+                limit = spring_gaussian_profile(cfg["omega_ratio"], s, a)
+        if limit is not None:
+            event(f"{argv[0]} held to the Gaussian limit")
+            assert delta_f == pytest.approx(limit, rel=1e-9, abs=1e-9)
         if argv[0] == "run-center":
             exact = [0.0] if s == 1 else center_exact_profile(cfg["lambda_s"], s, a, n_max)
         elif n_max == 0 or math.exp(-a) < 1e-16:  # first excited weight exp(-a0 omega_1)

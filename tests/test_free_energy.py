@@ -7,6 +7,7 @@ from reference import (
     approx_free_energy,
     center_exact_profile,
     center_gaussian_profile,
+    center_truncation_share,
     ground_state_closed_form_center,
     ground_state_closed_form_spring,
     spring_gaussian_profile,
@@ -264,6 +265,24 @@ class TestGaussianLimit:
         prof = free_energy_profile(build_spring_schedule(omega_ratio, s, a, n_max))
         limit = spring_gaussian_profile(omega_ratio, s, a)
         assert prof.delta_f == pytest.approx(limit, rel=2e-15, abs=0.0)
+
+    # 50-digit evaluations of the tail over the generating function's total
+    @pytest.mark.parametrize("a, dlambda, n_max, share", [
+        (2.0, 2.5, 10, 7.00153090566e-13),  # against e^{-2a(n_max+1)} = 7.8e-20
+        (2.0, 2.5, 20, 1.31818642554e-26),
+        (1.0, 0.1, 10, 2.94475518722e-10),  # the run-center defaults
+    ])
+    def test_center_truncation_share_counts_the_tilt(self, a, dlambda, n_max, share):
+        assert center_truncation_share(a, dlambda, n_max) == pytest.approx(share, rel=1e-9)
+
+    def test_center_share_sets_the_gap_to_the_limit(self):
+        # where the tilt dominates the share, each step's log-average misses
+        # its limit by about the share, so the endpoint misses by (s - 1) share / a
+        a, s, lambda_s, n_max = 2.0, 3, 5.0, 10
+        prof = free_energy_profile(build_center_schedule(lambda_s, s, a, n_max))
+        gap = prof.endpoint - center_gaussian_profile(lambda_s, s, a)[0][-1]
+        share = center_truncation_share(a, lambda_s / (s - 1), n_max)
+        assert gap == pytest.approx((s - 1) * share / a, rel=1e-2)
 
 
 class TestReferenceFreeEnergy:

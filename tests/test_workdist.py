@@ -209,9 +209,7 @@ class TestRecursion:
             assert work_moments(rho) == (0.0, 0.0)
             assert exponential_average(rho, 1.0) == 0.0
 
-    @pytest.mark.parametrize("schedule", [build_center_schedule(1.0, 1, 1.0, 0),
-                                          build_center_schedule(0.0, 5, 1.0, 3),
-                                          build_spring_schedule(1.0, 4, 0.1, 3)])
+    @pytest.mark.parametrize("schedule", [build_center_schedule(1.0, 1, 1.0, 0)])
     def test_no_work_pull_builds_no_density(self, schedule, monkeypatch):
         def refuse(*args):
             raise AssertionError("a pull that does no work builds no density")
@@ -221,6 +219,25 @@ class TestRecursion:
         ledger = run_work_recursion(schedule)
         assert len(ledger.distributions) == schedule.s - 1
         assert all(rho.values.tolist() == [0.0, 1.0, 0.0] for rho in ledger.distributions)
+
+    @pytest.mark.parametrize("schedule", [build_center_schedule(0.0, 5, 1.0, 3),
+                                          build_spring_schedule(1.0, 4, 0.1, 3)])
+    def test_no_work_pull_builds_each_density_once(self, schedule, monkeypatch):
+        # a pull that does no work runs the one loop: f_j is built, and its x
+        # grid checked, at each of the s - 1 steps, and each rho_i is the unit
+        # spike at W = 0 on the work grid (-1, 0, 1)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fluctuation_density(*args)
+
+        monkeypatch.setattr(workdist, "fluctuation_density", counted)
+        ledger = run_work_recursion(schedule)
+        assert len(ledger.distributions) == schedule.s - 1
+        assert len(calls) == schedule.s - 1
+        assert all(rho.grid == GridSpec(-1.0, 1.0, 3) and rho.values.tolist() == [0.0, 1.0, 0.0]
+                   for rho in ledger.distributions)
 
     def test_ledger_builds_each_step_as_it_is_read(self, monkeypatch):
         calls = []
