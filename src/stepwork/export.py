@@ -1,15 +1,19 @@
 """Deterministic CSV/JSON writers for run artifacts.
 
-Every CSV body is one bytes % against a line template, "%d" per int and "%.12g"
-per float field, so identical configurations produce byte-identical files.
+Every CSV field is "%d" per int and "%.12g" per float, so identical
+configurations produce byte-identical files.  A table's body is one bytes %
+against a line template.  A work distribution's W,rho body is written by a
+numpy kernel that gives the bytes of b"%.12g" % x for every value; it hands
+the rare value it cannot place exactly (a 13th digit next to a rounding
+tie, an exponent estimate off by one, a value that is not finite) to %.
 
 ``write_densities`` writes a run's work distributions as they are built.
 When the file count times the work grid's point count reaches
 POOL_MIN_ROWS and more than one CPU is usable, each file's body is
 formatted on a pool of worker processes, one per usable CPU, and at most
-two files per worker are in flight.  The main process still makes every density_rows and write_csv
-call, once per file and in order, and every body is the same bytes %
-against the same line template wherever it runs, so the files do not
+two files per worker are in flight.  The main process still makes every
+density_rows and write_csv call, once per file and in order, and every
+body is the same kernel's bytes wherever it runs, so the files do not
 depend on the CPU count.
 """
 
@@ -18,10 +22,14 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import io
 import itertools
 import json
 import math
 import os
+import types
+
+import numpy as np
 
 from .errors import WorkerLost
 
@@ -31,8 +39,9 @@ __all__ = ["FormattedRows", "format_rows", "write_csv", "density_rows", "write_d
 # data rows from which formatting a run's distributions on worker processes
 # pays back the pool's start-up; below it they are formatted in process
 POOL_MIN_ROWS = 200_000
-# float64 values a distribution's export holds per row (Python floats, line
-# template, body): measured at up to 11.5 in process and 13.5 in a pooled worker
+# float64 values a distribution's export holds per row (the W words, a
+# formatting pass, the body): measured at up to 8 in process and 12.5 in a
+# pooled worker
 ROW_VALUES = 14
 
 
@@ -91,25 +100,157 @@ def write_csv(path, header, rows, meta=None):
         fh.writelines((head.encode(), body))
 
 
+# %.12g in numpy.  Each value becomes three little-endian uint64 words, 24
+# bytes that read: its sign (byte 0), "0." and up to two zeros (1-4), 13
+# slots for its 12 digits and their point (5-17), "e+XX[X]" (18-22) and a
+# separator (23).  Bytes a value does not use are 0, and bytes.translate
+# drops them.  In "0.000" the third zero fills the point slot, empty when no
+# digit precedes the point.  A value whose scaled mantissa lies within 1e-3
+# of a rounding tie (it errs by at most 4.4e-4), whose exponent estimate
+# misses, or that is not finite is formatted by Python's %, so every byte is
+# that of b"%.12g" % x.
+_E0 = 324  # e + _E0 indexes the tables by decimal exponent, e = -324 .. 308
+_P0 = 149  # j + _P0 indexes 10**j, j = -149 .. 168
+# rows formatted per numpy pass, so that the kernel's temporaries do not grow
+# with the grid
+CHUNK_ROWS = 1 << 15
+
+
+@functools.cache
+def _g12_tables():
+    def words(strings):  # each string zero-padded in one little-endian uint64
+        return np.array(strings, "S8").view("<u8")
+
+    def halves(masks):  # 128-bit masks as (low, high) uint64 rows
+        return np.array([[m & 2**64 - 1 for m in masks], [m >> 64 for m in masks]], np.uint64)
+
+    q = np.arange(1000, dtype=np.int16)
+    e = np.arange(-_E0, 309, dtype=np.int16)
+    fixed = (e >= -4) & (e < 12)
+    prefix = np.zeros(len(e), "<u8")
+    prefix[_E0 - 4:_E0] = words([b"0.000", b"0.00", b"0.0", b"0."])  # e = -4 .. -1
+    return types.SimpleNamespace(
+        # b"%03d" % q, its first digit in the lowest byte
+        triples=(q // 100 + 48 | (q // 10 % 10 + 48) << 8).astype(np.uint64)
+        | (q % 10 + 48).astype(np.uint64) << 16,
+        # one past the last nonzero digit of q as the j-th of four 3-digit
+        # groups, 0 for q = 0
+        last=np.where(q == 0, 0, np.arange(0, 12, 3, dtype=np.int16)[:, None] + 3
+                      - (q % 10 == 0) - (q % 100 == 0)).astype(np.int8),
+        pow10=np.array([float(f"1e{j}") for j in range(-_P0, 169)]),  # correctly rounded
+        # the digits before the point: e + 1 in "%f" form, 0 after "0.", 1 in "%e" form
+        ints=np.where(fixed, np.maximum(e + 1, 0), 1).astype(np.int8),
+        prefix=prefix,
+        exponent=words([b"" if -4 <= k < 12 else b"e%+03d" % k for k in range(-_E0, 309)]),
+        below=halves([(1 << 8 * i) - 1 for i in range(13)]),  # the bytes below byte i
+        unit=halves([1 << 8 * i for i in range(13)]),  # byte i set to 1
+    )
+
+
+def _g12_words(values, sep, out):
+    """Write each value's b"%.12g" % value and the byte ``sep`` to the rows of
+    ``out``, an (n, 3) little-endian uint64 array, 0 in the bytes not used."""
+    t = _g12_tables()
+    nonzero = values != 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.abs(values)
+        e = np.log10(x)
+        e[~np.isfinite(e)] = 0.0
+        e = np.floor(e).astype(np.intp)
+        # y = x 10**(11 - e), whose 12 integer digits are the mantissa's, in two
+        # correctly rounded factors so that neither product overflows or goes
+        # subnormal
+        k = 11 - e
+        y = t.pow10.take((k >> 1) + _P0) * x
+        y *= t.pow10.take(k - (k >> 1) + _P0)
+        slow = nonzero & (~((y >= 1e11) & (y < 1e12 - 0.5))
+                          | (np.abs(y - np.floor(y) - 0.5) < 1e-3))
+        np.rint(y, out=y)
+        y[slow] = 0.0
+    # the digits as four 3-digit groups, exact in float64 below 1e12, then as
+    # a 12-byte string in (lo, hi) words
+    groups = np.empty((4, len(y)), np.intp)
+    for j, scale in enumerate((1e9, 1e6, 1e3)):
+        group = np.floor(y / scale)
+        y -= group * scale
+        groups[j] = group
+    groups[3] = y
+    sig = t.last[0].take(groups[0])  # how many digits up to the last nonzero one
+    for j in (1, 2, 3):
+        np.maximum(sig, t.last[j].take(groups[j]), out=sig)
+    lo = t.triples.take(groups[0])
+    lo |= t.triples.take(groups[1]) << 24
+    hi = t.triples.take(groups[2])
+    lo |= hi << 48
+    hi >>= 16
+    hi |= t.triples.take(groups[3]) << 8
+    del y, group, groups  # each temporary goes once used: _passes budgets the peak
+    # cut after the last significant or integer digit, move the digits from
+    # byte `ints` on up one byte, and put the point in the gap
+    e += _E0
+    ints = t.ints.take(e)
+    cut = np.maximum(sig, ints)
+    lo &= t.below[0].take(cut)
+    hi &= t.below[1].take(cut)
+    point = ((sig > ints) & (ints > 0)) * np.uint64(46)
+    del sig, cut
+    head = t.below[0].take(ints)
+    tail = lo & ~head
+    lo &= head
+    lo |= tail << 8
+    lo |= point * t.unit[0].take(ints)
+    head = t.below[1].take(ints)
+    hi = hi & head | (hi & ~head) << 8 | tail >> 56 | point * t.unit[1].take(ints)
+    del point, head, tail
+    out[:, 0] = np.signbit(values) * np.uint64(45) | t.prefix.take(e) << 8 | lo << 40
+    out[:, 1] = lo >> 24 | hi << 40
+    out[:, 2] = hi >> 24 | t.exponent.take(e) << 16 | np.uint64(ord(sep) << 56)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = b"".join((b"%.12g" % v).ljust(23, b"\0") + sep for v in values[slow].tolist())
+        out[slow] = np.frombuffer(text, "<u8").reshape(-1, 3)
+
+
+def _passes(rows):
+    # slices of at most CHUNK_ROWS rows and at most a quarter of them: a pass
+    # holds its row words and the kernel's temporaries, about 155 bytes a row,
+    # so under 40 bytes a row of the whole (ROW_VALUES charges 112)
+    step = min(CHUNK_ROWS, -(-rows // 4))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 @functools.lru_cache(maxsize=1)
 def _row_template(grid):
-    # one b"W,%.12g\n" line per node, every W formatted in one % (no list of
-    # per-node lines) once per grid: equal GridSpecs have bit-equal nodes, and
-    # once the window saturates, successive steps' distributions share one grid
-    return (b"%.12g,%%.12g\n" * grid.points) % tuple(grid.nodes().tolist())
+    # the W column's words, "%.12g" and ",", for every node, formatted once
+    # per grid: equal GridSpecs have bit-equal nodes, and once the window
+    # saturates, successive steps' distributions share one grid
+    nodes = grid.nodes()
+    words = np.empty((grid.points, 3), "<u8")
+    for rows in _passes(grid.points):
+        _g12_words(nodes[rows], b",", words[rows])
+    return words
 
 
 def _format_body(grid, values):
-    return _row_template(grid) % tuple(values.tolist())
+    # each pass lays the W words and the rho words, ending in "\n", side by
+    # side and drops their zero bytes
+    template = _row_template(grid)
+    body = io.BytesIO()
+    for rows in _passes(grid.points):
+        words = np.empty((len(template[rows]), 6), "<u8")
+        words[:, :3] = template[rows]
+        _g12_words(values[rows], b"\n", words[:, 3:])
+        body.write(words.tobytes().translate(None, b"\0"))
+    return body.getvalue()
 
 
 def density_rows(density, pool=None):
     """Two-column (W, rho) rows, one per grid node.
 
-    The rows come back as FormattedRows: the rho column is formatted in one
-    bytes % against the grid's line template, as format_rows fills its own.
-    With a process ``pool`` the formatting is submitted to it, and the body
-    is a future.
+    The rows come back as FormattedRows: the numpy %.12g kernel formats the
+    rho column next to the grid's W column, which it formats once per grid
+    and keeps, CHUNK_ROWS rows at a time.  With a process ``pool`` the
+    formatting is submitted to it, and the body is a future.
     """
     if pool is None:
         body = _format_body(density.grid, density.values)

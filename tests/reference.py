@@ -260,6 +260,18 @@ def format_number(x):
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
+def percent_g12(values, sep=b"\n"):
+    """Each value as b"%.12g" % value followed by ``sep``, by Python's bytes %."""
+    return (b"%.12g" + sep) * len(values) % tuple(np.asarray(values, dtype=float).tolist())
+
+
+def percent_body(grid, values):
+    """A density's W,rho CSV body as the export wrote it with bytes %: a line
+    template of the grid's nodes, its rho column filled in one %."""
+    template = (b"%.12g,%%.12g\n" * grid.points) % tuple(grid.nodes().tolist())
+    return template % tuple(values.tolist())
+
+
 def ground_state_closed_form_center(a, dlambda, s):
     """Exact dF = dlambda^2 (s-1)(s-a)/4 for the ground-state-only center pull."""
     if s < 1:

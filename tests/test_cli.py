@@ -977,8 +977,8 @@ class TestExport:
         assert path.read_bytes() == b'# config: {"case":1}\nW,rho\n' + rows.body
 
     def test_template_holds_no_per_node_lines(self, traced_peak):
-        # the W column is formatted in one bytes %; joining one line per node
-        # traced 20.4 float64 values per node
+        # the W column is kept as three words a node, formatted a pass at a
+        # time; joining one line per node traced 20.4 float64 values per node
         grid = protocol.GridSpec(-3.0, 7.0, 1_000_000)
         export._row_template.cache_clear()
         try:
