@@ -24,7 +24,7 @@ from itertools import pairwise, starmap
 import numpy as np
 
 from . import export, protocol
-from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult, WorkerLost
+from .errors import GridTooLarge, GridTooNarrow, MassLeak, NonFiniteResult
 from .free_energy import free_energy_profile
 from .pathways import (DEFAULT_TOL, TransitionRecord, _check_tol, decompose_free_energy,
                        overlap_measure)
@@ -106,7 +106,7 @@ def cmd_run(args, cfg):
             if step and int(step[1]) > schedule.s:
                 os.remove(os.path.join(cfg["out"], name))
         export.write_csv(path, header, rows, meta)
-        export.write_densities(paths, ledger, meta, schedule.w_grid.points)
+        export.write_densities(paths, ledger, meta)
     print(f"{args.command}: s={schedule.s} a={schedule.a} "
           f"n_max={schedule.n_max} dF={profile.endpoint:.12g}")
     return 0
@@ -269,8 +269,7 @@ def build_parser():
 # code: bad input raises ValueError, and an output that cannot be written OSError
 _FAILURES = ((ValueError, "config", 2), (OSError, "output-unwritable", 2),
              (GridTooLarge, "grid-too-large", 2), (MassLeak, "mass-leak", 1),
-             (NonFiniteResult, "non-finite", 1), (GridTooNarrow, "grid-too-narrow", 1),
-             (WorkerLost, "worker-lost", 1))
+             (NonFiniteResult, "non-finite", 1), (GridTooNarrow, "grid-too-narrow", 1))
 
 
 def main(argv=None):

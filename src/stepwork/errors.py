@@ -20,7 +20,3 @@ class MassLeak(StepworkError):
 
 class NonFiniteResult(StepworkError):
     """A result left the float64 range (an overflow, or a NaN from one)."""
-
-
-class WorkerLost(StepworkError):
-    """A worker process formatting output rows ended before returning them."""

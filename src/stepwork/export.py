@@ -7,41 +7,32 @@ numpy kernel that gives the bytes of b"%.12g" % x for every value; it hands
 the rare value it cannot place exactly (a 13th digit next to a rounding
 tie, an exponent estimate off by one, a value that is not finite) to %.
 
-``write_densities`` writes a run's work distributions as they are built.
-When the file count times the work grid's point count reaches
-POOL_MIN_ROWS and more than one CPU is usable, each file's body is
-formatted on a pool of worker processes, one per usable CPU, and at most
-two files per worker are in flight.  The main process still makes every
-density_rows and write_csv call, once per file and in order, and every
-body is the same kernel's bytes wherever it runs, so the files do not
-depend on the CPU count.
+``write_densities`` writes a run's work distributions as they are built,
+on one writer thread: the kernel's numpy passes and the recursion's BLAS
+products release the GIL, so the thread can format and write one
+distribution while the caller builds the next.  Every file is written by
+one density_rows and one write_csv call, in order, at any size and CPU
+count.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import functools
 import io
 import itertools
 import json
 import math
-import os
+import queue
+import threading
 import types
 
 import numpy as np
 
-from .errors import WorkerLost
-
 __all__ = ["FormattedRows", "format_rows", "write_csv", "density_rows", "write_densities",
            "profile_rows", "write_json"]
 
-# data rows from which formatting a run's distributions on worker processes
-# pays back the pool's start-up; below it they are formatted in process
-POOL_MIN_ROWS = 200_000
 # float64 values a distribution's export holds per row (the W words, a
-# formatting pass, the body): measured at up to 8 in process and 12.5 in a
-# pooled worker
+# formatting pass, the body): traced at up to 7.6 in write_densities
 ROW_VALUES = 14
 
 
@@ -52,24 +43,14 @@ def _comment(entry):
 
 
 class FormattedRows:
-    """A table's data lines as one bytes block, each line ending in '\n'.
+    """A table's data lines as one bytes ``body``, each line ending in '\n'.
+    ``len()`` is the number of data rows, not of bytes."""
 
-    ``body`` is given as the bytes or as a future of them (a worker's
-    result); reading it waits for the result.  ``len()`` is the number of
-    data rows, not of bytes.
-    """
-
-    __slots__ = ("_body", "count")
+    __slots__ = ("body", "count")
 
     def __init__(self, body, count):
-        self._body = body
+        self.body = body
         self.count = count
-
-    @property
-    def body(self):
-        if not isinstance(self._body, bytes):
-            self._body = self._body.result()
-        return self._body
 
     def __len__(self):
         return self.count
@@ -95,9 +76,8 @@ def write_csv(path, header, rows, meta=None):
         rows = format_rows(rows)
     entries = [] if meta is None else [meta] if isinstance(meta, dict) else meta
     head = "".join(_comment(e) + "\n" for e in entries) + ",".join(header) + "\n"
-    body = rows.body  # waits for a worker's body before the file opens
     with open(path, "wb") as fh:
-        fh.writelines((head.encode(), body))
+        fh.writelines((head.encode(), rows.body))
 
 
 # %.12g in numpy.  Each value becomes three little-endian uint64 words, 24
@@ -244,70 +224,48 @@ def _format_body(grid, values):
     return body.getvalue()
 
 
-def density_rows(density, pool=None):
+def density_rows(density):
     """Two-column (W, rho) rows, one per grid node.
 
     The rows come back as FormattedRows: the numpy %.12g kernel formats the
     rho column next to the grid's W column, which it formats once per grid
-    and keeps, CHUNK_ROWS rows at a time.  With a process ``pool`` the
-    formatting is submitted to it, and the body is a future.
+    and keeps, CHUNK_ROWS rows at a time.
     """
-    if pool is None:
-        body = _format_body(density.grid, density.values)
-    else:
-        body = pool.submit(_format_body, density.grid, density.values)
-    return ["W", "rho"], FormattedRows(body, density.grid.points)
+    return ["W", "rho"], FormattedRows(_format_body(density.grid, density.values),
+                                       density.grid.points)
 
 
-def _usable_cpus():
-    # no sched_getaffinity (not Linux): treated as one CPU, so no pool
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-@contextlib.contextmanager
-def _worker_pool(workers):
-    # imported here, so that importing stepwork and small runs load no
-    # process machinery
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # fork, not spawn: a spawned worker re-imports numpy and the caller's
-    # __main__ (0.4-0.6 s to the first result on 2 cores, against 17 ms), and
-    # fails when __main__ was read from stdin.  The workers only format
-    # bytes, and call neither BLAS nor anything else the parent's threads
-    # may hold.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        yield pool
-    except BrokenProcessPool as exc:
-        raise WorkerLost("a worker process formatting the distribution CSVs ended "
-                         "abruptly") from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def write_densities(paths, densities, meta, points):
+def write_densities(paths, densities, meta):
     """Write each density's density_rows to its path with write_csv, in order.
 
-    ``densities`` may build each density as it is read, and each spans about
-    ``points`` nodes at most.  Large runs, judged from that bound before the
-    first density is read, format the bodies on worker processes (see the
-    module docstring), which fork at the first body, from a parent that
-    holds one density; the files are the same either way.
+    ``densities`` may build each density as it is read.  One writer thread
+    takes them through a queue of two and writes them while the next is
+    built.  The first exception on either side stops the run once the
+    writer is idle and is raised here, after the thread has ended.
     """
-    workers = _usable_cpus()
-    pooled = workers > 1 and len(paths) * points >= POOL_MIN_ROWS
-    with _worker_pool(workers) if pooled else contextlib.nullcontext() as pool:
-        depth = 2 * workers if pooled else 1
-        in_flight = collections.deque()
-        for path, density in zip(paths, densities):
-            in_flight.append((path, density_rows(density, pool=pool)))
-            if len(in_flight) == depth:
-                path, (header, rows) = in_flight.popleft()
-                write_csv(path, header, rows, meta)
-        for path, (header, rows) in in_flight:
-            write_csv(path, header, rows, meta)
+    jobs, failed = queue.Queue(2), []
+
+    def writer():
+        for path, density in iter(jobs.get, None):
+            if not failed:  # after a failure the queued jobs are dropped
+                try:
+                    write_csv(path, *density_rows(density), meta)
+                except BaseException as exc:
+                    failed.append(exc)
+
+    thread = threading.Thread(target=writer, name="stepwork-export")
+    thread.start()
+    try:
+        for job in zip(paths, densities):
+            if failed:
+                break
+            jobs.put(job)
+    except BaseException as exc:
+        failed.append(exc)
+    jobs.put(None)
+    thread.join()
+    if failed:
+        raise failed[0]
 
 
 def profile_rows(profile):

@@ -2,11 +2,11 @@ import errno
 import functools
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -17,6 +17,7 @@ from reference import format_number, ground_state_closed_form_center
 
 from stepwork import cli, export, pathways, protocol, workdist
 from stepwork.cli import main
+from stepwork.errors import MassLeak
 from stepwork.free_energy import free_energy_profile
 from stepwork.workdist import GriddedDensity, fluctuation_density, run_work_recursion
 
@@ -209,11 +210,9 @@ class TestRunSpring:
         target = 10.0 * math.log(math.sinh(0.065) / math.sinh(0.05))
         assert float(rows[-1][2]) == pytest.approx(target, rel=0.01)
 
-    def test_peak_does_not_grow_with_s(self, tmp_path, monkeypatch, traced_peak):
-        # each rho_i is built as it is written and then dropped, so an
-        # in-process run holds a few distributions and one export at any s
-        monkeypatch.setattr(export, "POOL_MIN_ROWS", math.inf)
-
+    def test_peak_does_not_grow_with_s(self, tmp_path, traced_peak):
+        # each rho_i is built as it is written and then dropped, so a run
+        # holds a few distributions and one export at any s
         def run(s):
             argv = ["run-spring", "--s", str(s), "--a", "100", "--nmax", "0"]
             assert main([*argv, "--out", str(tmp_path / str(s))]) == 0
@@ -994,82 +993,84 @@ class TestExport:
                                     "# fit: slope=1 intercept=0\nx,y\n1,0.5\n2,0.25\n")
 
 
-def _die(*args):
-    os._exit(1)
+class TestStreamedExport:
+    """Distribution CSVs written on export.write_densities's writer thread."""
 
+    def test_thread_writes_the_bytes_of_direct_calls(self, tmp_path):
+        # seven distributions: more than the writer's queue of two holds
+        ledger = run_work_recursion(protocol.build_center_schedule(1.0, 8, 1.0, 10))
+        names = [f"workdist_step_{i}.csv" for i in range(2, 9)]
+        (tmp_path / "thread").mkdir()
+        (tmp_path / "direct").mkdir()
+        export.write_densities([tmp_path / "thread" / n for n in names], ledger, {"case": 1})
+        for name, density in zip(names, ledger.distributions):
+            export.write_csv(tmp_path / "direct" / name, *export.density_rows(density),
+                             {"case": 1})
+        for name in names:
+            assert ((tmp_path / "thread" / name).read_bytes()
+                    == (tmp_path / "direct" / name).read_bytes())
 
-_FORMAT_BODY = export._format_body
+    @pytest.mark.parametrize("side", ["builder", "writer"])
+    def test_failure_at_any_step_leaves_a_prefix(self, side, tmp_path, monkeypatch):
+        # a failure at step k on either side, with the threads switching every
+        # microsecond: that failure is raised, the files written are the first
+        # ones in order, and the writer thread has ended
+        grid, steps = protocol.GridSpec(-1.0, 1.0, 3), 12
+        threads, write, switch = threading.active_count(), export.write_csv, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in range(steps):
+                written = []
 
+                def densities():
+                    for i in range(steps):
+                        if side == "builder" and i == k:
+                            raise MassLeak(f"step {i}")
+                        yield GriddedDensity(grid, np.array([0.0, i + 1.0, 0.0]))
 
-def _die_at_peak(peak, grid, values):
-    # a worker formats the body, or dies at the density whose peak is given
-    if values.max() == peak:
-        os._exit(1)
-    return _FORMAT_BODY(grid, values)
+                def fail_at_k(path, *args):
+                    if side == "writer" and path.name == f"{k}.csv":
+                        raise OSError(f"step {k}")
+                    write(path, *args)
+                    written.append(path.name)
 
+                monkeypatch.setattr(export, "write_csv", fail_at_k)
+                paths = [tmp_path / f"{side}{k}" / f"{i}.csv" for i in range(steps)]
+                paths[0].parent.mkdir()
+                with pytest.raises((MassLeak, OSError), match=f"^step {k}$"):
+                    export.write_densities(paths, densities(), None)
+                assert written == [f"{i}.csv" for i in range(len(written))]
+                assert len(written) == k if side == "writer" else len(written) <= k
+                assert threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(switch)
 
-class TestPooledExport:
-    """Distribution CSVs formatted on worker processes by export.write_densities."""
+    def test_write_failure_on_the_writer_is_one_error_line(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # the 4th distribution's write fails, after the first three were written
+        threads, written, write = threading.active_count(), [], export.write_csv
 
-    @staticmethod
-    def _bodies(out):
-        # below the "# config" line, which names the output directory
-        return {p.name: p.read_bytes().split(b"\n", 1)[1] for p in out.glob("*.csv")}
+        def fail_at_step_5(path, *args):
+            if os.path.basename(path) == "workdist_step_5.csv":
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            write(path, *args)
+            written.append(os.path.basename(path))
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker counts of the pools write_densities starts."""
-        started, make = [], export._worker_pool
-
-        def spy(workers):
-            started.append(workers)
-            return make(workers)
-
-        monkeypatch.setattr(export, "_worker_pool", spy)
-        return started
-
-    @pytest.mark.parametrize("argv", [["run-center", "--s", "8"],
-                                      ["run-spring", "--s", "8", "--nmax", "20"]])
-    def test_pool_changes_no_byte(self, argv, tmp_path, monkeypatch, pools, capsys):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        outputs = {}
-        for mode, gate in (("pooled", 0), ("in-process", math.inf)):
-            monkeypatch.setattr(export, "POOL_MIN_ROWS", gate)
-            assert main([*argv, "--out", str(tmp_path / mode)]) == 0
-            outputs[mode] = self._bodies(tmp_path / mode), capsys.readouterr()
-        assert pools == [2]
-        # seven distributions: more files than the four a two-worker pool holds in flight
-        assert len(outputs["pooled"][0]) == 8
-        assert outputs["pooled"] == outputs["in-process"]
-
-    def test_one_usable_cpu_starts_no_pool(self, tmp_path, monkeypatch, pools):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(export, "POOL_MIN_ROWS", 0)
-        assert main(["run-center", "--s", "4", "--out", str(tmp_path)]) == 0
-        assert pools == []
-        assert len(list(tmp_path.glob("workdist_step_*.csv"))) == 3
-
-    def test_lost_worker_is_one_error_line(self, tmp_path, monkeypatch, pools, capsys):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(export, "POOL_MIN_ROWS", 0)
-        monkeypatch.setattr(export, "_format_body", _die)
+        monkeypatch.setattr(export, "write_csv", fail_at_step_5)
         out = tmp_path / "out"
-        assert main(["run-center", "--s", "6", "--out", str(out)]) == 1
+        assert main(["run-center", "--s", "8", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: worker-lost: ")
+        assert err.startswith("error: output-unwritable: ")
         assert len(err.splitlines()) == 1
-        assert pools == [2]
-        assert multiprocessing.active_children() == []
-        # profile.csv, written before the distributions, is removed too
+        assert written == ["profile.csv", "workdist_step_2.csv", "workdist_step_3.csv",
+                           "workdist_step_4.csv"]
+        assert threading.active_count() == threads
         assert not out.exists()
 
-    def test_mass_leak_while_pooled_is_one_error_line(self, tmp_path, monkeypatch, pools,
-                                                      capsys):
+    def test_mass_leak_while_files_wait_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         # the distributions are built as they are written, so the leak at
-        # step 4 of 6 is found with the pool running
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(export, "POOL_MIN_ROWS", 0)
-        convolve, calls = workdist.lattice_convolve, []
+        # step 4 of 6 is found with the writer thread running
+        threads, convolve, calls = threading.active_count(), workdist.lattice_convolve, []
 
         def leak_at_step_4(d1, d2, h):
             # rho_3 is the first convolution and rho_4 the second
@@ -1083,44 +1084,22 @@ class TestPooledExport:
         err = capsys.readouterr().err
         assert err.startswith("error: mass-leak: work distribution at step 4")
         assert len(err.splitlines()) == 1
-        assert pools == [2]
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
         assert not out.exists()
 
-    def test_worker_lost_after_files_written_leaves_no_file(self, tmp_path, monkeypatch,
-                                                             pools, capsys):
-        # the worker dies at the last distribution, submitted only after the
-        # first three files were written
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(export, "POOL_MIN_ROWS", 0)
-        last = run_work_recursion(protocol.build_center_schedule(1.0, 8, 1.0, 10))
-        monkeypatch.setattr(export, "_format_body",
-                            functools.partial(_die_at_peak, last.distributions[-1].values.max()))
-        written, write = [], export.write_csv
-        monkeypatch.setattr(export, "write_csv",
-                            lambda path, *args: (write(path, *args), written.append(path)))
-        out = tmp_path / "out"
-        assert main(["run-center", "--s", "8", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: worker-lost: ")
-        assert {os.path.basename(p) for p in written} >= {
-            "profile.csv", "workdist_step_2.csv", "workdist_step_3.csv", "workdist_step_4.csv"}
-        assert not out.exists()
-
-    def test_import_and_small_runs_load_no_process_machinery(self, tmp_path):
+    def test_no_run_loads_process_machinery(self, tmp_path):
         probe = textwrap.dedent("""
-            import os, sys
+            import sys
             machinery = ["concurrent.futures.process", "multiprocessing"]
             def loaded():
                 return [m for m in machinery if m in sys.modules]
             import stepwork.cli
             assert loaded() == [], loaded()
-            assert stepwork.cli.main(["run-center", "--out", sys.argv[1]]) == 0
-            assert loaded() == [], loaded()
-            # the probe sees a pooled run load them
-            stepwork.cli.export.POOL_MIN_ROWS = 0
-            os.sched_getaffinity = lambda pid: {0, 1}
-            assert stepwork.cli.main(["run-center", "--out", sys.argv[1]]) == 0
-            assert loaded() == machinery, loaded()
+            for argv in (["run-center"], ["run-spring"],
+                         ["run-center", "--s", "101", "--a", "1", "--nmax", "10",
+                          "--lambda-s", "1"]):
+                assert stepwork.cli.main([*argv, "--out", sys.argv[1]]) == 0
+                assert loaded() == [], (argv, loaded())
         """)
         src = str(Path(export.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
@@ -1128,12 +1107,11 @@ class TestPooledExport:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.skipif(export._usable_cpus() < 2, reason="the pool needs two usable CPUs")
     def test_max_rss_grows_by_one_export_per_row(self, tmp_path):
         # each run from a helper process of its own, which reads the run's max
         # RSS alone: the figure of this process's children is a running max over
-        # all of them.  A held distribution and its pooled export cost
-        # ROW_VALUES + 1 values per row, measured at 12.9 on two CPUs
+        # all of them.  A held distribution and its export cost
+        # ROW_VALUES + 1 values per row, measured at 6.8
         helper = textwrap.dedent("""
             import resource, subprocess, sys
             subprocess.run([sys.executable, "-m", "stepwork.cli", *sys.argv[1:]],

@@ -14,7 +14,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
 import tempfile
 import tracemalloc
@@ -89,7 +88,6 @@ def _run(argv, out):
         check(what, values, *remedy)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
         mp.setattr(protocol, "GRID_BUDGET", BUDGET)
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         for module in (protocol, workdist, pathways):
             mp.setattr(module, "check_grid_budget", charge)
         warnings.simplefilter("always")

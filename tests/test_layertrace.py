@@ -14,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from stepwork import export
-
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "layertrace.py"
 
@@ -78,15 +76,13 @@ def test_pathway_records_count_data_lines(tmp_path):
     assert counts["pathways.records"] == data_lines
 
 
-@pytest.mark.skipif(export._usable_cpus() < 2, reason="the pool needs two usable CPUs")
-def test_pooled_run_counts_every_row(tmp_path):
+def test_streamed_run_counts_every_row(tmp_path):
     s = 61
     trace = _trace(["run-center", "--s", str(s)], tmp_path)
     csvs = list((tmp_path / "out").glob("*.csv"))
     data_lines = sum(sum(1 for ln in f.read_text().splitlines() if not ln.startswith("#")) - 1
                      for f in csvs)
-    # past the size gate, so the distribution bodies were formatted on workers
-    assert data_lines - s >= export.POOL_MIN_ROWS
+    # the distribution bodies were formatted and written on the writer thread
     assert trace["counts"]["export.rows"] == data_lines
     names = Counter(name for name, *_ in trace["spans"])
     assert names["export.write_csv"] == len(csvs) == s
